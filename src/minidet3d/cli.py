@@ -9,6 +9,7 @@ failures exit 2. Set MINIDET3D_LOG=debug for verbose logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ from .errors import ConfigError, MiniDetError
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
-from .metrics import report_csv, report_json
+from .metrics import DEFAULT_IOU_THRESHOLD, report_csv, report_json
 from .model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
 from .train import (
     LOG_HEADER,
@@ -34,26 +35,6 @@ from .train import (
 
 log = logging.getLogger("minidet3d")
 
-_MODEL_DEFAULTS = {
-    "d_v": 32,
-    "d_t": 32,
-    "d_model": 64,
-    "n_layers": 2,
-    "n_heads": 4,
-    "lora_rank": 16,
-    "lora_alpha": 32.0,
-    "lora_targets": ["q", "k", "v", "o"],
-    "seed": 0,
-}
-
-_SCHEDULE_DEFAULTS = {
-    "transition_epoch": 50,
-    "total_epochs": 100,
-    "stage1_weights": [1.0, 0.0],
-    "stage2_weights": [0.2, 0.8],
-    "stage1_lr": 1e-4,
-    "stage2_lr": 1e-5,
-}
 
 _TRAIN_DEFAULTS = {
     "seed": 0,
@@ -61,9 +42,31 @@ _TRAIN_DEFAULTS = {
     "val_data": None,
     "val_fraction": 0.1,
     "batch_size": 32,
-    "model": _MODEL_DEFAULTS,
-    "schedule": _SCHEDULE_DEFAULTS,
+    "model": dataclasses.asdict(ModelConfig()),
+    "schedule": dataclasses.asdict(LossSchedule()),
 }
+
+# Python types a config value may have, and their JSON name, by its default's
+# type. A null default is a path; a tuple default takes a JSON list; an
+# integer stands for a number, a boolean for neither (no config value is one).
+_ACCEPTED = {
+    type(None): ((str, type(None)), "a string or null"),
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    tuple: (list, "a list"),
+}
+
+
+def _check_type(value, default, where: str) -> None:
+    """Reject a value whose JSON type differs from its default's; list
+    elements are checked against the default's first element."""
+    accepted, expected = _ACCEPTED[type(default)]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+    if isinstance(default, tuple):
+        for i, item in enumerate(value):
+            _check_type(item, default[0], f"{where}[{i}]")
 
 
 def _merge_config(defaults: dict, given: dict, where: str) -> dict:
@@ -74,11 +77,12 @@ def _merge_config(defaults: dict, given: dict, where: str) -> dict:
         raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
     merged = {}
     for key, default in defaults.items():
-        value = given.get(key, default)
         if isinstance(default, dict):
-            merged[key] = _merge_config(default, value if key in given else {}, f"{where}.{key}")
+            merged[key] = _merge_config(default, given.get(key, {}), f"{where}.{key}")
         else:
-            merged[key] = value
+            if key in given:
+                _check_type(given[key], default, f"{where}.{key}")
+            merged[key] = given.get(key, default)
     return merged
 
 
@@ -184,10 +188,8 @@ def cmd_train(args) -> int:
     else:
         train_samples, val_samples = split_by_hash(samples, config["val_fraction"])
 
-    model_cfg = dict(config["model"])
-    model_cfg["lora_targets"] = tuple(model_cfg["lora_targets"])
-    model = FusionModel(ModelConfig(**model_cfg))
-    schedule = _schedule_from_config(config["schedule"])
+    model = FusionModel(ModelConfig(**config["model"]))
+    schedule = LossSchedule(**config["schedule"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,17 +211,6 @@ def cmd_train(args) -> int:
     save_checkpoint(model, out / "checkpoint.bin")
     print(f"final_loss={history[-1].combined_loss!r}")
     return 0
-
-
-def _schedule_from_config(cfg: dict) -> LossSchedule:
-    return LossSchedule(
-        transition_epoch=cfg["transition_epoch"],
-        total_epochs=cfg["total_epochs"],
-        stage1_weights=tuple(cfg["stage1_weights"]),
-        stage2_weights=tuple(cfg["stage2_weights"]),
-        stage1_lr=cfg["stage1_lr"],
-        stage2_lr=cfg["stage2_lr"],
-    )
 
 
 def cmd_eval(args) -> int:
@@ -296,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--mix", default="adult=0.5,car=0.5", help="category=weight, comma separated")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--d-v", type=int, default=32)
-    p.add_argument("--d-t", type=int, default=32)
+    p.add_argument("--noise", type=float, default=data_mod.SynthConfig.noise_std)
+    p.add_argument("--d-v", type=int, default=data_mod.SynthConfig.d_v)
+    p.add_argument("--d-t", type=int, default=data_mod.SynthConfig.d_t)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train from a JSON config file")
@@ -309,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint")
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=0.25)
+    p.add_argument("--threshold", type=float, default=DEFAULT_IOU_THRESHOLD)
     p.add_argument("--out", required=True)
     p.add_argument("--gt-as-pred", action="store_true",
                    help="oracle mode: evaluate ground truth against itself")

@@ -196,13 +196,6 @@ class Pose:
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix, for interop with matrix-based pipelines."""
-        T = np.eye(4, dtype=np.float64)
-        T[:3, :3] = self.rotation_matrix()
-        T[:3, 3] = self.translation
-        return T
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (N, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
@@ -231,15 +224,6 @@ class Pose:
         """Yaw component: direction the rotated x axis points in the x-y plane."""
         rotated_x = self.rotation_matrix()[:, 0]
         return math.atan2(float(rotated_x[1]), float(rotated_x[0]))
-
-
-def pose_compose(a: Pose, b: Pose) -> Pose:
-    """Composition a after b: (a ∘ b)(p) == a(b(p))."""
-    return a.compose(b)
-
-
-def pose_inverse(p: Pose) -> Pose:
-    return p.inverse()
 
 
 def box_corners(box: Box7) -> np.ndarray:

@@ -4,6 +4,8 @@ Stage 1 trains on the semantic feature MSE alone (weights 1.0 / 0.0); after
 the transition epoch the weighting flips to 0.2 / 0.8 and the learning rate
 drops an order of magnitude, so geometry (the IoU term) dominates late
 training while the semantic term keeps its anchor role.
+
+The trainer's batch MSE and epoch objective are these two functions.
 """
 
 from __future__ import annotations
@@ -15,27 +17,22 @@ import numpy as np
 from .errors import EmptyBatch, EpochOutOfRange, LengthMismatch
 
 
-def mse_semantic_loss(pred, gt, *, mean_over_dims: bool = False) -> float:
+def mse_semantic_loss(pred, gt) -> float:
     """Mean over the batch of squared feature distances ||f_pred - f_gt||^2.
 
-    By default the squared norm sums over feature dimensions and the mean
-    runs over the batch only; `mean_over_dims` divides by the feature
-    dimension as well, for experiments with dimension-independent scales.
+    `pred` and `gt` are (B, D) batches; the squared norm sums over the D
+    feature dimensions and the mean runs over the B rows.
     """
-    pred = [np.asarray(f, dtype=np.float64) for f in pred]
-    gt = [np.asarray(f, dtype=np.float64) for f in gt]
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
     if len(pred) != len(gt):
         raise LengthMismatch(f"{len(pred)} predictions vs {len(gt)} ground truths")
-    if not pred:
+    if not len(pred):
         raise EmptyBatch("mse_semantic_loss requires at least one pair")
-    total = 0.0
-    for fp, fg in zip(pred, gt):
-        if fp.shape != fg.shape:
-            raise LengthMismatch(f"feature shapes differ: {fp.shape} vs {fg.shape}")
-        d = fp - fg
-        sq = float(d @ d)
-        total += sq / d.size if mean_over_dims else sq
-    return total / len(pred)
+    if pred.ndim != 2 or pred.shape != gt.shape:
+        raise LengthMismatch(f"expected two equal (B, D) batches, got {pred.shape} vs {gt.shape}")
+    d = pred - gt
+    return float((d * d).sum(axis=1).mean())
 
 
 def combined_loss(mse: float, iou_loss: float, lambda1: float, lambda2: float) -> float:
@@ -55,9 +52,11 @@ class LossSchedule:
     stage2_lr: float = 1e-5
 
     def __post_init__(self):
-        for pair in (self.stage1_weights, self.stage2_weights):
+        for name in ("stage1_weights", "stage2_weights"):
+            pair = tuple(getattr(self, name))
             if len(pair) != 2 or pair[0] < 0 or pair[1] < 0:
                 raise ValueError(f"stage weights must be two non-negative values, got {pair}")
+            object.__setattr__(self, name, pair)
         if not 1 <= self.transition_epoch < self.total_epochs:
             raise ValueError(
                 f"transition_epoch {self.transition_epoch} must lie in [1, total_epochs)"

@@ -4,8 +4,8 @@ The model stands in for a large vision-language backbone while keeping the
 mechanisms intact: a visual feature and a text feature are projected to a
 2-token sequence, run through a small transformer whose attention
 projections carry rank-r adapters, mean-pooled, and regressed to a raw
-7-vector (x, y, z, l, w, h, yaw) by an MLP head with fixed hidden sizes
-512/256/128 and ReLU activations.
+7-vector (x, y, z, l, w, h, yaw) by an MLP head with ReLU activations and
+hidden widths fixed at `MLP_HIDDEN` = 512/256/128 (not a config field).
 
 Trainable parameters: the two input projections, the adapter factors, and
 the MLP head. The transformer base weights are frozen at their seeded
@@ -20,7 +20,9 @@ them in reverse for exact gradients. All math is float64 numpy, so identical
 
 Size channels of the raw output go through softplus when a geometric box is
 built, since boxes require strictly positive sizes; yaw is wrapped into
-(-pi, pi] at the same point.
+(-pi, pi] at the same point. The trainer calls `box_params_from_raw`,
+`box_params_grad_chain` and the semantic head from here, and predicts
+boxes with `box_from_raw`, the one raw-to-box map.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModalityMismatch, ShapeMismatch, StaleActivation
-from .geom import Box7, wrap_angle
+from .geom import Box7
 from .lora import LoRAAdapter, adapter_init, adapter_param_fraction
 
 MLP_HIDDEN = (512, 256, 128)
@@ -63,10 +65,6 @@ class FeatureVector:
             raise ModalityMismatch(f"unknown modality {self.modality!r}")
         object.__setattr__(self, "values", v)
 
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
 
 def concat_features(fv: FeatureVector, ft: FeatureVector) -> FeatureVector:
     """Fuse a visual and a text feature; the visual part leads."""
@@ -84,7 +82,6 @@ class ModelConfig:
     d_model: int = 64
     n_layers: int = 2
     n_heads: int = 4
-    mlp_hidden: tuple[int, int, int] = MLP_HIDDEN
     lora_rank: int = 16
     lora_alpha: float = 32.0
     lora_targets: tuple[str, ...] = ATTENTION_TARGETS
@@ -96,9 +93,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if tuple(self.mlp_hidden) != MLP_HIDDEN:
-            raise ValueError(f"the MLP head is fixed at {MLP_HIDDEN}")
-        object.__setattr__(self, "mlp_hidden", MLP_HIDDEN)
         if self.lora_rank > self.d_model:
             raise ValueError(f"lora_rank {self.lora_rank} exceeds d_model {self.d_model}")
         targets = tuple(self.lora_targets)
@@ -138,8 +132,7 @@ def box_params_grad_chain(raw: np.ndarray, grad_params: np.ndarray) -> np.ndarra
 
 
 def box_from_raw(raw: np.ndarray) -> Box7:
-    p = box_params_from_raw(raw)
-    return Box7(p[0], p[1], p[2], p[3], p[4], p[5], wrap_angle(p[6]))
+    return Box7.from_params(box_params_from_raw(raw))
 
 
 def semantic_project(params: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -158,8 +151,6 @@ class FusionModel:
         self.config = config
         d, dv, dt = config.d_model, config.d_v, config.d_t
         d_ff = 2 * d
-        self.d_ff = d_ff
-        self.n_heads = config.n_heads
         self.d_head = d // config.n_heads
 
         rng = np.random.default_rng(config.seed)
@@ -283,7 +274,7 @@ class FusionModel:
         X = np.stack([xv, xt], axis=1)  # (B, 2, d)
 
         B, T, d = X.shape
-        H, dh = self.n_heads, self.d_head
+        H, dh = cfg.n_heads, self.d_head
         scale = 1.0 / math.sqrt(dh)
         for i in range(cfg.n_layers):
             lc = {"X_in": X}
@@ -367,7 +358,7 @@ class FusionModel:
         dpooled = da1 @ p["head.0.W"]
 
         B, T = Bsz, 2
-        d, H, dh = cfg.d_model, self.n_heads, self.d_head
+        d, H, dh = cfg.d_model, cfg.n_heads, self.d_head
         scale = 1.0 / math.sqrt(dh)
         dX = np.repeat(dpooled[:, None, :] / T, T, axis=1)
 
@@ -432,32 +423,16 @@ class FusionModel:
         """Pull a semantic-space gradient back to box-parameter space."""
         return np.asarray(feature_grad, dtype=np.float64) @ self.params["semantic.W"]
 
-    # ---- convenience ------------------------------------------------------
-
-    def predict_box(self, fused) -> Box7:
-        return box_from_raw(self.forward(fused))
-
-    def input_jacobian(self, fused) -> np.ndarray:
-        """Exact (7, d_v + d_t) Jacobian of the raw output at `fused`."""
-        self.forward(fused)
-        rows = []
-        for k in range(7):
-            up = np.zeros((1, 7))
-            up[0, k] = 1.0
-            _, din = self.backward_batch(up)
-            rows.append(din[0])
-        return np.array(rows)
-
 
 def save_checkpoint(model: FusionModel, path: str | Path) -> None:
     """Binary checkpoint: magic, version byte, config JSON, weight blobs.
 
     Weights are float64 little-endian, concatenated in sorted parameter-name
-    order; the config header fixes every shape.
+    order; the config header fixes every shape. It also records the fixed
+    head widths, so that a checkpoint for other widths is refused at load.
     """
     cfg = asdict(model.config)
-    cfg["mlp_hidden"] = list(cfg["mlp_hidden"])
-    cfg["lora_targets"] = list(cfg["lora_targets"])
+    cfg["mlp_hidden"] = MLP_HIDDEN
     header = json.dumps(cfg, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
@@ -477,8 +452,8 @@ def load_checkpoint(path: str | Path) -> FusionModel:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", blob[5:9])
     cfg_dict = json.loads(blob[9 : 9 + hlen].decode("utf-8"))
-    cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
-    cfg_dict["lora_targets"] = tuple(cfg_dict["lora_targets"])
+    if cfg_dict.pop("mlp_hidden", None) != list(MLP_HIDDEN):
+        raise ValueError(f"{path}: checkpoint head widths are not the fixed {MLP_HIDDEN}")
     model = FusionModel(ModelConfig(**cfg_dict))
     offset = 9 + hlen
     for name in sorted(model.params):

@@ -1,12 +1,13 @@
 """Training loop: AdamW over the model's trainable parameters under the
 two-stage loss schedule.
 
-Per batch, the semantic MSE gradient flows analytically through the frozen
-projection head; the IoU-loss gradient per sample comes from the
-finite-difference estimator. Samples whose IoU is exactly 0 or 1, or that
-sit on a clipping-topology boundary, contribute their loss value but no IoU
-gradient for that step (the retained MSE term keeps pulling them toward
-overlap); the per-epoch log counts how many were skipped.
+Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
+The semantic MSE gradient flows analytically through the frozen projection
+head; the IoU-loss gradient per sample comes from the finite-difference
+estimator. Samples whose IoU is exactly 0 or 1, or that sit on a
+clipping-topology boundary, contribute their loss value but no IoU gradient
+for that step (the retained MSE term keeps pulling them toward overlap); the
+per-epoch log counts how many were skipped.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .data import FeaturePair, SceneRecord, to_lidar_frame
 from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
 from .geom import Box7
-from .iou import iou_3d, iou_loss_grad
-from .losses import LossSchedule, schedule_weights
+from .iou import batch_iou_loss, iou_3d, iou_loss_grad
+from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .metrics import (
     ConfusionCounts,
     aggregate_by_category,
@@ -30,7 +31,7 @@ from .metrics import (
     miou_samples,
     report_dict,
 )
-from .model import FusionModel, box_params_from_raw, box_params_grad_chain
+from .model import FusionModel, box_from_raw, box_params_from_raw, box_params_grad_chain
 
 
 @dataclass(frozen=True)
@@ -127,16 +128,18 @@ def format_log_row(s: EpochStats) -> str:
     )
 
 
+def predict_boxes(model: FusionModel, samples: list[TrainSample]) -> list[Box7]:
+    """The model's boxes for a sample list, from one batched forward pass."""
+    raws = model.forward_batch(np.stack([s.fused for s in samples]))
+    return [box_from_raw(raw) for raw in raws]
+
+
 def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
     """Mean IoU between predicted and ground-truth boxes over a sample list."""
     if not samples:
         raise EmptyBatch("validation requires at least one sample")
-    F = np.stack([s.fused for s in samples])
-    raws = model.forward_batch(F)
-    total = 0.0
-    for raw, s in zip(raws, samples):
-        total += iou_3d(Box7.from_params(box_params_from_raw(raw)), s.gt_box).iou
-    return total / len(samples)
+    boxes = predict_boxes(model, samples)
+    return sum(iou_3d(box, s.gt_box).iou for box, s in zip(boxes, samples)) / len(samples)
 
 
 def run_training(
@@ -180,20 +183,18 @@ def run_training(
             f_pred = model.semantic_features(params_pred)
             f_gt = model.semantic_features(gt_params[idx])
             diffs = f_pred - f_gt
-            mse_batch = float((diffs * diffs).sum(axis=1).mean())
+            mse_batch = mse_semantic_loss(f_pred, f_gt)
 
+            pairs = [(Box7.from_params(params_pred[b]), train_samples[i].gt_box)
+                     for b, i in enumerate(idx)]
+            iou_batch = batch_iou_loss(pairs)
             iou_grads = np.zeros((B, 7))
-            iou_batch = 0.0
-            for b, sample_index in enumerate(idx):
-                pred_box = Box7.from_params(params_pred[b])
-                gt_box = train_samples[sample_index].gt_box
-                iou_batch += 1.0 - iou_3d(pred_box, gt_box).iou
-                if lam2 > 0.0:
+            if lam2 > 0.0:
+                for b, (pred_box, gt_box) in enumerate(pairs):
                     try:
                         iou_grads[b] = iou_loss_grad(pred_box, gt_box)
                     except (DegenerateOverlap, NonSmoothPoint):
                         skipped += 1
-            iou_batch /= B
 
             upstream_params = (2.0 * lam1 / B) * model.semantic_input_grad(diffs)
             if lam2 > 0.0:
@@ -208,7 +209,7 @@ def run_training(
 
         mse_epoch = mse_sum / seen
         iou_epoch = iou_sum / seen
-        combined = lam1 * mse_epoch + lam2 * iou_epoch
+        combined = combined_loss(mse_epoch, iou_epoch, lam1, lam2)
         if not math.isfinite(combined):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {combined}")
         val = validation_miou(model, val_samples) if val_samples else None
@@ -235,9 +236,7 @@ def evaluate_model(
     if predictions is None:
         if model is None:
             raise ConfigError("evaluate_model needs a model or explicit predictions")
-        F = np.stack([s.fused for s in samples])
-        raws = model.forward_batch(F)
-        predictions = [Box7.from_params(box_params_from_raw(raw)) for raw in raws]
+        predictions = predict_boxes(model, samples)
     elif len(predictions) != len(samples):
         raise ConfigError("predictions list does not match samples")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from minidet3d.cli import main
 from minidet3d.data import Annotation, emit, synth_scenes
 from minidet3d.geom import Box7
+from minidet3d.losses import LossSchedule
+from minidet3d.model import ModelConfig
 
 MIX = "adult=0.5,car=0.5"
 
@@ -205,6 +208,33 @@ class TestTrainCommand:
         cfg = train_config(tmp_path, data, typo_key=5)
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"batch_size": "8"}, "config.batch_size"),
+            ({"model": {"lora_alpha": "32"}}, "config.model.lora_alpha"),
+            ({"schedule": {"stage1_weights": 1.0}}, "config.schedule.stage1_weights"),
+            ({"model": {"lora_targets": "qk"}}, "config.model.lora_targets"),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, override, path):
+        data = make_dataset(tmp_path, "data", 10, 11)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"data": str(data), **override}))
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path + " " in err
+        assert "Traceback" not in err
+
+    def test_defaults_written_to_resolved_config(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, "data", 4, 15)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"data": str(data)}))
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 0
+        resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
+        for key, cls in (("model", ModelConfig), ("schedule", LossSchedule)):
+            assert resolved[key] == json.loads(json.dumps(dataclasses.asdict(cls())))
 
     def test_deterministic_across_runs(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 40, 12)

@@ -10,8 +10,6 @@ from minidet3d.geom import (
     CameraIntrinsics,
     Pose,
     box_corners,
-    pose_compose,
-    pose_inverse,
     project_corners,
     quat_from_yaw,
     transform_box,
@@ -110,17 +108,17 @@ class TestPose:
 
     def test_identity_compose(self):
         p = Pose((1, 2, 3), quat_from_yaw(0.7))
-        assert pose_compose(Pose.identity(), p) == p
+        assert Pose.identity().compose(p) == p
 
     def test_inverse_of_identity(self):
-        assert pose_inverse(Pose.identity()) == Pose.identity()
+        assert Pose.identity().inverse() == Pose.identity()
 
     def test_compose_is_associative(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             a, b, c = (random_yaw_pose(rng) for _ in range(3))
-            left = pose_compose(pose_compose(a, b), c)
-            right = pose_compose(a, pose_compose(b, c))
+            left = a.compose(b).compose(c)
+            right = a.compose(b.compose(c))
             assert np.allclose(left.translation, right.translation, atol=1e-9)
             assert np.allclose(left.rotation_matrix(), right.rotation_matrix(), atol=1e-9)
 
@@ -130,18 +128,18 @@ class TestPose:
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             p = Pose(tuple(rng.uniform(-10, 10, 3).tolist()), tuple(q.tolist()))
-            ident = pose_compose(p, pose_inverse(p))
+            ident = p.compose(p.inverse())
             assert np.allclose(ident.translation, 0, atol=1e-9)
             assert np.allclose(ident.rotation_matrix(), np.eye(3), atol=1e-9)
 
     def test_translation_then_rotation_hand_case(self):
         # rotate (1,0,0) by 90 degrees about z, then translate by (1,0,0)
-        combined = pose_compose(Pose((1, 0, 0)), Pose((0, 0, 0), quat_from_yaw(math.pi / 2)))
+        combined = Pose((1, 0, 0)).compose(Pose((0, 0, 0), quat_from_yaw(math.pi / 2)))
         assert np.allclose(combined.apply(np.array([1.0, 0.0, 0.0])), [1, 1, 0], atol=1e-12)
 
     def test_inverse_of_translation(self):
         p = Pose((3.0, -2.0, 1.0))
-        assert np.allclose(pose_inverse(p).translation, (-3.0, 2.0, -1.0))
+        assert np.allclose(p.inverse().translation, (-3.0, 2.0, -1.0))
 
     def test_inverse_roundtrip_on_points(self):
         rng = np.random.default_rng(2)
@@ -149,14 +147,17 @@ class TestPose:
         q /= np.linalg.norm(q)
         p = Pose(tuple(rng.uniform(-10, 10, 3).tolist()), tuple(q.tolist()))
         pts = rng.uniform(-50, 50, size=(100, 3))
-        assert np.allclose(pose_inverse(p).apply(p.apply(pts)), pts, atol=1e-9)
+        assert np.allclose(p.inverse().apply(p.apply(pts)), pts, atol=1e-9)
 
     def test_matrix_export_matches_apply(self):
         rng = np.random.default_rng(3)
         p = random_yaw_pose(rng)
         pts = rng.uniform(-5, 5, size=(10, 3))
+        T = np.eye(4)
+        T[:3, :3] = p.rotation_matrix()
+        T[:3, 3] = p.translation
         hom = np.hstack([pts, np.ones((10, 1))])
-        assert np.allclose((p.matrix() @ hom.T).T[:, :3], p.apply(pts), atol=1e-12)
+        assert np.allclose((T @ hom.T).T[:, :3], p.apply(pts), atol=1e-12)
 
 
 class TestTransformBox:
@@ -188,7 +189,7 @@ class TestTransformBox:
         for _ in range(50):
             box = Box7(*rng.uniform(-5, 5, 3), *rng.uniform(0.5, 4, 3), rng.uniform(-4, 4))
             pose = random_yaw_pose(rng)
-            back = transform_box(transform_box(box, pose), pose_inverse(pose))
+            back = transform_box(transform_box(box, pose), pose.inverse())
             assert np.allclose(back.params(), box.params(), atol=1e-9)
             assert transform_box(box, pose).volume == pytest.approx(box.volume, abs=1e-12)
 

@@ -23,11 +23,10 @@ class TestMseSemanticLoss:
         pred = [np.array([1.0, 0, 0, 0]), np.array([1.0, 1.0, 1.0, 0])]
         assert mse_semantic_loss(pred, gt) == pytest.approx(2.0)
 
-    def test_mean_over_dims_flag(self):
+    def test_sums_over_feature_dims(self):
         gt = [np.zeros(4)]
         pred = [np.array([2.0, 0, 0, 0])]
         assert mse_semantic_loss(pred, gt) == 4.0
-        assert mse_semantic_loss(pred, gt, mean_over_dims=True) == 1.0
 
     def test_symmetry_and_permutation_invariance(self):
         rng = np.random.default_rng(0)

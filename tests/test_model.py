@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,17 @@ def randomized_model(cfg=SMALL, seed=7, scale=0.05):
     for p in m.trainable_parameters().values():
         p += rng.normal(0, scale, size=p.shape)
     return m
+
+
+def input_jacobian(model, x):
+    """Exact (7, d_v + d_t) Jacobian of the raw output at `x`, row by row."""
+    model.forward(x)
+    rows = []
+    for k in range(7):
+        up = np.zeros((1, 7))
+        up[0, k] = 1.0
+        rows.append(model.backward_batch(up)[1][0])
+    return np.array(rows)
 
 
 class TestFeatureVector:
@@ -109,7 +121,7 @@ class TestForward:
         model = randomized_model()
         rng = np.random.default_rng(11)
         x = rng.normal(size=16)
-        J = model.input_jacobian(x)
+        J = input_jacobian(model, x)
         L = np.linalg.svd(J, compute_uv=False)[0]
         base = model.forward(x)
         for i in range(16):
@@ -277,8 +289,6 @@ class TestAccounting:
         with pytest.raises(ValueError):
             ModelConfig(d_model=30, n_heads=4)
         with pytest.raises(ValueError):
-            ModelConfig(mlp_hidden=(64, 32, 16))
-        with pytest.raises(ValueError):
             ModelConfig(lora_targets=("q", "z"))
         with pytest.raises(ValueError):
             ModelConfig(lora_rank=128, d_model=64)
@@ -304,6 +314,34 @@ class TestCheckpoint:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_header_bytes_pinned(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(ModelConfig()), path)
+        header = (
+            b'{"d_model": 64, "d_t": 32, "d_v": 32, "lora_alpha": 32.0, "lora_rank": 16, '
+            b'"lora_targets": ["q", "k", "v", "o"], "mlp_hidden": [512, 256, 128], '
+            b'"n_heads": 4, "n_layers": 2, "seed": 0}'
+        )
+        blob = path.read_bytes()
+        assert blob[:9] == b"MD3D\x01" + len(header).to_bytes(4, "little")
+        assert blob[9 : 9 + len(header)] == header
+
+    @pytest.mark.parametrize("widths", [[64, 32, 16], None], ids=["other", "missing"])
+    def test_other_head_widths_rejected(self, tmp_path, widths):
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(SMALL), path)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[5:9], "little")
+        cfg = json.loads(blob[9 : 9 + hlen])
+        if widths is None:
+            del cfg["mlp_hidden"]
+        else:
+            cfg["mlp_hidden"] = widths
+        header = json.dumps(cfg, sort_keys=True).encode()
+        path.write_bytes(blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :])
+        with pytest.raises(ValueError, match="head widths"):
             load_checkpoint(path)
 
     def test_magic_checked(self, tmp_path):
