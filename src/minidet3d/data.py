@@ -528,15 +528,49 @@ def save_features(features: list[FeaturePair], path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _feature_vector(payload: dict, sid: str, key: str, width: int | None) -> np.ndarray:
+    def fail(message):
+        return ParseError(f"features[{json.dumps(sid)}].{key}", message)
+
+    if key not in payload:
+        raise fail("missing")
+    try:
+        vec = np.array(payload[key])
+    except ValueError as e:  # ragged nesting
+        raise fail("must be a list of numbers") from e
+    if vec.dtype.kind not in "iuf":
+        raise fail("must be a list of numbers")
+    if vec.ndim != 1:
+        raise fail(f"must be a 1-D list, got {vec.ndim}-D")
+    if width is not None and len(vec) != width:
+        raise fail(f"width {len(vec)} differs from the first entry's {width}")
+    if not np.isfinite(vec).all():
+        raise fail("values must be finite")
+    return vec.astype(np.float64, copy=False)
+
+
 def load_features(path: str | Path) -> dict[str, FeaturePair]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a features file; every entry must hold finite 1-D visual and text
+    vectors of the first entry's widths. Malformed content raises ParseError
+    naming the field, e.g. 'features["synth-1-000003"].text'."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError("<file>", f"invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ParseError("<file>", "top level must be an object with schema_version")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"features file schema {doc.get('schema_version')!r}")
+    entries = doc.get("features")
+    if not isinstance(entries, dict):
+        raise ParseError("features", "missing or not an object")
     out = {}
-    for sid, payload in doc["features"].items():
-        out[sid] = FeaturePair(
-            sid,
-            np.array(payload["visual"], dtype=np.float64),
-            np.array(payload["text"], dtype=np.float64),
-        )
+    visual_width = text_width = None
+    for sid, payload in entries.items():
+        if not isinstance(payload, dict):
+            raise ParseError(f"features[{json.dumps(sid)}]", "must be an object with visual and text")
+        visual = _feature_vector(payload, sid, "visual", visual_width)
+        text = _feature_vector(payload, sid, "text", text_width)
+        visual_width, text_width = len(visual), len(text)
+        out[sid] = FeaturePair(sid, visual, text)
     return out

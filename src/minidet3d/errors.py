@@ -18,7 +18,8 @@ class DegenerateOverlap(MiniDetError):
 
 
 class NonSmoothPoint(MiniDetError):
-    """Finite-difference estimates at two step sizes disagree; the configuration sits on a clipping-topology boundary."""
+    """The IoU loss has a kink here: a corner lies on the other box's edge, an edge
+    crossing lies at an edge end, or top or bottom faces are flush."""
 
 
 class RankTooLarge(MiniDetError):
@@ -77,4 +78,4 @@ class ConfigError(MiniDetError):
 
 
 class DivergenceError(MiniDetError):
-    """Training produced a non-finite loss."""
+    """Training went non-finite or predicted a non-positive box size."""

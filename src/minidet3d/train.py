@@ -3,11 +3,13 @@ two-stage loss schedule.
 
 Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
-head; the IoU-loss gradient per sample comes from the finite-difference
-estimator. Samples whose IoU is exactly 0 or 1, or that sit on a
-clipping-topology boundary, contribute their loss value but no IoU gradient
-for that step (the retained MSE term keeps pulling them toward overlap); the
-per-epoch log counts how many were skipped.
+head; the IoU-loss gradient per sample is the exact `iou_loss_grad`.
+Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
+contribute their loss value but no IoU gradient for that step (the retained
+MSE term keeps pulling them toward overlap); the per-epoch log counts how
+many were skipped. A batch whose model output, loss or gradients go
+non-finite, or whose predicted sizes underflow to zero, raises
+DivergenceError naming the epoch and batch before the optimizer step.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
     return sum(iou_3d(box, s.gt_box).iou for box, s in zip(boxes, samples)) / len(samples)
 
 
+def _diverged(epoch: int, batch: int, what: str):
+    raise DivergenceError(f"{what} at epoch {epoch}, batch {batch}")
+
+
 def run_training(
     model: FusionModel,
     train_samples: list[TrainSample],
@@ -174,16 +180,22 @@ def run_training(
         iou_sum = 0.0
         seen = 0
         skipped = 0
-        for start in range(0, len(order), batch_size):
+        for batch, start in enumerate(range(0, len(order), batch_size)):
             idx = order[start : start + batch_size]
             B = len(idx)
             F = fused_all[idx]
             raw = model.forward_batch(F)
+            if not np.isfinite(raw).all():
+                _diverged(epoch, batch, "non-finite model output")
             params_pred = box_params_from_raw(raw)
+            if not (params_pred[:, 3:6] > 0.0).all():
+                _diverged(epoch, batch, "a predicted box size is not positive")
             f_pred = model.semantic_features(params_pred)
             f_gt = model.semantic_features(gt_params[idx])
             diffs = f_pred - f_gt
             mse_batch = mse_semantic_loss(f_pred, f_gt)
+            if not math.isfinite(mse_batch):
+                _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
             pairs = [(Box7.from_params(params_pred[b]), train_samples[i].gt_box)
                      for b, i in enumerate(idx)]
@@ -201,6 +213,8 @@ def run_training(
                 upstream_params += (lam2 / B) * iou_grads
             upstream_raw = box_params_grad_chain(raw, upstream_params)
             grads, _ = model.backward_batch(upstream_raw)
+            if not all(np.isfinite(g).all() for g in grads.values()):
+                _diverged(epoch, batch, "non-finite gradient")
             opt.step(params, grads, lr)
 
             mse_sum += mse_batch * B

@@ -227,6 +227,17 @@ class TestTrainCommand:
         assert err.startswith("error: ") and path + " " in err
         assert "Traceback" not in err
 
+    def test_malformed_features_file_rejected(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, "data", 4, 16)
+        doc = json.loads((data / "features.json").read_text())
+        del doc["features"]
+        (data / "features.json").write_text(json.dumps(doc))
+        cfg = train_config(tmp_path, data)
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: features: ")
+        assert "Traceback" not in err
+
     def test_defaults_written_to_resolved_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 4, 15)
         cfg = tmp_path / "config.json"

@@ -275,6 +275,53 @@ class TestSynth:
             assert np.array_equal(loaded[f.sample_id].visual, f.visual)
             assert np.array_equal(loaded[f.sample_id].text, f.text)
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda doc: doc.pop("features"), "features"),
+            (lambda doc: doc.update(features=[]), "features"),
+            (lambda doc: doc["features"].update(s1=[1.0]), 'features["s1"]'),
+            (lambda doc: doc["features"]["s1"].pop("visual"), 'features["s1"].visual'),
+            (lambda doc: doc["features"]["s1"].update(text="x"), 'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(text=["1.5", "2"]), 'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(text=[True, False]), 'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(text=[[1.0], [2.0]]), 'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(text=[[1.0], 2.0]), 'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(visual=[1.0, float("nan")]),
+             'features["s1"].visual'),
+            (lambda doc: doc["features"]["s1"].update(text=[float("inf"), 0.0, 0.0]),
+             'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(visual=[1.0]), 'features["s1"].visual'),
+        ],
+        ids=["no-features", "features-not-object", "entry-not-object", "missing-key",
+             "string", "string-elements", "bool-elements", "2-d", "ragged", "nan", "inf",
+             "other-width"],
+    )
+    def test_malformed_features_file_names_the_field(self, tmp_path, mutate, field):
+        doc = {
+            "schema_version": 1,
+            "features": {
+                "s0": {"visual": [0.0, 1.0], "text": [2.0, 3.0, 4.0]},
+                "s1": {"visual": [5.0, 6.0], "text": [7.0, 8.0, 9.0]},
+            },
+        }
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps(doc))
+        assert load_features(path)["s1"].text.tolist() == [7.0, 8.0, 9.0]
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            load_features(path)
+        assert exc.value.field == field
+
+    def test_features_file_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "features.json"
+        for text in ("[1, 2]", "{not json"):
+            path.write_text(text)
+            with pytest.raises(ParseError) as exc:
+                load_features(path)
+            assert exc.value.field == "<file>"
+
     def test_encode_requires_room_for_params(self):
         with pytest.raises(ValueError):
             encode_visual(np.zeros(7), d_v=5)

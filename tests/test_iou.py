@@ -15,6 +15,7 @@ from minidet3d.iou import (
     polygon_area,
     polygon_clip,
 )
+from oracles import fd_iou_loss_grad, grads_agree
 
 UNIT_SQUARE = [(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)]
 
@@ -234,6 +235,96 @@ class TestIoULossGrad:
         g = Box7(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises((NonSmoothPoint, DegenerateOverlap)):
             iou_loss_grad(p, g)
+
+
+def closed_form_containment_grad(p, g):
+    """iou_loss gradient when one box contains the other in 3D: IoU is the
+    ratio of the volumes, so only p's sizes matter."""
+    lwh = np.array([p.w * p.h, p.l * p.h, p.l * p.w])
+    grad = np.zeros(7)
+    if p.volume < g.volume:  # IoU = vol_p / vol_g
+        grad[3:6] = -lwh / g.volume
+    else:  # IoU = vol_g / vol_p
+        grad[3:6] = g.volume * lwh / p.volume**2
+    return grad
+
+
+class TestAnalyticIoULossGrad:
+    def test_matches_finite_differences_on_jittered_pairs(self):
+        # Predictions jittered about a ground truth, as in stage-2 training.
+        # Half the ground truths sit near yaw = +-pi so that jittered yaws wrap.
+        rng = np.random.default_rng(2718)
+        accepted = oracle_skips = wraps = 0
+        orders = set()
+        for n in range(600):
+            yaw = rng.uniform(-math.pi, math.pi) if n % 2 else math.pi - rng.uniform(-0.3, 0.3)
+            g = Box7(*rng.uniform(-20, 20, 2), rng.uniform(-1, 1), *rng.uniform(0.3, 5, 3), yaw)
+            jitter = rng.normal(0, 1, 7) * np.array([0.3, 0.3, 0.2, 0.2 * g.l, 0.2 * g.w, 0.2 * g.h, 0.4])
+            params = g.params() + jitter
+            params[3:6] = np.abs(params[3:6]) + 0.05
+            p = Box7.from_params(params)
+            try:
+                expected = fd_iou_loss_grad(p, g)
+            except DegenerateOverlap:
+                with pytest.raises(DegenerateOverlap):
+                    iou_loss_grad(p, g)
+                oracle_skips += 1
+                continue
+            except NonSmoothPoint:
+                oracle_skips += 1
+                continue
+            got = iou_loss_grad(p, g)  # raises nothing where the oracle accepts
+            for i in range(7):
+                assert grads_agree(got[i], expected[i]), (n, i, got, expected)
+            accepted += 1
+            orders.add(tuple(p.params().tolist()) < tuple(g.params().tolist()))
+            wraps += abs(p.yaw - g.yaw) > math.pi
+        assert accepted >= 500 and oracle_skips < 100
+        assert orders == {True, False}
+        assert wraps >= 20
+
+    @pytest.mark.parametrize(
+        "p, g",
+        [
+            (Box7(0.1, -0.2, 0.05, 1.0, 0.6, 0.8, 0.3), Box7(0, 0, 0, 3, 2, 1.5, 0.1)),
+            (Box7(0, 0, 0, 3, 2, 1.5, 0.1), Box7(0.1, -0.2, 0.05, 1.0, 0.6, 0.8, 0.3)),
+        ],
+        ids=["p-inside-g", "g-inside-p"],
+    )
+    def test_containment_closed_form(self, p, g):
+        got = iou_loss_grad(p, g)
+        assert np.allclose(got, closed_form_containment_grad(p, g), rtol=1e-12, atol=1e-14)
+        assert np.allclose(got, fd_iou_loss_grad(p, g), rtol=1e-3, atol=1e-7)
+
+    def test_exact_next_to_a_tie_where_differences_fail(self):
+        # p's right face is 1e-5 inside g's: the finite-difference steps
+        # straddle the tie, while the exact gradient is the containment one
+        g = Box7(0, 0, 0, 2, 2, 1, 0)
+        p = Box7(0.5 - 1e-5, 0, 0, 1, 0.6, 0.5, 0)
+        got = iou_loss_grad(p, g)
+        assert np.allclose(got, closed_form_containment_grad(p, g), rtol=1e-12, atol=1e-14)
+        with pytest.raises(NonSmoothPoint):
+            fd_iou_loss_grad(p, g)
+
+    def test_corner_on_edge_is_a_nonsmooth_point(self):
+        g = Box7(0, 0, 0, 2, 2, 1, 0)
+        p = Box7(0.5, 0, 0, 1, 0.6, 0.5, 0)  # right face flush with g's
+        with pytest.raises(NonSmoothPoint):
+            iou_loss_grad(p, g)
+
+    def test_yaw_wrap_pair(self):
+        # yaws on both sides of +-pi; turning the scene by pi about the z axis
+        # gives a pair away from the wrap whose gradient differs only in the
+        # sign of its x and y components
+        g = Box7(1.0, -0.5, 0.2, 2.0, 1.0, 1.5, math.pi - 0.05)
+        p = Box7(1.2, -0.4, 0.3, 1.8, 1.1, 1.4, -math.pi + 0.07)
+        got = iou_loss_grad(p, g)
+        assert np.allclose(got, fd_iou_loss_grad(p, g), rtol=1e-2, atol=1e-6)
+        turned = iou_loss_grad(
+            Box7(-p.x, -p.y, p.z, p.l, p.w, p.h, p.yaw - math.pi),
+            Box7(-g.x, -g.y, g.z, g.l, g.w, g.h, g.yaw - math.pi),
+        )
+        assert np.allclose(turned * [-1, -1, 1, 1, 1, 1, 1], got, rtol=1e-9, atol=1e-12)
 
 
 class TestMonteCarlo:

@@ -144,6 +144,19 @@ class TestRunTraining:
         with pytest.raises(DivergenceError):
             run_training(model, samples, bad, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e3, 1e6, 1e12])
+    def test_divergence_caught_at_its_batch(self, lr):
+        # the batch that first goes bad raises before the optimizer writes
+        # its values into the parameters
+        samples = small_dataset(16, seed=9)
+        model = FusionModel(ModelConfig(seed=4))
+        bad = LossSchedule(transition_epoch=1, total_epochs=6, stage1_lr=lr, stage2_lr=lr)
+        with pytest.raises(DivergenceError, match=r"at epoch \d+, batch \d+"):
+            run_training(model, samples, bad, seed=0, batch_size=4)
+        for name, p in model.params.items():
+            assert np.isfinite(p).all(), name
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyBatch):
             run_training(FusionModel(ModelConfig()), [], LossSchedule(), seed=0)
