@@ -90,7 +90,9 @@ def _write_resolved_config(config: dict, path: Path) -> None:
     path.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def _load_dataset(dirpath: str):
+def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = ""):
+    """Samples of a dataset directory. With a model config, the feature widths
+    must equal its d_v/d_t; `owner` names where that config came from."""
     d = Path(dirpath)
     scenes = d / "scenes.json"
     feats = d / "features.json"
@@ -98,6 +100,14 @@ def _load_dataset(dirpath: str):
         raise ConfigError(f"{dirpath}: expected scenes.json and features.json")
     records = data_mod.ingest(scenes)
     features = data_mod.load_features(feats)
+    if model is not None and features:
+        first = next(iter(features.values()))
+        for key, name in (("d_v", "visual"), ("d_t", "text")):
+            want, got = getattr(model, key), len(getattr(first, name))
+            if got != want:
+                raise ConfigError(
+                    f"{owner}{key} is {want}, but the {name} features in {feats} are {got} wide"
+                )
     return build_training_samples(records, features)
 
 
@@ -181,14 +191,15 @@ def cmd_train(args) -> int:
     if not config["data"]:
         raise ConfigError("config.data must point to a dataset directory")
 
-    samples = _load_dataset(config["data"])
+    model_config = ModelConfig(**config["model"])
+    samples = _load_dataset(config["data"], model_config, "config.model.")
     if config["val_data"]:
         train_samples = samples
-        val_samples = _load_dataset(config["val_data"])
+        val_samples = _load_dataset(config["val_data"], model_config, "config.model.")
     else:
         train_samples, val_samples = split_by_hash(samples, config["val_fraction"])
 
-    model = FusionModel(ModelConfig(**config["model"]))
+    model = FusionModel(model_config)
     schedule = LossSchedule(**config["schedule"])
 
     out = Path(args.out)
@@ -214,14 +225,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    samples = _load_dataset(args.data)
     if args.gt_as_pred:
         model = None
+        samples = _load_dataset(args.data)
         predictions = [s.gt_box for s in samples]
     else:
         if not args.checkpoint:
             raise ConfigError("--checkpoint required unless --gt-as-pred")
         model = load_checkpoint(args.checkpoint)
+        samples = _load_dataset(args.data, model.config, f"checkpoint {args.checkpoint}: ")
         predictions = None
     report = evaluate_model(model, samples, args.threshold, predictions=predictions)
 

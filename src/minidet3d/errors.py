@@ -77,5 +77,11 @@ class ConfigError(MiniDetError):
     """Run configuration is invalid (unknown key, bad value, missing file)."""
 
 
+class CheckpointError(MiniDetError, ValueError):
+    """A model checkpoint is malformed. The message names the file and the bad part:
+    magic, version, header length, header, header.<key> or weights. It is also a
+    ValueError, which the checkpoint loader raised before this type existed."""
+
+
 class DivergenceError(MiniDetError):
     """Training went non-finite or predicted a non-positive box size."""

@@ -9,6 +9,9 @@ d_out * d_in (2*d*r for square W). A starts as a small seeded Gaussian and B
 starts at zero, which makes the initial update exactly zero: an adapted
 model is bit-identical to its base until the first optimizer step. alpha is
 applied as a plain multiplier on B @ A, with no implicit rescaling by r.
+
+`apply_adapted` and `adapted_backward` are the one implementation of the
+adapted map and its gradients; the fusion model's attention runs through them.
 """
 
 from __future__ import annotations
@@ -89,12 +92,23 @@ def _check_base(w: np.ndarray, a: LoRAAdapter) -> np.ndarray:
 
 
 def apply_adapted(w: np.ndarray, a: LoRAAdapter, x: np.ndarray) -> np.ndarray:
-    """(W + alpha*B@A) @ x without materializing the merged matrix."""
+    """x @ (W + alpha*B@A).T for any x of shape (..., d_in), never merging the matrix."""
     w = _check_base(w, a)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != a.d_in:
-        raise ShapeMismatch(f"input of length {x.shape[0]} does not match d_in={a.d_in}")
-    return w @ x + a.alpha * (a.B @ (a.A @ x))
+    if x.shape[-1] != a.d_in:
+        raise ShapeMismatch(f"input of length {x.shape[-1]} does not match d_in={a.d_in}")
+    return x @ w.T + a.alpha * ((x @ a.A.T) @ a.B.T)
+
+
+def adapted_backward(w: np.ndarray, a: LoRAAdapter, x: np.ndarray, dy: np.ndarray):
+    """(dx, dA, dB) of sum(dy * apply_adapted(w, a, x)); dA, dB sum over leading axes."""
+    w = _check_base(w, a)
+    x, dy = np.asarray(x, dtype=np.float64), np.asarray(dy, dtype=np.float64)
+    if x.shape[-1] != a.d_in or dy.shape != x.shape[:-1] + (a.d_out,):
+        raise ShapeMismatch(f"input {x.shape} and gradient {dy.shape} do not fit {w.shape}")
+    xf, dyf = x.reshape(-1, a.d_in), dy.reshape(-1, a.d_out)
+    dx = dy @ w + a.alpha * ((dy @ a.B) @ a.A)
+    return dx, a.alpha * ((dyf @ a.B).T @ xf), a.alpha * (dyf.T @ (xf @ a.A.T))
 
 
 def merge_adapter(w: np.ndarray, a: LoRAAdapter) -> np.ndarray:

@@ -8,7 +8,11 @@ projections carry rank-r adapters, mean-pooled, and regressed to a raw
 hidden widths fixed at `MLP_HIDDEN` = 512/256/128 (not a config field).
 
 Trainable parameters: the two input projections, the adapter factors, and
-the MLP head. The transformer base weights are frozen at their seeded
+the MLP head. The attention projections run `lora.apply_adapted` and
+`lora.adapted_backward` on the `LoRAAdapter`s built at construction, whose A
+and B arrays are the `params` entries themselves. `params` entries are
+therefore updated in place (the optimizer, `load_checkpoint`) and never
+rebound. The transformer base weights are frozen at their seeded
 initialization, as is the semantic projection head (a linear map from box
 parameters to a 128-dim feature space). Freezing the semantic head keeps the
 feature-space MSE a fixed positive-definite quadratic in the box-parameter
@@ -20,9 +24,9 @@ them in reverse for exact gradients. All math is float64 numpy, so identical
 
 Size channels of the raw output go through softplus when a geometric box is
 built, since boxes require strictly positive sizes; yaw is wrapped into
-(-pi, pi] at the same point. The trainer calls `box_params_from_raw`,
-`box_params_grad_chain` and the semantic head from here, and predicts
-boxes with `box_from_raw`, the one raw-to-box map.
+(-pi, pi] at the same point. The trainer calls `box_params_from_raw` (the
+one raw-to-box-parameter map), `box_params_grad_chain` and the semantic head
+from here.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModalityMismatch, ShapeMismatch, StaleActivation
-from .geom import Box7
-from .lora import LoRAAdapter, adapter_init, adapter_param_fraction
+from .errors import CheckpointError, ModalityMismatch, ShapeMismatch, StaleActivation
+from .lora import LoRAAdapter, adapted_backward, adapter_init, adapter_param_fraction, apply_adapted
 
 MLP_HIDDEN = (512, 256, 128)
 SEMANTIC_DIM = 128
@@ -131,10 +134,6 @@ def box_params_grad_chain(raw: np.ndarray, grad_params: np.ndarray) -> np.ndarra
     return grad
 
 
-def box_from_raw(raw: np.ndarray) -> Box7:
-    return Box7.from_params(box_params_from_raw(raw))
-
-
 def semantic_project(params: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Linear embedding of 7-vectors into the semantic feature space."""
     params = np.asarray(params, dtype=np.float64)
@@ -155,6 +154,7 @@ class FusionModel:
 
         rng = np.random.default_rng(config.seed)
         p: dict[str, np.ndarray] = {}
+        self._adapters: dict[tuple[int, str], LoRAAdapter] = {}
         p["proj_v.W"] = rng.normal(0.0, 1.0 / math.sqrt(dv), size=(d, dv))
         p["proj_v.b"] = np.zeros(d)
         p["proj_t.W"] = rng.normal(0.0, 1.0 / math.sqrt(dt), size=(d, dt))
@@ -165,6 +165,7 @@ class FusionModel:
                 if t in config.lora_targets:
                     seed = int(rng.integers(0, 2**31))
                     adapter = adapter_init(d, d, config.lora_rank, config.lora_alpha, seed)
+                    self._adapters[i, t] = adapter
                     p[f"layers.{i}.attn.{t}.A"] = adapter.A
                     p[f"layers.{i}.attn.{t}.B"] = adapter.B
             p[f"layers.{i}.ffn.W1"] = rng.normal(0.0, math.sqrt(2.0 / d), size=(d_ff, d))
@@ -199,18 +200,8 @@ class FusionModel:
         return {name: self.params[name] for name in self._trainable}
 
     def adapters(self) -> list[LoRAAdapter]:
-        out = []
-        for i in range(self.config.n_layers):
-            for t in self.config.lora_targets:
-                out.append(
-                    LoRAAdapter(
-                        A=self.params[f"layers.{i}.attn.{t}.A"],
-                        B=self.params[f"layers.{i}.attn.{t}.B"],
-                        r=self.config.lora_rank,
-                        alpha=self.config.lora_alpha,
-                    )
-                )
-        return out
+        """The model's adapters; their A and B are the `params` arrays themselves."""
+        return list(self._adapters.values())
 
     def total_param_count(self) -> int:
         return sum(v.size for v in self.params.values())
@@ -229,33 +220,18 @@ class FusionModel:
 
     def _lin(self, X: np.ndarray, layer: int, t: str) -> np.ndarray:
         base = self.params[f"layers.{layer}.attn.{t}.base"]
-        Y = X @ base.T
-        if t in self.config.lora_targets:
-            A = self.params[f"layers.{layer}.attn.{t}.A"]
-            B = self.params[f"layers.{layer}.attn.{t}.B"]
-            Y = Y + self.config.lora_alpha * ((X @ A.T) @ B.T)
-        return Y
+        adapter = self._adapters.get((layer, t))
+        return X @ base.T if adapter is None else apply_adapted(base, adapter, X)
 
-    def _lin_input_grad(self, dY: np.ndarray, layer: int, t: str) -> np.ndarray:
+    def _lin_backward(self, X: np.ndarray, dY: np.ndarray, layer: int, t: str, g: dict):
+        """Input gradient of `_lin`; adapter gradients go into `g`."""
         base = self.params[f"layers.{layer}.attn.{t}.base"]
-        dX = dY @ base
-        if t in self.config.lora_targets:
-            A = self.params[f"layers.{layer}.attn.{t}.A"]
-            B = self.params[f"layers.{layer}.attn.{t}.B"]
-            dX = dX + self.config.lora_alpha * ((dY @ B) @ A)
+        adapter = self._adapters.get((layer, t))
+        if adapter is None:
+            return dY @ base
+        dX, dA, dB = adapted_backward(base, adapter, X, dY)
+        g[f"layers.{layer}.attn.{t}.A"], g[f"layers.{layer}.attn.{t}.B"] = dA, dB
         return dX
-
-    def _lin_adapter_grads(self, X: np.ndarray, dY: np.ndarray, layer: int, t: str, out: dict):
-        if t not in self.config.lora_targets:
-            return
-        A = self.params[f"layers.{layer}.attn.{t}.A"]
-        B = self.params[f"layers.{layer}.attn.{t}.B"]
-        d = X.shape[-1]
-        Xf = X.reshape(-1, d)
-        dYf = dY.reshape(-1, d)
-        alpha = self.config.lora_alpha
-        out[f"layers.{layer}.attn.{t}.A"] = alpha * ((dYf @ B).T @ Xf)
-        out[f"layers.{layer}.attn.{t}.B"] = alpha * (dYf.T @ (Xf @ A.T))
 
     # ---- forward ---------------------------------------------------------
 
@@ -369,8 +345,7 @@ class FusionModel:
             dHpre = dHact * (lc["Hpre"] > 0)
             dX1 = dX + dHpre @ p[f"layers.{i}.ffn.W1"]
             # attention with residual: X1 = X_in + lin_o(O)
-            dO = self._lin_input_grad(dX1, i, "o")
-            self._lin_adapter_grads(lc["O"], dX1, i, "o", g)
+            dO = self._lin_backward(lc["O"], dX1, i, "o", g)
             dOh = dO.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
             S, Vh, Qh, Kh = lc["S"], lc["Vh"], lc["Qh"], lc["Kh"]
             dS = dOh @ Vh.swapaxes(-1, -2)
@@ -382,14 +357,11 @@ class FusionModel:
             dK = dKh.transpose(0, 2, 1, 3).reshape(B, T, d)
             dV = dVh.transpose(0, 2, 1, 3).reshape(B, T, d)
             X_in = lc["X_in"]
-            self._lin_adapter_grads(X_in, dQ, i, "q", g)
-            self._lin_adapter_grads(X_in, dK, i, "k", g)
-            self._lin_adapter_grads(X_in, dV, i, "v", g)
             dX = (
                 dX1
-                + self._lin_input_grad(dQ, i, "q")
-                + self._lin_input_grad(dK, i, "k")
-                + self._lin_input_grad(dV, i, "v")
+                + self._lin_backward(X_in, dQ, i, "q", g)
+                + self._lin_backward(X_in, dK, i, "k", g)
+                + self._lin_backward(X_in, dV, i, "v", g)
             )
 
         dxv, dxt = dX[:, 0, :], dX[:, 1, :]
@@ -443,26 +415,66 @@ def save_checkpoint(model: FusionModel, path: str | Path) -> None:
             f.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
 
 
+def _header_config(cfg, bad) -> ModelConfig:
+    """The ModelConfig a checkpoint header describes, every key and JSON type checked."""
+    if not isinstance(cfg, dict):
+        raise bad("header", "not a JSON object")
+    if cfg.pop("mlp_hidden", None) != list(MLP_HIDDEN):
+        raise bad("header.mlp_hidden", f"checkpoint head widths are not the fixed {MLP_HIDDEN}")
+    defaults = asdict(ModelConfig())
+    if set(cfg) != set(defaults):
+        raise bad("header", f"unknown keys {sorted(set(cfg) - set(defaults))}, "
+                  f"missing keys {sorted(set(defaults) - set(cfg))}")
+    for key, default in defaults.items():
+        value = cfg[key]
+        if isinstance(default, tuple):
+            kind = "a list of strings"
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        elif isinstance(default, float):
+            kind = "a finite number"
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        else:
+            kind = "a non-negative integer"
+            ok = isinstance(value, int) and value >= 0
+        if isinstance(value, bool) or not ok:
+            raise bad(f"header.{key}", f"must be {kind}, got {json.dumps(value)}")
+    try:
+        return ModelConfig(**cfg)
+    except ValueError as e:
+        raise bad("header", str(e)) from None
+
+
 def load_checkpoint(path: str | Path) -> FusionModel:
+    """Read a `save_checkpoint` file into a new model, filling its parameter
+    arrays in place. Each length is checked before its slice is read, and a
+    malformed file raises CheckpointError naming the file and the bad part."""
     blob = Path(path).read_bytes()
+
+    def bad(part: str, message: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {part}: {message}")
+
     if blob[:4] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
-    version = blob[4]
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise bad("magic", f"not a model checkpoint (no {_CHECKPOINT_MAGIC!r})")
+    if len(blob) < 5:
+        raise bad("version", "missing: the file ends after the magic")
+    if blob[4] != _CHECKPOINT_VERSION:
+        raise bad("version", f"unsupported checkpoint version {blob[4]}")
+    if len(blob) < 9:
+        raise bad("header length", f"file ends at byte {len(blob)}, inside the 4-byte length")
     (hlen,) = struct.unpack("<I", blob[5:9])
-    cfg_dict = json.loads(blob[9 : 9 + hlen].decode("utf-8"))
-    if cfg_dict.pop("mlp_hidden", None) != list(MLP_HIDDEN):
-        raise ValueError(f"{path}: checkpoint head widths are not the fixed {MLP_HIDDEN}")
-    model = FusionModel(ModelConfig(**cfg_dict))
-    offset = 9 + hlen
+    if 9 + hlen > len(blob):
+        raise bad("header length", f"{hlen} bytes, but only {len(blob) - 9} follow")
+    try:
+        cfg = json.loads(blob[9 : 9 + hlen].decode("utf-8"))
+    except ValueError as e:  # also UnicodeDecodeError
+        raise bad("header", f"invalid JSON: {e}") from None
+    model = FusionModel(_header_config(cfg, bad))
+    weights, needed = blob[9 + hlen :], 8 * model.total_param_count()
+    if len(weights) != needed:
+        raise bad("weights", f"{len(weights)} bytes, but the header's shapes need {needed}")
+    offset = 0
     for name in sorted(model.params):
         arr = model.params[name]
-        nbytes = arr.size * 8
-        model.params[name] = (
-            np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(arr.shape).copy()
-        )
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
+        arr[...] = np.frombuffer(weights, "<f8", arr.size, offset).reshape(arr.shape)
+        offset += arr.size * 8
     return model

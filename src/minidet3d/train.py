@@ -9,7 +9,8 @@ contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how
 many were skipped. A batch whose model output, loss or gradients go
 non-finite, or whose predicted sizes underflow to zero, raises
-DivergenceError naming the epoch and batch before the optimizer step.
+DivergenceError naming the epoch and batch before the optimizer step; the
+same output check guards the per-epoch validation pass.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .metrics import (
     miou_samples,
     report_dict,
 )
-from .model import FusionModel, box_from_raw, box_params_from_raw, box_params_grad_chain
+from .model import FusionModel, box_params_from_raw, box_params_grad_chain
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,21 @@ def format_log_row(s: EpochStats) -> str:
     )
 
 
+def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:
+    """Box parameters of a raw (B, 7) batch; DivergenceError if the output is
+    non-finite or a size underflowed to zero, before any Box7 is built."""
+    if not np.isfinite(raw).all():
+        raise DivergenceError(f"non-finite model output{where}")
+    params = box_params_from_raw(raw)
+    if not (params[:, 3:6] > 0.0).all():
+        raise DivergenceError(f"a predicted box size is not positive{where}")
+    return params
+
+
 def predict_boxes(model: FusionModel, samples: list[TrainSample]) -> list[Box7]:
     """The model's boxes for a sample list, from one batched forward pass."""
     raws = model.forward_batch(np.stack([s.fused for s in samples]))
-    return [box_from_raw(raw) for raw in raws]
+    return [Box7.from_params(p) for p in _checked_box_params(raws)]
 
 
 def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
@@ -185,11 +197,7 @@ def run_training(
             B = len(idx)
             F = fused_all[idx]
             raw = model.forward_batch(F)
-            if not np.isfinite(raw).all():
-                _diverged(epoch, batch, "non-finite model output")
-            params_pred = box_params_from_raw(raw)
-            if not (params_pred[:, 3:6] > 0.0).all():
-                _diverged(epoch, batch, "a predicted box size is not positive")
+            params_pred = _checked_box_params(raw, f" at epoch {epoch}, batch {batch}")
             f_pred = model.semantic_features(params_pred)
             f_gt = model.semantic_features(gt_params[idx])
             diffs = f_pred - f_gt
@@ -226,7 +234,10 @@ def run_training(
         combined = combined_loss(mse_epoch, iou_epoch, lam1, lam2)
         if not math.isfinite(combined):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {combined}")
-        val = validation_miou(model, val_samples) if val_samples else None
+        try:
+            val = validation_miou(model, val_samples) if val_samples else None
+        except DivergenceError as e:
+            raise DivergenceError(f"{e} on the validation samples at epoch {epoch}") from None
         stats = EpochStats(epoch, lam1, lam2, lr, mse_epoch, iou_epoch, combined, val, skipped)
         history.append(stats)
         if epoch_callback is not None:

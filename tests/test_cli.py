@@ -9,7 +9,7 @@ from minidet3d.cli import main
 from minidet3d.data import Annotation, emit, synth_scenes
 from minidet3d.geom import Box7
 from minidet3d.losses import LossSchedule
-from minidet3d.model import ModelConfig
+from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 
 MIX = "adult=0.5,car=0.5"
 
@@ -21,6 +21,13 @@ def run_cli(*args):
 def make_dataset(tmp_path, name, count, seed, mix=MIX):
     out = tmp_path / name
     assert run_cli("synth", "--count", count, "--seed", seed, "--out", out, "--mix", mix) == 0
+    return out
+
+
+def make_narrow_dataset(tmp_path):
+    """A dataset with 16-wide visual features, where the model default is 32."""
+    out = tmp_path / "narrow"
+    assert run_cli("synth", "--count", 8, "--seed", 1, "--out", out, "--d-v", 16) == 0
     return out
 
 
@@ -238,6 +245,14 @@ class TestTrainCommand:
         assert err.startswith("error: features: ")
         assert "Traceback" not in err
 
+    def test_feature_width_mismatch_rejected(self, tmp_path, capsys):
+        data = make_narrow_dataset(tmp_path)
+        cfg = train_config(tmp_path, data)
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.model.d_v is 32, but the visual features in ")
+        assert "Traceback" not in err
+
     def test_defaults_written_to_resolved_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 4, 15)
         cfg = tmp_path / "config.json"
@@ -290,7 +305,57 @@ class TestTrainCommand:
         assert final_mse < 0.01 * first_mse
 
 
+def _header_edit(edit):
+    def apply(blob):
+        hlen = int.from_bytes(blob[5:9], "little")
+        cfg = json.loads(blob[9 : 9 + hlen])
+        edit(cfg)
+        header = json.dumps(cfg, sort_keys=True).encode()
+        return blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :]
+
+    return apply
+
+
+MALFORMED_CHECKPOINTS = {
+    "four_bytes": (lambda blob: b"MD3D", "version"),
+    "no_header_length": (lambda blob: b"MD3D\x01", "header length"),
+    "bad_magic": (lambda blob: b"NOPE" + blob[4:], "magic"),
+    "header_length_past_end": (
+        lambda blob: blob[:5] + len(blob).to_bytes(4, "little") + blob[9:], "header length"
+    ),
+    "header_not_json": (lambda blob: blob[:5] + b"\x03\0\0\0{x}" + blob[9:], "header"),
+    "unknown_header_key": (_header_edit(lambda c: c.update(extra=1)), "header"),
+    "missing_header_key": (_header_edit(lambda c: c.pop("seed")), "header"),
+    "mistyped_header_value": (_header_edit(lambda c: c.update(d_v="x")), "header.d_v"),
+    "truncated_weights": (lambda blob: blob[:-4], "weights"),
+    "trailing_bytes": (lambda blob: blob + bytes(8), "weights"),
+}
+
+
 class TestEvalCommand:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_rejected(self, tmp_path, capsys, case):
+        corrupt, part = MALFORMED_CHECKPOINTS[case]
+        data = make_dataset(tmp_path, "data", 4, 22)
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(ModelConfig()), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", path, "--data", data, "--out", tmp_path / "e") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {part}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_feature_width_mismatch_rejected(self, tmp_path, capsys):
+        data = make_narrow_dataset(tmp_path)
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(ModelConfig()), path)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", path, "--data", data, "--out", tmp_path / "e") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {path}: d_v is 32, but the visual features in ")
+        assert "Traceback" not in err
+
     def test_gt_as_pred_oracle(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 25, 15)
         out = tmp_path / "eval"

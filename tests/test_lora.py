@@ -5,6 +5,7 @@ from minidet3d.errors import RankTooLarge, ShapeMismatch
 from minidet3d.lora import (
     LoRAAdapter,
     adapter_init,
+    adapted_backward,
     adapter_param_fraction,
     apply_adapted,
     load_adapter,
@@ -82,6 +83,77 @@ class TestApplyAndMerge:
             apply_adapted(np.zeros((8, 8)), a, np.zeros(5))
         with pytest.raises(ShapeMismatch):
             merge_adapter(np.zeros((8, 9)), a)
+
+
+def random_adapter(rng, d_in=12, d_out=9, r=3, alpha=1.7):
+    """A base weight and an adapter with a non-zero B, so every term is live."""
+    w = rng.normal(size=(d_out, d_in))
+    return w, LoRAAdapter(rng.normal(size=(r, d_in)), rng.normal(size=(d_out, r)), r, alpha)
+
+
+class TestBatchedMap:
+    def test_leading_axes_are_batch_axes(self):
+        rng = np.random.default_rng(20)
+        w, a = random_adapter(rng)
+        x = rng.normal(size=(5, 2, 12))
+        y = apply_adapted(w, a, x)
+        assert y.shape == (5, 2, 9)
+        # the (B, T, d_in) batch is the flattened (B*T, d_in) batch, bit for bit
+        assert np.array_equal(y.reshape(-1, 9), apply_adapted(w, a, x.reshape(-1, 12)))
+        # per-row 1-D calls run a matrix-vector product instead of a
+        # matrix-matrix one, whose summation order differs in the last bits
+        rows = np.array([[apply_adapted(w, a, v) for v in row] for row in x])
+        assert np.allclose(y, rows, rtol=1e-13, atol=1e-13)
+
+    def test_last_axis_mismatch(self):
+        rng = np.random.default_rng(21)
+        w, a = random_adapter(rng)
+        with pytest.raises(ShapeMismatch):
+            apply_adapted(w, a, np.zeros((4, 9)))
+        with pytest.raises(ShapeMismatch):
+            adapted_backward(w, a, np.zeros((4, 9)), np.zeros((4, 9)))
+        with pytest.raises(ShapeMismatch):
+            adapted_backward(w, a, np.zeros((4, 12)), np.zeros((4, 12)))
+        with pytest.raises(ShapeMismatch):
+            adapted_backward(w, a, np.zeros((4, 12)), np.zeros((3, 9)))
+
+
+class TestAdaptedBackward:
+    def test_matches_central_differences(self):
+        # the loss sum(dy * y) is linear in each of x, A and B separately, so
+        # central differences carry no truncation error
+        rng = np.random.default_rng(22)
+        w, a = random_adapter(rng)
+        x = rng.normal(size=(4, 2, 12))
+        dy = rng.normal(size=(4, 2, 9))
+        dx, dA, dB = adapted_backward(w, a, x, dy)
+        assert dx.shape == x.shape and dA.shape == a.A.shape and dB.shape == a.B.shape
+
+        def loss():
+            return float((dy * apply_adapted(w, a, x)).sum())
+
+        h = 1e-4
+        for arr, grad in ((x, dx), (a.A, dA), (a.B, dB)):
+            flat, gflat = arr.reshape(-1), grad.reshape(-1)
+            for i in rng.choice(flat.size, size=10, replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = loss()
+                flat[i] = orig - h
+                fm = loss()
+                flat[i] = orig
+                assert (fp - fm) / (2 * h) == pytest.approx(gflat[i], rel=1e-7, abs=1e-9)
+
+    def test_matches_dense_merged_weight_gradient(self):
+        rng = np.random.default_rng(23)
+        w, a = random_adapter(rng)
+        x = rng.normal(size=(6, 12))
+        dy = rng.normal(size=(6, 9))
+        dx, dA, dB = adapted_backward(w, a, x, dy)
+        dW = dy.T @ x  # gradient w.r.t. the merged weight W + alpha*B@A
+        assert np.allclose(dx, dy @ merge_adapter(w, a), atol=1e-12)
+        assert np.allclose(dA, a.alpha * a.B.T @ dW, atol=1e-12)
+        assert np.allclose(dB, a.alpha * dW @ a.A.T, atol=1e-12)
 
 
 class TestParamFraction:

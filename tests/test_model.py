@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from minidet3d.errors import ModalityMismatch, ShapeMismatch, StaleActivation
+from minidet3d.geom import Box7
 from minidet3d.lora import adapter_param_fraction
 from minidet3d.model import (
     FeatureVector,
     FusionModel,
     ModelConfig,
-    box_from_raw,
     box_params_from_raw,
     box_params_grad_chain,
     concat_features,
@@ -238,7 +238,7 @@ class TestSemanticHead:
 class TestRawToBox:
     def test_sizes_positive_and_yaw_wrapped(self):
         raw = np.array([1.0, -2.0, 0.5, -3.0, 0.0, 5.0, 7.0])
-        box = box_from_raw(raw)
+        box = Box7.from_params(box_params_from_raw(raw))
         assert box.l > 0 and box.w > 0 and box.h > 0
         assert -math.pi < box.yaw <= math.pi
         assert box.w == pytest.approx(math.log(2.0))  # softplus(0)
@@ -277,6 +277,27 @@ class TestAccounting:
         d, r = SMALL.d_model, SMALL.lora_rank
         for a in model.adapters():
             assert a.param_count == 2 * d * r
+
+    def test_adapters_are_the_param_arrays(self, tmp_path):
+        # training updates `params` in place, so the adapters the forward pass
+        # runs through must be bound to those arrays, also after a reload
+        def check(model):
+            adapters = model.adapters()
+            assert len(adapters) == SMALL.n_layers * len(SMALL.lora_targets)
+            names = [
+                f"layers.{i}.attn.{t}" for i in range(SMALL.n_layers) for t in SMALL.lora_targets
+            ]
+            for name, a in zip(names, adapters):
+                assert a.A is model.params[f"{name}.A"] and a.B is model.params[f"{name}.B"]
+
+        model = randomized_model()
+        check(model)
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        check(loaded)
+        for a, b in zip(model.adapters(), loaded.adapters()):
+            assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
     def test_fraction_logged_at_build(self, caplog):
         import logging

@@ -4,7 +4,7 @@ import pytest
 from minidet3d.data import synth_scenes
 from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
 from minidet3d.losses import LossSchedule, schedule_weights
-from minidet3d.model import FusionModel, ModelConfig
+from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 from minidet3d.train import (
     AdamW,
     LOG_HEADER,
@@ -156,6 +156,35 @@ class TestRunTraining:
             run_training(model, samples, bad, seed=0, batch_size=4)
         for name, p in model.params.items():
             assert np.isfinite(p).all(), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", [30, 100, 1e3, 1e4])
+    def test_divergence_caught_at_validation(self, lr):
+        # a finite step can leave the val predictions with underflowed sizes
+        # before any training batch sees them: typed error, no Box7 built
+        samples = small_dataset(48, seed=9)
+        model = FusionModel(ModelConfig(seed=4))
+        bad = LossSchedule(transition_epoch=3, total_epochs=4, stage1_lr=lr)
+        with pytest.raises(DivergenceError, match=r"on the validation samples at epoch \d+$"):
+            run_training(model, samples[:16], bad, seed=0, val_samples=samples[16:])
+
+    def test_stage2_run_is_bit_reproducible(self, tmp_path):
+        train, val = small_dataset(256, seed=101), small_dataset(64, seed=202)
+        sched = LossSchedule(transition_epoch=8, total_epochs=14, stage1_lr=2e-3, stage2_lr=5e-5)
+        runs = []
+        for name in ("a", "b"):
+            model = FusionModel(ModelConfig(seed=5))
+            history = run_training(model, train, sched, seed=5, val_samples=val)
+            save_checkpoint(model, tmp_path / f"{name}.bin")
+            runs.append(history)
+        assert runs[0] == runs[1]
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        # the run exercises the IoU gradient: most stage-2 pairs get one, and
+        # val mIoU keeps rising through stage 2
+        stage2 = [s for s in runs[0] if s.lambda2 > 0.0]
+        assert len(stage2) == 6
+        assert all(s.skipped_iou_grads < len(train) // 2 for s in stage2)
+        assert stage2[-1].val_miou > stage2[0].val_miou > runs[0][0].val_miou
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyBatch):
