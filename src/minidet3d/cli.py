@@ -91,8 +91,9 @@ def _write_resolved_config(config: dict, path: Path) -> None:
 
 
 def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = ""):
-    """Samples of a dataset directory. With a model config, the feature widths
-    must equal its d_v/d_t; `owner` names where that config came from."""
+    """Samples of a dataset directory. Every feature id must belong to a scene
+    record. With a model config, the feature widths must equal its d_v/d_t;
+    `owner` names where that config came from."""
     d = Path(dirpath)
     scenes = d / "scenes.json"
     feats = d / "features.json"
@@ -100,6 +101,12 @@ def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = "
         raise ConfigError(f"{dirpath}: expected scenes.json and features.json")
     records = data_mod.ingest(scenes)
     features = data_mod.load_features(feats)
+    known = {rec.sample_id for rec in records}
+    extra = [sid for sid in features if sid not in known]
+    if extra:
+        raise ConfigError(
+            f"{feats}: {len(extra)} feature ids match no scene record, first {extra[:3]}"
+        )
     if model is not None and features:
         first = next(iter(features.values()))
         for key, name in (("d_v", "visual"), ("d_t", "text")):

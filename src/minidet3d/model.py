@@ -8,11 +8,16 @@ projections carry rank-r adapters, mean-pooled, and regressed to a raw
 hidden widths fixed at `MLP_HIDDEN` = 512/256/128 (not a config field).
 
 Trainable parameters: the two input projections, the adapter factors, and
-the MLP head. The attention projections run `lora.apply_adapted` and
+the MLP head. They live in one contiguous float64 vector, `arena`, laid out
+in `trainable_parameters()` order; each of their `params` entries is a
+reshaped view into it, so the optimizer runs over the arena as one vector.
+The attention projections run `lora.apply_adapted` and
 `lora.adapted_backward` on the `LoRAAdapter`s built at construction, whose A
-and B arrays are the `params` entries themselves. `params` entries are
-therefore updated in place (the optimizer, `load_checkpoint`) and never
-rebound. The transformer base weights are frozen at their seeded
+and B arrays are those same views. `params` entries are therefore updated
+in place (the optimizer, `load_checkpoint`) and never rebound. One function,
+`_param_shapes`, gives every shape; the constructor lays out the arena from
+it and `load_checkpoint` checks a file's size with it before building a
+model. The transformer base weights are frozen at their seeded
 initialization, as is the semantic projection head (a linear map from box
 parameters to a 128-dim feature space). Freezing the semantic head keeps the
 feature-space MSE a fixed positive-definite quadratic in the box-parameter
@@ -143,6 +148,32 @@ def semantic_project(params: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return params @ weight.T
 
 
+def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
+    """(trainable, frozen) parameter shapes by name, the one shape table. The
+    trainable dict's order is the arena layout and `trainable_parameters()`'s."""
+    d, dv, dt = config.d_model, config.d_v, config.d_t
+    r, layers = config.lora_rank, range(config.n_layers)
+    trainable = {"proj_v.W": (d, dv), "proj_v.b": (d,), "proj_t.W": (d, dt), "proj_t.b": (d,)}
+    for i in layers:
+        for t in config.lora_targets:
+            trainable[f"layers.{i}.attn.{t}.A"] = (r, d)
+            trainable[f"layers.{i}.attn.{t}.B"] = (d, r)
+    widths = (d,) + MLP_HIDDEN + (7,)
+    for j, name in enumerate(("0", "1", "2", "out")):
+        trainable[f"head.{name}.W"] = (widths[j + 1], widths[j])
+        trainable[f"head.{name}.b"] = (widths[j + 1],)
+    frozen = {}
+    for i in layers:
+        for t in ATTENTION_TARGETS:
+            frozen[f"layers.{i}.attn.{t}.base"] = (d, d)
+        frozen[f"layers.{i}.ffn.W1"] = (2 * d, d)
+        frozen[f"layers.{i}.ffn.b1"] = (2 * d,)
+        frozen[f"layers.{i}.ffn.W2"] = (d, 2 * d)
+        frozen[f"layers.{i}.ffn.b2"] = (d,)
+    frozen["semantic.W"] = (SEMANTIC_DIM, 7)
+    return trainable, frozen
+
+
 class FusionModel:
     """Two-token fusion transformer with adapter-only fine-tuning."""
 
@@ -152,41 +183,41 @@ class FusionModel:
         d_ff = 2 * d
         self.d_head = d // config.n_heads
 
+        trainable, frozen = _param_shapes(config)
+        sizes = [math.prod(shape) for shape in trainable.values()]
+        self.arena = np.zeros(sum(sizes))
+        views = np.split(self.arena, np.cumsum(sizes)[:-1])
+        p = {name: v.reshape(shape) for (name, shape), v in zip(trainable.items(), views)}
+        p.update((name, np.zeros(shape)) for name, shape in frozen.items())
+        self.params = p
+        self._trainable = tuple(trainable)
+
         rng = np.random.default_rng(config.seed)
-        p: dict[str, np.ndarray] = {}
+
+        def draw(name: str, std: float) -> None:
+            p[name][...] = rng.normal(0.0, std, size=p[name].shape)
+
         self._adapters: dict[tuple[int, str], LoRAAdapter] = {}
-        p["proj_v.W"] = rng.normal(0.0, 1.0 / math.sqrt(dv), size=(d, dv))
-        p["proj_v.b"] = np.zeros(d)
-        p["proj_t.W"] = rng.normal(0.0, 1.0 / math.sqrt(dt), size=(d, dt))
-        p["proj_t.b"] = np.zeros(d)
+        draw("proj_v.W", 1.0 / math.sqrt(dv))
+        draw("proj_t.W", 1.0 / math.sqrt(dt))
         for i in range(config.n_layers):
             for t in ATTENTION_TARGETS:
-                p[f"layers.{i}.attn.{t}.base"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d))
+                draw(f"layers.{i}.attn.{t}.base", 1.0 / math.sqrt(d))
                 if t in config.lora_targets:
                     seed = int(rng.integers(0, 2**31))
                     adapter = adapter_init(d, d, config.lora_rank, config.lora_alpha, seed)
+                    A, B = p[f"layers.{i}.attn.{t}.A"], p[f"layers.{i}.attn.{t}.B"]
+                    A[...], B[...] = adapter.A, adapter.B
+                    adapter.A, adapter.B = A, B
                     self._adapters[i, t] = adapter
-                    p[f"layers.{i}.attn.{t}.A"] = adapter.A
-                    p[f"layers.{i}.attn.{t}.B"] = adapter.B
-            p[f"layers.{i}.ffn.W1"] = rng.normal(0.0, math.sqrt(2.0 / d), size=(d_ff, d))
-            p[f"layers.{i}.ffn.b1"] = np.zeros(d_ff)
-            p[f"layers.{i}.ffn.W2"] = rng.normal(0.0, 1.0 / math.sqrt(d_ff), size=(d, d_ff))
-            p[f"layers.{i}.ffn.b2"] = np.zeros(d)
+            draw(f"layers.{i}.ffn.W1", math.sqrt(2.0 / d))
+            draw(f"layers.{i}.ffn.W2", 1.0 / math.sqrt(d_ff))
         widths = (d,) + MLP_HIDDEN
         for j in range(3):
-            p[f"head.{j}.W"] = rng.normal(0.0, math.sqrt(2.0 / widths[j]), size=(widths[j + 1], widths[j]))
-            p[f"head.{j}.b"] = np.zeros(widths[j + 1])
-        p["head.out.W"] = rng.normal(0.0, 0.02, size=(7, MLP_HIDDEN[-1]))
-        p["head.out.b"] = np.zeros(7)
-        p["semantic.W"] = rng.normal(0.0, 1.0 / math.sqrt(SEMANTIC_DIM), size=(SEMANTIC_DIM, 7))
-        self.params = p
+            draw(f"head.{j}.W", math.sqrt(2.0 / widths[j]))
+        draw("head.out.W", 0.02)
+        draw("semantic.W", 1.0 / math.sqrt(SEMANTIC_DIM))
 
-        trainable = ["proj_v.W", "proj_v.b", "proj_t.W", "proj_t.b"]
-        for i in range(config.n_layers):
-            for t in config.lora_targets:
-                trainable += [f"layers.{i}.attn.{t}.A", f"layers.{i}.attn.{t}.B"]
-        trainable += [f"head.{j}.{s}" for j in ("0", "1", "2", "out") for s in ("W", "b")]
-        self._trainable = tuple(trainable)
         self._cache = None
         logging.getLogger(__name__).info(
             "built fusion model: %d params total, trainable fraction %.6f",
@@ -446,8 +477,9 @@ def _header_config(cfg, bad) -> ModelConfig:
 
 def load_checkpoint(path: str | Path) -> FusionModel:
     """Read a `save_checkpoint` file into a new model, filling its parameter
-    arrays in place. Each length is checked before its slice is read, and a
-    malformed file raises CheckpointError naming the file and the bad part."""
+    arrays in place. Each length is checked before its slice is read, the
+    weight byte count before the model is built, and a malformed file raises
+    CheckpointError naming the file and the bad part."""
     blob = Path(path).read_bytes()
 
     def bad(part: str, message: str) -> CheckpointError:
@@ -468,10 +500,12 @@ def load_checkpoint(path: str | Path) -> FusionModel:
         cfg = json.loads(blob[9 : 9 + hlen].decode("utf-8"))
     except ValueError as e:  # also UnicodeDecodeError
         raise bad("header", f"invalid JSON: {e}") from None
-    model = FusionModel(_header_config(cfg, bad))
-    weights, needed = blob[9 + hlen :], 8 * model.total_param_count()
+    config = _header_config(cfg, bad)
+    weights = blob[9 + hlen :]
+    needed = 8 * sum(math.prod(s) for group in _param_shapes(config) for s in group.values())
     if len(weights) != needed:
         raise bad("weights", f"{len(weights)} bytes, but the header's shapes need {needed}")
+    model = FusionModel(config)
     offset = 0
     for name in sorted(model.params):
         arr = model.params[name]

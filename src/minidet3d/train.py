@@ -1,6 +1,12 @@
 """Training loop: AdamW over the model's trainable parameters under the
 two-stage loss schedule.
 
+The optimizer works on the model's `arena`, the one flat vector behind every
+trainable parameter: each batch's gradients are gathered into one
+preallocated vector in arena order, checked for finiteness once, and
+`AdamW.step` updates the arena in place in fixed-size chunks, so the named
+parameter views and the adapters see every step and are never rebound.
+
 Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
 head; the IoU-loss gradient per sample is the exact `iou_loss_grad`.
@@ -81,30 +87,54 @@ def split_by_hash(samples: list[TrainSample], val_fraction: float = 0.1):
     return train, val
 
 
-class AdamW:
-    """Decoupled-weight-decay Adam with the standard defaults."""
+ADAMW_CHUNK = 16384  # elements per pass; one chunk of the five vectors stays in L2
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
+
+class AdamW:
+    """Decoupled-weight-decay Adam with the standard defaults, over one flat
+    parameter vector (the model's arena), updated in place.
+
+    `step` runs a fixed sequence of in-place elementwise passes over each
+    `ADAMW_CHUNK`-element chunk, with two preallocated scratch vectors. Each
+    element sees the operations of the textbook per-tensor update in the
+    same order, so the result is bit-identical to it.
+    """
+
+    def __init__(self, params: np.ndarray, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
         self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._s = np.empty(min(ADAMW_CHUNK, params.size))
+        self._u = np.empty_like(self._s)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for key, p in params.items():
-            g = grads[key]
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * self.weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        decay = lr * self.weight_decay
+        for lo in range(0, params.size, ADAMW_CHUNK):
+            hi = lo + ADAMW_CHUNK
+            p, g, m, v = params[lo:hi], grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            s, u = self._s[: p.size], self._u[: p.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.multiply(p, decay, out=s)
+            p -= s
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            s /= u
+            p -= s
 
 
 @dataclass(frozen=True)
@@ -178,8 +208,9 @@ def run_training(
         raise EmptyBatch("run_training requires at least one training sample")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    params = model.trainable_parameters()
-    opt = AdamW(params)
+    names = list(model.trainable_parameters())
+    opt = AdamW(model.arena)
+    grad = np.empty_like(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
     fused_all = np.stack([s.fused for s in train_samples])
@@ -221,9 +252,10 @@ def run_training(
                 upstream_params += (lam2 / B) * iou_grads
             upstream_raw = box_params_grad_chain(raw, upstream_params)
             grads, _ = model.backward_batch(upstream_raw)
-            if not all(np.isfinite(g).all() for g in grads.values()):
+            np.concatenate([grads[name] for name in names], axis=None, out=grad)
+            if not np.isfinite(grad).all():
                 _diverged(epoch, batch, "non-finite gradient")
-            opt.step(params, grads, lr)
+            opt.step(model.arena, grad, lr)
 
             mse_sum += mse_batch * B
             iou_sum += iou_batch * B

@@ -50,3 +50,30 @@ def fd_iou_loss_grad(p: Box7, g: Box7, step: float = FD_STEP) -> np.ndarray:
 def grads_agree(a, b) -> bool:
     """The oracle's own acceptance rule: within 1% relative or 1e-6 absolute."""
     return abs(a - b) <= max(1e-6, 0.01 * max(abs(a), abs(b)))
+
+
+class DictAdamW:
+    """The per-tensor AdamW over a dict of arrays, the reference for the flat
+    chunked `train.AdamW`: both must give bit-identical parameters."""
+
+    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
+        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for key, p in params.items():
+            g = grads[key]
+            m = self.m[key]
+            v = self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * self.weight_decay * p
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -253,6 +253,21 @@ class TestTrainCommand:
         assert err.startswith("error: config.model.d_v is 32, but the visual features in ")
         assert "Traceback" not in err
 
+    def test_extra_feature_ids_rejected(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, "data", 8, 15)
+        feats = data / "features.json"
+        doc = json.loads(feats.read_text())
+        entry = next(iter(doc["features"].values()))
+        doc["features"]["ghost-1"] = doc["features"]["ghost-2"] = entry
+        feats.write_text(json.dumps(doc))
+        cfg = train_config(tmp_path, data)
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {feats}: 2 feature ids match no scene record, first ['ghost-1', 'ghost-2']\n"
+        )
+
     def test_defaults_written_to_resolved_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 4, 15)
         cfg = tmp_path / "config.json"

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from minidet3d.errors import ModalityMismatch, ShapeMismatch, StaleActivation
+from minidet3d.errors import CheckpointError, ModalityMismatch, ShapeMismatch, StaleActivation
 from minidet3d.geom import Box7
 from minidet3d.lora import adapter_param_fraction
 from minidet3d.model import (
@@ -18,6 +19,7 @@ from minidet3d.model import (
     save_checkpoint,
     semantic_project,
 )
+from minidet3d.train import AdamW
 
 SMALL = ModelConfig(d_v=8, d_t=8, d_model=16, n_layers=2, n_heads=4, lora_rank=4, seed=3)
 
@@ -315,6 +317,42 @@ class TestAccounting:
             ModelConfig(lora_rank=128, d_model=64)
 
 
+class TestArena:
+    @pytest.mark.parametrize(
+        "cfg", [SMALL, dataclasses.replace(SMALL, lora_targets=("v", "q"))], ids=["qkvo", "vq"]
+    )
+    def test_trainable_parameters_tile_the_arena(self, cfg):
+        model = FusionModel(cfg)
+        arena, trainable = model.arena, model.trainable_parameters()
+        assert arena.ndim == 1 and arena.flags.c_contiguous
+        start = arena.__array_interface__["data"][0]
+        offset = 0
+        for name, p in trainable.items():
+            assert np.shares_memory(p, arena) and p.flags.c_contiguous, name
+            assert p.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += p.size
+        assert offset == arena.size
+        for name, p in model.params.items():
+            if name not in trainable:
+                assert not np.shares_memory(p, arena), name
+
+    def test_step_shows_through_params_and_adapters(self, tmp_path):
+        model = randomized_model()
+        save_checkpoint(model, tmp_path / "model.bin")
+        loaded = load_checkpoint(tmp_path / "model.bin")
+        for m in (model, loaded):
+            for a in m.adapters():
+                assert np.shares_memory(a.A, m.arena) and np.shares_memory(a.B, m.arena)
+        before = {name: p.copy() for name, p in loaded.params.items()}
+        adapters_before = [(a.A.copy(), a.B.copy()) for a in loaded.adapters()]
+        AdamW(loaded.arena).step(loaded.arena, np.ones_like(loaded.arena), lr=1e-3)
+        trainable = loaded.trainable_parameters()
+        for name, p in loaded.params.items():
+            assert np.array_equal(p, before[name]) == (name not in trainable), name
+        for a, (A, B) in zip(loaded.adapters(), adapters_before):
+            assert not np.array_equal(a.A, A) and not np.array_equal(a.B, B)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         model = randomized_model()
@@ -363,6 +401,22 @@ class TestCheckpoint:
         header = json.dumps(cfg, sort_keys=True).encode()
         path.write_bytes(blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :])
         with pytest.raises(ValueError, match="head widths"):
+            load_checkpoint(path)
+
+    def test_weight_count_checked_before_the_model_is_built(self, tmp_path, monkeypatch):
+        # a tiny file whose header asks for a wide model must fail on its
+        # weight byte count without allocating that model
+        cfg = dataclasses.asdict(ModelConfig(d_model=1024))
+        cfg["mlp_hidden"] = [512, 256, 128]
+        header = json.dumps(cfg, sort_keys=True).encode()
+        path = tmp_path / "wide.bin"
+        path.write_bytes(b"MD3D\x01" + len(header).to_bytes(4, "little") + header)
+
+        def build(self, config):
+            raise AssertionError("FusionModel built before the weight check")
+
+        monkeypatch.setattr(FusionModel, "__init__", build)
+        with pytest.raises(CheckpointError, match="weights"):
             load_checkpoint(path)
 
     def test_magic_checked(self, tmp_path):

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import minidet3d
 from minidet3d.data import synth_scenes
 from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
 from minidet3d.losses import LossSchedule, schedule_weights
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 from minidet3d.train import (
+    ADAMW_CHUNK,
     AdamW,
     LOG_HEADER,
     build_training_samples,
@@ -15,6 +23,8 @@ from minidet3d.train import (
     split_by_hash,
     validation_miou,
 )
+
+from oracles import DictAdamW
 
 MIX = {"adult": 0.5, "car": 0.5}
 
@@ -28,21 +38,40 @@ class TestAdamW:
     def test_converges_on_quadratic(self):
         # minimize ||x - target||^2 (weight decay pulls slightly toward zero)
         target = np.array([1.0, -2.0, 3.0])
-        params = {"x": np.zeros(3)}
+        params = np.zeros(3)
         opt = AdamW(params, weight_decay=0.0)
         for _ in range(2000):
-            grads = {"x": 2.0 * (params["x"] - target)}
-            opt.step(params, grads, lr=0.01)
-        assert np.allclose(params["x"], target, atol=1e-4)
+            opt.step(params, 2.0 * (params - target), lr=0.01)
+        assert np.allclose(params, target, atol=1e-4)
 
     def test_weight_decay_shrinks_stationary_point(self):
         # zero gradients: only the decoupled decay acts, scaling by
         # (1 - lr*wd) each step
-        params = {"x": np.array([10.0])}
+        params = np.array([10.0])
         opt = AdamW(params, weight_decay=0.1)
         for _ in range(500):
-            opt.step(params, {"x": np.zeros(1)}, lr=0.05)
-        assert params["x"][0] == pytest.approx(10.0 * (1 - 0.05 * 0.1) ** 500, rel=1e-9)
+            opt.step(params, np.zeros(1), lr=0.05)
+        assert params[0] == pytest.approx(10.0 * (1 - 0.05 * 0.1) ** 500, rel=1e-9)
+
+    def test_flat_step_equals_per_tensor_oracle(self):
+        # the model's real layout, whose length is not a multiple of the chunk
+        model = FusionModel(ModelConfig())
+        assert model.arena.size == 219_015 and model.arena.size % ADAMW_CHUNK != 0
+        ref_params = {k: v.copy() for k, v in model.trainable_parameters().items()}
+        ref, opt = DictAdamW(ref_params), AdamW(model.arena)
+        rng = np.random.default_rng(0)
+        for step in range(50):
+            # per-element gradient scales from 1e-8 to 1e2
+            grads = {
+                k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-8, 2, size=v.shape)
+                for k, v in ref_params.items()
+            }
+            lr = 2e-3 if step % 2 == 0 else 5e-5
+            ref.step(ref_params, grads, lr)
+            opt.step(model.arena, np.concatenate(list(grads.values()), axis=None), lr)
+            assert np.array_equal(model.arena, np.concatenate(list(ref_params.values()), axis=None))
+        assert np.array_equal(opt.m, np.concatenate(list(ref.m.values()), axis=None))
+        assert np.array_equal(opt.v, np.concatenate(list(ref.v.values()), axis=None))
 
 
 class TestBuildSamples:
@@ -185,6 +214,34 @@ class TestRunTraining:
         assert len(stage2) == 6
         assert all(s.skipped_iou_grads < len(train) // 2 for s in stage2)
         assert stage2[-1].val_miou > stage2[0].val_miou > runs[0][0].val_miou
+
+    def test_checkpoint_independent_of_blas_threads(self, tmp_path):
+        # one training run per process, so that BLAS starts with each thread count
+        script = textwrap.dedent(
+            """
+            import sys
+            from minidet3d.data import synth_scenes
+            from minidet3d.losses import LossSchedule
+            from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
+            from minidet3d.train import build_training_samples, run_training
+
+            def samples(count, seed):
+                records, features = synth_scenes(count, {"adult": 0.5, "car": 0.5}, seed)
+                return build_training_samples(records, {f.sample_id: f for f in features})
+
+            model = FusionModel(ModelConfig(seed=5))
+            schedule = LossSchedule(4, 7, stage1_lr=2e-3, stage2_lr=5e-5)
+            run_training(model, samples(256, 101), schedule, seed=5,
+                         val_samples=samples(64, 202))
+            save_checkpoint(model, sys.argv[1])
+            """
+        )
+        src = str(Path(minidet3d.__file__).parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / f"threads{threads}.bin"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        assert (tmp_path / "threads1.bin").read_bytes() == (tmp_path / "threads2.bin").read_bytes()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyBatch):
