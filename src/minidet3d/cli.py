@@ -22,7 +22,7 @@ from .errors import ConfigError, MiniDetError
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
-from .metrics import DEFAULT_IOU_THRESHOLD, report_csv, report_json
+from .metrics import DEFAULT_IOU_THRESHOLD, check_report, report_csv, report_json
 from .model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
 from .train import (
     LOG_HEADER,
@@ -265,7 +265,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{args.report}: not a JSON report: {e}") from None
+    check_report(report)
     if args.csv:
         print(report_csv(report), end="")
         return 0

@@ -47,9 +47,10 @@ class EpochOutOfRange(MiniDetError):
 
 
 class ParseError(MiniDetError):
-    """A scene file record failed validation.
+    """A scene file record, a features file or an eval report failed validation.
 
-    `field` names the offending location, e.g. "records[3].ego_to_global.rotation".
+    `field` names the offending location, e.g. "records[3].ego_to_global.rotation"
+    or "report.categories[0].iou".
     """
 
     def __init__(self, field: str, message: str):

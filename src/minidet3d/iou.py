@@ -3,7 +3,13 @@
 Boxes carry yaw only, so a 3D intersection decomposes into the intersection
 of the two bird's-eye-view footprints (convex quadrilaterals) times the
 overlap of the two vertical extents. IoU values come from one path,
-`iou_3d`: Sutherland-Hodgman clipping, then the shoelace area.
+`iou_3d`: Sutherland-Hodgman clipping, then the shoelace area. Two exits
+skip the clip and return exactly what it would: boxes apart vertically, and
+footprints whose circumscribed circles are apart by a relative margin. A
+subject edge whose ends both lie on a clip edge's line within rounding, as
+the edges of boxes placed end to end or side by side do, has its end taken
+as the crossing: the crossing of two lines that close to parallel is lost
+to rounding.
 
 The IoU-loss gradient is analytic. The footprint intersection is rebuilt
 from its vertices (corners inside the other box plus edge crossings, as in
@@ -28,6 +34,14 @@ from .geom import Box7, box_corners
 ConvexPolygon2D = list[tuple[float, float]]
 
 _DEDUP_EPS = 1e-12
+# A crossing's denominator is the clip edge's length times the summed
+# distances of the subject edge's ends to the clip edge's line. At most this
+# fraction of length x (length + size of the clip edge's coordinates), both
+# ends lie on the line within rounding, and the crossing is lost to it.
+_COLLINEAR_EPS = 1e-12
+# Footprints whose centres lie further apart than this many times the sum of
+# their circumscribed radii cannot touch, whatever the rounding of the clip.
+_SEPARATION_MARGIN = 1.0 + 1e-6
 
 
 def polygon_clip(subject: ConvexPolygon2D, clip: ConvexPolygon2D) -> ConvexPolygon2D:
@@ -35,44 +49,44 @@ def polygon_clip(subject: ConvexPolygon2D, clip: ConvexPolygon2D) -> ConvexPolyg
 
     Ref: https://rosettacode.org/wiki/Sutherland-Hodgman_polygon_clipping
     Points exactly on a clip edge count as inside, so clipping a polygon
-    against itself returns it unchanged. Output vertices are deduplicated
-    within 1e-12.
+    against itself returns it unchanged. A subject edge whose ends both lie
+    on the clip edge's line within rounding (_COLLINEAR_EPS) can have them
+    classified on opposite sides, and the crossing of two lines that close
+    to parallel is lost to rounding: the edge's end stands in for it. Output
+    vertices are deduplicated within 1e-12.
     """
     if not subject or not clip:
         return []
 
     output = list(subject)
-    cp1 = clip[-1]
-    for cp2 in clip:
+    c1x, c1y = clip[-1]
+    for c2x, c2y in clip:
         if not output:
             return []
-        ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
-
-        def inside(p):
-            return ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) >= 0.0
-
-        def edge_intersection(s, e):
-            dcx, dcy = cp1[0] - cp2[0], cp1[1] - cp2[1]
-            dpx, dpy = s[0] - e[0], s[1] - e[1]
-            n1 = cp1[0] * cp2[1] - cp1[1] * cp2[0]
-            n2 = s[0] * e[1] - s[1] * e[0]
-            d = dcx * dpy - dcy * dpx
-            return ((n1 * dpx - n2 * dcx) / d, (n1 * dpy - n2 * dcy) / d)
-
+        ex, ey = c2x - c1x, c2y - c1y
+        dcx, dcy = c1x - c2x, c1y - c2y
+        n1 = c1x * c2y - c1y * c2x
+        span = abs(ex) + abs(ey)
+        on_line = _COLLINEAR_EPS * span * (span + abs(c1x) + abs(c1y))
         clipped = []
-        s = output[-1]
-        s_in = inside(s)
+        sx, sy = output[-1]
+        s_in = ex * (sy - c1y) - ey * (sx - c1x) >= 0.0
         for e in output:
-            e_in = inside(e)
+            px, py = e
+            e_in = ex * (py - c1y) - ey * (px - c1x) >= 0.0
+            if e_in != s_in:
+                dpx, dpy = sx - px, sy - py
+                d = dcx * dpy - dcy * dpx
+                if abs(d) <= on_line:
+                    clipped.append(e)
+                else:
+                    n2 = sx * py - sy * px
+                    clipped.append(((n1 * dpx - n2 * dcx) / d, (n1 * dpy - n2 * dcy) / d))
             if e_in:
-                if not s_in:
-                    clipped.append(edge_intersection(s, e))
                 clipped.append(e)
-            elif s_in:
-                clipped.append(edge_intersection(s, e))
-            s, s_in = e, e_in
+            sx, sy, s_in = px, py, e_in
         output = clipped
-        cp1 = cp2
+        c1x, c1y = c2x, c2y
 
     return _dedup(output)
 
@@ -127,6 +141,8 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
     """Exact IoU of two yaw-only boxes: intersection volume over union volume.
 
     Intersection volume = footprint-intersection area x vertical overlap.
+    Boxes apart vertically, or whose footprints' circumscribed circles are
+    apart by more than _SEPARATION_MARGIN, return IoU 0 without clipping.
     The computation is symmetric in its arguments by construction (operands
     are put in a canonical order before clipping).
     """
@@ -140,7 +156,12 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
 
     z_overlap = min(p.z + p.h / 2.0, g.z + g.h / 2.0) - max(p.z - p.h / 2.0, g.z - g.h / 2.0)
     vol_p, vol_g = p.volume, g.volume
-    if z_overlap <= 0.0:
+    if z_overlap <= 0.0 or (
+        math.hypot(g.x - p.x, g.y - p.y)
+        > _SEPARATION_MARGIN * 0.5 * (math.hypot(p.l, p.w) + math.hypot(g.l, g.w))
+    ):
+        # Apart vertically, or footprints too far apart to touch: exactly
+        # what the clip path returns for an empty intersection.
         return IoUResult(0.0, 0.0, vol_p + vol_g)
 
     inter_area = polygon_area(polygon_clip(bev_footprint(p), bev_footprint(g)))

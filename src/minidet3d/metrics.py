@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives
+from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError
 from .geom import Box7
 from .iou import iou_3d
 
@@ -40,6 +40,12 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """ValueError unless the matching threshold lies in (0, 1)."""
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+
+
 def match_predictions(
     preds: list[tuple[Box7, str]],
     gts: list[tuple[Box7, str]],
@@ -51,8 +57,7 @@ def match_predictions(
     deterministically by input index, so results are reproducible but
     permutation-invariant in the counts.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     candidates = []
     for i, (pbox, pcat) in enumerate(preds):
         for j, (gbox, gcat) in enumerate(gts):
@@ -216,6 +221,36 @@ def report_dict(
             {"category": c, "iou": v, "count": n} for c, v, n in table.rows
         ],
     }
+
+
+_REPORT_NUMBERS = ("miou_categories", "miou_samples", "accuracy", "precision", "recall", "f1")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_report(report) -> None:
+    """ParseError naming the field path (`report.categories[2].iou`) unless
+    every field the renderings read is there with its type."""
+    if not isinstance(report, dict):
+        raise ParseError("report", "must be an object")
+    rows = report.get("categories")
+    if not isinstance(rows, list):
+        raise ParseError("report.categories", "missing or not a list")
+    for i, row in enumerate(rows):
+        where = f"report.categories[{i}]"
+        if not isinstance(row, dict):
+            raise ParseError(where, "must be an object")
+        if not isinstance(row.get("category"), str):
+            raise ParseError(f"{where}.category", "missing or not a string")
+        if not _is_number(row.get("iou")):
+            raise ParseError(f"{where}.iou", "missing or not a number")
+        if not isinstance(row.get("count"), int) or isinstance(row["count"], bool):
+            raise ParseError(f"{where}.count", "missing or not an integer")
+    for key in _REPORT_NUMBERS:
+        if not _is_number(report.get(key)):
+            raise ParseError(f"report.{key}", "missing or not a number")
 
 
 def report_csv(report: dict) -> str:

@@ -35,11 +35,13 @@ from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_wei
 from .metrics import (
     ConfusionCounts,
     aggregate_by_category,
-    match_predictions,
+    check_iou_threshold,
     miou_categories,
     miou_samples,
     report_dict,
 )
+# perfbench's tracer wraps train.match_predictions, so the name stays importable here.
+from .metrics import match_predictions  # noqa: F401
 from .model import FusionModel, box_params_from_raw, box_params_grad_chain
 
 
@@ -175,7 +177,7 @@ def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:
 def predict_boxes(model: FusionModel, samples: list[TrainSample]) -> list[Box7]:
     """The model's boxes for a sample list, from one batched forward pass."""
     raws = model.forward_batch(np.stack([s.fused for s in samples]))
-    return [Box7.from_params(p) for p in _checked_box_params(raws)]
+    return [Box7(*row) for row in _checked_box_params(raws).tolist()]
 
 
 def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
@@ -285,11 +287,16 @@ def evaluate_model(
 ) -> dict:
     """Inference plus matching and the full metric report.
 
+    Each sample pairs one prediction with one ground truth of the same
+    category, so its match is a true positive iff its IoU reaches the
+    threshold (ties count as hits, as in `match_predictions`), and a false
+    positive plus a false negative otherwise: one `iou_3d` per sample.
     `predictions` overrides the model's own outputs (used for oracle runs
     that evaluate ground truth against itself).
     """
     if not samples:
         raise EmptyBatch("evaluate_model requires at least one sample")
+    check_iou_threshold(iou_threshold)
     if predictions is None:
         if model is None:
             raise ConfigError("evaluate_model needs a model or explicit predictions")
@@ -297,24 +304,13 @@ def evaluate_model(
     elif len(predictions) != len(samples):
         raise ConfigError("predictions list does not match samples")
 
-    per_sample_iou = []
-    instances = []
-    tp = fp = fn = 0
-    for pred, s in zip(predictions, samples):
-        counts, _ = match_predictions(
-            [(pred, s.category)], [(s.gt_box, s.category)], iou_threshold
-        )
-        tp += counts.tp
-        fp += counts.fp
-        fn += counts.fn
-        iou = iou_3d(pred, s.gt_box).iou
-        per_sample_iou.append(iou)
-        instances.append((s.category, iou))
-
-    table = miou_categories(aggregate_by_category(instances))
+    per_sample_iou = [iou_3d(pred, s.gt_box).iou for pred, s in zip(predictions, samples)]
+    tp = sum(iou >= iou_threshold for iou in per_sample_iou)
+    table = miou_categories(aggregate_by_category(
+        (s.category, iou) for s, iou in zip(samples, per_sample_iou)))
     return report_dict(
         table,
         miou_samples(per_sample_iou),
-        ConfusionCounts(tp=tp, tn=0, fp=fp, fn=fn),
+        ConfusionCounts(tp=tp, tn=0, fp=len(samples) - tp, fn=len(samples) - tp),
         iou_threshold,
     )

@@ -4,7 +4,7 @@ import numpy as np
 
 from minidet3d.errors import DegenerateOverlap, NonSmoothPoint
 from minidet3d.geom import Box7
-from minidet3d.iou import iou_3d, iou_loss
+from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, polygon_area
 
 FD_STEP = 1e-4  # meters for x,y,z,l,w,h; radians for yaw
 
@@ -77,3 +77,73 @@ class DictAdamW:
             v += (1.0 - self.beta2) * g * g
             p -= lr * self.weight_decay * p
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+# ---- the IoU value path before its fast path ---------------------------------
+# `reference_polygon_clip` and `reference_iou_3d` are `polygon_clip` and
+# `iou_3d` as they stood before the separated-footprint exit, the
+# closure-free clipper and the collinear-edge rule: the fast path must return
+# an equal IoUResult wherever no subject edge runs along a clip edge's line.
+# On such collinear edges these references are wrong (a near-parallel
+# crossing lands far away) or divide by zero.
+
+
+def reference_polygon_clip(subject, clip):
+    if not subject or not clip:
+        return []
+
+    output = list(subject)
+    cp1 = clip[-1]
+    for cp2 in clip:
+        if not output:
+            return []
+        ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
+
+        def inside(p):
+            return ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) >= 0.0
+
+        def edge_intersection(s, e):
+            dcx, dcy = cp1[0] - cp2[0], cp1[1] - cp2[1]
+            dpx, dpy = s[0] - e[0], s[1] - e[1]
+            n1 = cp1[0] * cp2[1] - cp1[1] * cp2[0]
+            n2 = s[0] * e[1] - s[1] * e[0]
+            d = dcx * dpy - dcy * dpx
+            return ((n1 * dpx - n2 * dcx) / d, (n1 * dpy - n2 * dcy) / d)
+
+        clipped = []
+        s = output[-1]
+        s_in = inside(s)
+        for e in output:
+            e_in = inside(e)
+            if e_in:
+                if not s_in:
+                    clipped.append(edge_intersection(s, e))
+                clipped.append(e)
+            elif s_in:
+                clipped.append(edge_intersection(s, e))
+            s, s_in = e, e_in
+        output = clipped
+        cp1 = cp2
+
+    return _dedup(output)
+
+
+def reference_iou_3d(p: Box7, g: Box7) -> IoUResult:
+    if p == g:
+        vol = p.volume
+        return IoUResult(1.0, vol, vol)
+    # Clip order is fixed by a canonical operand ordering so that
+    # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
+    if (g.x, g.y, g.z, g.l, g.w, g.h, g.yaw) < (p.x, p.y, p.z, p.l, p.w, p.h, p.yaw):
+        p, g = g, p
+
+    z_overlap = min(p.z + p.h / 2.0, g.z + g.h / 2.0) - max(p.z - p.h / 2.0, g.z - g.h / 2.0)
+    vol_p, vol_g = p.volume, g.volume
+    if z_overlap <= 0.0:
+        return IoUResult(0.0, 0.0, vol_p + vol_g)
+
+    inter_area = polygon_area(reference_polygon_clip(bev_footprint(p), bev_footprint(g)))
+    # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
+    inter = min(inter_area * z_overlap, vol_p, vol_g)
+    union = vol_p + vol_g - inter
+    return IoUResult(inter / union, inter, union)

@@ -47,6 +47,16 @@ class TestIouCommand:
         iou = float(out.split("iou=")[1].split("\n")[0])
         assert abs(iou - 1 / math.sqrt(2)) < 1e-5
 
+    def test_collinear_pair_a_gap_apart_is_zero(self, capsys):
+        # Same yaw and width, end to end 0.1 m apart: the clip without the
+        # collinear-edge rule printed iou=0.02215.
+        a = [2.087049452795237, 2.1765327997073203, 0, 0.8850389659034383,
+             1.155012621354435, 1, 0.8063829143116736]
+        b = [0, 0, 0, 4.945904723641236, 1.155012621354435, 1, 0.8063829143116736]
+        assert run_cli("iou", *a, *b, "--mc-samples", 200000) == 0
+        out = capsys.readouterr().out
+        assert "iou=0.0\n" in out and "mc_iou=0.0\n" in out
+
     def test_monte_carlo_flag(self, capsys):
         assert run_cli(
             "iou", 0, 0, 0, 1, 1, 1, 0, 0.3, 0, 0, 1, 1, 1, 0.2,
@@ -404,6 +414,16 @@ class TestEvalCommand:
         assert run_cli("eval", "--data", tmp_path / "nope", "--out", tmp_path / "e",
                        "--gt-as-pred") == 1
 
+    @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "nan"])
+    def test_threshold_outside_unit_interval_one_error_line(self, tmp_path, capsys, threshold):
+        data = make_dataset(tmp_path, "data", 5, 20)
+        capsys.readouterr()
+        assert run_cli("eval", "--data", data, "--out", tmp_path / "e", "--gt-as-pred",
+                       "--threshold", threshold) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: iou_threshold must be in (0, 1), got {float(threshold)}\n"
+        assert not (tmp_path / "e").exists()
+
 
 class TestReportCommand:
     def test_pretty_print(self, tmp_path, capsys):
@@ -423,3 +443,54 @@ class TestReportCommand:
         capsys.readouterr()
         assert run_cli("report", out / "report.json", "--csv") == 0
         assert capsys.readouterr().out.startswith("category,iou,count")
+
+    VALID = {
+        "iou_threshold": 0.25, "counts": {"tp": 1, "tn": 0, "fp": 0, "fn": 0},
+        "accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0,
+        "miou_samples": 1.0, "miou_categories": 1.0,
+        "categories": [{"category": "car", "iou": 1.0, "count": 1}],
+    }
+
+    def test_hand_written_report_prints(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(self.VALID))
+        assert run_cli("report", path) == 0
+        assert "car" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc, field", [
+        ({}, "report.categories"),
+        ([], "report"),
+        ({"categories": {}}, "report.categories"),
+        ({"categories": ["car"]}, "report.categories[0]"),
+        ({"categories": [{"iou": 1.0, "count": 1}]}, "report.categories[0].category"),
+        ({"categories": [{"category": "car", "count": 1}]}, "report.categories[0].iou"),
+        ({"categories": [{"category": "car", "iou": "1", "count": 1}]}, "report.categories[0].iou"),
+        ({"categories": [{"category": "car", "iou": 1.0}]}, "report.categories[0].count"),
+        ({"categories": [{"category": "car", "iou": 1.0, "count": 1.5}]},
+         "report.categories[0].count"),
+        ({"miou_categories": "1.0"}, "report.miou_categories"),
+        ({"recall": None}, "report.recall"),
+    ])
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_malformed_report_names_the_field(self, tmp_path, capsys, doc, field, csv):
+        if isinstance(doc, dict) and doc:
+            doc = {**self.VALID, **doc}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("report", path, *(["--csv"] if csv else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["{", "[" * 100_000, b"\xff\xfe"])
+    def test_unreadable_report_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        assert run_cli("report", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a JSON report: ")
+        assert err.count("\n") == 1

@@ -15,7 +15,7 @@ from minidet3d.iou import (
     polygon_area,
     polygon_clip,
 )
-from oracles import fd_iou_loss_grad, grads_agree
+from oracles import fd_iou_loss_grad, grads_agree, reference_iou_3d, reference_polygon_clip
 
 UNIT_SQUARE = [(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)]
 
@@ -366,3 +366,119 @@ class TestMonteCarlo:
             if abs(exact - mc.iou) > 4 * max(mc.standard_error, 1e-12):
                 disagreements += 1
         assert disagreements <= 1
+
+
+# Category sizes (l, w, h) of the synthetic scenes, each jittered per box.
+SCENE_SIZES = ((0.6, 0.6, 1.75), (4.5, 1.9, 1.6), (0.4, 0.4, 0.8))
+
+
+def scene_box(rng, half_width, z=0.0):
+    l, w, h = np.array(SCENE_SIZES[rng.integers(len(SCENE_SIZES))]) * rng.uniform(0.85, 1.15, 3)
+    return Box7(*rng.uniform(-half_width, half_width, 2), z + rng.normal(0, 0.1), l, w, h,
+                rng.uniform(-math.pi, math.pi))
+
+
+def jittered(rng, b, shift_m):
+    dx, dy, dz = rng.normal(0.0, shift_m, size=3)
+    sl, sw, sh = rng.uniform(0.9, 1.1, size=3)
+    return Box7(b.x + dx, b.y + dy, b.z + dz, b.l * sl, b.w * sw, b.h * sh,
+                b.yaw + rng.normal(0.0, 0.1))
+
+
+def reference_pairs(seed):
+    """Seeded pairs from the criterion-1 draw, validation-like jittered pairs
+    and crowded frames, with identical and vertically apart pairs mixed in."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(8000):  # criterion 1's distribution
+        pairs.append((random_box(rng), random_box(rng)))
+    for _ in range(6000):  # predictions about a ground truth, some far off
+        g = scene_box(rng, 20.0)
+        pairs.append((jittered(rng, g, rng.choice([0.1, 0.5, 2.0])), g))
+    while len(pairs) < 22000:  # crowded frames: 8 boxes within 3 m, all pairs
+        gts = [scene_box(rng, 3.0) for _ in range(8)]
+        preds = [jittered(rng, b, 0.1) for b in gts] + [jittered(rng, gts[0], 0.5)]
+        pairs += [(p, g) for p in preds for g in gts]
+    for _ in range(500):
+        b = random_box(rng)
+        pairs.append((b, Box7(*b.params().tolist())))
+        pairs.append((b, Box7(b.x, b.y, b.z + b.h + rng.uniform(0.0, 1.0), b.l, b.w, b.h, b.yaw)))
+    return pairs
+
+
+def footprints_apart(p, g):
+    """The footprints' circumscribed circles are apart."""
+    return math.hypot(g.x - p.x, g.y - p.y) > 0.5 * (math.hypot(p.l, p.w) + math.hypot(g.l, g.w))
+
+
+class TestFastPathMatchesReference:
+    def test_equal_results_on_generic_pairs(self):
+        pairs = reference_pairs(606)
+        assert len(pairs) >= 20000
+        apart = vertical = identical = overlapping = 0
+        for p, g in pairs:
+            got, expected = iou_3d(p, g), reference_iou_3d(p, g)
+            assert (got.iou, got.intersection_volume, got.union_volume) == (
+                expected.iou, expected.intersection_volume, expected.union_volume), (p, g)
+            identical += p == g
+            vertical += abs(p.z - g.z) >= (p.h + g.h) / 2.0
+            apart += footprints_apart(p, g)
+            overlapping += 0.0 < got.iou < 1.0
+        assert apart >= 10000 and vertical >= 5000 and identical == 500 and overlapping >= 5000
+
+    def test_clip_equal_on_generic_footprints(self):
+        rng = np.random.default_rng(607)
+        for _ in range(2000):
+            p, g = random_box(rng), jittered(rng, random_box(rng), 0.5)
+            P, G = bev_footprint(p), bev_footprint(g)
+            assert polygon_clip(P, G) == reference_polygon_clip(P, G)
+
+
+def collinear_pair(rng, kind, gap):
+    """Two boxes of one yaw placed end to end (same width) or side by side
+    (same length) at a random yaw, `gap` apart along the placing axis (a
+    negative gap overlaps); with the closed-form IoU."""
+    yaw = rng.uniform(-math.pi, math.pi)
+    l1, l2, w1, w2 = rng.uniform(0.3, 5.0, 4)
+    h, z = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    x, y = rng.uniform(-20.0, 20.0, 2)
+    if kind == "end-to-end":
+        w1 = w2
+        along, across, size1, size2 = (math.cos(yaw), math.sin(yaw)), w1, l1, l2
+    else:
+        l1 = l2
+        along, across, size1, size2 = (-math.sin(yaw), math.cos(yaw)), l1, w1, w2
+    gap = max(gap, -min(size1, size2))
+    dist = (size1 + size2) / 2.0 + gap
+    a = Box7(x, y, z, l1, w1, h, yaw)
+    b = Box7(x + dist * along[0], y + dist * along[1], z, l2, w2, h, yaw)
+    overlap = max(0.0, min(size1 / 2.0, dist + size2 / 2.0) - max(-size1 / 2.0, dist - size2 / 2.0))
+    inter = overlap * across * h
+    return a, b, inter / (a.volume + b.volume - inter)
+
+
+class TestCollinearEdges:
+    # A fixed gap (0.0 is exact touching), or an overlap drawn down to a
+    # bound: overlaps under 1 cm leave short clipped edges along the shared
+    # line, whose direction is all rounding.
+    CASES = {"touching": 0.0, "gap 1e-9": 1e-9, "gap 1e-3": 1e-3, "gap 0.1": 0.1,
+             "overlap": -5.0, "overlap under 1 cm": -1e-2}
+
+    @pytest.mark.parametrize("kind", ["end-to-end", "side-by-side"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_closed_form_and_never_raises(self, kind, case):
+        rng = np.random.default_rng([list(self.CASES).index(case), len(kind)])
+        bound = self.CASES[case]
+        reference_failures = 0
+        for _ in range(400):
+            gap = rng.uniform(bound, 0.0) if bound < 0.0 else bound
+            a, b, expected = collinear_pair(rng, kind, gap)
+            assert abs(iou_3d(a, b).iou - expected) <= 1e-9, (a, b, expected)
+            assert abs(iou_3d(b, a).iou - expected) <= 1e-9, (a, b, expected)
+            try:
+                reference_failures += abs(reference_iou_3d(a, b).iou - expected) > 1e-6
+            except ZeroDivisionError:
+                reference_failures += 1
+        if case in ("touching", "overlap", "overlap under 1 cm"):
+            # The clip before the collinear-edge rule got these wrong.
+            assert reference_failures > 0

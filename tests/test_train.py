@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,17 @@ import pytest
 import minidet3d
 from minidet3d.data import synth_scenes
 from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
+from minidet3d.geom import Box7
+from minidet3d.iou import iou_3d
 from minidet3d.losses import LossSchedule, schedule_weights
+from minidet3d.metrics import (
+    ConfusionCounts,
+    aggregate_by_category,
+    match_predictions,
+    miou_categories,
+    miou_samples,
+    report_dict,
+)
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 from minidet3d.train import (
     ADAMW_CHUNK,
@@ -306,3 +317,40 @@ class TestEvaluate:
         report = evaluate_model(model, samples, 0.25)
         assert set(r["category"] for r in report["categories"]) <= {"wheelchair", "stroller"}
         assert 0.0 <= report["miou_categories"] <= 1.0
+
+    @staticmethod
+    def matched_report(predictions, samples, threshold):
+        """The report built from one 1x1 `match_predictions` per sample."""
+        ious, tp = [], 0
+        for pred, s in zip(predictions, samples):
+            counts, _ = match_predictions([(pred, s.category)], [(s.gt_box, s.category)], threshold)
+            tp += counts.tp
+            ious.append(iou_3d(pred, s.gt_box).iou)
+        table = miou_categories(aggregate_by_category(zip((s.category for s in samples), ious)))
+        n = len(samples)
+        return report_dict(table, miou_samples(ious), ConfusionCounts(tp, 0, n - tp, n - tp),
+                           threshold)
+
+    def test_report_equals_per_sample_matching(self):
+        samples = small_dataset(60, seed=16)
+        rng = np.random.default_rng(17)
+        predictions = []
+        for s in samples:
+            params = s.gt_box.params() + rng.normal(0.0, 1.0, 7) * [0.3, 0.3, 0.1, 0.2, 0.1, 0.1, 0.3]
+            params[3:6] = np.abs(params[3:6]) + 0.05
+            predictions.append(Box7.from_params(params))
+        ious = sorted(iou_3d(p, s.gt_box).iou for p, s in zip(predictions, samples))
+        tie = ious[len(ious) // 2]  # a threshold some sample's IoU equals exactly
+        assert 0.0 < tie < 1.0 and ious.count(0.0) > 0
+        for threshold in (0.25, 0.5, tie, math.nextafter(tie, 1.0)):
+            got = evaluate_model(None, samples, threshold, predictions=predictions)
+            assert got == self.matched_report(predictions, samples, threshold)
+        at_tie = evaluate_model(None, samples, tie, predictions=predictions)["counts"]["tp"]
+        above = evaluate_model(None, samples, math.nextafter(tie, 1.0), predictions=predictions)
+        assert at_tie == above["counts"]["tp"] + ious.count(tie)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        samples = small_dataset(3, seed=18)
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\)"):
+            evaluate_model(None, samples, threshold, predictions=[s.gt_box for s in samples])
