@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -59,11 +60,14 @@ _ACCEPTED = {
 
 
 def _check_type(value, default, where: str) -> None:
-    """Reject a value whose JSON type differs from its default's; list
-    elements are checked against the default's first element."""
+    """Reject a value whose JSON type differs from its default's, and a
+    NaN or infinite number; list elements are checked against the default's
+    first element."""
     accepted, expected = _ACCEPTED[type(default)]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
     if isinstance(default, tuple):
         for i, item in enumerate(value):
             _check_type(item, default[0], f"{where}[{i}]")
@@ -136,6 +140,8 @@ def cmd_iou(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     records, diagnostics = data_mod.ingest_lenient(args.scenes)
     for diag in diagnostics:
         print(f"rejected: {diag}", file=sys.stderr)
@@ -193,10 +199,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    given = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    given = data_mod.read_json(args.config, "config")
     config = _merge_config(_TRAIN_DEFAULTS, given, "config")
     if not config["data"]:
         raise ConfigError("config.data must point to a dataset directory")
+    if not 0.0 <= config["val_fraction"] < 1.0:
+        raise ConfigError(f"config.val_fraction must be in [0, 1), got {config['val_fraction']}")
 
     model_config = ModelConfig(**config["model"])
     samples = _load_dataset(config["data"], model_config, "config.model.")
@@ -265,10 +273,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as e:
-        raise ConfigError(f"{args.report}: not a JSON report: {e}") from None
+    report = data_mod.read_json(args.report, "report")
     check_report(report)
     if args.csv:
         print(report_csv(report), end="")

@@ -1,6 +1,7 @@
 """Scene ingestion, frame preprocessing, and a synthetic scene generator.
 
-Scene file format (UTF-8 JSON, "scenes-lite"):
+Scene file format (UTF-8 JSON, "scenes-lite"; `emit` writes it as compact
+one-line JSON, which `python -m json.tool` pretty-prints):
 
     {
       "schema_version": 1,
@@ -135,7 +136,7 @@ def _parse_pose(obj, where: str) -> Pose:
     if not (isinstance(q, list) and len(q) == 4):
         raise ParseError(f"{where}.rotation", "must be a 4-list [w,x,y,z]")
     try:
-        return Pose(tuple(float(v) for v in t), tuple(float(v) for v in q))
+        return Pose(t, q)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{where}.rotation", str(e)) from e
 
@@ -220,24 +221,34 @@ def ingest(path: str | Path) -> list[SceneRecord]:
     return records
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON document in the file at `path`, which `what` names in errors.
+
+    A file that is not UTF-8, not JSON, or nested too deeply to parse raises
+    ParseError whose field is the path.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
+        raise ParseError(str(path), f"not a JSON {what}: {e}") from None
+
+
 def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError]]:
     """Parse a scene file, collecting per-record diagnostics instead of failing.
 
     Every input record ends up either in the accepted list or as exactly one
-    diagnostic naming the offending field.
+    diagnostic naming the offending field. A file that cannot be read as a
+    scene file at all raises ParseError naming the path.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError("<file>", f"invalid JSON: {e}") from e
+    doc = read_json(path, "scene file")
     if not isinstance(doc, dict) or "schema_version" not in doc:
-        raise ParseError("<file>", "top level must be an object with schema_version")
+        raise ParseError(str(path), "top level must be an object with schema_version")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema_version {doc['schema_version']!r}, expected {SCHEMA_VERSION}"
         )
     if "records" not in doc or not isinstance(doc["records"], list):
-        raise ParseError("<file>", "missing records list")
+        raise ParseError(str(path), "missing records list")
 
     records, diagnostics = [], []
     for i, obj in enumerate(doc["records"]):
@@ -279,9 +290,10 @@ def _record_to_json(rec: SceneRecord) -> dict:
 
 
 def emit(records, path: str | Path) -> None:
-    """Serialize records to the scene file format; ingest(emit(r)) == r."""
+    """Serialize records to the scene file format as compact one-line JSON
+    (`python -m json.tool` pretty-prints it); ingest(emit(r)) == r."""
     doc = {"schema_version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]}
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 # ---- preprocessing ----------------------------------------------------------
@@ -306,15 +318,15 @@ def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> Processed
     """
     processed = []
     ego_from_lidar = rec.lidar_to_ego
+    cameras = [(cam.name, cam.intrinsics, cam.sensor_to_ego.inverse()) for cam in rec.cameras]
     for ann in annotations:
         corners_lidar = box_corners(ann.box)
         corners_ego = ego_from_lidar.apply(corners_lidar)
         projections: dict[str, list[ProjectedCorner]] = {}
         retained = False
-        for cam in rec.cameras:
-            corners_cam = cam.sensor_to_ego.inverse().apply(corners_ego)
-            proj = project_corners(corners_cam, cam.intrinsics)
-            projections[cam.name] = proj
+        for name, intrinsics, cam_from_ego in cameras:
+            proj = project_corners(cam_from_ego.apply(corners_ego), intrinsics)
+            projections[name] = proj
             if any(c.visible for c in proj):
                 retained = True
         processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
@@ -552,13 +564,11 @@ def _feature_vector(payload: dict, sid: str, key: str, width: int | None) -> np.
 def load_features(path: str | Path) -> dict[str, FeaturePair]:
     """Read a features file; every entry must hold finite 1-D visual and text
     vectors of the first entry's widths. Malformed content raises ParseError
-    naming the field, e.g. 'features["synth-1-000003"].text'."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError("<file>", f"invalid JSON: {e}") from e
+    naming the field, e.g. 'features["synth-1-000003"].text', or the path
+    for a file that is not a JSON object."""
+    doc = read_json(path, "features file")
     if not isinstance(doc, dict):
-        raise ParseError("<file>", "top level must be an object with schema_version")
+        raise ParseError(str(path), "top level must be an object with schema_version")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"features file schema {doc.get('schema_version')!r}")
     entries = doc.get("features")

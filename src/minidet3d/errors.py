@@ -47,10 +47,11 @@ class EpochOutOfRange(MiniDetError):
 
 
 class ParseError(MiniDetError):
-    """A scene file record, a features file or an eval report failed validation.
+    """A scene file record, a features file or an eval report failed validation,
+    or an input file could not be read as JSON.
 
-    `field` names the offending location, e.g. "records[3].ego_to_global.rotation"
-    or "report.categories[0].iou".
+    `field` names the offending location, e.g. "records[3].ego_to_global.rotation",
+    "report.categories[0].iou", or the file's path.
     """
 
     def __init__(self, field: str, message: str):

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   angle about the vertical (+z) axis, with yaw normalized into (-pi, pi].
   Length runs along the box's local x axis at yaw 0.
 - Rigid transforms are stored as translation + unit quaternion (w, x, y, z).
+  A pose computes its rotation matrix once, on first use, and keeps it
+  read-only; the matrix is not part of its value (==, hash, repr, pickle).
 - Corner order is fixed: bottom face counter-clockwise viewed from above,
   starting at local (+l/2, -w/2), then the top face in the same x-y order.
   This makes corner-set comparisons element-wise.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +98,8 @@ class Box7:
 
 
 def _quat_normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    norm = math.sqrt(sum(c * c for c in q))
+    w, x, y, z = q
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"quaternion norm {norm!r} deviates from 1 by more than 1e-9")
     if abs(norm - 1.0) <= 1e-12:
@@ -178,36 +182,47 @@ class Pose:
     rotation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.translation)
-        q = tuple(float(v) for v in self.rotation)
+        t = tuple(map(float, self.translation))
+        q = tuple(map(float, self.rotation))
         if len(t) != 3:
             raise ValueError(f"translation must have 3 components, got {len(t)}")
         if len(q) != 4:
             raise ValueError(f"rotation must have 4 components, got {len(q)}")
-        if not all(math.isfinite(v) for v in t + q):
+        if not all(map(math.isfinite, t + q)):
             raise ValueError("pose components must be finite")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", _quat_normalize(q))
+
+    def __getstate__(self):
+        # The fields only: a pickle never carries the matrix cache.
+        return {"translation": self.translation, "rotation": self.rotation}
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """quat_to_matrix(rotation), built on first use; read-only."""
+        m = quat_to_matrix(self.rotation)
+        m.flags.writeable = False
+        return m
 
     @classmethod
     def identity(cls) -> "Pose":
         return cls((0.0, 0.0, 0.0))
 
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
+        """The 3x3 rotation matrix, as a new writable array."""
+        return self._matrix.copy()
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (N, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation_matrix().T + np.asarray(self.translation)
+        return pts @ self._matrix.T + np.asarray(self.translation)
 
     def compose(self, other: "Pose") -> "Pose":
         """Transform that applies `other` first, then self."""
         t = self.apply(np.asarray(other.translation))
-        q = quat_multiply(self.rotation, other.rotation)
-        norm = math.sqrt(sum(c * c for c in q))
-        q = tuple(c / norm for c in q)
-        return Pose(tuple(t.tolist()), q)
+        w, x, y, z = quat_multiply(self.rotation, other.rotation)
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        return Pose(tuple(t.tolist()), (w / norm, x / norm, y / norm, z / norm))
 
     def inverse(self) -> "Pose":
         w, x, y, z = self.rotation
@@ -217,13 +232,12 @@ class Pose:
 
     def tilt_angle(self) -> float:
         """Angle (rad) by which this rotation tips the vertical axis."""
-        rotated_z = self.rotation_matrix()[:, 2]
-        return math.acos(min(1.0, max(-1.0, float(rotated_z[2]))))
+        return math.acos(min(1.0, max(-1.0, float(self._matrix[2, 2]))))
 
     def heading(self) -> float:
         """Yaw component: direction the rotated x axis points in the x-y plane."""
-        rotated_x = self.rotation_matrix()[:, 0]
-        return math.atan2(float(rotated_x[1]), float(rotated_x[0]))
+        m = self._matrix
+        return math.atan2(float(m[1, 0]), float(m[0, 0]))
 
 
 def box_corners(box: Box7) -> np.ndarray:
@@ -298,7 +312,7 @@ def project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> list[Projecte
     """
     pts = np.asarray(corners, dtype=np.float64).reshape(-1, 3)
     out = []
-    for x, y, z in pts:
+    for x, y, z in pts.tolist():
         if z <= 0.0:
             out.append(ProjectedCorner(None, None, False))
             continue

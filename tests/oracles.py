@@ -1,9 +1,30 @@
 """Reference implementations that tests compare the package against."""
 
+import json
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 
+from minidet3d.data import (
+    SCHEMA_VERSION,
+    Annotation,
+    ProcessedAnnotation,
+    ProcessedSample,
+    SceneRecord,
+    _record_to_json,
+)
 from minidet3d.errors import DegenerateOverlap, NonSmoothPoint
-from minidet3d.geom import Box7
+from minidet3d.geom import (
+    Box7,
+    CameraIntrinsics,
+    ProjectedCorner,
+    box_corners,
+    quat_multiply,
+    quat_to_matrix,
+    transform_box,
+)
 from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, polygon_area
 
 FD_STEP = 1e-4  # meters for x,y,z,l,w,h; radians for yaw
@@ -147,3 +168,117 @@ def reference_iou_3d(p: Box7, g: Box7) -> IoUResult:
     inter = min(inter_area * z_overlap, vol_p, vol_g)
     union = vol_p + vol_g - inter
     return IoUResult(inter / union, inter, union)
+
+
+# ---- the scene-ingest path before it was made to do its work once --------------
+# `ReferencePose`, `reference_project_corners`, `reference_emit` and
+# `reference_process_record` are `Pose`, `project_corners`, `emit` and
+# `process_record` as they stood before the pose cached its rotation matrix,
+# the projection iterated Python floats, the cameras' inverse poses were
+# taken once per record and the scene file became compact JSON. The package
+# must give bit-identical poses, projections and processed samples, and a
+# scene file that parses to the same document. `sum` adds left to right here
+# (Python 3.11), so it has the bits of the package's explicit sum of squares.
+
+
+def _reference_quat_normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    norm = math.sqrt(sum(c * c for c in q))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"quaternion norm {norm!r} deviates from 1 by more than 1e-9")
+    if abs(norm - 1.0) <= 1e-12:
+        # Already unit to working precision; keep bits stable so that
+        # normalization is idempotent and serialization round-trips exactly.
+        return q
+    return (q[0] / norm, q[1] / norm, q[2] / norm, q[3] / norm)
+
+
+@dataclass(frozen=True)
+class ReferencePose:
+    translation: tuple[float, float, float]
+    rotation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        t = tuple(float(v) for v in self.translation)
+        q = tuple(float(v) for v in self.rotation)
+        if len(t) != 3:
+            raise ValueError(f"translation must have 3 components, got {len(t)}")
+        if len(q) != 4:
+            raise ValueError(f"rotation must have 4 components, got {len(q)}")
+        if not all(math.isfinite(v) for v in t + q):
+            raise ValueError("pose components must be finite")
+        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "rotation", _reference_quat_normalize(q))
+
+    def rotation_matrix(self) -> np.ndarray:
+        return quat_to_matrix(self.rotation)
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        """Apply to one (3,) point or an (N, 3) array of points."""
+        pts = np.asarray(points, dtype=np.float64)
+        return pts @ self.rotation_matrix().T + np.asarray(self.translation)
+
+    def compose(self, other: "ReferencePose") -> "ReferencePose":
+        """Transform that applies `other` first, then self."""
+        t = self.apply(np.asarray(other.translation))
+        q = quat_multiply(self.rotation, other.rotation)
+        norm = math.sqrt(sum(c * c for c in q))
+        q = tuple(c / norm for c in q)
+        return ReferencePose(tuple(t.tolist()), q)
+
+    def inverse(self) -> "ReferencePose":
+        w, x, y, z = self.rotation
+        conj = (w, -x, -y, -z)
+        t_inv = -(np.asarray(self.translation) @ quat_to_matrix(conj).T)
+        return ReferencePose(tuple(t_inv.tolist()), conj)
+
+    def tilt_angle(self) -> float:
+        """Angle (rad) by which this rotation tips the vertical axis."""
+        rotated_z = self.rotation_matrix()[:, 2]
+        return math.acos(min(1.0, max(-1.0, float(rotated_z[2]))))
+
+    def heading(self) -> float:
+        """Yaw component: direction the rotated x axis points in the x-y plane."""
+        rotated_x = self.rotation_matrix()[:, 0]
+        return math.atan2(float(rotated_x[1]), float(rotated_x[0]))
+
+
+def reference_project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> list[ProjectedCorner]:
+    pts = np.asarray(corners, dtype=np.float64).reshape(-1, 3)
+    out = []
+    for x, y, z in pts:
+        if z <= 0.0:
+            out.append(ProjectedCorner(None, None, False))
+            continue
+        u = float(cam.fx * x / z + cam.cx)
+        v = float(cam.fy * y / z + cam.cy)
+        visible = (0.0 <= u < cam.width) and (0.0 <= v < cam.height)
+        out.append(ProjectedCorner(u, v, visible))
+    return out
+
+
+def reference_emit(records, path) -> None:
+    doc = {"schema_version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]}
+    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+
+
+def reference_process_record(rec: SceneRecord) -> ProcessedSample:
+    """The package's pipeline before the change, on a record whose poses are
+    `ReferencePose`s."""
+    onto_lidar = rec.lidar_to_ego.inverse().compose(rec.ego_to_global.inverse())
+    annotations = [Annotation(a.category, transform_box(a.box, onto_lidar))
+                   for a in rec.annotations]
+    processed = []
+    ego_from_lidar = rec.lidar_to_ego
+    for ann in annotations:
+        corners_lidar = box_corners(ann.box)
+        corners_ego = ego_from_lidar.apply(corners_lidar)
+        projections: dict[str, list[ProjectedCorner]] = {}
+        retained = False
+        for cam in rec.cameras:
+            corners_cam = cam.sensor_to_ego.inverse().apply(corners_ego)
+            proj = reference_project_corners(corners_cam, cam.intrinsics)
+            projections[cam.name] = proj
+            if any(c.visible for c in proj):
+                retained = True
+        processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
+    return ProcessedSample(rec.sample_id, tuple(processed))

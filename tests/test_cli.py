@@ -150,6 +150,15 @@ class TestIngestCommand:
         assert run_cli("ingest", data / "scenes.json", "--out", out4, "--workers", 4) == 0
         assert out1.read_bytes() == out4.read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        data = make_dataset(tmp_path, "data", 2, 8)
+        capsys.readouterr()
+        out = tmp_path / "out.jsonl"
+        assert run_cli("ingest", data / "scenes.json", "--out", out, "--workers", workers) == 1
+        assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not out.exists()
+
     def test_golden_fixture_byte_identical(self, tmp_path, capsys):
         from pathlib import Path
 
@@ -243,6 +252,28 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path + " " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override, message", [
+        ({"schedule": {"stage1_lr": float("nan")}},
+         "config.schedule.stage1_lr must be a finite number, got NaN"),
+        ({"schedule": {"stage2_lr": float("inf")}},
+         "config.schedule.stage2_lr must be a finite number, got Infinity"),
+        ({"model": {"lora_alpha": -float("inf")}},
+         "config.model.lora_alpha must be a finite number, got -Infinity"),
+        ({"schedule": {"stage2_weights": [0.2, float("nan")]}},
+         "config.schedule.stage2_weights[1] must be a finite number, got NaN"),
+        ({"val_fraction": 1.5}, "config.val_fraction must be in [0, 1), got 1.5"),
+        ({"val_fraction": 1}, "config.val_fraction must be in [0, 1), got 1"),
+        ({"val_fraction": -0.1}, "config.val_fraction must be in [0, 1), got -0.1"),
+    ])
+    def test_bad_config_number_rejected_at_load(self, tmp_path, capsys, override, message):
+        data = make_dataset(tmp_path, "data", 4, 11)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"data": str(data), **override}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_features_file_rejected(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 4, 16)
@@ -494,3 +525,32 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a JSON report: ")
         assert err.count("\n") == 1
+
+
+UNREADABLE_JSON = {"truncated": "{", "deeply nested": "[" * 100_000, "not UTF-8": b"\xff\xfe"}
+
+
+@pytest.mark.parametrize("defect", UNREADABLE_JSON)
+@pytest.mark.parametrize("target", ["config", "scenes", "features"])
+def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
+    """Each input file that is not JSON gives one error line naming it; the
+    report command's file is covered in TestReportCommand."""
+    data = make_dataset(tmp_path, "data", 4, 21)
+    cfg = train_config(tmp_path, data)
+    path, what = {"config": (cfg, "config"), "scenes": (data / "scenes.json", "scene file"),
+                  "features": (data / "features.json", "features file")}[target]
+    text = UNREADABLE_JSON[defect]
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if target == "config":
+        assert run_cli("train", "--config", cfg, "--out", out) == 1
+    else:
+        assert run_cli("eval", "--data", data, "--out", out, "--gt-as-pred") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a JSON {what}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from minidet3d.data import (
+    CAMERA_NAMES,
     Annotation,
     CameraBlock,
     SceneRecord,
@@ -24,8 +26,21 @@ from minidet3d.data import (
     synth_scenes,
     to_lidar_frame,
 )
-from minidet3d.errors import ParseError, SchemaVersionMismatch
-from minidet3d.geom import Box7, CameraIntrinsics, Pose, quat_from_matrix, quat_from_yaw
+from minidet3d.errors import GimbalRisk, ParseError, SchemaVersionMismatch
+from minidet3d.geom import (
+    Box7,
+    CameraIntrinsics,
+    Pose,
+    project_corners,
+    quat_from_matrix,
+    quat_from_yaw,
+)
+from oracles import (
+    ReferencePose,
+    reference_emit,
+    reference_process_record,
+    reference_project_corners,
+)
 
 # camera axes (x right, y down, z forward) of a camera looking along ego +x
 FRONT_CAM_ROTATION = quat_from_matrix(
@@ -320,8 +335,182 @@ class TestSynth:
             path.write_text(text)
             with pytest.raises(ParseError) as exc:
                 load_features(path)
-            assert exc.value.field == "<file>"
+            assert exc.value.field == str(path)
 
     def test_encode_requires_room_for_params(self):
         with pytest.raises(ValueError):
             encode_visual(np.zeros(7), d_v=5)
+
+
+def _perturbed(q, rng):
+    """q scaled so that its norm lies 1e-12 to 1e-9 from 1, either side."""
+    scale = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.9, -9.1)
+    return tuple(c * scale for c in q)
+
+
+def _random_quat(rng):
+    q = rng.normal(size=4)
+    return tuple((q / np.linalg.norm(q)).tolist())
+
+
+def _raw_records(count, rng):
+    """Raw pose inputs of random records: camera rigs of random size and
+    orientation, boxes within 15 m of the ego (so corners fall behind
+    cameras and outside images), and half of the quaternions off unit norm
+    by 1e-12 to 1e-9. One ego in fifty tilts, which transform_box rejects."""
+    raws = []
+    for i in range(count):
+        yaw_q = quat_from_yaw(rng.uniform(-math.pi, math.pi))
+        if rng.random() < 0.02:
+            ego_q = _random_quat(rng)
+        else:
+            ego_q = _perturbed(yaw_q, rng) if rng.random() < 0.5 else yaw_q
+        ego_t = tuple(rng.uniform(-1000, 1000, size=3).tolist())
+        lidar_q = quat_from_yaw(rng.uniform(-0.3, 0.3))
+        lidar_q = _perturbed(lidar_q, rng) if rng.random() < 0.5 else lidar_q
+        lidar_t = tuple(rng.uniform(-2, 2, size=3).tolist())
+        names = rng.choice(CAMERA_NAMES, size=int(rng.integers(1, 7)), replace=False)
+        cameras = []
+        for name in names:
+            q = _random_quat(rng)
+            width, height = (int(v) for v in rng.integers(100, 2000, size=2))
+            intr = CameraIntrinsics(fx=rng.uniform(200, 2000), fy=rng.uniform(200, 2000),
+                                    cx=rng.uniform(0, width), cy=rng.uniform(0, height),
+                                    width=width, height=height)
+            cameras.append((str(name), intr, tuple(rng.uniform(-2, 2, size=3).tolist()),
+                            _perturbed(q, rng) if rng.random() < 0.5 else q))
+        boxes = []
+        for _ in range(int(rng.integers(1, 5))):
+            offset = rng.uniform(-15, 15, size=3)
+            offset[2] = rng.uniform(-2, 2)
+            boxes.append(Box7(*(np.array(ego_t) + offset), *rng.uniform(0.3, 5, size=3),
+                              rng.uniform(-math.pi, math.pi)))
+        raws.append((f"rand-{i}", (ego_t, ego_q), (lidar_t, lidar_q), cameras, boxes))
+    return raws
+
+
+def _record(raw, pose_type):
+    sample_id, ego, lidar, cameras, boxes = raw
+    return SceneRecord(
+        sample_id, pose_type(*ego), pose_type(*lidar),
+        tuple(CameraBlock(name, intr, pose_type(t, q)) for name, intr, t, q in cameras),
+        tuple(Annotation("car", b) for b in boxes),
+    )
+
+
+def _processed_line(process, rec):
+    try:
+        return json.dumps(processed_to_json(process(rec)))
+    except GimbalRisk as e:
+        return f"GimbalRisk: {e}"
+
+
+class TestIngestMatchesReference:
+    """The ingest path gives the bits of its implementation before poses
+    cached their rotation matrix (tests/oracles.py)."""
+
+    def test_processed_lines_equal_on_random_rigs_and_synth_records(self):
+        rng = np.random.default_rng(20261018)
+        raws = _raw_records(1600, rng)
+        pairs = [(_record(r, Pose), _record(r, ReferencePose)) for r in raws]
+        synth, _ = synth_scenes(400, {"adult": 0.4, "car": 0.4, "trafficcone": 0.2}, seed=5)
+        as_reference = lambda p: ReferencePose(p.translation, p.rotation)  # noqa: E731
+        pairs += [(rec, dataclasses.replace(
+            rec, ego_to_global=as_reference(rec.ego_to_global),
+            lidar_to_ego=as_reference(rec.lidar_to_ego),
+            cameras=tuple(dataclasses.replace(c, sensor_to_ego=as_reference(c.sensor_to_ego))
+                          for c in rec.cameras))) for rec in synth]
+
+        renormalized = behind = outside = visible = tilted = 0
+        for (rec, ref), raw in zip(pairs, raws + [None] * len(synth)):
+            for pose, ref_pose in [(rec.ego_to_global, ref.ego_to_global),
+                                   (rec.lidar_to_ego, ref.lidar_to_ego)] + [
+                    (c.sensor_to_ego, r.sensor_to_ego) for c, r in zip(rec.cameras, ref.cameras)]:
+                assert repr(pose.translation + pose.rotation) == repr(
+                    ref_pose.translation + ref_pose.rotation)
+                # camera rotations are not yaw-only, so compose sees every term
+                composed = rec.ego_to_global.compose(pose).inverse()
+                ref_composed = ref.ego_to_global.compose(ref_pose).inverse()
+                assert repr(composed.translation + composed.rotation) == repr(
+                    ref_composed.translation + ref_composed.rotation)
+            if raw is not None:
+                renormalized += rec.ego_to_global.rotation != raw[1][1]
+            line = _processed_line(process_record, rec)
+            assert line == _processed_line(reference_process_record, ref)
+            if line.startswith("GimbalRisk"):
+                tilted += 1
+                continue
+            for ann in json.loads(line)["annotations"]:
+                for corners in ann["projections"].values():
+                    for u, _, vis in corners:
+                        behind += u is None
+                        outside += u is not None and not vis
+                        visible += vis
+        assert min(renormalized, behind, outside, visible, tilted) > 0
+
+    def test_projection_equal_on_corners_behind_on_and_off_the_image(self):
+        rng = np.random.default_rng(7)
+        cam = CameraIntrinsics(fx=900.0, fy=1100, cx=640.5, cy=360, width=1280, height=720)
+        for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+            pts = rng.normal(size=(500, 3)) * scale
+            pts[:20, 2] = 0.0
+            pts[20:40, 2] = -0.0
+            pts[40:60, 2] = 5e-324
+            with np.errstate(over="ignore"):  # numpy warns where Python floats overflow silently
+                expected = repr(reference_project_corners(pts, cam))
+            assert repr(project_corners(pts, cam)) == expected
+
+    @pytest.mark.parametrize("translation, rotation", [
+        (["a", 0, 0], [1, 0, 0, 0]),
+        ([None, 0, 0], [1, 0, 0, 0]),
+        ([[1.0], 0, 0], [1, 0, 0, 0]),
+        ([True, 0, 0], [1, 0, 0, 0]),
+        ([0, 0, 0], [1, 0, 0, "x"]),
+        ([0, 0, 0], [2, 0, 0, 0]),
+        ([0, 0, 0], [1 + 5e-10, 0, 0, 0]),
+    ])
+    def test_pose_diagnostics_equal_the_reference(self, tmp_path, translation, rotation):
+        doc = json.loads(_emitted(tmp_path, [make_record()]).read_text())
+        doc["records"][0]["ego_to_global"] = {"translation": translation, "rotation": rotation}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        try:  # the parser converted the lists before it built the pose
+            ref = ReferencePose(tuple(float(v) for v in translation),
+                                tuple(float(v) for v in rotation))
+            expected = []
+        except (TypeError, ValueError) as e:
+            ref, expected = None, [f"records[0].ego_to_global.rotation: {e}"]
+        records, diagnostics = ingest_lenient(path)
+        assert [str(d) for d in diagnostics] == expected
+        if ref is not None:
+            assert repr(records[0].ego_to_global.rotation) == repr(ref.rotation)
+
+    EXTREMES = (5e-324, -0.0, 1e308, 0.30000000000000004, 1.2345678901234567, -9.87654321098765e-5)
+
+    def _extreme_records(self):
+        records = []
+        for i, v in enumerate(self.EXTREMES):
+            box = Box7(v, -v, v, abs(v) or 5e-324, 1.2345678901234567, 5e-324, v % 3.0)
+            cam = CameraBlock("front", CameraIntrinsics(fx=abs(v) or 1.0, fy=1.0000000000000002,
+                                                        cx=v, cy=-v, width=1600, height=900),
+                              Pose((v, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0)))
+            records.append(SceneRecord(f"extreme-{i}", Pose((v, v, -0.0), (1.0, 5e-324, -0.0, 0.0)),
+                                       Pose((-0.0, v, 1e308), quat_from_yaw(v % 3.0)), (cam,),
+                                       (Annotation("car", box),)))
+        return records
+
+    def test_emit_roundtrips_extreme_floats_bit_for_bit(self, tmp_path):
+        records = self._extreme_records()
+        path = tmp_path / "scenes.json"
+        emit(records, path)
+        loaded = ingest(path)
+        assert loaded == records
+        assert repr(loaded) == repr(records)  # -0.0 and 0.0 compare equal; reprs do not
+
+    def test_emit_writes_the_reference_document_on_one_line(self, tmp_path):
+        records = self._extreme_records() + synth_scenes(30, {"car": 1.0}, seed=2)[0]
+        emit(records, tmp_path / "new.json")
+        reference_emit(records, tmp_path / "ref.json")
+        text = (tmp_path / "new.json").read_text(encoding="utf-8")
+        assert "\n" not in text
+        assert text == json.dumps(json.loads((tmp_path / "ref.json").read_text(encoding="utf-8")))

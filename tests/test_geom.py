@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from minidet3d.geom import (
     box_corners,
     project_corners,
     quat_from_yaw,
+    quat_to_matrix,
     transform_box,
     wrap_angle,
 )
+from oracles import ReferencePose
 
 
 def rotz(theta):
@@ -158,6 +162,54 @@ class TestPose:
         T[:3, 3] = p.translation
         hom = np.hstack([pts, np.ones((10, 1))])
         assert np.allclose((T @ hom.T).T[:, :3], p.apply(pts), atol=1e-12)
+
+
+class TestPoseMatrixCache:
+    def _pose(self, seed=4):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=4)
+        return Pose(tuple(rng.uniform(-10, 10, 3).tolist()), tuple((q / np.linalg.norm(q)).tolist()))
+
+    def test_cached_matrix_is_read_only_and_bit_equal(self):
+        p = self._pose()
+        assert p._matrix is p._matrix
+        assert not p._matrix.flags.writeable
+        with pytest.raises(ValueError):
+            p._matrix[0, 0] = 2.0
+        assert p._matrix.tobytes() == quat_to_matrix(p.rotation).tobytes()
+
+    def test_rotation_matrix_is_a_writable_copy(self):
+        p = self._pose()
+        m = p.rotation_matrix()
+        m[0, 0] = 2.0
+        assert not np.shares_memory(m, p._matrix)
+        assert p.rotation_matrix().tobytes() == quat_to_matrix(p.rotation).tobytes()
+
+    def test_value_semantics_do_not_see_the_cache(self):
+        filled, empty = self._pose(), self._pose()
+        filled.apply(np.zeros(3))
+        assert "_matrix" in vars(filled) and "_matrix" not in vars(empty)
+        assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+        assert pickle.dumps(filled) == pickle.dumps(empty)
+        back = pickle.loads(pickle.dumps(filled))
+        assert back == filled and "_matrix" not in vars(back)
+        assert back._matrix.tobytes() == filled._matrix.tobytes()
+
+    @pytest.mark.parametrize("translation, rotation", [
+        ((0, 0), (1, 0, 0, 0)),
+        ((0, 0, 0), (1, 0, 0)),
+        ((0, 0, float("nan")), (1, 0, 0, 0)),
+        ((0, 0, 0), (1, float("inf"), 0, 0)),
+        ((0, 0, 0), (0.9, 0.1, 0.0, 0.0)),
+        ((0, 0, 0), (1 + 2e-9, 0, 0, 0)),
+        (("a", 0, 0), (1, 0, 0, 0)),
+        (5, (1, 0, 0, 0)),
+    ])
+    def test_rejects_what_the_reference_rejects_with_its_message(self, translation, rotation):
+        with pytest.raises((TypeError, ValueError)) as ref:
+            ReferencePose(translation, rotation)
+        with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
+            Pose(translation, rotation)
 
 
 class TestTransformBox:
