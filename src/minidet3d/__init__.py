@@ -9,7 +9,7 @@ from .geom import Box7, CameraIntrinsics, Pose, box_corners, project_corners, tr
 from .iou import IoUResult, batch_iou_loss, iou_3d, iou_loss, iou_loss_grad, monte_carlo_iou
 from .lora import LoRAAdapter, adapter_init, adapter_param_fraction, apply_adapted, merge_adapter
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
-from .model import FeatureVector, FusionModel, ModelConfig, concat_features
+from .model import FusionModel, ModelConfig
 
 __version__ = "0.1.0"
 
@@ -35,9 +35,7 @@ __all__ = [
     "mse_semantic_loss",
     "combined_loss",
     "schedule_weights",
-    "FeatureVector",
     "FusionModel",
     "ModelConfig",
-    "concat_features",
     "__version__",
 ]

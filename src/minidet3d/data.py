@@ -136,8 +136,14 @@ def _parse_pose(obj, where: str) -> Pose:
     if not (isinstance(q, list) and len(q) == 4):
         raise ParseError(f"{where}.rotation", "must be a 4-list [w,x,y,z]")
     try:
+        t = tuple(map(float, t))
+        if not all(map(math.isfinite, t)):
+            raise ValueError("pose components must be finite")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"{where}.translation", str(e)) from e
+    try:
         return Pose(t, q)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{where}.rotation", str(e)) from e
 
 
@@ -154,7 +160,7 @@ def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
             width=int(obj["width"]),
             height=int(obj["height"]),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(where, str(e)) from e
 
 
@@ -207,7 +213,7 @@ def _parse_record(obj, where: str) -> SceneRecord:
             raise ParseError(f"{aw}.box", "must be a 7-list [x,y,z,l,w,h,yaw]")
         try:
             annotations.append(Annotation(ann["category"], Box7(*(float(v) for v in box))))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{aw}.box", str(e)) from e
 
     return SceneRecord(sample_id, ego, lidar, tuple(cameras), tuple(annotations))
@@ -400,10 +406,6 @@ def _normalize_params(params: np.ndarray) -> np.ndarray:
     return (np.asarray(params, dtype=np.float64) - _PARAM_SHIFT) / _PARAM_SCALE
 
 
-def denormalize_params(p_norm: np.ndarray) -> np.ndarray:
-    return np.asarray(p_norm, dtype=np.float64) * _PARAM_SCALE + _PARAM_SHIFT
-
-
 def _encoder_matrix(d_v: int) -> np.ndarray:
     rng = np.random.default_rng(_ENCODER_SEED)
     return rng.normal(0.0, 1.0, size=(max(d_v - 7, 0), 7))
@@ -428,11 +430,6 @@ def encode_visual(box_params_lidar: np.ndarray, d_v: int) -> np.ndarray:
     p = _normalize_params(box_params_lidar)
     mix = np.tanh(_encoder_matrix(d_v) @ p)
     return np.concatenate([p, mix])
-
-
-def decode_visual(visual: np.ndarray) -> np.ndarray:
-    """Recover box parameters from a zero-noise visual feature."""
-    return denormalize_params(np.asarray(visual, dtype=np.float64)[:7])
 
 
 def _ring_cameras() -> tuple[CameraBlock, ...]:

@@ -30,10 +30,6 @@ class ShapeMismatch(MiniDetError):
     """Matrix/vector dimensions are incompatible."""
 
 
-class ModalityMismatch(MiniDetError):
-    """A feature vector carries the wrong modality tag for this operation."""
-
-
 class StaleActivation(MiniDetError):
     """Backward pass requested without a matching forward pass."""
 

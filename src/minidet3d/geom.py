@@ -7,7 +7,8 @@ Conventions used throughout the package:
   Length runs along the box's local x axis at yaw 0.
 - Rigid transforms are stored as translation + unit quaternion (w, x, y, z).
   A pose computes its rotation matrix once, on first use, and keeps it
-  read-only; the matrix is not part of its value (==, hash, repr, pickle).
+  read-only (`inverse` hands over the one it built); the matrix is not part
+  of its value (==, hash, repr, pickle).
 - Corner order is fixed: bottom face counter-clockwise viewed from above,
   starting at local (+l/2, -w/2), then the top face in the same x-y order.
   This makes corner-set comparisons element-wise.
@@ -208,10 +209,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls((0.0, 0.0, 0.0))
 
-    def rotation_matrix(self) -> np.ndarray:
-        """The 3x3 rotation matrix, as a new writable array."""
-        return self._matrix.copy()
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (N, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
@@ -227,8 +224,13 @@ class Pose:
     def inverse(self) -> "Pose":
         w, x, y, z = self.rotation
         conj = (w, -x, -y, -z)
-        t_inv = -(np.asarray(self.translation) @ quat_to_matrix(conj).T)
-        return Pose(tuple(t_inv.tolist()), conj)
+        m = quat_to_matrix(conj)
+        t_inv = -(np.asarray(self.translation) @ m.T)
+        inv = Pose(tuple(t_inv.tolist()), conj)
+        # conj is unit within 1e-12, so inv.rotation is conj and m is its matrix.
+        m.flags.writeable = False
+        inv.__dict__["_matrix"] = m
+        return inv
 
     def tilt_angle(self) -> float:
         """Angle (rad) by which this rotation tips the vertical axis."""

@@ -16,9 +16,7 @@ adapted map and its gradients; the fusion model's attention runs through them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -122,26 +120,3 @@ def adapter_param_fraction(model_param_count: int, adapters) -> float:
         raise ValueError(f"model_param_count must be positive, got {model_param_count}")
     return sum(a.param_count for a in adapters) / model_param_count
 
-
-def save_adapter(path: str | Path, a: LoRAAdapter) -> None:
-    """Write an adapter checkpoint: JSON with row-major flat A then B."""
-    payload = {
-        "d_in": a.d_in,
-        "d_out": a.d_out,
-        "r": a.r,
-        "alpha": a.alpha,
-        "a": a.A.reshape(-1).tolist(),
-        "b": a.B.reshape(-1).tolist(),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_adapter(path: str | Path) -> LoRAAdapter:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    d_in, d_out, r = payload["d_in"], payload["d_out"], payload["r"]
-    return LoRAAdapter(
-        A=np.array(payload["a"], dtype=np.float64).reshape(r, d_in),
-        B=np.array(payload["b"], dtype=np.float64).reshape(d_out, r),
-        r=r,
-        alpha=float(payload["alpha"]),
-    )

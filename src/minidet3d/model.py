@@ -24,8 +24,12 @@ feature-space MSE a fixed positive-definite quadratic in the box-parameter
 error; a trainable head would collapse the objective by shrinking to zero.
 
 Forward passes cache activations; `backward_batch` / `backward_head` replay
-them in reverse for exact gradients. All math is float64 numpy, so identical
-(config, seed, input) triples produce bit-identical outputs.
+them in reverse for exact gradients. `backward_batch` writes every trainable
+gradient into `grad`, a second flat vector with the arena's layout (the same
+cuts of the same shape table), through named views of it, so the optimizer
+steps on it as it stands: there is no per-batch dict and no gather. All math
+is float64 numpy, so identical (config, seed, input) triples produce
+bit-identical outputs.
 
 Size channels of the raw output go through softplus when a geometric box is
 built, since boxes require strictly positive sizes; yaw is wrapped into
@@ -45,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ModalityMismatch, ShapeMismatch, StaleActivation
+from .errors import CheckpointError, ShapeMismatch, StaleActivation
 from .lora import LoRAAdapter, adapted_backward, adapter_init, adapter_param_fraction, apply_adapted
 
 MLP_HIDDEN = (512, 256, 128)
@@ -54,33 +58,6 @@ ATTENTION_TARGETS = ("q", "k", "v", "o")
 
 _CHECKPOINT_MAGIC = b"MD3D"
 _CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """A feature vector tagged with its modality: visual, text, or fused."""
-
-    values: np.ndarray
-    modality: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ShapeMismatch(f"feature vector must be 1-D, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("feature vector entries must be finite")
-        if self.modality not in ("visual", "text", "fused"):
-            raise ModalityMismatch(f"unknown modality {self.modality!r}")
-        object.__setattr__(self, "values", v)
-
-
-def concat_features(fv: FeatureVector, ft: FeatureVector) -> FeatureVector:
-    """Fuse a visual and a text feature; the visual part leads."""
-    if fv.modality != "visual":
-        raise ModalityMismatch(f"first argument must be visual, got {fv.modality!r}")
-    if ft.modality != "text":
-        raise ModalityMismatch(f"second argument must be text, got {ft.modality!r}")
-    return FeatureVector(np.concatenate([fv.values, ft.values]), "fused")
 
 
 @dataclass(frozen=True)
@@ -185,11 +162,17 @@ class FusionModel:
 
         trainable, frozen = _param_shapes(config)
         sizes = [math.prod(shape) for shape in trainable.values()]
-        self.arena = np.zeros(sum(sizes))
-        views = np.split(self.arena, np.cumsum(sizes)[:-1])
-        p = {name: v.reshape(shape) for (name, shape), v in zip(trainable.items(), views)}
+        cuts = np.cumsum(sizes)[:-1]
+        self.arena, self.grad = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+
+        def views(flat: np.ndarray) -> dict[str, np.ndarray]:
+            return {name: v.reshape(shape)
+                    for (name, shape), v in zip(trainable.items(), np.split(flat, cuts))}
+
+        p = views(self.arena)
         p.update((name, np.zeros(shape)) for name, shape in frozen.items())
         self.params = p
+        self._grads = views(self.grad)
         self._trainable = tuple(trainable)
 
         rng = np.random.default_rng(config.seed)
@@ -254,14 +237,15 @@ class FusionModel:
         adapter = self._adapters.get((layer, t))
         return X @ base.T if adapter is None else apply_adapted(base, adapter, X)
 
-    def _lin_backward(self, X: np.ndarray, dY: np.ndarray, layer: int, t: str, g: dict):
-        """Input gradient of `_lin`; adapter gradients go into `g`."""
+    def _lin_backward(self, X: np.ndarray, dY: np.ndarray, layer: int, t: str):
+        """Input gradient of `_lin`; adapter gradients go into their `grad` views."""
         base = self.params[f"layers.{layer}.attn.{t}.base"]
         adapter = self._adapters.get((layer, t))
         if adapter is None:
             return dY @ base
         dX, dA, dB = adapted_backward(base, adapter, X, dY)
-        g[f"layers.{layer}.attn.{t}.A"], g[f"layers.{layer}.attn.{t}.B"] = dA, dB
+        self._grads[f"layers.{layer}.attn.{t}.A"][...] = dA
+        self._grads[f"layers.{layer}.attn.{t}.B"][...] = dB
         return dX
 
     # ---- forward ---------------------------------------------------------
@@ -318,11 +302,7 @@ class FusionModel:
         return raw
 
     def forward(self, fused) -> np.ndarray:
-        """Raw 7-vector for a single fused feature (FeatureVector or array)."""
-        if isinstance(fused, FeatureVector):
-            if fused.modality != "fused":
-                raise ModalityMismatch(f"forward expects a fused feature, got {fused.modality!r}")
-            fused = fused.values
+        """Raw 7-vector for a single fused feature."""
         return self.forward_batch(np.asarray(fused, dtype=np.float64)[None, :])[0]
 
     # ---- backward --------------------------------------------------------
@@ -330,9 +310,11 @@ class FusionModel:
     def backward_batch(self, upstream: np.ndarray):
         """Gradients of sum_b upstream[b] . raw[b] for the cached forward batch.
 
-        Returns (grads, input_grad): a dict over trainable parameter names
-        (gradients summed over the batch) and the gradient w.r.t. the fused
-        input features, shape (B, d_v + d_t).
+        Returns (self.grad, input_grad): the trainable-parameter gradients,
+        summed over the batch, in the arena's layout (every element is
+        written, none accumulated), and the gradient w.r.t. the fused input
+        features, shape (B, d_v + d_t). `self.grad` is the model's own
+        vector: the next backward overwrites it.
         """
         cache = self._cache
         if cache is None:
@@ -345,23 +327,23 @@ class FusionModel:
             )
         p = self.params
         cfg = self.config
-        g: dict[str, np.ndarray] = {}
+        g = self._grads
 
         z3, z2, z1 = cache["z3"], cache["z2"], cache["z1"]
-        g["head.out.W"] = up.T @ z3
-        g["head.out.b"] = up.sum(axis=0)
+        np.matmul(up.T, z3, out=g["head.out.W"])
+        up.sum(axis=0, out=g["head.out.b"])
         dz3 = up @ p["head.out.W"]
         da3 = dz3 * (cache["a3"] > 0)
-        g["head.2.W"] = da3.T @ z2
-        g["head.2.b"] = da3.sum(axis=0)
+        np.matmul(da3.T, z2, out=g["head.2.W"])
+        da3.sum(axis=0, out=g["head.2.b"])
         dz2 = da3 @ p["head.2.W"]
         da2 = dz2 * (cache["a2"] > 0)
-        g["head.1.W"] = da2.T @ z1
-        g["head.1.b"] = da2.sum(axis=0)
+        np.matmul(da2.T, z1, out=g["head.1.W"])
+        da2.sum(axis=0, out=g["head.1.b"])
         dz1 = da2 @ p["head.1.W"]
         da1 = dz1 * (cache["a1"] > 0)
-        g["head.0.W"] = da1.T @ cache["pooled"]
-        g["head.0.b"] = da1.sum(axis=0)
+        np.matmul(da1.T, cache["pooled"], out=g["head.0.W"])
+        da1.sum(axis=0, out=g["head.0.b"])
         dpooled = da1 @ p["head.0.W"]
 
         B, T = Bsz, 2
@@ -376,7 +358,7 @@ class FusionModel:
             dHpre = dHact * (lc["Hpre"] > 0)
             dX1 = dX + dHpre @ p[f"layers.{i}.ffn.W1"]
             # attention with residual: X1 = X_in + lin_o(O)
-            dO = self._lin_backward(lc["O"], dX1, i, "o", g)
+            dO = self._lin_backward(lc["O"], dX1, i, "o")
             dOh = dO.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
             S, Vh, Qh, Kh = lc["S"], lc["Vh"], lc["Qh"], lc["Kh"]
             dS = dOh @ Vh.swapaxes(-1, -2)
@@ -390,31 +372,30 @@ class FusionModel:
             X_in = lc["X_in"]
             dX = (
                 dX1
-                + self._lin_backward(X_in, dQ, i, "q", g)
-                + self._lin_backward(X_in, dK, i, "k", g)
-                + self._lin_backward(X_in, dV, i, "v", g)
+                + self._lin_backward(X_in, dQ, i, "q")
+                + self._lin_backward(X_in, dK, i, "k")
+                + self._lin_backward(X_in, dV, i, "v")
             )
 
         dxv, dxt = dX[:, 0, :], dX[:, 1, :]
         F = cache["F"]
-        g["proj_v.W"] = dxv.T @ F[:, : cfg.d_v]
-        g["proj_v.b"] = dxv.sum(axis=0)
-        g["proj_t.W"] = dxt.T @ F[:, cfg.d_v :]
-        g["proj_t.b"] = dxt.sum(axis=0)
+        np.matmul(dxv.T, F[:, : cfg.d_v], out=g["proj_v.W"])
+        dxv.sum(axis=0, out=g["proj_v.b"])
+        np.matmul(dxt.T, F[:, cfg.d_v :], out=g["proj_t.W"])
+        dxt.sum(axis=0, out=g["proj_t.b"])
         input_grad = np.concatenate([dxv @ p["proj_v.W"], dxt @ p["proj_t.W"]], axis=1)
-        return g, input_grad
+        return self.grad, input_grad
 
     def backward_head(self, fused, upstream7: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for a single input previously run through `forward`."""
-        if isinstance(fused, FeatureVector):
-            fused = fused.values
+        """Gradients for a single input previously run through `forward`, as
+        a dict of copies by trainable parameter name."""
         fused = np.asarray(fused, dtype=np.float64)
         if self._cache is None or self._cache["F"].shape[0] != 1 or not np.array_equal(
             self._cache["F"][0], fused
         ):
             raise StaleActivation("no cached forward pass matches this input")
-        grads, _ = self.backward_batch(np.asarray(upstream7, dtype=np.float64)[None, :])
-        return grads
+        self.backward_batch(np.asarray(upstream7, dtype=np.float64)[None, :])
+        return {name: g.copy() for name, g in self._grads.items()}
 
     # ---- semantic head ----------------------------------------------------
 

@@ -2,10 +2,11 @@
 two-stage loss schedule.
 
 The optimizer works on the model's `arena`, the one flat vector behind every
-trainable parameter: each batch's gradients are gathered into one
-preallocated vector in arena order, checked for finiteness once, and
-`AdamW.step` updates the arena in place in fixed-size chunks, so the named
-parameter views and the adapters see every step and are never rebound.
+trainable parameter. `backward_batch` writes each batch's gradients into
+`model.grad`, which has the arena's layout, so nothing is gathered: the
+gradient is checked for finiteness once and `AdamW.step` updates the arena
+in place in fixed-size chunks, so the named parameter views and the adapters
+see every step and are never rebound.
 
 Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
@@ -210,9 +211,7 @@ def run_training(
         raise EmptyBatch("run_training requires at least one training sample")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    names = list(model.trainable_parameters())
     opt = AdamW(model.arena)
-    grad = np.empty_like(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
     fused_all = np.stack([s.fused for s in train_samples])
@@ -253,8 +252,7 @@ def run_training(
             if lam2 > 0.0:
                 upstream_params += (lam2 / B) * iou_grads
             upstream_raw = box_params_grad_chain(raw, upstream_params)
-            grads, _ = model.backward_batch(upstream_raw)
-            np.concatenate([grads[name] for name in names], axis=None, out=grad)
+            grad, _ = model.backward_batch(upstream_raw)
             if not np.isfinite(grad).all():
                 _diverged(epoch, batch, "non-finite gradient")
             opt.step(model.arena, grad, lr)

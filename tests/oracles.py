@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from minidet3d.data import (
+    _PARAM_SCALE,
+    _PARAM_SHIFT,
     SCHEMA_VERSION,
     Annotation,
     ProcessedAnnotation,
@@ -71,6 +73,17 @@ def fd_iou_loss_grad(p: Box7, g: Box7, step: float = FD_STEP) -> np.ndarray:
 def grads_agree(a, b) -> bool:
     """The oracle's own acceptance rule: within 1% relative or 1e-6 absolute."""
     return abs(a - b) <= max(1e-6, 0.01 * max(abs(a), abs(b)))
+
+
+def denormalize_params(p_norm: np.ndarray) -> np.ndarray:
+    """Undo the synthetic encoder's normalization of box parameters."""
+    return np.asarray(p_norm, dtype=np.float64) * _PARAM_SCALE + _PARAM_SHIFT
+
+
+def decode_visual(visual: np.ndarray) -> np.ndarray:
+    """The invertibility oracle: box parameters from a zero-noise visual
+    feature, whose first 7 channels are the normalized parameters."""
+    return denormalize_params(np.asarray(visual, dtype=np.float64)[:7])
 
 
 class DictAdamW:

@@ -201,6 +201,32 @@ def train_config(tmp_path, data_dir, **overrides):
     return path
 
 
+@pytest.mark.parametrize("command", ["ingest", "train", "eval"])
+@pytest.mark.parametrize("path, field", [
+    (("annotations", 0, "box", 0), "records[2].annotations[0].box"),
+    (("ego_to_global", "translation", 2), "records[2].ego_to_global.translation"),
+    (("cameras", 1, "intrinsics", "fx"), "records[2].cameras[1].intrinsics"),
+])
+def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command, path, field):
+    data = make_dataset(tmp_path, "data", 4, 12)
+    doc = json.loads((data / "scenes.json").read_text())
+    target = doc["records"][2]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 10**400
+    (data / "scenes.json").write_text(json.dumps(doc))
+    args = {
+        "ingest": ("ingest", data / "scenes.json", "--out", tmp_path / "out.jsonl"),
+        "train": ("train", "--config", train_config(tmp_path, data), "--out", tmp_path / "run"),
+        "eval": ("eval", "--data", data, "--out", tmp_path / "e", "--gt-as-pred"),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    prefix = "rejected" if command == "ingest" else "error"
+    assert err == f"{prefix}: {field}: int too large to convert to float\n"
+
+
 class TestTrainCommand:
     def test_smoke_run_writes_artifacts(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 40, 9)

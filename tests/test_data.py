@@ -12,7 +12,6 @@ from minidet3d.data import (
     SceneRecord,
     SynthConfig,
     category_embedding,
-    decode_visual,
     emit,
     encode_visual,
     filter_visible,
@@ -37,6 +36,7 @@ from minidet3d.geom import (
 )
 from oracles import (
     ReferencePose,
+    decode_visual,
     reference_emit,
     reference_process_record,
     reference_project_corners,
@@ -65,6 +65,28 @@ def make_record(annotations=(), ego=Pose.identity(), lidar=Pose.identity(), came
         cameras=cameras if cameras is not None else (front_camera(),),
         annotations=tuple(annotations),
     )
+
+
+HUGE = 10**400  # json.dumps writes every digit; no float holds it
+TOO_LARGE = "int too large to convert to float"
+# (path inside a record, value put there, the field named, the message)
+BAD_NUMBERS = [
+    (("annotations", 0, "box", 2), HUGE, "annotations[0].box", TOO_LARGE),
+    (("ego_to_global", "translation", 1), HUGE, "ego_to_global.translation", TOO_LARGE),
+    (("cameras", 0, "intrinsics", "fx"), HUGE, "cameras[0].intrinsics", TOO_LARGE),
+    (("lidar_to_ego", "rotation", 0), HUGE, "lidar_to_ego.rotation", TOO_LARGE),
+    (("lidar_to_ego", "translation", 0), float("nan"), "lidar_to_ego.translation",
+     "pose components must be finite"),
+]
+
+
+def with_value(doc, path, value):
+    """`doc` with the element at `path` (a key/index sequence) set to `value`."""
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
 
 
 class TestIngest:
@@ -126,6 +148,18 @@ class TestIngest:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="duplicate camera"):
             ingest(bad)
+
+    @pytest.mark.parametrize("path, value, field, message", BAD_NUMBERS,
+                             ids=[field for _, _, field, _ in BAD_NUMBERS])
+    def test_bad_number_rejects_exactly_its_record(self, tmp_path, path, value, field, message):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=9)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_value(json.loads(_emitted(tmp_path, records).read_text()),
+                                             ("records", 1) + path, value)))
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == [records[0], records[2]]
+        assert [(d.field, str(d)) for d in diagnostics] == [
+            (f"records[1].{field}", f"records[1].{field}: {message}")]
 
 
 def _emitted(tmp_path, records):
@@ -474,12 +508,14 @@ class TestIngestMatchesReference:
         doc["records"][0]["ego_to_global"] = {"translation": translation, "rotation": rotation}
         path = tmp_path / "scenes.json"
         path.write_text(json.dumps(doc))
+        field = "translation"
         try:  # the parser converted the lists before it built the pose
-            ref = ReferencePose(tuple(float(v) for v in translation),
-                                tuple(float(v) for v in rotation))
+            t = tuple(float(v) for v in translation)
+            field = "rotation"
+            ref = ReferencePose(t, tuple(float(v) for v in rotation))
             expected = []
         except (TypeError, ValueError) as e:
-            ref, expected = None, [f"records[0].ego_to_global.rotation: {e}"]
+            ref, expected = None, [f"records[0].ego_to_global.{field}: {e}"]
         records, diagnostics = ingest_lenient(path)
         assert [str(d) for d in diagnostics] == expected
         if ref is not None:

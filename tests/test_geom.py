@@ -124,7 +124,7 @@ class TestPose:
             left = a.compose(b).compose(c)
             right = a.compose(b.compose(c))
             assert np.allclose(left.translation, right.translation, atol=1e-9)
-            assert np.allclose(left.rotation_matrix(), right.rotation_matrix(), atol=1e-9)
+            assert np.allclose(quat_to_matrix(left.rotation), quat_to_matrix(right.rotation), atol=1e-9)
 
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(11)
@@ -134,7 +134,7 @@ class TestPose:
             p = Pose(tuple(rng.uniform(-10, 10, 3).tolist()), tuple(q.tolist()))
             ident = p.compose(p.inverse())
             assert np.allclose(ident.translation, 0, atol=1e-9)
-            assert np.allclose(ident.rotation_matrix(), np.eye(3), atol=1e-9)
+            assert np.allclose(quat_to_matrix(ident.rotation), np.eye(3), atol=1e-9)
 
     def test_translation_then_rotation_hand_case(self):
         # rotate (1,0,0) by 90 degrees about z, then translate by (1,0,0)
@@ -158,7 +158,7 @@ class TestPose:
         p = random_yaw_pose(rng)
         pts = rng.uniform(-5, 5, size=(10, 3))
         T = np.eye(4)
-        T[:3, :3] = p.rotation_matrix()
+        T[:3, :3] = quat_to_matrix(p.rotation)
         T[:3, 3] = p.translation
         hom = np.hstack([pts, np.ones((10, 1))])
         assert np.allclose((T @ hom.T).T[:, :3], p.apply(pts), atol=1e-12)
@@ -178,12 +178,17 @@ class TestPoseMatrixCache:
             p._matrix[0, 0] = 2.0
         assert p._matrix.tobytes() == quat_to_matrix(p.rotation).tobytes()
 
-    def test_rotation_matrix_is_a_writable_copy(self):
-        p = self._pose()
-        m = p.rotation_matrix()
-        m[0, 0] = 2.0
-        assert not np.shares_memory(m, p._matrix)
-        assert p.rotation_matrix().tobytes() == quat_to_matrix(p.rotation).tobytes()
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 5e-10, 1.0 - 5e-10])
+    def test_inverse_comes_with_its_matrix(self, scale):
+        # the inverse's cache holds the matrix that rotated its translation;
+        # it must be the one quat_to_matrix builds for the inverse's own
+        # rotation, also when the input quaternion was renormalised
+        rng = np.random.default_rng(6)
+        q = rng.normal(size=4)
+        q *= scale / np.linalg.norm(q)
+        inv = Pose(tuple(rng.uniform(-10, 10, 3).tolist()), tuple(q.tolist())).inverse()
+        assert "_matrix" in vars(inv) and not inv._matrix.flags.writeable
+        assert inv._matrix.tobytes() == quat_to_matrix(inv.rotation).tobytes()
 
     def test_value_semantics_do_not_see_the_cache(self):
         filled, empty = self._pose(), self._pose()

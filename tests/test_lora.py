@@ -8,9 +8,7 @@ from minidet3d.lora import (
     adapted_backward,
     adapter_param_fraction,
     apply_adapted,
-    load_adapter,
     merge_adapter,
-    save_adapter,
 )
 
 
@@ -174,14 +172,3 @@ class TestParamFraction:
         with pytest.raises(ValueError):
             adapter_param_fraction(0, [])
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        a = LoRAAdapter(A=rng.normal(size=(3, 10)), B=rng.normal(size=(6, 3)), r=3, alpha=1.5)
-        path = tmp_path / "adapter.json"
-        save_adapter(path, a)
-        b = load_adapter(path)
-        assert np.array_equal(a.A, b.A)
-        assert np.array_equal(a.B, b.B)
-        assert (a.r, a.alpha) == (b.r, b.alpha)

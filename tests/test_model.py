@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from minidet3d.errors import CheckpointError, ModalityMismatch, ShapeMismatch, StaleActivation
+from minidet3d.errors import CheckpointError, ShapeMismatch, StaleActivation
 from minidet3d.geom import Box7
 from minidet3d.lora import adapter_param_fraction
 from minidet3d.model import (
-    FeatureVector,
     FusionModel,
     ModelConfig,
     box_params_from_raw,
     box_params_grad_chain,
-    concat_features,
     load_checkpoint,
     save_checkpoint,
     semantic_project,
@@ -44,43 +42,6 @@ def input_jacobian(model, x):
     return np.array(rows)
 
 
-class TestFeatureVector:
-    def test_concat_basic(self):
-        fv = FeatureVector(np.array([1.0, 2.0]), "visual")
-        ft = FeatureVector(np.array([3.0, 4.0]), "text")
-        fused = concat_features(fv, ft)
-        assert fused.modality == "fused"
-        assert np.array_equal(fused.values, [1.0, 2.0, 3.0, 4.0])
-
-    def test_concat_zero_visual(self):
-        fused = concat_features(
-            FeatureVector(np.zeros(3), "visual"), FeatureVector(np.array([5.0, 6.0]), "text")
-        )
-        assert np.array_equal(fused.values, [0, 0, 0, 5.0, 6.0])
-
-    def test_concat_injective(self):
-        pairs = [
-            (np.array([1.0, 0.0]), np.array([0.0])),
-            (np.array([0.0, 1.0]), np.array([0.0])),
-            (np.array([1.0, 0.0]), np.array([1.0])),
-        ]
-        fused = {
-            tuple(concat_features(FeatureVector(v, "visual"), FeatureVector(t, "text")).values)
-            for v, t in pairs
-        }
-        assert len(fused) == len(pairs)
-
-    def test_modality_mismatch(self):
-        v = FeatureVector(np.zeros(2), "visual")
-        t = FeatureVector(np.zeros(2), "text")
-        with pytest.raises(ModalityMismatch):
-            concat_features(t, t)
-        with pytest.raises(ModalityMismatch):
-            concat_features(v, v)
-        with pytest.raises(ModalityMismatch):
-            FeatureVector(np.zeros(2), "audio")
-
-
 class TestForward:
     def test_deterministic_across_fresh_models(self):
         x = np.random.default_rng(0).normal(size=16)
@@ -101,16 +62,6 @@ class TestForward:
         batched = model.forward_batch(F)
         for i in range(5):
             assert np.allclose(model.forward(F[i]), batched[i], atol=1e-12)
-
-    def test_accepts_feature_vector(self):
-        model = FusionModel(SMALL)
-        rng = np.random.default_rng(3)
-        fused = concat_features(
-            FeatureVector(rng.normal(size=8), "visual"), FeatureVector(rng.normal(size=8), "text")
-        )
-        assert model.forward(fused).shape == (7,)
-        with pytest.raises(ModalityMismatch):
-            model.forward(FeatureVector(np.zeros(16), "visual"))
 
     def test_shape_mismatch(self):
         model = FusionModel(SMALL)
@@ -351,6 +302,56 @@ class TestArena:
             assert np.array_equal(p, before[name]) == (name not in trainable), name
         for a, (A, B) in zip(loaded.adapters(), adapters_before):
             assert not np.array_equal(a.A, A) and not np.array_equal(a.B, B)
+
+    @pytest.mark.parametrize(
+        "cfg", [SMALL, dataclasses.replace(SMALL, lora_targets=("v", "q"))], ids=["qkvo", "vq"]
+    )
+    def test_gradient_views_tile_the_gradient_arena(self, cfg):
+        model = FusionModel(cfg)
+        grad = model.grad
+        assert grad.shape == model.arena.shape and not np.shares_memory(grad, model.arena)
+        assert list(model._grads) == list(model.trainable_parameters())
+        start = grad.__array_interface__["data"][0]
+        offset = 0
+        for (name, g), p in zip(model._grads.items(), model.trainable_parameters().values()):
+            assert np.shares_memory(g, grad) and g.shape == p.shape, name
+            assert g.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += g.size
+        assert offset == grad.size
+
+    @pytest.mark.parametrize(
+        "cfg", [SMALL, dataclasses.replace(SMALL, lora_targets=("v", "q"))], ids=["qkvo", "vq"]
+    )
+    def test_backward_writes_every_gradient_element(self, cfg):
+        model = randomized_model(cfg)
+        rng = np.random.default_rng(14)
+        model.forward_batch(rng.normal(size=(5, 16)))
+        model.grad[:] = np.nan
+        grad, _ = model.backward_batch(rng.normal(size=(5, 7)))
+        assert grad is model.grad and np.isfinite(grad).all()
+
+    def test_second_backward_overwrites_the_first(self):
+        rng = np.random.default_rng(15)
+        F, up1, up2 = rng.normal(size=(4, 16)), rng.normal(size=(4, 7)), rng.normal(size=(4, 7))
+        model, fresh = randomized_model(), randomized_model()
+        model.forward_batch(F)
+        model.backward_batch(up1)
+        model.backward_batch(up2)
+        fresh.forward_batch(F)
+        fresh.backward_batch(up2)
+        assert model.grad.tobytes() == fresh.grad.tobytes()
+
+    def test_backward_head_returns_copies(self):
+        model = randomized_model()
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=16)
+        model.forward(x)
+        grads = model.backward_head(x, rng.normal(size=7))
+        before = {name: g.copy() for name, g in grads.items()}
+        model.backward_head(x, rng.normal(size=7))
+        for name, g in grads.items():
+            assert not np.shares_memory(g, model.grad), name
+            assert np.array_equal(g, before[name]), name
 
 
 class TestCheckpoint:
