@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -60,14 +59,17 @@ _ACCEPTED = {
 
 
 def _check_type(value, default, where: str) -> None:
-    """Reject a value whose JSON type differs from its default's, and a
-    NaN or infinite number; list elements are checked against the default's
-    first element."""
+    """Reject a value whose JSON type differs from its default's, and, where a
+    float is expected, a NaN or infinite number or an integer too large for a
+    float; list elements are checked against the default's first element."""
     accepted, expected = _ACCEPTED[type(default)]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
+    # exact int/float comparison: False for NaN and for ints beyond float range
+    if isinstance(default, float) and not abs(value) <= sys.float_info.max:
+        got = (json.dumps(value) if isinstance(value, float)
+               else f"an integer of {len(str(abs(value)))} digits")
+        raise ConfigError(f"{where} must be a finite number, got {got}")
     if isinstance(default, tuple):
         for i, item in enumerate(value):
             _check_type(item, default[0], f"{where}[{i}]")

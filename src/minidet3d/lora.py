@@ -105,8 +105,9 @@ def adapted_backward(w: np.ndarray, a: LoRAAdapter, x: np.ndarray, dy: np.ndarra
     if x.shape[-1] != a.d_in or dy.shape != x.shape[:-1] + (a.d_out,):
         raise ShapeMismatch(f"input {x.shape} and gradient {dy.shape} do not fit {w.shape}")
     xf, dyf = x.reshape(-1, a.d_in), dy.reshape(-1, a.d_out)
-    dx = dy @ w + a.alpha * ((dy @ a.B) @ a.A)
-    return dx, a.alpha * ((dyf @ a.B).T @ xf), a.alpha * (dyf.T @ (xf @ a.A.T))
+    dyB = dyf @ a.B
+    dx = (dyf @ w + a.alpha * (dyB @ a.A)).reshape(x.shape)
+    return dx, a.alpha * (dyB.T @ xf), a.alpha * (dyf.T @ (xf @ a.A.T))
 
 
 def merge_adapter(w: np.ndarray, a: LoRAAdapter) -> np.ndarray:

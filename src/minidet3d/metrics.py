@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError
@@ -226,8 +227,14 @@ def report_dict(
 _REPORT_NUMBERS = ("miou_categories", "miou_samples", "accuracy", "precision", "recall", "f1")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _check_number(value, where: str) -> None:
+    """ParseError unless `value` is a JSON number the renderings can format
+    as a float, which an integer beyond float range is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(where, "missing or not a number")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        digits = len(str(abs(value)))
+        raise ParseError(where, f"an integer of {digits} digits is too large for a float")
 
 
 def check_report(report) -> None:
@@ -244,13 +251,11 @@ def check_report(report) -> None:
             raise ParseError(where, "must be an object")
         if not isinstance(row.get("category"), str):
             raise ParseError(f"{where}.category", "missing or not a string")
-        if not _is_number(row.get("iou")):
-            raise ParseError(f"{where}.iou", "missing or not a number")
+        _check_number(row.get("iou"), f"{where}.iou")
         if not isinstance(row.get("count"), int) or isinstance(row["count"], bool):
             raise ParseError(f"{where}.count", "missing or not an integer")
     for key in _REPORT_NUMBERS:
-        if not _is_number(report.get(key)):
-            raise ParseError(f"report.{key}", "missing or not a number")
+        _check_number(report.get(key), f"report.{key}")
 
 
 def report_csv(report: dict) -> str:

@@ -6,7 +6,10 @@ trainable parameter. `backward_batch` writes each batch's gradients into
 `model.grad`, which has the arena's layout, so nothing is gathered: the
 gradient is checked for finiteness once and `AdamW.step` updates the arena
 in place in fixed-size chunks, so the named parameter views and the adapters
-see every step and are never rebound.
+see every step and are never rebound. The step is AdamW's folded form (one
+decay scaling, the bias corrections as scalars), which rounds differently
+from the textbook per-tensor update; `tools/quality_band.py` is the gate for
+such changes to the training arithmetic.
 
 Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
@@ -97,10 +100,14 @@ class AdamW:
     """Decoupled-weight-decay Adam with the standard defaults, over one flat
     parameter vector (the model's arena), updated in place.
 
-    `step` runs a fixed sequence of in-place elementwise passes over each
-    `ADAMW_CHUNK`-element chunk, with two preallocated scratch vectors. Each
-    element sees the operations of the textbook per-tensor update in the
-    same order, so the result is bit-identical to it.
+    `step` takes the folded form of the update (Loshchilov & Hutter,
+    arXiv:1711.05101, as most libraries write it): the decay scales `p` by
+    `1 - lr*wd` once, and the bias corrections are the scalars `lr/bc1` and
+    `1/sqrt(bc2)`, so each element costs one sqrt and one divide,
+    `p <- p*(1 - lr*wd) - (lr/bc1) * m / (sqrt(v)/sqrt(bc2) + eps)`. This
+    equals the textbook update `p -= lr*wd*p; p -= lr*(m/bc1)/(sqrt(v/bc2)
+    + eps)` up to rounding. The passes run over each `ADAMW_CHUNK`-element
+    chunk in place, with one preallocated scratch vector.
     """
 
     def __init__(self, params: np.ndarray, beta1: float = 0.9,
@@ -109,19 +116,18 @@ class AdamW:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._s = np.empty(min(ADAMW_CHUNK, params.size))
-        self._u = np.empty_like(self._s)
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float):
         self.t += 1
         b1, b2, eps = self.beta1, self.beta2, self.eps
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
-        decay = lr * self.weight_decay
+        keep = 1.0 - lr * self.weight_decay
+        step_size = lr / (1.0 - b1**self.t)
+        inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - b2**self.t)
         for lo in range(0, params.size, ADAMW_CHUNK):
             hi = lo + ADAMW_CHUNK
             p, g, m, v = params[lo:hi], grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            s, u = self._s[: p.size], self._u[: p.size]
+            s = self._s[: p.size]
             m *= b1
             np.multiply(g, 1.0 - b1, out=s)
             m += s
@@ -129,14 +135,12 @@ class AdamW:
             np.multiply(g, 1.0 - b2, out=s)
             s *= g
             v += s
-            np.multiply(p, decay, out=s)
-            p -= s
-            np.divide(m, bc1, out=s)
-            s *= lr
-            np.divide(v, bc2, out=u)
-            np.sqrt(u, out=u)
-            u += eps
-            s /= u
+            p *= keep
+            np.sqrt(v, out=s)
+            s *= inv_sqrt_bc2
+            s += eps
+            np.divide(m, s, out=s)
+            s *= step_size
             p -= s
 
 

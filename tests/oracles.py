@@ -87,12 +87,17 @@ def decode_visual(visual: np.ndarray) -> np.ndarray:
 
 
 class DictAdamW:
-    """The per-tensor AdamW over a dict of arrays, the reference for the flat
-    chunked `train.AdamW`: both must give bit-identical parameters."""
+    """The per-tensor AdamW over a dict of arrays, in the folded form and the
+    operation order of the flat chunked `train.AdamW`: both must give
+    bit-identical parameters. `textbook=True` gives the unfolded update
+    (decay as `p -= lr*wd*p`, bias corrections divided into m and v), which
+    the folded form must match up to rounding."""
 
     def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01,
+                 textbook: bool = False):
         self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+        self.textbook = textbook
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -109,8 +114,12 @@ class DictAdamW:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p -= lr * self.weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.textbook:
+                p -= lr * self.weight_decay * p
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            else:
+                p *= 1.0 - lr * self.weight_decay
+                p -= m / (np.sqrt(v) * (1.0 / math.sqrt(bc2)) + self.eps) * (lr / bc1)
 
 
 # ---- the IoU value path before its fast path ---------------------------------

@@ -288,6 +288,12 @@ class TestTrainCommand:
          "config.model.lora_alpha must be a finite number, got -Infinity"),
         ({"schedule": {"stage2_weights": [0.2, float("nan")]}},
          "config.schedule.stage2_weights[1] must be a finite number, got NaN"),
+        ({"schedule": {"stage1_lr": 10**400}},
+         "config.schedule.stage1_lr must be a finite number, got an integer of 401 digits"),
+        ({"schedule": {"stage2_weights": [0.2, -(10**400)]}},
+         "config.schedule.stage2_weights[1] must be a finite number, got an integer of 401 digits"),
+        ({"model": {"lora_alpha": 10**309}},
+         "config.model.lora_alpha must be a finite number, got an integer of 310 digits"),
         ({"val_fraction": 1.5}, "config.val_fraction must be in [0, 1), got 1.5"),
         ({"val_fraction": 1}, "config.val_fraction must be in [0, 1), got 1"),
         ({"val_fraction": -0.1}, "config.val_fraction must be in [0, 1), got -0.1"),
@@ -526,6 +532,10 @@ class TestReportCommand:
         ({"categories": [{"category": "car", "iou": 1.0, "count": 1.5}]},
          "report.categories[0].count"),
         ({"miou_categories": "1.0"}, "report.miou_categories"),
+        ({"miou_categories": 10**400}, "report.miou_categories"),
+        ({"f1": -(10**400)}, "report.f1"),
+        ({"categories": [{"category": "car", "iou": 10**400, "count": 1}]},
+         "report.categories[0].iou"),
         ({"recall": None}, "report.recall"),
     ])
     @pytest.mark.parametrize("csv", [False, True])

@@ -31,6 +31,11 @@ def randomized_model(cfg=SMALL, seed=7, scale=0.05):
     return m
 
 
+def max_relative_gap(a, b):
+    """Largest |a - b| relative to the largest |b|."""
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 def input_jacobian(model, x):
     """Exact (7, d_v + d_t) Jacobian of the raw output at `x`, row by row."""
     model.forward(x)
@@ -63,6 +68,15 @@ class TestForward:
         for i in range(5):
             assert np.allclose(model.forward(F[i]), batched[i], atol=1e-12)
 
+    def test_batch_matches_single_at_real_sizes(self):
+        # the default widths at B=256 put 512 token rows through each GEMM,
+        # past OpenBLAS's small-matrix path, while a single sample has 2
+        model = randomized_model(ModelConfig())
+        F = np.random.default_rng(3).normal(size=(256, 64))
+        batched = model.forward_batch(F)
+        single = np.stack([model.forward(f) for f in F])
+        assert max_relative_gap(batched, single) <= 1e-12
+
     def test_shape_mismatch(self):
         model = FusionModel(SMALL)
         with pytest.raises(ShapeMismatch):
@@ -85,6 +99,22 @@ class TestForward:
 
 
 class TestBackward:
+    def test_batch_gradient_is_sum_of_single_gradients_at_real_sizes(self):
+        model = randomized_model(ModelConfig())
+        rng = np.random.default_rng(4)
+        F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
+        model.forward_batch(F)
+        grad, input_grad = model.backward_batch(up)
+        grad = grad.copy()
+        total, single_input_grads = np.zeros_like(grad), []
+        for b in range(32):
+            model.forward_batch(F[b : b + 1])
+            g, ig = model.backward_batch(up[b : b + 1])
+            total += g
+            single_input_grads.append(ig[0])
+        assert max_relative_gap(grad, total) <= 1e-12
+        assert max_relative_gap(input_grad, np.stack(single_input_grads)) <= 1e-12
+
     def test_zero_upstream_gives_zero_grads(self):
         model = randomized_model()
         x = np.random.default_rng(4).normal(size=16)
