@@ -23,7 +23,7 @@ from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
 from .metrics import DEFAULT_IOU_THRESHOLD, check_report, report_csv, report_json
-from .model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
+from .model import FusionModel, ModelConfig, load_checkpoint, param_bytes, save_checkpoint
 from .train import (
     LOG_HEADER,
     build_training_samples,
@@ -209,6 +209,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"config.val_fraction must be in [0, 1), got {config['val_fraction']}")
 
     model_config = ModelConfig(**config["model"])
+    need = param_bytes(model_config)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"config.model: the parameters need {need / 2**30:.1f} GiB, "
+                          f"more than this machine's {have / 2**30:.1f} GiB of memory")
     samples = _load_dataset(config["data"], model_config, "config.model.")
     if config["val_data"]:
         train_samples = samples

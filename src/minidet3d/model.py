@@ -16,8 +16,9 @@ The attention projections run `lora.apply_adapted` and
 and B arrays are those same views. `params` entries are therefore updated
 in place (the optimizer, `load_checkpoint`) and never rebound. One function,
 `_param_shapes`, gives every shape; the constructor lays out the arena from
-it and `load_checkpoint` checks a file's size with it before building a
-model. The transformer base weights are frozen at their seeded
+it, and `param_bytes` counts from it the bytes that `load_checkpoint` checks
+a file's size against and `train` the machine's memory, before either builds
+a model. The transformer base weights are frozen at their seeded
 initialization, as is the semantic projection head (a linear map from box
 parameters to a 128-dim feature space). Freezing the semantic head keeps the
 feature-space MSE a fixed positive-definite quadratic in the box-parameter
@@ -31,7 +32,16 @@ batched per sample. A GEMM rounds with the row count, so a batch's outputs
 equal single-sample forwards to about 1e-13 relative, not bit for bit.
 
 Forward passes cache activations; `backward_batch` / `backward_head` replay
-them in reverse for exact gradients. `backward_batch` writes every trainable
+them in reverse for exact gradients. Every array the cache keeps is written
+(numpy `out=`) into the model's activation workspace, one buffer per cached
+array, allocated at the first forward's batch size. The workspace only
+grows: a larger batch allocates it again at the new size, and a smaller one
+uses the leading rows of each buffer, which are contiguous views. A repeat
+forward therefore allocates only its temporaries, not the cache (about 9 MB
+at B=256, which the allocator would otherwise hand back to the OS and fault
+in again at the next large forward), and computes the same bits. The raw
+output it returns is always a fresh array; the cache is valid until the
+next forward, which overwrites it. `backward_batch` writes every trainable
 gradient into `grad`, a second flat vector with the arena's layout (the same
 cuts of the same shape table), through named views of it, so the optimizer
 steps on it as it stands: there is no per-batch dict and no gather. All math
@@ -158,6 +168,12 @@ def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
     return trainable, frozen
 
 
+def param_bytes(config: ModelConfig) -> int:
+    """Bytes of every parameter as float64, computed from the shape table
+    without building a model: a checkpoint's weight size."""
+    return 8 * sum(math.prod(s) for group in _param_shapes(config) for s in group.values())
+
+
 class FusionModel:
     """Two-token fusion transformer with adapter-only fine-tuning."""
 
@@ -209,6 +225,7 @@ class FusionModel:
         draw("semantic.W", 1.0 / math.sqrt(SEMANTIC_DIM))
 
         self._cache = None
+        self._ws, self._ws_batch = {}, 0
         logging.getLogger(__name__).info(
             "built fusion model: %d params total, trainable fraction %.6f",
             self.total_param_count(),
@@ -239,10 +256,12 @@ class FusionModel:
 
     # ---- linear maps with optional adapters ------------------------------
 
-    def _lin(self, X: np.ndarray, layer: int, t: str) -> np.ndarray:
+    def _lin(self, X: np.ndarray, layer: int, t: str, out: np.ndarray) -> np.ndarray:
         base = self.params[f"layers.{layer}.attn.{t}.base"]
         adapter = self._adapters.get((layer, t))
-        return X @ base.T if adapter is None else apply_adapted(base, adapter, X)
+        if adapter is None:
+            return np.matmul(X, base.T, out=out)
+        return apply_adapted(base, adapter, X, out=out)
 
     def _lin_backward(self, X: np.ndarray, dY: np.ndarray, layer: int, t: str):
         """Input gradient of `_lin`; adapter gradients go into their `grad` views."""
@@ -257,8 +276,32 @@ class FusionModel:
 
     # ---- forward ---------------------------------------------------------
 
+    def _workspace(self, B: int) -> dict:
+        """Views of the leading B samples' rows of every buffer the forward
+        cache keeps: token-row buffers as (2B, width), `S` as (B, H, 2, 2),
+        the rest as (B, width). The buffers are allocated at the first
+        batch's size and again only when a larger batch arrives."""
+        if B > self._ws_batch:
+            cfg, T, d = self.config, 2, self.config.d_model
+            rows = {"F": (1, cfg.d_v + cfg.d_t), "pooled": (1, d)}
+            for j, width in enumerate(MLP_HIDDEN, start=1):
+                rows[f"a{j}"] = rows[f"z{j}"] = (1, width)
+            for i in range(cfg.n_layers + 1):
+                rows[i, "X"] = (T, d)  # layer i's input; the last one is the final output
+            for i in range(cfg.n_layers):
+                for name in ("Q", "K", "V", "O", "X1"):
+                    rows[i, name] = (T, d)
+                rows[i, "S"] = (1, cfg.n_heads, T, T)
+                rows[i, "Hpre"] = rows[i, "Hact"] = (T, 2 * d)
+            self._ws = {key: (n, np.empty((B * n, *rest))) for key, (n, *rest) in rows.items()}
+            self._ws_batch = B
+        return {key: buf[: B * n] for key, (n, buf) in self._ws.items()}
+
     def forward_batch(self, F: np.ndarray) -> np.ndarray:
-        """Run a (B, d_v + d_t) batch of fused features to raw (B, 7) outputs."""
+        """Run a (B, d_v + d_t) batch of fused features to raw (B, 7) outputs.
+
+        The returned array is fresh; the cached activations live in the
+        workspace and are overwritten by the next forward."""
         cfg = self.config
         F = np.asarray(F, dtype=np.float64)
         if F.ndim != 2 or F.shape[1] != cfg.d_v + cfg.d_t:
@@ -266,46 +309,55 @@ class FusionModel:
                 f"expected (B, {cfg.d_v + cfg.d_t}) fused features, got {F.shape}"
             )
         p = self.params
-        cache: dict = {"F": F.copy(), "layers": []}
-        xv = F[:, : cfg.d_v] @ p["proj_v.W"].T + p["proj_v.b"]
-        xt = F[:, cfg.d_v :] @ p["proj_t.W"].T + p["proj_t.b"]
         B, T, d = F.shape[0], 2, cfg.d_model
+        self._cache = None  # its buffers are about to be overwritten
+        ws = self._workspace(B)
+        np.copyto(ws["F"], F)
+        cache: dict = {"F": ws["F"], "layers": []}
         # token rows, sample-major: row 2b is sample b's visual token, 2b+1 its text token
-        X = np.stack([xv, xt], axis=1).reshape(B * T, d)
+        X = ws[0, "X"]
+        tokens = X.reshape(B, T, d)
+        xv, xt = tokens[:, 0], tokens[:, 1]
+        np.matmul(F[:, : cfg.d_v], p["proj_v.W"].T, out=xv)
+        xv += p["proj_v.b"]
+        np.matmul(F[:, cfg.d_v :], p["proj_t.W"].T, out=xt)
+        xt += p["proj_t.b"]
 
         H, dh = cfg.n_heads, self.d_head
         scale = 1.0 / math.sqrt(dh)
         for i in range(cfg.n_layers):
-            lc = {"X_in": X}
-            Q = self._lin(X, i, "q")
-            K = self._lin(X, i, "k")
-            V = self._lin(X, i, "v")
+            X_in, X = X, ws[i + 1, "X"]
+            Q = self._lin(X_in, i, "q", ws[i, "Q"])
+            K = self._lin(X_in, i, "k", ws[i, "K"])
+            V = self._lin(X_in, i, "v", ws[i, "V"])
             Qh = Q.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
             Kh = K.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
             Vh = V.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
             scores = (Qh @ Kh.swapaxes(-1, -2)) * scale
             scores -= scores.max(axis=-1, keepdims=True)
             e = np.exp(scores)
-            S = e / e.sum(axis=-1, keepdims=True)
-            Oh = S @ Vh
-            O = Oh.transpose(0, 2, 1, 3).reshape(B * T, d)
-            attn_out = self._lin(O, i, "o")
-            X1 = X + attn_out
-            Hpre = X1 @ p[f"layers.{i}.ffn.W1"].T + p[f"layers.{i}.ffn.b1"]
-            Hact = np.maximum(Hpre, 0.0)
-            X = X1 + Hact @ p[f"layers.{i}.ffn.W2"].T + p[f"layers.{i}.ffn.b2"]
-            lc.update(Qh=Qh, Kh=Kh, Vh=Vh, S=S, O=O, X1=X1, Hpre=Hpre, Hact=Hact)
-            cache["layers"].append(lc)
+            S = np.divide(e, e.sum(axis=-1, keepdims=True), out=ws[i, "S"])
+            O = ws[i, "O"]
+            np.matmul(S, Vh, out=O.reshape(B, T, H, dh).transpose(0, 2, 1, 3))
+            X1 = self._lin(O, i, "o", ws[i, "X1"])
+            X1 += X_in  # X_in + attention output: the sum commutes bit for bit
+            Hpre = np.matmul(X1, p[f"layers.{i}.ffn.W1"].T, out=ws[i, "Hpre"])
+            Hpre += p[f"layers.{i}.ffn.b1"]
+            Hact = np.maximum(Hpre, 0.0, out=ws[i, "Hact"])
+            np.matmul(Hact, p[f"layers.{i}.ffn.W2"].T, out=X)
+            X += X1
+            X += p[f"layers.{i}.ffn.b2"]
+            cache["layers"].append(
+                dict(X_in=X_in, Qh=Qh, Kh=Kh, Vh=Vh, S=S, O=O, X1=X1, Hpre=Hpre, Hact=Hact)
+            )
 
-        pooled = X.reshape(B, T, d).mean(axis=1)
-        a1 = pooled @ p["head.0.W"].T + p["head.0.b"]
-        z1 = np.maximum(a1, 0.0)
-        a2 = z1 @ p["head.1.W"].T + p["head.1.b"]
-        z2 = np.maximum(a2, 0.0)
-        a3 = z2 @ p["head.2.W"].T + p["head.2.b"]
-        z3 = np.maximum(a3, 0.0)
-        raw = z3 @ p["head.out.W"].T + p["head.out.b"]
-        cache.update(pooled=pooled, a1=a1, z1=z1, a2=a2, z2=z2, a3=a3, z3=z3)
+        z = np.mean(X.reshape(B, T, d), axis=1, out=ws["pooled"])
+        for j, name in enumerate(("0", "1", "2"), start=1):
+            a = np.matmul(z, p[f"head.{name}.W"].T, out=ws[f"a{j}"])
+            a += p[f"head.{name}.b"]
+            z = np.maximum(a, 0.0, out=ws[f"z{j}"])
+        raw = z @ p["head.out.W"].T + p["head.out.b"]
+        cache.update((key, ws[key]) for key in ("pooled", "a1", "z1", "a2", "z2", "a3", "z3"))
         self._cache = cache
         return raw
 
@@ -491,7 +543,7 @@ def load_checkpoint(path: str | Path) -> FusionModel:
         raise bad("header", f"invalid JSON: {e}") from None
     config = _header_config(cfg, bad)
     weights = blob[9 + hlen :]
-    needed = 8 * sum(math.prod(s) for group in _param_shapes(config) for s in group.values())
+    needed = param_bytes(config)
     if len(weights) != needed:
         raise bad("weights", f"{len(weights)} bytes, but the header's shapes need {needed}")
     model = FusionModel(config)

@@ -307,6 +307,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    def test_model_larger_than_memory_rejected_before_it_is_built(self, tmp_path, capsys):
+        # d_model 2**20 makes each frozen attention and FFN weight at least
+        # 2**40 values, 2**47 bytes (128 TiB) in all: the count is computed
+        # from the shape table, and nothing of that size is allocated
+        data = make_dataset(tmp_path, "data", 4, 11)
+        cfg = train_config(tmp_path, data, model={"seed": 0, "d_model": 2**20})
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.model: the parameters need 131") and "GiB" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_features_file_rejected(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 4, 16)
         doc = json.loads((data / "features.json").read_text())

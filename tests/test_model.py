@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,58 @@ class TestForward:
             xp[i] += 1e-6
             delta = np.linalg.norm(model.forward(xp) - base)
             assert delta <= L * 1e-6 + 1e-10
+
+
+class TestWorkspace:
+    def test_repeat_forwards_allocate_no_activations(self):
+        # a B=256 forward's cached activations take about 9 MB; a repeat
+        # forward writes them into the workspace and keeps only its output
+        model = FusionModel(ModelConfig())
+        rng = np.random.default_rng(17)
+        batches = {B: rng.normal(size=(B, 64)) for B in (256, 32)}
+        model.forward_batch(batches[256])
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for B, F in batches.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                raw = model.forward_batch(F)
+                kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+                assert raw.shape == (B, 7)
+                assert kept < 0.1e6 and peak < 1e6, (B, kept, peak)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_output_survives_later_forwards(self):
+        model = randomized_model(ModelConfig())
+        rng = np.random.default_rng(18)
+        raw = model.forward_batch(rng.normal(size=(32, 64)))
+        before = raw.copy()
+        for B in (32, 256):
+            model.forward_batch(rng.normal(size=(B, 64)))
+        assert raw.tobytes() == before.tobytes()
+
+    def test_gradients_see_only_the_last_forward(self):
+        # X at B=32, V at B=256 (the workspace grows), X at B=32 again
+        rng = np.random.default_rng(19)
+        X, V, up = rng.normal(size=(32, 64)), rng.normal(size=(256, 64)), rng.normal(size=(32, 7))
+        model, fresh = randomized_model(ModelConfig()), randomized_model(ModelConfig())
+        for F in (X, V, X):
+            model.forward_batch(F)
+        fresh.forward_batch(X)
+        grad, input_grad = model.backward_batch(up)
+        fresh_grad, fresh_input_grad = fresh.backward_batch(up)
+        assert grad.tobytes() == fresh_grad.tobytes()
+        assert input_grad.tobytes() == fresh_input_grad.tobytes()
+
+    def test_small_batch_after_a_large_one_equals_a_fresh_model(self):
+        rng = np.random.default_rng(20)
+        model, fresh = randomized_model(ModelConfig()), randomized_model(ModelConfig())
+        model.forward_batch(rng.normal(size=(256, 64)))
+        F = rng.normal(size=(7, 64))
+        assert model.forward_batch(F).tobytes() == fresh.forward_batch(F).tobytes()
 
 
 class TestBackward:
