@@ -92,6 +92,14 @@ def _merge_config(defaults: dict, given: dict, where: str) -> dict:
     return merged
 
 
+def _build(cls, config: dict, key: str):
+    """cls(**config[key]); its ValueError, which names the field first, as a ConfigError."""
+    try:
+        return cls(**config[key])
+    except ValueError as e:
+        raise ConfigError(f"config.{key}.{e}") from None
+
+
 def _write_resolved_config(config: dict, path: Path) -> None:
     path.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
 
@@ -171,12 +179,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     mix = {}
     for part in args.mix.split(","):
         name, _, weight = part.partition("=")
-        if not weight:
-            raise ConfigError(f"bad mix entry {part!r}, expected name=weight")
-        mix[name.strip()] = float(weight)
+        try:
+            mix[name.strip()] = float(weight)
+        except ValueError:
+            raise ConfigError(f"--mix: bad entry {part!r}, expected name=number") from None
     config = data_mod.SynthConfig(d_v=args.d_v, d_t=args.d_t, noise_std=args.noise)
     records, features = data_mod.synth_scenes(args.count, mix, args.seed, config)
 
@@ -207,8 +218,12 @@ def cmd_train(args) -> int:
         raise ConfigError("config.data must point to a dataset directory")
     if not 0.0 <= config["val_fraction"] < 1.0:
         raise ConfigError(f"config.val_fraction must be in [0, 1), got {config['val_fraction']}")
+    for key, least in (("seed", 0), ("batch_size", 1)):
+        if config[key] < least:
+            raise ConfigError(f"config.{key} must be >= {least}, got {config[key]}")
 
-    model_config = ModelConfig(**config["model"])
+    model_config = _build(ModelConfig, config, "model")
+    schedule = _build(LossSchedule, config, "schedule")
     need = param_bytes(model_config)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -222,7 +237,6 @@ def cmd_train(args) -> int:
         train_samples, val_samples = split_by_hash(samples, config["val_fraction"])
 
     model = FusionModel(model_config)
-    schedule = LossSchedule(**config["schedule"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,10 @@
 
 Boxes carry yaw only, so a 3D intersection decomposes into the intersection
 of the two bird's-eye-view footprints (convex quadrilaterals) times the
-overlap of the two vertical extents. IoU values come from one path,
-`iou_3d`: Sutherland-Hodgman clipping, then the shoelace area. Two exits
-skip the clip and return exactly what it would: boxes apart vertically, and
+overlap of the two vertical extents. IoU values come from one kernel on
+plain rows (x, y, z, l, w, h, yaw), which `iou_3d` wraps for two Box7s:
+Sutherland-Hodgman clipping, then the shoelace area. Two exits skip the
+clip and return exactly what it would: boxes apart vertically, and
 footprints whose circumscribed circles are apart by a relative margin. A
 subject edge whose ends both lie on a clip edge's line within rounding, as
 the edges of boxes placed end to end or side by side do, has its end taken
@@ -120,14 +121,20 @@ def polygon_area(poly: ConvexPolygon2D) -> float:
 _FOOTPRINT_SIGNS = ((1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def bev_footprint(box: Box7) -> ConvexPolygon2D:
-    """Bird's-eye-view footprint of a box: 4 CCW (x, y) vertices."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    hl, hw = box.l / 2.0, box.w / 2.0
-    return [
-        (box.x + c * dx - s * dy, box.y + s * dx + c * dy)
-        for dx, dy in ((hl, -hw), (hl, hw), (-hl, hw), (-hl, -hw))
-    ]
+def _row(box) -> tuple:
+    """A box as its row (x, y, z, l, w, h, yaw): a Box7's fields, or the row itself."""
+    return box if type(box) is tuple else (box.x, box.y, box.z, box.l, box.w, box.h, box.yaw)
+
+
+def bev_footprint(box) -> ConvexPolygon2D:
+    """Bird's-eye-view footprint of a box (a Box7 or its row): 4 CCW (x, y) vertices."""
+    x, y, _, l, w, _, yaw = _row(box)
+    c, s = math.cos(yaw), math.sin(yaw)
+    hl, hw = l / 2.0, w / 2.0
+    # Corner (sx hl, sy hw) is (x + c sx hl - s sy hw, ...); sign flips are exact.
+    chl, shl, chw, shw = c * hl, s * hl, c * hw, s * hw
+    xf, xb, yf, yb = x + chl, x - chl, y + shl, y - shl
+    return [(xf + shw, yf - chw), (xf - shw, yf + chw), (xb - shw, yb + chw), (xb + shw, yb - chw)]
 
 
 @dataclass(frozen=True)
@@ -137,47 +144,53 @@ class IoUResult:
     union_volume: float
 
 
+def _iou_rows(p: tuple, g: tuple, fp=None, fg=None) -> tuple[float, float, float]:
+    """iou_3d's (IoU, intersection, union) of two rows with yaw in (-pi, pi] and, optionally,
+    their footprints: training, validation, eval and matching build no object per pair."""
+    if p == g:
+        vol = p[3] * p[4] * p[5]
+        return 1.0, vol, vol
+    # Clip order is fixed by a canonical operand ordering so that
+    # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
+    if g < p:
+        p, g, fp, fg = g, p, fg, fp
+    px, py, pz, pl, pw, ph, _ = p
+    gx, gy, gz, gl, gw, gh, _ = g
+
+    z_overlap = min(pz + ph / 2.0, gz + gh / 2.0) - max(pz - ph / 2.0, gz - gh / 2.0)
+    vol_p, vol_g = pl * pw * ph, gl * gw * gh
+    if z_overlap <= 0.0 or (
+        math.hypot(gx - px, gy - py)
+        > _SEPARATION_MARGIN * 0.5 * (math.hypot(pl, pw) + math.hypot(gl, gw))
+    ):
+        # Apart vertically, or footprints too far apart to touch: exactly
+        # what the clip path returns for an empty intersection.
+        return 0.0, 0.0, vol_p + vol_g
+
+    inter_area = polygon_area(polygon_clip(fp or bev_footprint(p), fg or bev_footprint(g)))
+    # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
+    inter = min(inter_area * z_overlap, vol_p, vol_g)
+    union = vol_p + vol_g - inter
+    return inter / union, inter, union
+
+
 def iou_3d(p: Box7, g: Box7) -> IoUResult:
     """Exact IoU of two yaw-only boxes: intersection volume over union volume.
 
     Intersection volume = footprint-intersection area x vertical overlap.
-    Boxes apart vertically, or whose footprints' circumscribed circles are
-    apart by more than _SEPARATION_MARGIN, return IoU 0 without clipping.
     The computation is symmetric in its arguments by construction (operands
     are put in a canonical order before clipping).
     """
-    if p == g:
-        vol = p.volume
-        return IoUResult(1.0, vol, vol)
-    # Clip order is fixed by a canonical operand ordering so that
-    # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
-    if (g.x, g.y, g.z, g.l, g.w, g.h, g.yaw) < (p.x, p.y, p.z, p.l, p.w, p.h, p.yaw):
-        p, g = g, p
-
-    z_overlap = min(p.z + p.h / 2.0, g.z + g.h / 2.0) - max(p.z - p.h / 2.0, g.z - g.h / 2.0)
-    vol_p, vol_g = p.volume, g.volume
-    if z_overlap <= 0.0 or (
-        math.hypot(g.x - p.x, g.y - p.y)
-        > _SEPARATION_MARGIN * 0.5 * (math.hypot(p.l, p.w) + math.hypot(g.l, g.w))
-    ):
-        # Apart vertically, or footprints too far apart to touch: exactly
-        # what the clip path returns for an empty intersection.
-        return IoUResult(0.0, 0.0, vol_p + vol_g)
-
-    inter_area = polygon_area(polygon_clip(bev_footprint(p), bev_footprint(g)))
-    # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
-    inter = min(inter_area * z_overlap, vol_p, vol_g)
-    union = vol_p + vol_g - inter
-    return IoUResult(inter / union, inter, union)
+    return IoUResult(*_iou_rows(_row(p), _row(g)))
 
 
-def iou_loss(p: Box7, g: Box7) -> float:
-    """1 - IoU, in [0, 1]."""
-    return 1.0 - iou_3d(p, g).iou
+def iou_loss(p, g) -> float:
+    """1 - IoU, in [0, 1], of two boxes, each a Box7 or its row."""
+    return 1.0 - _iou_rows(_row(p), _row(g))[0]
 
 
 def batch_iou_loss(pairs) -> float:
-    """Mean of per-pair IoU losses over a non-empty batch."""
+    """Mean of per-pair IoU losses over a non-empty batch of (Box7 or row) pairs."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyBatch("batch_iou_loss requires at least one pair")

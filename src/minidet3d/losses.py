@@ -55,14 +55,15 @@ class LossSchedule:
         for name in ("stage1_weights", "stage2_weights"):
             pair = tuple(getattr(self, name))
             if len(pair) != 2 or pair[0] < 0 or pair[1] < 0:
-                raise ValueError(f"stage weights must be two non-negative values, got {pair}")
+                raise ValueError(f"{name} must be two non-negative values, got {pair}")
             object.__setattr__(self, name, pair)
         if not 1 <= self.transition_epoch < self.total_epochs:
             raise ValueError(
                 f"transition_epoch {self.transition_epoch} must lie in [1, total_epochs)"
             )
-        if self.stage1_lr <= 0 or self.stage2_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("stage1_lr", "stage2_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def schedule_weights(s: LossSchedule, epoch: int) -> tuple[float, float, float]:

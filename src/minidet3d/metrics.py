@@ -3,8 +3,9 @@
 Matching is greedy one-to-one in descending IoU order among same-category
 pairs whose IoU clears the threshold; matched pairs are true positives,
 leftover predictions false positives, leftover ground truths false
-negatives. Detection has no countable true negatives, so TN is fixed at 0
-and accuracy degenerates to TP / (TP + FP + FN).
+negatives; each box's footprint is computed once per call, not per pair.
+Detection has no countable true negatives, so TN is fixed at 0 and accuracy
+degenerates to TP / (TP + FP + FN).
 
 Mean IoU comes in two conventions, both provided: the mean over samples and
 the unweighted mean over per-category means.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError
 from .geom import Box7
-from .iou import iou_3d
+from .iou import _iou_rows, _row, bev_footprint, iou_3d
 
 DEFAULT_IOU_THRESHOLD = 0.25
 
@@ -59,12 +60,13 @@ def match_predictions(
     permutation-invariant in the counts.
     """
     check_iou_threshold(iou_threshold)
+    ps, gs = ([(_row(b), bev_footprint(b), c) for b, c in boxes] for boxes in (preds, gts))
     candidates = []
-    for i, (pbox, pcat) in enumerate(preds):
-        for j, (gbox, gcat) in enumerate(gts):
+    for i, (prow, pfoot, pcat) in enumerate(ps):
+        for j, (grow, gfoot, gcat) in enumerate(gs):
             if pcat != gcat:
                 continue
-            iou = iou_3d(pbox, gbox).iou
+            iou = _iou_rows(prow, grow, pfoot, gfoot)[0]
             if iou >= iou_threshold:
                 candidates.append((iou, i, j))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))

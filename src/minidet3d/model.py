@@ -93,6 +93,8 @@ class ModelConfig:
         for name in ("d_v", "d_t", "d_model", "n_layers", "n_heads", "lora_rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.lora_rank > self.d_model:

@@ -13,7 +13,8 @@ such changes to the training arithmetic.
 
 Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
-head; the IoU-loss gradient per sample is the exact `iou_loss_grad`.
+head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, the one
+place that builds a Box7 per sample: IoU values are taken on plain rows.
 Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
 contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how
@@ -33,8 +34,8 @@ import numpy as np
 
 from .data import FeaturePair, SceneRecord, to_lidar_frame
 from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
-from .geom import Box7
-from .iou import batch_iou_loss, iou_3d, iou_loss_grad
+from .geom import Box7, wrap_angle
+from .iou import _iou_rows, _row, batch_iou_loss, iou_loss_grad
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .metrics import (
     ConfusionCounts,
@@ -44,7 +45,8 @@ from .metrics import (
     miou_samples,
     report_dict,
 )
-# perfbench's tracer wraps train.match_predictions, so the name stays importable here.
+# perfbench's tracer wraps train.iou_3d and train.match_predictions: keep them importable.
+from .iou import iou_3d  # noqa: F401
 from .metrics import match_predictions  # noqa: F401
 from .model import FusionModel, box_params_from_raw, box_params_grad_chain
 
@@ -179,18 +181,24 @@ def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:
     return params
 
 
-def predict_boxes(model: FusionModel, samples: list[TrainSample]) -> list[Box7]:
-    """The model's boxes for a sample list, from one batched forward pass."""
-    raws = model.forward_batch(np.stack([s.fused for s in samples]))
-    return [Box7(*row) for row in _checked_box_params(raws).tolist()]
+def _rows(params: np.ndarray) -> list[tuple]:
+    """Box rows of (B, 7) parameters, yaw wrapped as Box7.from_params(params[b]) wraps it."""
+    return [(x, y, z, l, w, h, wrap_angle(yaw)) for x, y, z, l, w, h, yaw in params.tolist()]
+
+
+def _sample_ious(model: FusionModel, samples: list[TrainSample], predictions=None) -> list[float]:
+    """IoU of each sample's prediction (by default the model's) with its ground truth."""
+    if predictions is None:
+        raws = model.forward_batch(np.stack([s.fused for s in samples]))
+        predictions = _rows(_checked_box_params(raws))
+    return [_iou_rows(_row(pred), _row(s.gt_box))[0] for pred, s in zip(predictions, samples)]
 
 
 def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
     """Mean IoU between predicted and ground-truth boxes over a sample list."""
     if not samples:
         raise EmptyBatch("validation requires at least one sample")
-    boxes = predict_boxes(model, samples)
-    return sum(iou_3d(box, s.gt_box).iou for box, s in zip(boxes, samples)) / len(samples)
+    return sum(_sample_ious(model, samples)) / len(samples)
 
 
 def _diverged(epoch: int, batch: int, what: str):
@@ -218,6 +226,7 @@ def run_training(
     opt = AdamW(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
+    gt_rows = [_row(s.gt_box) for s in train_samples]
     fused_all = np.stack([s.fused for s in train_samples])
 
     history: list[EpochStats] = []
@@ -241,14 +250,13 @@ def run_training(
             if not math.isfinite(mse_batch):
                 _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
-            pairs = [(Box7.from_params(params_pred[b]), train_samples[i].gt_box)
-                     for b, i in enumerate(idx)]
-            iou_batch = batch_iou_loss(pairs)
+            iou_batch = batch_iou_loss(zip(_rows(params_pred), [gt_rows[i] for i in idx]))
             iou_grads = np.zeros((B, 7))
             if lam2 > 0.0:
-                for b, (pred_box, gt_box) in enumerate(pairs):
+                for b, i in enumerate(idx):
+                    pred_box = Box7.from_params(params_pred[b])
                     try:
-                        iou_grads[b] = iou_loss_grad(pred_box, gt_box)
+                        iou_grads[b] = iou_loss_grad(pred_box, train_samples[i].gt_box)
                     except (DegenerateOverlap, NonSmoothPoint):
                         skipped += 1
 
@@ -292,21 +300,19 @@ def evaluate_model(
     Each sample pairs one prediction with one ground truth of the same
     category, so its match is a true positive iff its IoU reaches the
     threshold (ties count as hits, as in `match_predictions`), and a false
-    positive plus a false negative otherwise: one `iou_3d` per sample.
+    positive plus a false negative otherwise: one IoU per sample.
     `predictions` overrides the model's own outputs (used for oracle runs
     that evaluate ground truth against itself).
     """
     if not samples:
         raise EmptyBatch("evaluate_model requires at least one sample")
     check_iou_threshold(iou_threshold)
-    if predictions is None:
-        if model is None:
-            raise ConfigError("evaluate_model needs a model or explicit predictions")
-        predictions = predict_boxes(model, samples)
-    elif len(predictions) != len(samples):
+    if predictions is None and model is None:
+        raise ConfigError("evaluate_model needs a model or explicit predictions")
+    if predictions is not None and len(predictions) != len(samples):
         raise ConfigError("predictions list does not match samples")
 
-    per_sample_iou = [iou_3d(pred, s.gt_box).iou for pred, s in zip(predictions, samples)]
+    per_sample_iou = _sample_ious(model, samples, predictions)
     tp = sum(iou >= iou_threshold for iou in per_sample_iou)
     table = miou_categories(aggregate_by_category(
         (s.category, iou) for s, iou in zip(samples, per_sample_iou)))

@@ -28,6 +28,7 @@ from minidet3d.geom import (
     transform_box,
 )
 from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, polygon_area
+from minidet3d.metrics import ConfusionCounts
 
 FD_STEP = 1e-4  # meters for x,y,z,l,w,h; radians for yaw
 
@@ -304,3 +305,43 @@ def reference_process_record(rec: SceneRecord) -> ProcessedSample:
                 retained = True
         processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
     return ProcessedSample(rec.sample_id, tuple(processed))
+
+
+# ---- the IoU value path before it took plain rows ------------------------------
+# `reference_bev_footprint` and `reference_match_predictions` are
+# `bev_footprint` and `match_predictions` as they stood while every IoU value
+# went through `iou_3d` on two Box7s: one footprint corner per comprehension
+# step, and one `iou_3d` per same-category pair with both footprints made
+# again for each pair. The row path must return the same bits.
+
+
+def reference_bev_footprint(box: Box7):
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hl, hw = box.l / 2.0, box.w / 2.0
+    return [
+        (box.x + c * dx - s * dy, box.y + s * dx + c * dy)
+        for dx, dy in ((hl, -hw), (hl, hw), (-hl, hw), (-hl, -hw))
+    ]
+
+
+def reference_match_predictions(preds, gts, iou_threshold):
+    candidates = []
+    for i, (pbox, pcat) in enumerate(preds):
+        for j, (gbox, gcat) in enumerate(gts):
+            if pcat != gcat:
+                continue
+            iou = iou_3d(pbox, gbox).iou
+            if iou >= iou_threshold:
+                candidates.append((iou, i, j))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+    used_p, used_g = set(), set()
+    matched = []
+    for iou, i, j in candidates:
+        if i in used_p or j in used_g:
+            continue
+        used_p.add(i)
+        used_g.add(j)
+        matched.append(iou)
+    tp = len(matched)
+    return ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp), matched

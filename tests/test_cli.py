@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -603,3 +604,38 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     assert err.startswith(f"error: {path}: not a JSON {what}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"seed": -1}, "config.seed"),
+    ({"model": {"seed": -3}}, "config.model.seed"),
+    ({"model": {"d_model": 65}}, "config.model.d_model"),
+    ({"model": {"lora_targets": ["x"]}}, "config.model.lora_targets"),
+    ({"model": {"lora_rank": 100}}, "config.model.lora_rank"),
+    ({"schedule": {"transition_epoch": 0}}, "config.schedule.transition_epoch"),
+    ({"schedule": {"stage2_weights": [1]}}, "config.schedule.stage2_weights"),
+    ({"batch_size": 0}, "config.batch_size"),
+])
+def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, override, path):
+    data = make_dataset(tmp_path, "data", 4, 11)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"data": str(data), **override}))
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count("error:") == 1 and "Traceback" not in err
+    assert re.match(rf"error: {re.escape(path)}\b", err), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (("--seed", -1), "--seed"),
+    (("--mix", "adult=abc"), "--mix"),
+    (("--mix", "adult"), "--mix"),
+])
+def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, flag):
+    assert run_cli("synth", "--count", 4, "--out", tmp_path / "data", *flags) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count("error:") == 1 and "Traceback" not in err
+    assert re.match(rf"error: {re.escape(flag)}\b", err), err
+    assert not (tmp_path / "data").exists()

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
 from minidet3d.geom import Box7, Pose, quat_from_yaw, transform_box
+from minidet3d.geom import wrap_angle
 from minidet3d.iou import (
     batch_iou_loss,
     bev_footprint,
@@ -15,7 +17,9 @@ from minidet3d.iou import (
     polygon_area,
     polygon_clip,
 )
+from minidet3d.iou import _iou_rows, _row
 from oracles import fd_iou_loss_grad, grads_agree, reference_iou_3d, reference_polygon_clip
+from oracles import reference_bev_footprint
 
 UNIT_SQUARE = [(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)]
 
@@ -482,3 +486,80 @@ class TestCollinearEdges:
         if case in ("touching", "overlap", "overlap under 1 cm"):
             # The clip before the collinear-edge rule got these wrong.
             assert reference_failures > 0
+
+
+def raw_row_near(g: Box7, kind: str, draw) -> tuple:
+    """A raw (x, y, z, l, w, h, yaw) row placed against `g` as `kind` says;
+    its yaw is drawn outside (-pi, pi] as the model's raw output can be."""
+    size = st.floats(0.2, 5.0)
+    shift = st.floats(-1.0, 1.0)
+    turns = draw(st.integers(-3, 3).filter(bool))
+    yaw = draw(st.floats(-math.pi, math.pi)) + 2.0 * math.pi * turns
+    if kind == "identical":
+        return tuple(g.params().tolist())
+    if kind == "apart":
+        reach = 0.5 * (math.hypot(g.l, g.w) + math.hypot(5.0, 5.0)) + draw(st.floats(0.1, 50.0))
+        angle = draw(st.floats(-math.pi, math.pi))
+        return (g.x + reach * math.cos(angle), g.y + reach * math.sin(angle), g.z,
+                draw(size), draw(size), draw(size), yaw)
+    if kind == "vertically-apart":
+        h = draw(size)
+        dz = (g.h + h) / 2.0 + draw(st.floats(0.01, 3.0))
+        return (g.x + draw(shift), g.y + draw(shift), g.z + draw(st.sampled_from([dz, -dz])),
+                draw(size), draw(size), h, yaw)
+    # overlapping: a jittered copy of g, the yaw a few turns away
+    return (g.x + draw(shift), g.y + draw(shift), g.z + draw(shift) / 4.0,
+            g.l * draw(st.floats(0.7, 1.3)), g.w * draw(st.floats(0.7, 1.3)),
+            g.h * draw(st.floats(0.7, 1.3)),
+            g.yaw + draw(st.floats(-0.3, 0.3)) + 2.0 * math.pi * turns)
+
+
+class TestRowKernelMatchesIoU3D:
+    """The row kernel behind training, validation, evaluation and matching
+    returns `iou_3d`'s IoU bit for bit, for a row built as the trainer builds
+    one (yaw through `wrap_angle`) against the Box7 built from the same raw
+    row, with or without footprints handed in, in both argument orders."""
+
+    @staticmethod
+    def check(raw, g):
+        row = (*raw[:6], wrap_angle(raw[6]))
+        box = Box7(*raw)
+        assert bev_footprint(row) == bev_footprint(box) == reference_bev_footprint(box)
+        grow = _row(g)
+        for got, expected in (
+            (_iou_rows(row, grow)[0], iou_3d(box, g).iou),
+            (_iou_rows(grow, row)[0], iou_3d(g, box).iou),
+            (_iou_rows(row, grow, bev_footprint(row), bev_footprint(g))[0], iou_3d(box, g).iou),
+            (_iou_rows(grow, row, bev_footprint(g), bev_footprint(row))[0], iou_3d(g, box).iou),
+        ):
+            assert got.hex() == expected.hex(), (raw, g)
+        loss = 1.0 - _iou_rows(row, grow)[0]
+        assert loss.hex() == iou_loss(box, g).hex() == iou_loss(row, g).hex()
+        return iou_3d(box, g)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", ["identical", "apart", "vertically-apart", "overlapping"])
+    def test_placed_pairs(self, kind, data):
+        g = Box7(*data.draw(st.tuples(st.floats(-20, 20), st.floats(-20, 20), st.floats(-2, 2),
+                                      st.floats(0.2, 5), st.floats(0.2, 5), st.floats(0.2, 5),
+                                      st.floats(-math.pi, math.pi))))
+        raw = raw_row_near(g, kind, data.draw)
+        res = self.check(raw, g)
+        if kind == "identical":
+            assert res.iou == 1.0
+        elif kind == "apart":
+            assert res.iou == 0.0 and footprints_apart(Box7(*raw), g)
+        elif kind == "vertically-apart":
+            assert res.iou == 0.0 and abs(raw[2] - g.z) >= (raw[5] + g.h) / 2.0
+        else:
+            assert not -math.pi < raw[6] <= math.pi
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["end-to-end", "side-by-side"]),
+           gap=st.sampled_from([0.0, 1e-9, 1e-3, 0.1, -1e-2, -5.0]), turns=st.integers(-3, 3))
+    def test_collinear_pairs(self, seed, kind, gap, turns):
+        a, b, _ = collinear_pair(np.random.default_rng(seed), kind, gap)
+        raw = (a.x, a.y, a.z, a.l, a.w, a.h, a.yaw + 2.0 * math.pi * turns)
+        self.check(raw, b)
+        self.check(tuple(b.params().tolist()), a)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from minidet3d.errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives
 from minidet3d.geom import Box7
+from minidet3d.iou import iou_3d
 from minidet3d.metrics import (
     ConfusionCounts,
     accuracy,
@@ -20,6 +21,8 @@ from minidet3d.metrics import (
     report_csv,
     report_dict,
 )
+
+from oracles import reference_match_predictions
 
 # Per-category IoU, training-set column of the published results table.
 TRAINING_CATEGORY_IOUS = [
@@ -270,3 +273,48 @@ class TestReport:
         assert report["recall"] == pytest.approx(0.6)
         assert report["precision"] == pytest.approx(0.75)
         assert report["f1"] == pytest.approx(2 * 0.75 * 0.6 / 1.35)
+
+
+class TestMatchingEqualsPerPairReference:
+    """`match_predictions` takes each box's row and footprint once; its counts
+    and matched IoUs must equal the greedy matcher that calls `iou_3d` on
+    every same-category pair, bit for bit."""
+
+    @staticmethod
+    def crowded_frame(rng, n):
+        """n ground truths within 3 m, jittered predictions (a fifth with a
+        wrong category) and exact duplicates on both sides, so that equal IoUs
+        compete and ties break by index."""
+        cats = ["car", "adult", "trafficcone"]
+        gts = []
+        for _ in range(n):
+            box = Box7(*rng.uniform(-3, 3, 2), rng.uniform(-0.2, 0.2), *rng.uniform(0.5, 3.0, 2),
+                       rng.uniform(0.8, 1.6), rng.uniform(-math.pi, math.pi))
+            gts.append((box, cats[int(rng.integers(3))]))
+        preds = []
+        for b, c in gts:
+            dx, dy = rng.normal(0.0, 0.3, 2)
+            box = Box7(b.x + dx, b.y + dy, b.z, b.l * rng.uniform(0.8, 1.2), b.w, b.h,
+                       b.yaw + rng.normal(0.0, 0.2))
+            preds.append((box, cats[int(rng.integers(3))] if rng.random() < 0.2 else c))
+        preds += [preds[0], gts[1], gts[1]]
+        gts += [gts[1], (gts[2][0], "bicycle")]
+        return preds, gts
+
+    def test_equals_the_per_pair_iou_3d_greedy_reference(self):
+        rng = np.random.default_rng(41)
+        ties = mismatched = tied_matches = 0
+        for _ in range(80):
+            preds, gts = self.crowded_frame(rng, int(rng.integers(4, 13)))
+            ious = [iou_3d(p, g).iou for p, pc in preds for g, gc in gts if pc == gc]
+            ious = [v for v in ious if v > 0.0]
+            ties += len(ious) - len(set(ious))
+            mismatched += sum(pc != gc and iou_3d(p, g).iou >= 0.25
+                              for p, pc in preds for g, gc in gts)
+            for threshold in (0.25, 0.5, min(ious), math.nextafter(min(ious), 1.0)):
+                got = match_predictions(preds, gts, threshold)
+                assert got == reference_match_predictions(preds, gts, threshold)
+                assert [m.hex() for m in got[1]] == [
+                    m.hex() for m in reference_match_predictions(preds, gts, threshold)[1]]
+                tied_matches += got[1].count(1.0) >= 2
+        assert ties >= 400 and mismatched >= 200 and tied_matches == 4 * 80

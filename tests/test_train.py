@@ -23,6 +23,7 @@ from minidet3d.metrics import (
     report_dict,
 )
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
+from minidet3d.model import box_params_from_raw
 from minidet3d.train import (
     ADAMW_CHUNK,
     AdamW,
@@ -374,3 +375,30 @@ class TestEvaluate:
         samples = small_dataset(3, seed=18)
         with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\)"):
             evaluate_model(None, samples, threshold, predictions=[s.gt_box for s in samples])
+
+
+class TestValidationOnRowsEqualsBoxes:
+    """`validation_miou` and `evaluate_model` take the model's predictions as
+    rows. They must equal the per-sample `iou_3d` of the Box7s built from the
+    same outputs, summed in the same order, bit for bit, also where the raw
+    yaw lies turns outside (-pi, pi] and is wrapped."""
+
+    @pytest.mark.parametrize("yaw_turns", [0, 3, -2])
+    def test_equals_iou_3d_over_predicted_boxes(self, yaw_turns):
+        train, val = small_dataset(64, seed=31), small_dataset(48, seed=32)
+        model = FusionModel(ModelConfig(seed=3))
+        sched = LossSchedule(transition_epoch=20, total_epochs=24, stage1_lr=2e-3, stage2_lr=5e-5)
+        run_training(model, train, sched, seed=3)
+        model.params["head.out.b"][6] += 2.0 * math.pi * yaw_turns
+        raws = model.forward_batch(np.stack([s.fused for s in val]))
+        boxes = [Box7(*row) for row in box_params_from_raw(raws).tolist()]
+        ious = [iou_3d(box, s.gt_box).iou for box, s in zip(boxes, val)]
+        expected = sum(ious) / len(val)
+
+        assert validation_miou(model, val).hex() == expected.hex()
+        report = evaluate_model(model, val, 0.25)
+        assert report["miou_samples"].hex() == expected.hex()
+        assert report == evaluate_model(None, val, 0.25, predictions=boxes)
+        assert sum(0.0 < v < 1.0 for v in ious) >= len(val) // 2
+        if yaw_turns:
+            assert not (np.abs(raws[:, 6]) <= math.pi).any()
