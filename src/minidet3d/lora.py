@@ -10,8 +10,11 @@ starts at zero, which makes the initial update exactly zero: an adapted
 model is bit-identical to its base until the first optimizer step. alpha is
 applied as a plain multiplier on B @ A, with no implicit rescaling by r.
 
-`apply_adapted` and `adapted_backward` are the one implementation of the
-adapted map and its gradients; the fusion model's attention runs through them.
+`merge_adapter` forms W' once (optionally into a preallocated buffer), and
+the fusion model runs its attention as plain GEMMs on the merged weights:
+the input gradient of x @ W'.T is dy @ W'. `adapter_grads` is the one
+implementation of the factor gradients. `apply_adapted` is the factored map,
+which never forms W'.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ class LoRAAdapter:
     def param_count(self) -> int:
         return self.r * (self.d_in + self.d_out)
 
-    def delta(self) -> np.ndarray:
-        """The dense update alpha * B @ A."""
-        return self.alpha * (self.B @ self.A)
-
 
 def adapter_init(d_in: int, d_out: int, r: int, alpha: float, seed: int) -> LoRAAdapter:
     """Fresh adapter: A ~ N(0, 0.02) from the seed, B = 0."""
@@ -108,21 +107,34 @@ def apply_adapted(
     return y
 
 
-def adapted_backward(w: np.ndarray, a: LoRAAdapter, x: np.ndarray, dy: np.ndarray):
-    """(dx, dA, dB) of sum(dy * apply_adapted(w, a, x)); dA, dB sum over leading axes."""
-    w = _check_base(w, a)
+def adapter_grads(a: LoRAAdapter, x: np.ndarray, dy: np.ndarray, out=(None, None)):
+    """(dA, dB) of sum(dy * (x @ merge_adapter(w, a).T)), summed over the
+    leading axes: alpha * (dy @ B).T @ x and alpha * dy.T @ (x @ A.T).
+
+    They do not depend on W. `out` is a pair of arrays (or Nones) to write
+    them into. The input gradient, dy @ merge_adapter(w, a), is one GEMM on
+    the merged weight and is left to the caller.
+    """
     x, dy = np.asarray(x, dtype=np.float64), np.asarray(dy, dtype=np.float64)
     if x.shape[-1] != a.d_in or dy.shape != x.shape[:-1] + (a.d_out,):
-        raise ShapeMismatch(f"input {x.shape} and gradient {dy.shape} do not fit {w.shape}")
+        raise ShapeMismatch(f"input {x.shape} and gradient {dy.shape} do not fit the adapter "
+                            f"({a.d_out}, {a.d_in})")
     xf, dyf = x.reshape(-1, a.d_in), dy.reshape(-1, a.d_out)
-    dyB = dyf @ a.B
-    dx = (dyf @ w + a.alpha * (dyB @ a.A)).reshape(x.shape)
-    return dx, a.alpha * (dyB.T @ xf), a.alpha * (dyf.T @ (xf @ a.A.T))
+    dA = np.matmul((dyf @ a.B).T, xf, out=out[0])
+    dA *= a.alpha
+    dB = np.matmul(dyf.T, xf @ a.A.T, out=out[1])
+    dB *= a.alpha
+    return dA, dB
 
 
-def merge_adapter(w: np.ndarray, a: LoRAAdapter) -> np.ndarray:
-    """Dense merged weight W + alpha*B@A."""
-    return _check_base(w, a) + a.delta()
+def merge_adapter(w: np.ndarray, a: LoRAAdapter, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense merged weight W + alpha*B@A, written into `out` (a fresh array if
+    None), which must not overlap w. Both forms give the same bits."""
+    w = _check_base(w, a)
+    merged = np.matmul(a.B, a.A, out=out)
+    merged *= a.alpha
+    merged += w
+    return merged
 
 
 def adapter_param_fraction(model_param_count: int, adapters) -> float:

@@ -11,10 +11,16 @@ Trainable parameters: the two input projections, the adapter factors, and
 the MLP head. They live in one contiguous float64 vector, `arena`, laid out
 in `trainable_parameters()` order; each of their `params` entries is a
 reshaped view into it, so the optimizer runs over the arena as one vector.
-The attention projections run `lora.apply_adapted` and
-`lora.adapted_backward` on the `LoRAAdapter`s built at construction, whose A
-and B arrays are those same views. `params` entries are therefore updated
-in place (the optimizer, `load_checkpoint`) and never rebound. One function,
+The `LoRAAdapter`s built at construction hold those same views as A and B.
+`params` entries are therefore updated in place (the optimizer,
+`load_checkpoint`) and never rebound. Each forward writes every layer's
+merged q, k, v, o weights W + alpha*B@A (`lora.merge_adapter`; W alone for a
+projection without an adapter) from the parameters as they stand into one
+buffer allocated at construction, so no write to the arena can leave a
+stale merge behind. Q, K and V then come from one GEMM on the stacked
+(3d, d) weight and O from one more; the backward takes the input gradient
+through the same merged weights and the factor gradients from
+`lora.adapter_grads`. One function,
 `_param_shapes`, gives every shape; the constructor lays out the arena from
 it, and `param_bytes` counts from it the bytes that `load_checkpoint` checks
 a file's size against and `train` the machine's memory, before either builds
@@ -26,7 +32,7 @@ error; a trainable head would collapse the objective by shrinking to zero.
 
 A batch of B samples runs as the (2B, d) matrix of its token rows (sample
 b's visual token in row 2b, its text token in row 2b+1), so each linear map
-of the transformer, the adapted q/k/v/o projections and both FFN layers, is
+of the transformer, the fused q/k/v projection, o and both FFN layers, is
 one GEMM for the whole batch; only the (B, H, 2, 2) attention products stay
 batched per sample. A GEMM rounds with the row count, so a batch's outputs
 equal single-sample forwards to about 1e-13 relative, not bit for bit.
@@ -67,7 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ShapeMismatch, StaleActivation
-from .lora import LoRAAdapter, adapted_backward, adapter_init, adapter_param_fraction, apply_adapted
+from .lora import LoRAAdapter, adapter_grads, adapter_init, adapter_param_fraction, merge_adapter
 
 MLP_HIDDEN = (512, 256, 128)
 SEMANTIC_DIM = 128
@@ -102,6 +108,8 @@ class ModelConfig:
         targets = tuple(self.lora_targets)
         if not targets or any(t not in ATTENTION_TARGETS for t in targets):
             raise ValueError(f"lora_targets must be a non-empty subset of {ATTENTION_TARGETS}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"lora_targets must not repeat a target, got {list(targets)}")
         object.__setattr__(self, "lora_targets", targets)
 
 
@@ -226,6 +234,7 @@ class FusionModel:
         draw("head.out.W", 0.02)
         draw("semantic.W", 1.0 / math.sqrt(SEMANTIC_DIM))
 
+        self._merged = np.empty((config.n_layers, len(ATTENTION_TARGETS), d, d))
         self._cache = None
         self._ws, self._ws_batch = {}, 0
         logging.getLogger(__name__).info(
@@ -256,26 +265,6 @@ class FusionModel:
         )
         return adapter_fraction + dense / total
 
-    # ---- linear maps with optional adapters ------------------------------
-
-    def _lin(self, X: np.ndarray, layer: int, t: str, out: np.ndarray) -> np.ndarray:
-        base = self.params[f"layers.{layer}.attn.{t}.base"]
-        adapter = self._adapters.get((layer, t))
-        if adapter is None:
-            return np.matmul(X, base.T, out=out)
-        return apply_adapted(base, adapter, X, out=out)
-
-    def _lin_backward(self, X: np.ndarray, dY: np.ndarray, layer: int, t: str):
-        """Input gradient of `_lin`; adapter gradients go into their `grad` views."""
-        base = self.params[f"layers.{layer}.attn.{t}.base"]
-        adapter = self._adapters.get((layer, t))
-        if adapter is None:
-            return dY @ base
-        dX, dA, dB = adapted_backward(base, adapter, X, dY)
-        self._grads[f"layers.{layer}.attn.{t}.A"][...] = dA
-        self._grads[f"layers.{layer}.attn.{t}.B"][...] = dB
-        return dX
-
     # ---- forward ---------------------------------------------------------
 
     def _workspace(self, B: int) -> dict:
@@ -291,7 +280,8 @@ class FusionModel:
             for i in range(cfg.n_layers + 1):
                 rows[i, "X"] = (T, d)  # layer i's input; the last one is the final output
             for i in range(cfg.n_layers):
-                for name in ("Q", "K", "V", "O", "X1"):
+                rows[i, "QKV"] = (T, 3 * d)
+                for name in ("O", "X1"):
                     rows[i, name] = (T, d)
                 rows[i, "S"] = (1, cfg.n_heads, T, T)
                 rows[i, "Hpre"] = rows[i, "Hact"] = (T, 2 * d)
@@ -329,19 +319,23 @@ class FusionModel:
         scale = 1.0 / math.sqrt(dh)
         for i in range(cfg.n_layers):
             X_in, X = X, ws[i + 1, "X"]
-            Q = self._lin(X_in, i, "q", ws[i, "Q"])
-            K = self._lin(X_in, i, "k", ws[i, "K"])
-            V = self._lin(X_in, i, "v", ws[i, "V"])
-            Qh = Q.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-            Kh = K.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-            Vh = V.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+            # q, k, v, o weights merged from the parameters as they stand
+            W = self._merged[i]
+            for j, t in enumerate(ATTENTION_TARGETS):
+                base, adapter = p[f"layers.{i}.attn.{t}.base"], self._adapters.get((i, t))
+                if adapter is None:
+                    np.copyto(W[j], base)
+                else:
+                    merge_adapter(base, adapter, out=W[j])
+            QKV = np.matmul(X_in, W[:3].reshape(3 * d, d).T, out=ws[i, "QKV"])
+            Qh, Kh, Vh = QKV.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
             scores = (Qh @ Kh.swapaxes(-1, -2)) * scale
             scores -= scores.max(axis=-1, keepdims=True)
             e = np.exp(scores)
             S = np.divide(e, e.sum(axis=-1, keepdims=True), out=ws[i, "S"])
             O = ws[i, "O"]
             np.matmul(S, Vh, out=O.reshape(B, T, H, dh).transpose(0, 2, 1, 3))
-            X1 = self._lin(O, i, "o", ws[i, "X1"])
+            X1 = np.matmul(O, W[3].T, out=ws[i, "X1"])
             X1 += X_in  # X_in + attention output: the sum commutes bit for bit
             Hpre = np.matmul(X1, p[f"layers.{i}.ffn.W1"].T, out=ws[i, "Hpre"])
             Hpre += p[f"layers.{i}.ffn.b1"]
@@ -419,25 +413,27 @@ class FusionModel:
             dHact = dX @ p[f"layers.{i}.ffn.W2"]
             dHpre = dHact * (lc["Hpre"] > 0)
             dX1 = dX + dHpre @ p[f"layers.{i}.ffn.W1"]
-            # attention with residual: X1 = X_in + lin_o(O)
-            dO = self._lin_backward(lc["O"], dX1, i, "o")
-            dOh = dO.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+            # attention with residual: X1 = X_in + O @ Wo.T, QKV = X_in @ Wqkv.T,
+            # through the forward's merged weights
+            W = self._merged[i]
+            dOh = (dX1 @ W[3]).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
             S, Vh, Qh, Kh = lc["S"], lc["Vh"], lc["Qh"], lc["Kh"]
             dS = dOh @ Vh.swapaxes(-1, -2)
-            dVh = S.swapaxes(-1, -2) @ dOh
             dscores = S * (dS - (dS * S).sum(axis=-1, keepdims=True))
-            dQh = (dscores @ Kh) * scale
-            dKh = (dscores.swapaxes(-1, -2) @ Qh) * scale
-            dQ = dQh.transpose(0, 2, 1, 3).reshape(B * T, d)
-            dK = dKh.transpose(0, 2, 1, 3).reshape(B * T, d)
-            dV = dVh.transpose(0, 2, 1, 3).reshape(B * T, d)
+            dQKV = np.empty((B * T, 3 * d))
+            dQh, dKh, dVh = dQKV.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+            np.matmul(dscores, Kh, out=dQh)
+            dQh *= scale
+            np.matmul(dscores.swapaxes(-1, -2), Qh, out=dKh)
+            dKh *= scale
+            np.matmul(S.swapaxes(-1, -2), dOh, out=dVh)
             X_in = lc["X_in"]
-            dX = (
-                dX1
-                + self._lin_backward(X_in, dQ, i, "q")
-                + self._lin_backward(X_in, dK, i, "k")
-                + self._lin_backward(X_in, dV, i, "v")
-            )
+            for j, t in enumerate(ATTENTION_TARGETS):
+                if (i, t) in self._adapters:
+                    x, dy = (lc["O"], dX1) if t == "o" else (X_in, dQKV[:, j * d : (j + 1) * d])
+                    out = (g[f"layers.{i}.attn.{t}.A"], g[f"layers.{i}.attn.{t}.B"])
+                    adapter_grads(self._adapters[i, t], x, dy, out=out)
+            dX = dX1 + dQKV @ W[:3].reshape(3 * d, d)
 
         dxv, dxt = dX[0::T], dX[1::T]
         F = cache["F"]

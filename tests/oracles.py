@@ -28,6 +28,7 @@ from minidet3d.geom import (
     transform_box,
 )
 from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, polygon_area
+from minidet3d.lora import LoRAAdapter, apply_adapted
 from minidet3d.metrics import ConfusionCounts
 
 FD_STEP = 1e-4  # meters for x,y,z,l,w,h; radians for yaw
@@ -345,3 +346,115 @@ def reference_match_predictions(preds, gts, iou_threshold):
         matched.append(iou)
     tp = len(matched)
     return ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp), matched
+
+
+# ---- the fusion model before its merged weights --------------------------------
+# `reference_forward` and `reference_backward` are `FusionModel.forward_batch`
+# and `backward_batch` as they stood while each attention projection ran its
+# adapter factored: y = x @ W.T + alpha * ((x @ A.T) @ B.T) (`apply_adapted`),
+# one GEMM per q/k/v/o, and in the backward dx = dy @ W + alpha * ((dy @ B) @ A).
+# The merged path rounds differently, so it must agree to about 1e-12 relative.
+
+
+def _reference_projections(model, layer: int):
+    """{target: (base weight, LoRAAdapter or None)} over the model's parameters."""
+    p, cfg = model.params, model.config
+    out = {}
+    for t in ("q", "k", "v", "o"):
+        key = f"layers.{layer}.attn.{t}"
+        adapter = None
+        if t in cfg.lora_targets:
+            adapter = LoRAAdapter(p[key + ".A"], p[key + ".B"], cfg.lora_rank, cfg.lora_alpha)
+        out[t] = (p[key + ".base"], adapter)
+    return out
+
+
+def reference_forward(model, F):
+    """(raw (B, 7), cache) of the factored forward."""
+    cfg, p = model.config, model.params
+    F = np.asarray(F, dtype=np.float64)
+    B, T, d, H = F.shape[0], 2, cfg.d_model, cfg.n_heads
+    dh = d // H
+    X = np.empty((B, T, d))
+    X[:, 0] = F[:, : cfg.d_v] @ p["proj_v.W"].T + p["proj_v.b"]
+    X[:, 1] = F[:, cfg.d_v :] @ p["proj_t.W"].T + p["proj_t.b"]
+    X = X.reshape(B * T, d)
+    cache = {"F": F, "layers": []}
+
+    def heads(Y):
+        return Y.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+
+    for i in range(cfg.n_layers):
+        proj = _reference_projections(model, i)
+
+        def lin(x, t):
+            w, a = proj[t]
+            return x @ w.T if a is None else apply_adapted(w, a, x)
+
+        Qh, Kh, Vh = (heads(lin(X, t)) for t in "qkv")
+        scores = (Qh @ Kh.swapaxes(-1, -2)) / math.sqrt(dh)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        S = e / e.sum(axis=-1, keepdims=True)
+        O = (S @ Vh).transpose(0, 2, 1, 3).reshape(B * T, d)
+        X1 = X + lin(O, "o")
+        Hpre = X1 @ p[f"layers.{i}.ffn.W1"].T + p[f"layers.{i}.ffn.b1"]
+        cache["layers"].append(dict(X_in=X, Qh=Qh, Kh=Kh, Vh=Vh, S=S, O=O, Hpre=Hpre))
+        X = X1 + np.maximum(Hpre, 0.0) @ p[f"layers.{i}.ffn.W2"].T + p[f"layers.{i}.ffn.b2"]
+
+    z = X.reshape(B, T, d).mean(axis=1)
+    cache["pooled"] = z
+    for j in ("0", "1", "2"):
+        a = z @ p[f"head.{j}.W"].T + p[f"head.{j}.b"]
+        z = np.maximum(a, 0.0)
+        cache[f"a{j}"], cache[f"z{j}"] = a, z
+    return z @ p["head.out.W"].T + p["head.out.b"], cache
+
+
+def reference_backward(model, cache, upstream):
+    """(gradient vector in the arena's layout, input gradient) of
+    sum_b upstream[b] . raw[b] for a `reference_forward` cache."""
+    cfg, p = model.config, model.params
+    up = np.asarray(upstream, dtype=np.float64)
+    B, T, d, H = up.shape[0], 2, cfg.d_model, cfg.n_heads
+    dh = d // H
+    g = {"head.out.W": up.T @ cache["z2"], "head.out.b": up.sum(axis=0)}
+    dz = up @ p["head.out.W"]
+    for j, below in (("2", "z1"), ("1", "z0"), ("0", "pooled")):
+        da = dz * (cache[f"a{j}"] > 0)
+        g[f"head.{j}.W"] = da.T @ cache[below]
+        g[f"head.{j}.b"] = da.sum(axis=0)
+        dz = da @ p[f"head.{j}.W"]
+    dX = np.repeat(dz[:, None, :] / T, T, axis=1).reshape(B * T, d)
+
+    for i in reversed(range(cfg.n_layers)):
+        lc, proj = cache["layers"][i], _reference_projections(model, i)
+
+        def lin_backward(x, dy, t):
+            w, a = proj[t]
+            if a is None:
+                return dy @ w
+            dyB = dy @ a.B
+            g[f"layers.{i}.attn.{t}.A"] = a.alpha * (dyB.T @ x)
+            g[f"layers.{i}.attn.{t}.B"] = a.alpha * (dy.T @ (x @ a.A.T))
+            return dy @ w + a.alpha * (dyB @ a.A)
+
+        dHpre = (dX @ p[f"layers.{i}.ffn.W2"]) * (lc["Hpre"] > 0)
+        dX1 = dX + dHpre @ p[f"layers.{i}.ffn.W1"]
+        dOh = lin_backward(lc["O"], dX1, "o").reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+        S, Qh, Kh, Vh = lc["S"], lc["Qh"], lc["Kh"], lc["Vh"]
+        dS = dOh @ Vh.swapaxes(-1, -2)
+        dscores = S * (dS - (dS * S).sum(axis=-1, keepdims=True))
+        d_heads = {"q": (dscores @ Kh) / math.sqrt(dh),
+                   "k": (dscores.swapaxes(-1, -2) @ Qh) / math.sqrt(dh),
+                   "v": S.swapaxes(-1, -2) @ dOh}
+        dX = dX1 + sum(
+            lin_backward(lc["X_in"], d_heads[t].transpose(0, 2, 1, 3).reshape(B * T, d), t)
+            for t in "qkv"
+        )
+
+    dxv, dxt = dX[0::T], dX[1::T]
+    F = cache["F"]
+    g["proj_v.W"], g["proj_v.b"] = dxv.T @ F[:, : cfg.d_v], dxv.sum(axis=0)
+    g["proj_t.W"], g["proj_t.b"] = dxt.T @ F[:, cfg.d_v :], dxt.sum(axis=0)
+    flat = np.concatenate([g[name].reshape(-1) for name in model.trainable_parameters()])
+    return flat, np.concatenate([dxv @ p["proj_v.W"], dxt @ p["proj_t.W"]], axis=1)

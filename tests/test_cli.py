@@ -611,6 +611,7 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     ({"model": {"seed": -3}}, "config.model.seed"),
     ({"model": {"d_model": 65}}, "config.model.d_model"),
     ({"model": {"lora_targets": ["x"]}}, "config.model.lora_targets"),
+    ({"model": {"lora_targets": ["q", "q"]}}, "config.model.lora_targets"),
     ({"model": {"lora_rank": 100}}, "config.model.lora_rank"),
     ({"schedule": {"transition_epoch": 0}}, "config.schedule.transition_epoch"),
     ({"schedule": {"stage2_weights": [1]}}, "config.schedule.stage2_weights"),

@@ -4,8 +4,8 @@ import pytest
 from minidet3d.errors import RankTooLarge, ShapeMismatch
 from minidet3d.lora import (
     LoRAAdapter,
+    adapter_grads,
     adapter_init,
-    adapted_backward,
     adapter_param_fraction,
     apply_adapted,
     merge_adapter,
@@ -119,22 +119,24 @@ class TestBatchedMap:
         with pytest.raises(ShapeMismatch):
             apply_adapted(w, a, np.zeros((4, 9)))
         with pytest.raises(ShapeMismatch):
-            adapted_backward(w, a, np.zeros((4, 9)), np.zeros((4, 9)))
+            adapter_grads(a, np.zeros((4, 9)), np.zeros((4, 9)))
         with pytest.raises(ShapeMismatch):
-            adapted_backward(w, a, np.zeros((4, 12)), np.zeros((4, 12)))
+            adapter_grads(a, np.zeros((4, 12)), np.zeros((4, 12)))
         with pytest.raises(ShapeMismatch):
-            adapted_backward(w, a, np.zeros((4, 12)), np.zeros((3, 9)))
+            adapter_grads(a, np.zeros((4, 12)), np.zeros((3, 9)))
 
 
-class TestAdaptedBackward:
+class TestAdapterGrads:
     def test_matches_central_differences(self):
         # the loss sum(dy * y) is linear in each of x, A and B separately, so
-        # central differences carry no truncation error
+        # central differences carry no truncation error; the input gradient
+        # is one GEMM on the merged weight
         rng = np.random.default_rng(22)
         w, a = random_adapter(rng)
         x = rng.normal(size=(4, 2, 12))
         dy = rng.normal(size=(4, 2, 9))
-        dx, dA, dB = adapted_backward(w, a, x, dy)
+        dA, dB = adapter_grads(a, x, dy)
+        dx = dy @ merge_adapter(w, a)
         assert dx.shape == x.shape and dA.shape == a.A.shape and dB.shape == a.B.shape
 
         def loss():
@@ -157,11 +159,36 @@ class TestAdaptedBackward:
         w, a = random_adapter(rng)
         x = rng.normal(size=(6, 12))
         dy = rng.normal(size=(6, 9))
-        dx, dA, dB = adapted_backward(w, a, x, dy)
+        dA, dB = adapter_grads(a, x, dy)
         dW = dy.T @ x  # gradient w.r.t. the merged weight W + alpha*B@A
-        assert np.allclose(dx, dy @ merge_adapter(w, a), atol=1e-12)
+        dx = dy @ merge_adapter(w, a)
+        assert np.allclose(dx, dy @ w + a.alpha * ((dy @ a.B) @ a.A), atol=1e-12)
         assert np.allclose(dA, a.alpha * a.B.T @ dW, atol=1e-12)
         assert np.allclose(dB, a.alpha * dW @ a.A.T, atol=1e-12)
+
+    def test_out_equals_the_allocating_call(self):
+        rng = np.random.default_rng(24)
+        w, a = random_adapter(rng)
+        x, dy = rng.normal(size=(64, 12)), rng.normal(size=(64, 9))
+        out = (np.full(a.A.shape, np.nan), np.full(a.B.shape, np.nan))
+        dA, dB = adapter_grads(a, x, dy, out=out)
+        assert dA is out[0] and dB is out[1]
+        fresh = adapter_grads(a, x, dy)
+        assert dA.tobytes() == fresh[0].tobytes() and dB.tobytes() == fresh[1].tobytes()
+        # a column block of a wider gradient, as the model passes q/k/v's
+        wide = np.concatenate([rng.normal(size=(64, 4)), dy, rng.normal(size=(64, 3))], axis=1)
+        block = adapter_grads(a, x, wide[:, 4:13])
+        assert block[0].tobytes() == dA.tobytes() and block[1].tobytes() == dB.tobytes()
+
+
+class TestMergeAdapter:
+    def test_out_equals_the_allocating_call(self):
+        rng = np.random.default_rng(25)
+        w, a = random_adapter(rng)
+        out = np.full(w.shape, np.nan)
+        assert merge_adapter(w, a, out=out) is out
+        assert out.tobytes() == merge_adapter(w, a).tobytes()
+        assert out.tobytes() == (w + a.alpha * (a.B @ a.A)).tobytes()
 
 
 class TestParamFraction:

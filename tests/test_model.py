@@ -19,6 +19,7 @@ from minidet3d.model import (
     semantic_project,
 )
 from minidet3d.train import AdamW
+from oracles import reference_backward, reference_forward
 
 SMALL = ModelConfig(d_v=8, d_t=8, d_model=16, n_layers=2, n_heads=4, lora_rank=4, seed=3)
 
@@ -236,6 +237,60 @@ class TestBackward:
             xm[i] -= h
             fd = (u @ model.forward(xp) - u @ model.forward(xm)) / (2 * h)
             assert fd == pytest.approx(din[0, i], rel=1e-4, abs=1e-9)
+
+
+class TestMergedWeights:
+    """The attention runs on W + alpha*B@A merged once per forward; the
+    factored form of `oracles.reference_forward`/`reference_backward` is the
+    reference. Adapter factors are drawn at scale 0.02: at 0.05 the default
+    widths saturate the softmax (weights down to 0), and a one-ulp change of
+    the base weights moves the reference's own gradient by about 1.3e-12, so
+    a bound there would measure the conditioning, not the merge."""
+
+    TARGETS = [ModelConfig().lora_targets, ("q", "o")]
+
+    @pytest.mark.parametrize("targets", TARGETS, ids=["qkvo", "qo"])
+    def test_forward_matches_factored_reference(self, targets):
+        model = randomized_model(ModelConfig(lora_targets=targets), scale=0.02)
+        rng = np.random.default_rng(30)
+        for B in (1, 32, 256):
+            F = rng.normal(size=(B, 64))
+            assert max_relative_gap(model.forward_batch(F), reference_forward(model, F)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("targets", TARGETS, ids=["qkvo", "qo"])
+    def test_backward_matches_factored_reference(self, targets):
+        model = randomized_model(ModelConfig(lora_targets=targets), scale=0.02)
+        rng = np.random.default_rng(31)
+        F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
+        model.forward_batch(F)
+        grad, input_grad = model.backward_batch(up)
+        ref_grad, ref_input_grad = reference_backward(model, reference_forward(model, F)[1], up)
+        assert max_relative_gap(grad, ref_grad) <= 1e-12
+        assert max_relative_gap(input_grad, ref_input_grad) <= 1e-12
+
+    def test_arena_write_is_seen_by_the_next_forward(self, tmp_path):
+        model = randomized_model(ModelConfig(), scale=0.02)
+        rng = np.random.default_rng(32)
+        F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
+        model.forward_batch(F)
+        grad, _ = model.backward_batch(up)
+        AdamW(model.arena).step(model.arena, grad, lr=1e-2)
+        raw = model.forward_batch(F)
+        save_checkpoint(model, tmp_path / "model.bin")
+        assert raw.tobytes() == load_checkpoint(tmp_path / "model.bin").forward_batch(F).tobytes()
+
+    def test_fresh_adapters_leave_the_base_weights(self):
+        # B = 0 makes W + alpha*B@A equal W bit for bit. A twin adapting only
+        # "o" (or only "q") runs q, k, v (or o) on its copied base weights
+        # alone, through the same GEMMs, so every output bit must agree.
+        model = FusionModel(ModelConfig())
+        F = np.random.default_rng(33).normal(size=(32, 64))
+        raw = model.forward_batch(F)
+        for targets in (("o",), ("q",)):
+            twin = FusionModel(ModelConfig(lora_targets=targets))
+            for name, p in twin.params.items():
+                p[...] = model.params[name]
+            assert raw.tobytes() == twin.forward_batch(F).tobytes()
 
 
 class TestSemanticHead:
@@ -485,6 +540,22 @@ class TestCheckpoint:
         header = json.dumps(cfg, sort_keys=True).encode()
         path.write_bytes(blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :])
         with pytest.raises(ValueError, match="head widths"):
+            load_checkpoint(path)
+
+    def test_repeated_lora_target_rejected(self, tmp_path):
+        # the shape table would fold the repeat away, so the layout would
+        # rest on a list that was never valid
+        with pytest.raises(ValueError, match="lora_targets must not repeat"):
+            ModelConfig(lora_targets=("q", "q", "k"))
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(dataclasses.replace(SMALL, lora_targets=("q",))), path)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[5:9], "little")
+        cfg = json.loads(blob[9 : 9 + hlen])
+        cfg["lora_targets"] = ["q", "q"]
+        header = json.dumps(cfg, sort_keys=True).encode()
+        path.write_bytes(blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :])
+        with pytest.raises(CheckpointError, match=r"model\.bin: header: lora_targets must not repeat"):
             load_checkpoint(path)
 
     def test_weight_count_checked_before_the_model_is_built(self, tmp_path, monkeypatch):
