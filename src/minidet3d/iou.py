@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
+from .errors import DegenerateOverlap, NonSmoothPoint
 from .geom import Box7, box_corners
 
 # A convex polygon is an ordered CCW list of (x, y) vertices; [] is empty.
@@ -189,14 +189,6 @@ def iou_loss(p, g) -> float:
     return 1.0 - _iou_rows(_row(p), _row(g))[0]
 
 
-def batch_iou_loss(pairs) -> float:
-    """Mean of per-pair IoU losses over a non-empty batch of (Box7 or row) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyBatch("batch_iou_loss requires at least one pair")
-    return sum(iou_loss(p, g) for p, g in pairs) / len(pairs)
-
-
 # Topology ties are decided within this fraction of the largest box size: a
 # corner this close to the other footprint's boundary, an edge crossing this
 # close to an edge end, or top or bottom faces this close to flush. The set
@@ -215,16 +207,16 @@ def _edges(poly: ConvexPolygon2D, lengths) -> list[tuple[float, float, float, fl
     return out
 
 
-def _footprint_overlap_grad(p: Box7, g: Box7, tol: float) -> tuple[float, list[float]]:
-    """Footprint-intersection area and its gradient w.r.t. (x, y, l, w, yaw) of p.
+def _footprint_overlap_grad(p: tuple, g: tuple, P, G, tol: float) -> tuple[float, list[float]]:
+    """Footprint-intersection area and its gradient w.r.t. (x, y, l, w, yaw) of
+    row p, given P and G, the footprints of rows p and g.
 
     The intersection's vertices are p's corners strictly inside g, g's
     corners strictly inside p, and the transversal crossings of p's edges
     with g's edges. Sorted by angle about their mean, they give the area by
     the shoelace formula; the reverse pass runs the same graph backwards.
     """
-    P, G = bev_footprint(p), bev_footprint(g)
-    p_len, g_len = (p.l, p.w, p.l, p.w), (g.l, g.w, g.l, g.w)
+    p_len, g_len = (p[3], p[4], p[3], p[4]), (g[3], g[4], g[3], g[4])
     p_edges, g_edges = _edges(P, p_len), _edges(G, g_len)
     # dist_p[k][j]: signed distance of p's corner k to g's edge j; dist_g alike.
     dist_p = [[(x - ex) * nx + (y - ey) * ny for ex, ey, nx, ny in g_edges] for x, y in P]
@@ -287,45 +279,48 @@ def _footprint_overlap_grad(p: Box7, g: Box7, tol: float) -> tuple[float, list[f
         db[0] += t * gx + k_n * sa * nx
         db[1] += t * gy + k_n * sa * ny
 
-    c, s = math.cos(p.yaw), math.sin(p.yaw)
+    x, y, c, s = p[0], p[1], math.cos(p[6]), math.sin(p[6])
     grad = [0.0] * 5
     for (gx, gy), (px, py), (sx, sy) in zip(d_corner, P, _FOOTPRINT_SIGNS):
         grad[0] += gx
         grad[1] += gy
         grad[2] += 0.5 * sx * (c * gx + s * gy)
         grad[3] += 0.5 * sy * (c * gy - s * gx)
-        grad[4] += (px - p.x) * gy - (py - p.y) * gx
+        grad[4] += (px - x) * gy - (py - y) * gx
     return 0.5 * twice_area, grad
 
 
-def iou_loss_grad(p: Box7, g: Box7) -> np.ndarray:
+def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
     """Exact gradient of iou_loss w.r.t. p's 7 parameters (x, y, z, l, w, h, yaw).
 
+    p and g are Box7s or rows; their footprints fp, fg and IoU are made here unless given.
     Intersection volume = footprint-intersection area x vertical overlap,
     differentiated in one reverse pass: the shoelace area to its vertices,
     edge crossings to the ends of p's edges, p's corners to (x, y, l, w,
-    yaw), and the vertical overlap and volumes to (z, l, w, h). The value
-    check uses iou_3d: IoU must lie strictly inside (0, 1), otherwise
-    DegenerateOverlap. The loss is piecewise smooth; NonSmoothPoint is
-    raised only at a topology tie, where a corner lies on the other box's
-    edge, an edge crossing lies at an edge end, or top or bottom faces are
-    flush (within _TIE_EPS times the largest box size).
+    yaw), and the vertical overlap and volumes to (z, l, w, h). IoU must lie
+    strictly inside (0, 1), otherwise DegenerateOverlap. The loss is
+    piecewise smooth; NonSmoothPoint is raised only at a topology tie, where a
+    corner lies on the other box's edge, an edge crossing lies at an edge end,
+    or top or bottom faces are flush (within _TIE_EPS times the largest size).
     """
-    base = iou_3d(p, g).iou
-    if base <= 0.0 or base >= 1.0:
-        raise DegenerateOverlap(f"IoU {base} has no usable gradient")
-    tol = _TIE_EPS * max(p.l, p.w, p.h, g.l, g.w, g.h)
+    p, g = _row(p), _row(g)
+    fp, fg = fp or bev_footprint(p), fg or bev_footprint(g)
+    iou = _iou_rows(p, g, fp, fg)[0] if iou is None else iou
+    if iou <= 0.0 or iou >= 1.0:
+        raise DegenerateOverlap(f"IoU {iou} has no usable gradient")
+    (_, _, pz, pl, pw, ph, _), (_, _, gz, gl, gw, gh, _) = p, g
+    tol = _TIE_EPS * max(pl, pw, ph, gl, gw, gh)
 
-    p_top, p_bottom = p.z + p.h / 2.0, p.z - p.h / 2.0
-    g_top, g_bottom = g.z + g.h / 2.0, g.z - g.h / 2.0
+    p_top, p_bottom = pz + ph / 2.0, pz - ph / 2.0
+    g_top, g_bottom = gz + gh / 2.0, gz - gh / 2.0
     if abs(p_top - g_top) <= tol or abs(p_bottom - g_bottom) <= tol:
         raise NonSmoothPoint("top or bottom faces are flush")
     top_is_p, bottom_is_p = p_top < g_top, p_bottom > g_bottom
     z_overlap = min(p_top, g_top) - max(p_bottom, g_bottom)
 
-    area, (da_x, da_y, da_l, da_w, da_yaw) = _footprint_overlap_grad(p, g, tol)
+    area, (da_x, da_y, da_l, da_w, da_yaw) = _footprint_overlap_grad(p, g, fp, fg, tol)
     inter = area * z_overlap
-    union = p.volume + g.volume - inter
+    union = pl * pw * ph + gl * gw * gh - inter
     # loss = 1 - inter / union with union = vol_p + vol_g - inter
     d_inter = -(union + inter) / (union * union)
     d_vol = inter / (union * union)
@@ -334,9 +329,9 @@ def iou_loss_grad(p: Box7, g: Box7) -> np.ndarray:
         d_area * da_x,
         d_area * da_y,
         d_zo * (top_is_p - bottom_is_p),
-        d_area * da_l + d_vol * p.w * p.h,
-        d_area * da_w + d_vol * p.l * p.h,
-        d_zo * 0.5 * (top_is_p + bottom_is_p) + d_vol * p.l * p.w,
+        d_area * da_l + d_vol * pw * ph,
+        d_area * da_w + d_vol * pl * ph,
+        d_zo * 0.5 * (top_is_p + bottom_is_p) + d_vol * pl * pw,
         d_area * da_yaw,
     ])
 

@@ -11,10 +11,10 @@ decay scaling, the bias corrections as scalars), which rounds differently
 from the textbook per-tensor update; `tools/quality_band.py` is the gate for
 such changes to the training arithmetic.
 
-Losses come from `mse_semantic_loss`, `batch_iou_loss` and `combined_loss`.
+Losses come from `mse_semantic_loss`, the mean IoU loss and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
-head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, the one
-place that builds a Box7 per sample: IoU values are taken on plain rows.
+head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, handed
+the pair's rows, footprints and IoU: each pair is clipped once per batch.
 Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
 contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how
@@ -35,7 +35,7 @@ import numpy as np
 from .data import FeaturePair, SceneRecord, to_lidar_frame
 from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
 from .geom import Box7, wrap_angle
-from .iou import _iou_rows, _row, batch_iou_loss, iou_loss_grad
+from .iou import _iou_rows, _row, bev_footprint, iou_loss_grad
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .metrics import (
     ConfusionCounts,
@@ -172,7 +172,7 @@ def format_log_row(s: EpochStats) -> str:
 
 def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:
     """Box parameters of a raw (B, 7) batch; DivergenceError if the output is
-    non-finite or a size underflowed to zero, before any Box7 is built."""
+    non-finite or a size underflowed to zero, before any IoU is taken."""
     if not np.isfinite(raw).all():
         raise DivergenceError(f"non-finite model output{where}")
     params = box_params_from_raw(raw)
@@ -186,19 +186,21 @@ def _rows(params: np.ndarray) -> list[tuple]:
     return [(x, y, z, l, w, h, wrap_angle(yaw)) for x, y, z, l, w, h, yaw in params.tolist()]
 
 
-def _sample_ious(model: FusionModel, samples: list[TrainSample], predictions=None) -> list[float]:
-    """IoU of each sample's prediction (by default the model's) with its ground truth."""
+def _sample_ious(model, samples: list[TrainSample], predictions=None, gts=None) -> list[float]:
+    """IoU of each sample's prediction (by default the model's) with its ground
+    truth; `gts`, if given, holds the ground truths' (row, footprint) pairs."""
     if predictions is None:
         raws = model.forward_batch(np.stack([s.fused for s in samples]))
         predictions = _rows(_checked_box_params(raws))
-    return [_iou_rows(_row(pred), _row(s.gt_box))[0] for pred, s in zip(predictions, samples)]
+    gts = gts or [(_row(s.gt_box), None) for s in samples]
+    return [_iou_rows(_row(pred), row, None, fg)[0] for pred, (row, fg) in zip(predictions, gts)]
 
 
-def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
-    """Mean IoU between predicted and ground-truth boxes over a sample list."""
+def validation_miou(model: FusionModel, samples: list[TrainSample], gts=None) -> float:
+    """Mean IoU between predicted and ground-truth boxes; `gts` as in `_sample_ious`."""
     if not samples:
         raise EmptyBatch("validation requires at least one sample")
-    return sum(_sample_ious(model, samples)) / len(samples)
+    return sum(_sample_ious(model, samples, gts=gts)) / len(samples)
 
 
 def _diverged(epoch: int, batch: int, what: str):
@@ -226,7 +228,8 @@ def run_training(
     opt = AdamW(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
-    gt_rows = [_row(s.gt_box) for s in train_samples]
+    gts, val_gts = ([(r, bev_footprint(r)) for r in (_row(s.gt_box) for s in ss)]
+                    for ss in (train_samples, val_samples or []))
     fused_all = np.stack([s.fused for s in train_samples])
 
     history: list[EpochStats] = []
@@ -250,13 +253,16 @@ def run_training(
             if not math.isfinite(mse_batch):
                 _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
-            iou_batch = batch_iou_loss(zip(_rows(params_pred), [gt_rows[i] for i in idx]))
+            # _iou_rows's (p, g, fp, fg) per pair; a prediction's footprint in stage 2 only
+            pairs = [(p, gts[i][0], bev_footprint(p) if lam2 > 0.0 else None, gts[i][1])
+                     for p, i in zip(_rows(params_pred), idx)]
+            ious = [_iou_rows(*pair)[0] for pair in pairs]
+            iou_batch = sum(1.0 - iou for iou in ious) / B
             iou_grads = np.zeros((B, 7))
             if lam2 > 0.0:
-                for b, i in enumerate(idx):
-                    pred_box = Box7.from_params(params_pred[b])
+                for b, pair in enumerate(pairs):
                     try:
-                        iou_grads[b] = iou_loss_grad(pred_box, train_samples[i].gt_box)
+                        iou_grads[b] = iou_loss_grad(*pair, ious[b])
                     except (DegenerateOverlap, NonSmoothPoint):
                         skipped += 1
 
@@ -279,7 +285,7 @@ def run_training(
         if not math.isfinite(combined):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {combined}")
         try:
-            val = validation_miou(model, val_samples) if val_samples else None
+            val = validation_miou(model, val_samples, val_gts) if val_samples else None
         except DivergenceError as e:
             raise DivergenceError(f"{e} on the validation samples at epoch {epoch}") from None
         stats = EpochStats(epoch, lam1, lam2, lr, mse_epoch, iou_epoch, combined, val, skipped)

@@ -17,7 +17,7 @@ from minidet3d.data import (
     SceneRecord,
     _record_to_json,
 )
-from minidet3d.errors import DegenerateOverlap, NonSmoothPoint
+from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
 from minidet3d.geom import (
     Box7,
     CameraIntrinsics,
@@ -27,7 +27,8 @@ from minidet3d.geom import (
     quat_to_matrix,
     transform_box,
 )
-from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, polygon_area
+from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, iou_loss_grad
+from minidet3d.iou import polygon_area
 from minidet3d.lora import LoRAAdapter, apply_adapted
 from minidet3d.metrics import ConfusionCounts
 
@@ -70,6 +71,23 @@ def fd_iou_loss_grad(p: Box7, g: Box7, step: float = FD_STEP) -> np.ndarray:
             )
         grad[i] = g2
     return grad
+
+
+def batch_iou_loss(pairs) -> float:
+    """Mean of per-pair IoU losses over a non-empty batch of (Box7 or row) pairs:
+    the value the trainer logs as a batch's IoU loss."""
+    pairs = list(pairs)
+    if not pairs:
+        raise EmptyBatch("batch_iou_loss requires at least one pair")
+    return sum(iou_loss(p, g) for p, g in pairs) / len(pairs)
+
+
+def grad_outcome(*args):
+    """iou_loss_grad's bits, or the class of the exception it raises."""
+    try:
+        return iou_loss_grad(*args).tobytes()
+    except (DegenerateOverlap, NonSmoothPoint) as e:
+        return type(e)
 
 
 def grads_agree(a, b) -> bool:

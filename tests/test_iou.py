@@ -8,7 +8,6 @@ from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
 from minidet3d.geom import Box7, Pose, quat_from_yaw, transform_box
 from minidet3d.geom import wrap_angle
 from minidet3d.iou import (
-    batch_iou_loss,
     bev_footprint,
     iou_3d,
     iou_loss,
@@ -18,7 +17,8 @@ from minidet3d.iou import (
     polygon_clip,
 )
 from minidet3d.iou import _iou_rows, _row
-from oracles import fd_iou_loss_grad, grads_agree, reference_iou_3d, reference_polygon_clip
+from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, reference_iou_3d
+from oracles import reference_polygon_clip
 from oracles import reference_bev_footprint
 
 UNIT_SQUARE = [(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)]
@@ -563,3 +563,70 @@ class TestRowKernelMatchesIoU3D:
         raw = (a.x, a.y, a.z, a.l, a.w, a.h, a.yaw + 2.0 * math.pi * turns)
         self.check(raw, b)
         self.check(tuple(b.params().tolist()), a)
+
+
+def row_with_corner_on_edge(g: Box7, draw) -> tuple:
+    """A raw row whose footprint has a corner on one of g's footprint edges,
+    within rounding; its yaw is drawn outside (-pi, pi] as in raw_row_near."""
+    size = st.floats(0.2, 5.0)
+    l, w, h = draw(size), draw(size), draw(size)
+    yaw = draw(st.floats(-math.pi, math.pi))
+    G = bev_footprint(g)
+    edge, t = draw(st.integers(0, 3)), draw(st.floats(0.05, 0.95))
+    (ax, ay), (bx, by) = G[edge - 1], G[edge]
+    sx, sy = draw(st.sampled_from([(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]))
+    c, s = math.cos(yaw), math.sin(yaw)
+    # centre = the point on the edge minus the corner's offset (sx l/2, sy w/2) turned by yaw
+    ox, oy = sx * l / 2.0, sy * w / 2.0
+    x, y = ax + t * (bx - ax) - (c * ox - s * oy), ay + t * (by - ay) - (s * ox + c * oy)
+    turns = draw(st.integers(-3, 3))
+    return (x, y, g.z + draw(st.floats(-0.3, 0.3)), l, w, h, yaw + 2.0 * math.pi * turns)
+
+
+def row_with_flush_face(g: Box7, draw) -> tuple:
+    """An overlapping raw row (as raw_row_near draws one) moved up or down so
+    that its top or bottom face is flush with g's."""
+    x, y, _, l, w, h, yaw = raw_row_near(g, "overlapping", draw)
+    face = draw(st.sampled_from([1.0, -1.0]))
+    return (x, y, g.z + face * (g.h - h) / 2.0, l, w, h, yaw)
+
+
+class TestGradFromCachedPartsMatchesBoxes:
+    """`iou_loss_grad` on rows with the footprints and IoU handed in, as the
+    trainer calls it, returns the bits `iou_loss_grad` returns on the Box7s
+    built from the same raw rows, or raises the same exception class."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", ["identical", "apart", "vertically-apart", "overlapping",
+                                      "corner-on-edge", "flush-face"])
+    def test_placed_pairs(self, kind, data):
+        g = Box7(*data.draw(st.tuples(st.floats(-20, 20), st.floats(-20, 20), st.floats(-2, 2),
+                                      st.floats(0.2, 5), st.floats(0.2, 5), st.floats(0.2, 5),
+                                      st.floats(-math.pi, math.pi))))
+        if kind == "corner-on-edge":
+            raw = row_with_corner_on_edge(g, data.draw)
+        elif kind == "flush-face":
+            raw = row_with_flush_face(g, data.draw)
+        else:
+            raw = raw_row_near(g, kind, data.draw)
+        row, grow = (*raw[:6], wrap_angle(raw[6])), _row(g)
+        fp, fg = bev_footprint(row), bev_footprint(grow)
+        iou = _iou_rows(row, grow, fp, fg)[0]
+        expected = grad_outcome(Box7(*raw), g)
+        assert grad_outcome(row, grow, fp, fg, iou) == expected, (raw, g)
+        assert grad_outcome(row, grow) == expected, (raw, g)
+        if kind in ("identical", "apart", "vertically-apart"):
+            assert expected is DegenerateOverlap and iou in (0.0, 1.0)
+        elif kind != "overlapping" and 0.0 < iou < 1.0:
+            assert expected is NonSmoothPoint
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["end-to-end", "side-by-side"]),
+           gap=st.sampled_from([0.0, 1e-9, 1e-3, 0.1, -1e-2, -5.0]))
+    def test_collinear_pairs(self, seed, kind, gap):
+        a, b, _ = collinear_pair(np.random.default_rng(seed), kind, gap)
+        ra, rb = _row(a), _row(b)
+        fa, fb = bev_footprint(ra), bev_footprint(rb)
+        got = grad_outcome(ra, rb, fa, fb, _iou_rows(ra, rb, fa, fb)[0])
+        assert got == grad_outcome(a, b), (a, b)

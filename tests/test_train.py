@@ -12,7 +12,7 @@ import minidet3d
 from minidet3d.data import synth_scenes
 from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
 from minidet3d.geom import Box7
-from minidet3d.iou import iou_3d
+from minidet3d.iou import _row, bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.losses import LossSchedule, schedule_weights
 from minidet3d.metrics import (
     ConfusionCounts,
@@ -36,7 +36,7 @@ from minidet3d.train import (
     validation_miou,
 )
 
-from oracles import DictAdamW
+from oracles import DictAdamW, grad_outcome
 
 MIX = {"adult": 0.5, "car": 0.5}
 
@@ -381,7 +381,8 @@ class TestValidationOnRowsEqualsBoxes:
     """`validation_miou` and `evaluate_model` take the model's predictions as
     rows. They must equal the per-sample `iou_3d` of the Box7s built from the
     same outputs, summed in the same order, bit for bit, also where the raw
-    yaw lies turns outside (-pi, pi] and is wrapped."""
+    yaw lies turns outside (-pi, pi] and is wrapped, and when validation is
+    handed the ground truths' rows and footprints."""
 
     @pytest.mark.parametrize("yaw_turns", [0, 3, -2])
     def test_equals_iou_3d_over_predicted_boxes(self, yaw_turns):
@@ -396,9 +397,66 @@ class TestValidationOnRowsEqualsBoxes:
         expected = sum(ious) / len(val)
 
         assert validation_miou(model, val).hex() == expected.hex()
+        gts = [(_row(s.gt_box), bev_footprint(s.gt_box)) for s in val]  # as run_training caches them
+        assert validation_miou(model, val, gts).hex() == expected.hex()
         report = evaluate_model(model, val, 0.25)
         assert report["miou_samples"].hex() == expected.hex()
         assert report == evaluate_model(None, val, 0.25, predictions=boxes)
         assert sum(0.0 < v < 1.0 for v in ious) >= len(val) // 2
         if yaw_turns:
             assert not (np.abs(raws[:, 6]) <= math.pi).any()
+
+
+class TestOneClipPerPair:
+    """Each training pair is clipped at most once per batch (its IoU serves the
+    logged loss, the degeneracy check and the gradient) and each validation
+    pair at most once per epoch, in both stages. Every stage-2 pair reaches
+    iou_loss_grad, whose answer on the trainer's rows, footprints and IoU is
+    the one it gives on the Box7s."""
+
+    def test_no_pair_is_clipped_twice_per_forward(self, monkeypatch):
+        train, val = small_dataset(64, seed=35), small_dataset(24, seed=36)
+        model = FusionModel(ModelConfig(seed=5))
+        # stage 1 until most predictions overlap their ground truth, not counted
+        pretrain = LossSchedule(transition_epoch=20, total_epochs=21, stage1_lr=2e-3, stage2_lr=5e-5)
+        run_training(model, train, pretrain, seed=5)
+
+        segments = []  # per forward: its row count and the operands of each clip after it
+        grads = []  # per gradient call: its arguments
+        forward, clip = model.forward_batch, minidet3d.iou.polygon_clip
+
+        def counted_forward(F):
+            segments.append((len(F), []))
+            return forward(F)
+
+        def counted_clip(subject, clip_polygon):
+            segments[-1][1].append((tuple(subject), tuple(clip_polygon)))
+            return clip(subject, clip_polygon)
+
+        def recorded_grad(*args):
+            grads.append(args)
+            return iou_loss_grad(*args)
+
+        monkeypatch.setattr(model, "forward_batch", counted_forward)
+        monkeypatch.setattr(minidet3d.iou, "polygon_clip", counted_clip)
+        monkeypatch.setattr(minidet3d.train, "iou_loss_grad", recorded_grad)
+        sched = LossSchedule(transition_epoch=1, total_epochs=3, stage1_lr=5e-5, stage2_lr=5e-5)
+        history = run_training(model, train, sched, seed=6, batch_size=16, val_samples=val)
+        monkeypatch.undo()
+
+        # per epoch: four training batches of 16, then one validation forward of 24
+        assert [rows for rows, _ in segments] == [16, 16, 16, 16, 24] * 3
+        for rows, clips in segments:
+            assert len(set(clips)) == len(clips) <= rows
+        stage2_clips = sum(len(clips) for rows, clips in segments[5:] if rows == 16)
+        assert stage2_clips >= 64 and history[-1].skipped_iou_grads < 32
+        assert len(grads) == 2 * len(train)
+        skipped = 0
+        for p, g, *rest in grads:
+            expected = grad_outcome(Box7(*p), Box7(*g))
+            assert grad_outcome(p, g, *rest) == expected
+            skipped += not isinstance(expected, bytes)
+        assert skipped == history[1].skipped_iou_grads + history[2].skipped_iou_grads
+        # the validation mIoU taken on cached ground-truth footprints inside
+        # run_training equals the one validation_miou makes on its own
+        assert history[-1].val_miou.hex() == validation_miou(model, val).hex()
