@@ -6,7 +6,7 @@ scene ingestion with camera visibility filtering, and detection metrics.
 """
 
 from .geom import Box7, CameraIntrinsics, Pose, box_corners, project_corners, transform_box
-from .iou import IoUResult, iou_3d, iou_loss, iou_loss_grad, monte_carlo_iou
+from .iou import IoUResult, iou_3d, iou_loss_grad, monte_carlo_iou
 from .lora import LoRAAdapter, adapter_init, adapter_param_fraction, apply_adapted, merge_adapter
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .model import FusionModel, ModelConfig
@@ -22,7 +22,6 @@ __all__ = [
     "transform_box",
     "IoUResult",
     "iou_3d",
-    "iou_loss",
     "iou_loss_grad",
     "monte_carlo_iou",
     "LoRAAdapter",

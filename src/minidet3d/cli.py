@@ -18,13 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import data as data_mod
-from .errors import ConfigError, MiniDetError
+from .errors import ConfigError, MiniDetError, check_json_value
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
 from .metrics import DEFAULT_IOU_THRESHOLD, check_report, report_csv, report_json
 from .model import FusionModel, ModelConfig, load_checkpoint, param_bytes, save_checkpoint
 from .train import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_VAL_FRACTION,
     LOG_HEADER,
     build_training_samples,
     evaluate_model,
@@ -40,39 +42,11 @@ _TRAIN_DEFAULTS = {
     "seed": 0,
     "data": None,
     "val_data": None,
-    "val_fraction": 0.1,
-    "batch_size": 32,
+    "val_fraction": DEFAULT_VAL_FRACTION,
+    "batch_size": DEFAULT_BATCH_SIZE,
     "model": dataclasses.asdict(ModelConfig()),
     "schedule": dataclasses.asdict(LossSchedule()),
 }
-
-# Python types a config value may have, and their JSON name, by its default's
-# type. A null default is a path; a tuple default takes a JSON list; an
-# integer stands for a number, a boolean for neither (no config value is one).
-_ACCEPTED = {
-    type(None): ((str, type(None)), "a string or null"),
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    str: (str, "a string"),
-    tuple: (list, "a list"),
-}
-
-
-def _check_type(value, default, where: str) -> None:
-    """Reject a value whose JSON type differs from its default's, and, where a
-    float is expected, a NaN or infinite number or an integer too large for a
-    float; list elements are checked against the default's first element."""
-    accepted, expected = _ACCEPTED[type(default)]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
-    # exact int/float comparison: False for NaN and for ints beyond float range
-    if isinstance(default, float) and not abs(value) <= sys.float_info.max:
-        got = (json.dumps(value) if isinstance(value, float)
-               else f"an integer of {len(str(abs(value)))} digits")
-        raise ConfigError(f"{where} must be a finite number, got {got}")
-    if isinstance(default, tuple):
-        for i, item in enumerate(value):
-            _check_type(item, default[0], f"{where}[{i}]")
 
 
 def _merge_config(defaults: dict, given: dict, where: str) -> dict:
@@ -87,7 +61,8 @@ def _merge_config(defaults: dict, given: dict, where: str) -> dict:
             merged[key] = _merge_config(default, given.get(key, {}), f"{where}.{key}")
         else:
             if key in given:
-                _check_type(given[key], default, f"{where}.{key}")
+                check_json_value(given[key], default, f"{where}.{key}",
+                                 lambda path, message: ConfigError(f"{path} {message}"))
             merged[key] = given.get(key, default)
     return merged
 

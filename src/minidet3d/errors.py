@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one type rule for JSON
+inputs: `check_json_value` decides whether a value read from a train config,
+a checkpoint header or an eval report has the type of its default, and raises
+the caller's own error type with the value's field path."""
+
+import json
+import sys
 
 
 class MiniDetError(Exception):
@@ -83,3 +89,34 @@ class CheckpointError(MiniDetError, ValueError):
 
 class DivergenceError(MiniDetError):
     """Training went non-finite or predicted a non-positive box size."""
+
+
+# Python types a JSON value may have, and their JSON name, by its default's
+# type. A null default is a path; a tuple default takes a JSON list; an
+# integer stands for a number, a boolean for neither (no checked value is one).
+_ACCEPTED = {
+    type(None): ((str, type(None)), "a string or null"),
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    tuple: (list, "a list"),
+}
+
+
+def check_json_value(value, default, where: str, fail) -> None:
+    """Raise `fail(where, message)` unless `value` has the JSON type of
+    `default` and, where a float is expected, is a number a float can hold:
+    not NaN, not infinite, not an integer beyond float range. A list's
+    elements are checked against the default's first element, as
+    `where[i]`. `message` reads "must be ..., got ..."."""
+    accepted, expected = _ACCEPTED[type(default)]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise fail(where, f"must be {expected}, got {json.dumps(value)}")
+    # exact int/float comparison: False for NaN and for ints beyond float range
+    if isinstance(default, float) and not abs(value) <= sys.float_info.max:
+        got = (json.dumps(value) if isinstance(value, float)
+               else f"an integer of {len(str(abs(value)))} digits")
+        raise fail(where, f"must be a finite number, got {got}")
+    if isinstance(default, tuple):
+        for i, item in enumerate(value):
+            check_json_value(item, default[0], f"{where}[{i}]", fail)

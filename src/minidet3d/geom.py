@@ -84,18 +84,9 @@ class Box7:
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
-    @property
-    def volume(self) -> float:
-        return self.l * self.w * self.h
-
     def params(self) -> np.ndarray:
         """The 7-vector (x, y, z, l, w, h, yaw)."""
         return np.array([self.x, self.y, self.z, self.l, self.w, self.h, self.yaw], dtype=np.float64)
-
-    @classmethod
-    def from_params(cls, p) -> "Box7":
-        p = np.asarray(p, dtype=np.float64).reshape(7)
-        return cls(*p.tolist())
 
 
 def _quat_normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:

@@ -1,4 +1,4 @@
-"""Exact rotated-box 3D IoU, the IoU training loss and its exact gradient.
+"""Exact rotated-box 3D IoU and the exact gradient of the IoU loss 1 - IoU.
 
 Boxes carry yaw only, so a 3D intersection decomposes into the intersection
 of the two bird's-eye-view footprints (convex quadrilaterals) times the
@@ -184,11 +184,6 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
     return IoUResult(*_iou_rows(_row(p), _row(g)))
 
 
-def iou_loss(p, g) -> float:
-    """1 - IoU, in [0, 1], of two boxes, each a Box7 or its row."""
-    return 1.0 - _iou_rows(_row(p), _row(g))[0]
-
-
 # Topology ties are decided within this fraction of the largest box size: a
 # corner this close to the other footprint's boundary, an edge crossing this
 # close to an edge end, or top or bottom faces this close to flush. The set
@@ -291,7 +286,7 @@ def _footprint_overlap_grad(p: tuple, g: tuple, P, G, tol: float) -> tuple[float
 
 
 def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
-    """Exact gradient of iou_loss w.r.t. p's 7 parameters (x, y, z, l, w, h, yaw).
+    """Exact gradient of 1 - IoU w.r.t. p's 7 parameters (x, y, z, l, w, h, yaw).
 
     p and g are Box7s or rows; their footprints fp, fg and IoU are made here unless given.
     Intersection volume = footprint-intersection area x vertical overlap,

@@ -88,21 +88,14 @@ def _check_base(w: np.ndarray, a: LoRAAdapter) -> np.ndarray:
     return w
 
 
-def apply_adapted(
-    w: np.ndarray, a: LoRAAdapter, x: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """x @ (W + alpha*B@A).T for any x of shape (..., d_in), never merging the matrix.
-
-    x @ W.T is written into `out` (a fresh array if None) and the low-rank
-    term alpha * ((x @ A.T) @ B.T) is added in place, so both forms run the
-    same two operations in the same order and give the same bits. `out`
-    must not overlap x.
-    """
+def apply_adapted(w: np.ndarray, a: LoRAAdapter, x: np.ndarray) -> np.ndarray:
+    """x @ (W + alpha*B@A).T for any x of shape (..., d_in), never merging the
+    matrix: x @ W.T, then alpha * ((x @ A.T) @ B.T) added in place."""
     w = _check_base(w, a)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != a.d_in:
         raise ShapeMismatch(f"input of length {x.shape[-1]} does not match d_in={a.d_in}")
-    y = np.matmul(x, w.T, out=out)
+    y = x @ w.T
     y += a.alpha * ((x @ a.A.T) @ a.B.T)
     return y
 

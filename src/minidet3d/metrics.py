@@ -16,10 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import dataclass
 
-from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError
+from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError, check_json_value
 from .geom import Box7
 from .iou import _iou_rows, _row, bev_footprint, iou_3d
 
@@ -226,38 +225,34 @@ def report_dict(
     }
 
 
-_REPORT_NUMBERS = ("miou_categories", "miou_samples", "accuracy", "precision", "recall", "f1")
+# The fields the renderings read, each with a default of its JSON type.
+_REPORT_ROW = {"category": "", "iou": 0.0, "count": 0}
+_REPORT_NUMBERS = dict.fromkeys(
+    ("miou_categories", "miou_samples", "accuracy", "precision", "recall", "f1"), 0.0
+)
 
 
-def _check_number(value, where: str) -> None:
-    """ParseError unless `value` is a JSON number the renderings can format
-    as a float, which an integer beyond float range is not."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(where, "missing or not a number")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        digits = len(str(abs(value)))
-        raise ParseError(where, f"an integer of {digits} digits is too large for a float")
+def _check_fields(obj: dict, defaults: dict, where: str) -> None:
+    for key, default in defaults.items():
+        if key not in obj:
+            raise ParseError(f"{where}.{key}", "missing")
+        check_json_value(obj[key], default, f"{where}.{key}", ParseError)
 
 
 def check_report(report) -> None:
     """ParseError naming the field path (`report.categories[2].iou`) unless
-    every field the renderings read is there with its type."""
+    every field the renderings read is there with its type, and every number
+    is finite."""
     if not isinstance(report, dict):
         raise ParseError("report", "must be an object")
     rows = report.get("categories")
     if not isinstance(rows, list):
         raise ParseError("report.categories", "missing or not a list")
     for i, row in enumerate(rows):
-        where = f"report.categories[{i}]"
         if not isinstance(row, dict):
-            raise ParseError(where, "must be an object")
-        if not isinstance(row.get("category"), str):
-            raise ParseError(f"{where}.category", "missing or not a string")
-        _check_number(row.get("iou"), f"{where}.iou")
-        if not isinstance(row.get("count"), int) or isinstance(row["count"], bool):
-            raise ParseError(f"{where}.count", "missing or not an integer")
-    for key in _REPORT_NUMBERS:
-        _check_number(report.get(key), f"report.{key}")
+            raise ParseError(f"report.categories[{i}]", "must be an object")
+        _check_fields(row, _REPORT_ROW, f"report.categories[{i}]")
+    _check_fields(report, _REPORT_NUMBERS, "report")
 
 
 def report_csv(report: dict) -> str:

@@ -72,7 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch, StaleActivation
+from .errors import CheckpointError, ShapeMismatch, StaleActivation, check_json_value
 from .lora import LoRAAdapter, adapter_grads, adapter_init, adapter_param_fraction, merge_adapter
 
 MLP_HIDDEN = (512, 256, 128)
@@ -496,18 +496,7 @@ def _header_config(cfg, bad) -> ModelConfig:
         raise bad("header", f"unknown keys {sorted(set(cfg) - set(defaults))}, "
                   f"missing keys {sorted(set(defaults) - set(cfg))}")
     for key, default in defaults.items():
-        value = cfg[key]
-        if isinstance(default, tuple):
-            kind = "a list of strings"
-            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-        elif isinstance(default, float):
-            kind = "a finite number"
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
-        else:
-            kind = "a non-negative integer"
-            ok = isinstance(value, int) and value >= 0
-        if isinstance(value, bool) or not ok:
-            raise bad(f"header.{key}", f"must be {kind}, got {json.dumps(value)}")
+        check_json_value(cfg[key], default, f"header.{key}", bad)
     try:
         return ModelConfig(**cfg)
     except ValueError as e:
@@ -537,7 +526,7 @@ def load_checkpoint(path: str | Path) -> FusionModel:
         raise bad("header length", f"{hlen} bytes, but only {len(blob) - 9} follow")
     try:
         cfg = json.loads(blob[9 : 9 + hlen].decode("utf-8"))
-    except ValueError as e:  # also UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
         raise bad("header", f"invalid JSON: {e}") from None
     config = _header_config(cfg, bad)
     weights = blob[9 + hlen :]

@@ -85,7 +85,11 @@ def build_training_samples(
     return samples
 
 
-def split_by_hash(samples: list[TrainSample], val_fraction: float = 0.1):
+DEFAULT_BATCH_SIZE = 32
+DEFAULT_VAL_FRACTION = 0.1
+
+
+def split_by_hash(samples: list[TrainSample], val_fraction: float = DEFAULT_VAL_FRACTION):
     """Deterministic train/val split keyed on a hash of the sample id."""
     train, val = [], []
     threshold = int(val_fraction * 2**32)
@@ -182,7 +186,7 @@ def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:
 
 
 def _rows(params: np.ndarray) -> list[tuple]:
-    """Box rows of (B, 7) parameters, yaw wrapped as Box7.from_params(params[b]) wraps it."""
+    """Box rows of (B, 7) parameters, yaw wrapped as Box7(*params[b]) wraps it."""
     return [(x, y, z, l, w, h, wrap_angle(yaw)) for x, y, z, l, w, h, yaw in params.tolist()]
 
 
@@ -212,7 +216,7 @@ def run_training(
     train_samples: list[TrainSample],
     schedule: LossSchedule,
     seed: int,
-    batch_size: int = 32,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     val_samples: list[TrainSample] | None = None,
     epoch_callback=None,
 ) -> list[EpochStats]:

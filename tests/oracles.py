@@ -27,12 +27,21 @@ from minidet3d.geom import (
     quat_to_matrix,
     transform_box,
 )
-from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss, iou_loss_grad
+from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.iou import polygon_area
 from minidet3d.lora import LoRAAdapter, apply_adapted
 from minidet3d.metrics import ConfusionCounts
 
 FD_STEP = 1e-4  # meters for x,y,z,l,w,h; radians for yaw
+
+
+def volume(box: Box7) -> float:
+    return box.l * box.w * box.h
+
+
+def iou_loss(p, g) -> float:
+    """1 - IoU, in [0, 1], of two boxes, each a Box7 or its row."""
+    return 1.0 - iou_3d(p, g).iou
 
 
 def fd_iou_loss_grad(p: Box7, g: Box7, step: float = FD_STEP) -> np.ndarray:
@@ -61,7 +70,7 @@ def fd_iou_loss_grad(p: Box7, g: Box7, step: float = FD_STEP) -> np.ndarray:
             plus[i] += h
             minus[i] -= h
             estimates.append(
-                (iou_loss(Box7.from_params(plus), g) - iou_loss(Box7.from_params(minus), g))
+                (iou_loss(Box7(*plus), g) - iou_loss(Box7(*minus), g))
                 / (2.0 * h)
             )
         g1, g2 = estimates
@@ -193,7 +202,7 @@ def reference_polygon_clip(subject, clip):
 
 def reference_iou_3d(p: Box7, g: Box7) -> IoUResult:
     if p == g:
-        vol = p.volume
+        vol = volume(p)
         return IoUResult(1.0, vol, vol)
     # Clip order is fixed by a canonical operand ordering so that
     # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
@@ -201,7 +210,7 @@ def reference_iou_3d(p: Box7, g: Box7) -> IoUResult:
         p, g = g, p
 
     z_overlap = min(p.z + p.h / 2.0, g.z + g.h / 2.0) - max(p.z - p.h / 2.0, g.z - g.h / 2.0)
-    vol_p, vol_g = p.volume, g.volume
+    vol_p, vol_g = volume(p), volume(g)
     if z_overlap <= 0.0:
         return IoUResult(0.0, 0.0, vol_p + vol_g)
 

@@ -1,23 +1,24 @@
 """The package exports nothing that only its own unit tests use.
 
 Every public top-level function or class in `src/minidet3d`, and every
-public method of such a class, must be named somewhere in `src/` outside its
-own definition, in `perfbench/`, or in `tests/test_acceptance.py`. A
-re-export in `__init__.py` is not a caller. A name that fails this belongs in
-the tests (as an oracle) or nowhere.
+public method of such a class, must be used as an identifier (a name, an
+attribute or an imported name) somewhere in `src/` outside its own
+definition, in `perfbench/`, or in `tests/test_acceptance.py`. A word in a
+comment, docstring or string is not a use, and a re-export in `__init__.py`
+is not a caller. A name that fails this belongs in the tests (as an oracle)
+or nowhere.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def public_definitions(path: Path):
+def public_definitions(tree: ast.Module):
     """(qualified name, bare name, first line, last line) of each public
     top-level function or class in a module, and of each public method."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         yield node.name, node.name, node.lineno, node.end_lineno
@@ -27,20 +28,35 @@ def public_definitions(path: Path):
                     yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
 
 
+def identifiers(tree: ast.AST, skip=range(0)) -> set[str]:
+    """Every name, attribute name and imported name the code of `tree` uses,
+    also inside f-strings, but not a word in a comment, docstring or other
+    string; nodes that start on a line in `skip` are left out."""
+    found = set()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return found
+
+
 def uncalled(package: Path, callers: list[Path]) -> list[str]:
     """Public names of `package` that no module of it (outside the name's own
-    definition, and not counting `__init__.py`) and no file in `callers` names."""
-    modules = {p: p.read_text(encoding="utf-8").splitlines() for p in sorted(package.glob("*.py"))}
-    outside = "\n".join(p.read_text(encoding="utf-8") for p in callers)
+    definition, and not counting `__init__.py`) and no file in `callers` uses
+    as an identifier."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    outside = set().union(*(identifiers(ast.parse(p.read_text(encoding="utf-8"))) for p in callers))
     found = []
-    for path, lines in modules.items():
-        for qualified, name, first, last in public_definitions(path):
-            rest = lines[: first - 1] + lines[last:]
-            texts = [outside, "\n".join(rest)] + [
-                "\n".join(other) for p, other in modules.items()
-                if p != path and p.name != "__init__.py"
-            ]
-            if not any(re.search(rf"\b{re.escape(name)}\b", t) for t in texts):
+    for path, tree in trees.items():
+        used = outside.union(*(identifiers(t) for p, t in trees.items()
+                               if p != path and p.name != "__init__.py"))
+        for qualified, name, first, last in public_definitions(tree):
+            if name not in used | identifiers(tree, range(first, last + 1)):
                 found.append(f"{path.stem}.{qualified}")
     return found
 
@@ -57,10 +73,15 @@ def test_the_scan_flags_a_name_only_its_definition_and_a_re_export_use(tmp_path)
     (package / "core.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def dropped():\n    return dropped()\n\n\n"
+        "def prose():\n    pass\n\n\n"
+        "def formatted():\n    pass\n\n\n"
         "class Kept:\n    def method(self):\n        return Kept\n\n"
         "    def _private(self):\n        pass\n"
     )
-    (package / "cli.py").write_text("from .core import used\n")
+    # `prose` appears only in a docstring, a comment and a string: no caller
+    (package / "cli.py").write_text(
+        '"""Like prose()."""\nfrom .core import used  # not prose\nNAME = "prose"\n'
+    )
     caller = tmp_path / "acceptance.py"
-    caller.write_text("Kept()\n")
-    assert uncalled(package, [caller]) == ["core.dropped", "core.Kept.method"]
+    caller.write_text('Kept()\nprint(f"{formatted()}")\n')
+    assert uncalled(package, [caller]) == ["core.dropped", "core.prose", "core.Kept.method"]

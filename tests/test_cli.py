@@ -426,9 +426,15 @@ MALFORMED_CHECKPOINTS = {
         lambda blob: blob[:5] + len(blob).to_bytes(4, "little") + blob[9:], "header length"
     ),
     "header_not_json": (lambda blob: blob[:5] + b"\x03\0\0\0{x}" + blob[9:], "header"),
+    "header_nested_too_deeply": (
+        lambda blob: blob[:5] + (10**5).to_bytes(4, "little") + b"[" * 10**5, "header"
+    ),
     "unknown_header_key": (_header_edit(lambda c: c.update(extra=1)), "header"),
     "missing_header_key": (_header_edit(lambda c: c.pop("seed")), "header"),
     "mistyped_header_value": (_header_edit(lambda c: c.update(d_v="x")), "header.d_v"),
+    "header_number_too_large_for_a_float": (
+        _header_edit(lambda c: c.update(lora_alpha=10**400)), "header.lora_alpha"
+    ),
     "truncated_weights": (lambda blob: blob[:-4], "weights"),
     "trailing_bytes": (lambda blob: blob + bytes(8), "weights"),
 }
@@ -551,6 +557,10 @@ class TestReportCommand:
         ({"categories": [{"category": "car", "iou": 10**400, "count": 1}]},
          "report.categories[0].iou"),
         ({"recall": None}, "report.recall"),
+        ({"miou_samples": float("nan")}, "report.miou_samples"),
+        ({"f1": float("inf")}, "report.f1"),
+        ({"categories": [{"category": "car", "iou": float("nan"), "count": 1}]},
+         "report.categories[0].iou"),
     ])
     @pytest.mark.parametrize("csv", [False, True])
     def test_malformed_report_names_the_field(self, tmp_path, capsys, doc, field, csv):

@@ -40,6 +40,7 @@ from oracles import (
     reference_emit,
     reference_process_record,
     reference_project_corners,
+    volume,
 )
 
 # camera axes (x right, y down, z forward) of a camera looking along ego +x
@@ -209,7 +210,7 @@ class TestToLidarFrame:
 
             recovered = transform_box(ann.box, back)
             assert np.allclose(recovered.params(), box.params(), atol=1e-9)
-            assert ann.box.volume == pytest.approx(box.volume, abs=1e-9)
+            assert volume(ann.box) == pytest.approx(volume(box), abs=1e-9)
 
 
 class TestFilterVisible:

@@ -10,14 +10,14 @@ from minidet3d.geom import wrap_angle
 from minidet3d.iou import (
     bev_footprint,
     iou_3d,
-    iou_loss,
     iou_loss_grad,
     monte_carlo_iou,
     polygon_area,
     polygon_clip,
 )
 from minidet3d.iou import _iou_rows, _row
-from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, reference_iou_3d
+from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, iou_loss
+from oracles import reference_iou_3d, volume
 from oracles import reference_polygon_clip
 from oracles import reference_bev_footprint
 
@@ -77,8 +77,8 @@ class TestIoU3D:
         box = Box7(1, 2, 3, 4, 2, 2, 0.3)
         res = iou_3d(box, box)
         assert res.iou == 1.0
-        assert res.intersection_volume == pytest.approx(box.volume)
-        assert res.union_volume == pytest.approx(box.volume)
+        assert res.intersection_volume == pytest.approx(volume(box))
+        assert res.union_volume == pytest.approx(volume(box))
 
     def test_far_apart(self):
         a = Box7(0, 0, 0, 1, 1, 1, 0)
@@ -148,7 +148,7 @@ class TestIoU3D:
             res = iou_3d(a, b)
             assert 0.0 <= res.iou <= 1.0
             assert 0.0 <= res.intersection_volume <= res.union_volume
-            assert res.intersection_volume <= min(a.volume, b.volume) + 1e-12
+            assert res.intersection_volume <= min(volume(a), volume(b)) + 1e-12
             if res.union_volume > 0:
                 assert res.iou * res.union_volume == pytest.approx(
                     res.intersection_volume, abs=1e-12
@@ -242,14 +242,14 @@ class TestIoULossGrad:
 
 
 def closed_form_containment_grad(p, g):
-    """iou_loss gradient when one box contains the other in 3D: IoU is the
+    """IoU-loss gradient when one box contains the other in 3D: IoU is the
     ratio of the volumes, so only p's sizes matter."""
     lwh = np.array([p.w * p.h, p.l * p.h, p.l * p.w])
     grad = np.zeros(7)
-    if p.volume < g.volume:  # IoU = vol_p / vol_g
-        grad[3:6] = -lwh / g.volume
+    if volume(p) < volume(g):  # IoU = vol_p / vol_g
+        grad[3:6] = -lwh / volume(g)
     else:  # IoU = vol_g / vol_p
-        grad[3:6] = g.volume * lwh / p.volume**2
+        grad[3:6] = volume(g) * lwh / volume(p)**2
     return grad
 
 
@@ -266,7 +266,7 @@ class TestAnalyticIoULossGrad:
             jitter = rng.normal(0, 1, 7) * np.array([0.3, 0.3, 0.2, 0.2 * g.l, 0.2 * g.w, 0.2 * g.h, 0.4])
             params = g.params() + jitter
             params[3:6] = np.abs(params[3:6]) + 0.05
-            p = Box7.from_params(params)
+            p = Box7(*params)
             try:
                 expected = fd_iou_loss_grad(p, g)
             except DegenerateOverlap:
@@ -458,7 +458,7 @@ def collinear_pair(rng, kind, gap):
     b = Box7(x + dist * along[0], y + dist * along[1], z, l2, w2, h, yaw)
     overlap = max(0.0, min(size1 / 2.0, dist + size2 / 2.0) - max(-size1 / 2.0, dist - size2 / 2.0))
     inter = overlap * across * h
-    return a, b, inter / (a.volume + b.volume - inter)
+    return a, b, inter / (volume(a) + volume(b) - inter)
 
 
 class TestCollinearEdges:

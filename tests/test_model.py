@@ -154,7 +154,9 @@ class TestWorkspace:
 
 class TestBackward:
     def test_batch_gradient_is_sum_of_single_gradients_at_real_sizes(self):
-        model = randomized_model(ModelConfig())
+        # scale 0.02, as in TestMergedWeights: at 0.05 the softmax saturates and
+        # one ulp of the frozen base weights moves the reference past 1e-12
+        model = randomized_model(ModelConfig(), scale=0.02)
         rng = np.random.default_rng(4)
         F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
         model.forward_batch(F)
@@ -329,7 +331,7 @@ class TestSemanticHead:
 class TestRawToBox:
     def test_sizes_positive_and_yaw_wrapped(self):
         raw = np.array([1.0, -2.0, 0.5, -3.0, 0.0, 5.0, 7.0])
-        box = Box7.from_params(box_params_from_raw(raw))
+        box = Box7(*box_params_from_raw(raw))
         assert box.l > 0 and box.w > 0 and box.h > 0
         assert -math.pi < box.yaw <= math.pi
         assert box.w == pytest.approx(math.log(2.0))  # softplus(0)

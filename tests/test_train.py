@@ -359,7 +359,7 @@ class TestEvaluate:
         for s in samples:
             params = s.gt_box.params() + rng.normal(0.0, 1.0, 7) * [0.3, 0.3, 0.1, 0.2, 0.1, 0.1, 0.3]
             params[3:6] = np.abs(params[3:6]) + 0.05
-            predictions.append(Box7.from_params(params))
+            predictions.append(Box7(*params))
         ious = sorted(iou_3d(p, s.gt_box).iou for p, s in zip(predictions, samples))
         tie = ious[len(ious) // 2]  # a threshold some sample's IoU equals exactly
         assert 0.0 < tie < 1.0 and ious.count(0.0) > 0
