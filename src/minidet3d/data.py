@@ -24,6 +24,8 @@ one-line JSON, which `python -m json.tool` pretty-prints):
       ]
     }
 
+Every box value, translation, rotation and fx/fy/cx/cy is a finite JSON
+number, and width/height are JSON integers (errors.check_json_value's rule).
 Quaternions are [w,x,y,z] and must be unit within 1e-9; lengths are meters,
 angles radians. Annotation boxes live in the global frame and are brought
 into the LiDAR frame by inverting the ego and LiDAR calibration poses.
@@ -45,12 +47,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaVersionMismatch
+from .errors import ParseError, SchemaVersionMismatch, check_json_value
 from .geom import (
     Box7,
     CameraIntrinsics,
@@ -120,6 +124,18 @@ class ProcessedSample:
 
 # ---- parsing ---------------------------------------------------------------
 
+_FLOAT = {float}
+
+
+def _check_floats(values: list, where: str, key: str) -> None:
+    """Raise ParseError naming `where.key[i]`, in the words of
+    errors.check_json_value, at the first of `values` that is not a finite
+    JSON number. One pass over the types and one sum accept a list of finite
+    floats; only another list is checked value by value."""
+    if set(map(type, values)) != _FLOAT or not math.isfinite(sum(values)):
+        for i, v in enumerate(values):
+            check_json_value(v, 0.0, f"{where}.{key}[{i}]", ParseError)
+
 
 def _parse_pose(obj, where: str) -> Pose:
     if not isinstance(obj, dict):
@@ -135,32 +151,33 @@ def _parse_pose(obj, where: str) -> Pose:
         raise ParseError(f"{where}.translation", "must be a 3-list")
     if not (isinstance(q, list) and len(q) == 4):
         raise ParseError(f"{where}.rotation", "must be a 4-list [w,x,y,z]")
-    try:
-        t = tuple(map(float, t))
-        if not all(map(math.isfinite, t)):
-            raise ValueError("pose components must be finite")
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"{where}.translation", str(e)) from e
+    _check_floats(t, where, "translation")
+    _check_floats(q, where, "rotation")
     try:
         return Pose(t, q)
-    except (TypeError, ValueError, OverflowError) as e:
+    except ValueError as e:
         raise ParseError(f"{where}.rotation", str(e)) from e
 
 
+# The intrinsics fields, each with a default of the JSON type it must have.
+_INTRINSICS = {"fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width": 0, "height": 0}
+_intrinsic_values = itemgetter(*_INTRINSICS)
+
+
 def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
-    fields = ("fx", "fy", "cx", "cy", "width", "height")
-    if not isinstance(obj, dict) or set(obj) != set(fields):
-        raise ParseError(where, f"intrinsics must have exactly the fields {fields}")
+    if not isinstance(obj, dict) or obj.keys() != _INTRINSICS.keys():
+        raise ParseError(where, f"intrinsics must have exactly the fields {tuple(_INTRINSICS)}")
+    fx, fy, cx, cy, width, height = _intrinsic_values(obj)
+    if not (type(fx) is type(fy) is type(cx) is type(cy) is float
+            and math.isfinite(fx + fy + cx + cy)
+            and type(width) is type(height) is int
+            and max(abs(width), abs(height)) <= sys.float_info.max):
+        for key, default in _INTRINSICS.items():
+            check_json_value(obj[key], default, f"{where}.{key}", ParseError)
+        fx, fy, cx, cy = float(fx), float(fy), float(cx), float(cy)
     try:
-        return CameraIntrinsics(
-            fx=float(obj["fx"]),
-            fy=float(obj["fy"]),
-            cx=float(obj["cx"]),
-            cy=float(obj["cy"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-        )
-    except (TypeError, ValueError, OverflowError) as e:
+        return CameraIntrinsics(fx, fy, cx, cy, width, height)
+    except ValueError as e:
         raise ParseError(where, str(e)) from e
 
 
@@ -180,6 +197,9 @@ def _parse_record(obj, where: str) -> SceneRecord:
 
     ego = _parse_pose(obj["ego_to_global"], f"{where}.ego_to_global")
     lidar = _parse_pose(obj["lidar_to_ego"], f"{where}.lidar_to_ego")
+    for key in ("cameras", "annotations"):
+        if not isinstance(obj[key], list):
+            raise ParseError(f"{where}.{key}", "must be a list")
 
     cameras = []
     seen = set()
@@ -211,9 +231,10 @@ def _parse_record(obj, where: str) -> SceneRecord:
         box = ann["box"]
         if not (isinstance(box, list) and len(box) == 7):
             raise ParseError(f"{aw}.box", "must be a 7-list [x,y,z,l,w,h,yaw]")
+        _check_floats(box, aw, "box")
         try:
-            annotations.append(Annotation(ann["category"], Box7(*(float(v) for v in box))))
-        except (TypeError, ValueError, OverflowError) as e:
+            annotations.append(Annotation(ann["category"], Box7(*box)))
+        except ValueError as e:
             raise ParseError(f"{aw}.box", str(e)) from e
 
     return SceneRecord(sample_id, ego, lidar, tuple(cameras), tuple(annotations))
@@ -223,7 +244,9 @@ def ingest(path: str | Path) -> list[SceneRecord]:
     """Parse and validate a scene file; raises on the first malformed record."""
     records, diagnostics = ingest_lenient(path)
     if diagnostics:
-        raise diagnostics[0]
+        # popped, not indexed: its traceback holds this frame, so a list that
+        # still held it would be a reference cycle
+        raise diagnostics.pop(0)
     return records
 
 
@@ -245,6 +268,9 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     Every input record ends up either in the accepted list or as exactly one
     diagnostic naming the offending field. A file that cannot be read as a
     scene file at all raises ParseError naming the path.
+
+    The diagnostics hold no traceback frames, so the parsed document is freed
+    when this function returns, rejected records or not.
     """
     doc = read_json(path, "scene file")
     if not isinstance(doc, dict) or "schema_version" not in doc:
@@ -261,8 +287,20 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
         try:
             records.append(_parse_record(obj, f"records[{i}]"))
         except ParseError as e:
-            diagnostics.append(e)
+            diagnostics.append(_frameless(e))
     return records, diagnostics
+
+
+def _frameless(error: Exception) -> Exception:
+    """`error`, with no traceback left on it or on the errors it was raised
+    from. A stored traceback would hold the frame of ingest_lenient, whose
+    diagnostics list holds the error: a reference cycle that keeps the parsed
+    document and the caller's frame alive until a full garbage collection."""
+    e = error
+    while e is not None:
+        e.__traceback__ = None
+        e = e.__cause__ or e.__context__
+    return error
 
 
 def _pose_to_json(p: Pose) -> dict:

@@ -105,18 +105,21 @@ _ACCEPTED = {
 
 def check_json_value(value, default, where: str, fail) -> None:
     """Raise `fail(where, message)` unless `value` has the JSON type of
-    `default` and, where a float is expected, is a number a float can hold:
-    not NaN, not infinite, not an integer beyond float range. A list's
-    elements are checked against the default's first element, as
-    `where[i]`. `message` reads "must be ..., got ..."."""
+    `default` and, where a number is expected, is one a float can hold: not
+    NaN, not infinite, not an integer beyond float range (RFC 8259 leaves
+    such numbers to the reader; this package reads none). A list's elements
+    are checked against the default's first element, as `where[i]`.
+    `message` reads "must be ..., got ..."."""
     accepted, expected = _ACCEPTED[type(default)]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise fail(where, f"must be {expected}, got {json.dumps(value)}")
     # exact int/float comparison: False for NaN and for ints beyond float range
-    if isinstance(default, float) and not abs(value) <= sys.float_info.max:
+    if isinstance(default, (int, float)) and not abs(value) <= sys.float_info.max:
         got = (json.dumps(value) if isinstance(value, float)
                else f"an integer of {len(str(abs(value)))} digits")
-        raise fail(where, f"must be a finite number, got {got}")
+        bound = ("a finite number" if isinstance(default, float)
+                 else "an integer within float range")
+        raise fail(where, f"must be {bound}, got {got}")
     if isinstance(default, tuple):
         for i, item in enumerate(value):
             check_json_value(item, default[0], f"{where}[{i}]", fail)

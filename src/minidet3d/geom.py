@@ -287,7 +287,7 @@ class CameraIntrinsics:
             raise ValueError(f"image bounds must be positive, got {self.width}x{self.height}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectedCorner:
     """One corner's projection. u/v are None for points at or behind the camera."""
 

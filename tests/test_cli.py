@@ -204,9 +204,9 @@ def train_config(tmp_path, data_dir, **overrides):
 
 @pytest.mark.parametrize("command", ["ingest", "train", "eval"])
 @pytest.mark.parametrize("path, field", [
-    (("annotations", 0, "box", 0), "records[2].annotations[0].box"),
-    (("ego_to_global", "translation", 2), "records[2].ego_to_global.translation"),
-    (("cameras", 1, "intrinsics", "fx"), "records[2].cameras[1].intrinsics"),
+    (("annotations", 0, "box", 0), "records[2].annotations[0].box[0]"),
+    (("ego_to_global", "translation", 2), "records[2].ego_to_global.translation[2]"),
+    (("cameras", 1, "intrinsics", "fx"), "records[2].cameras[1].intrinsics.fx"),
 ])
 def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command, path, field):
     data = make_dataset(tmp_path, "data", 4, 12)
@@ -225,7 +225,7 @@ def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     prefix = "rejected" if command == "ingest" else "error"
-    assert err == f"{prefix}: {field}: int too large to convert to float\n"
+    assert err == f"{prefix}: {field}: must be a finite number, got an integer of 401 digits\n"
 
 
 class TestTrainCommand:
@@ -298,6 +298,8 @@ class TestTrainCommand:
         ({"val_fraction": 1.5}, "config.val_fraction must be in [0, 1), got 1.5"),
         ({"val_fraction": 1}, "config.val_fraction must be in [0, 1), got 1"),
         ({"val_fraction": -0.1}, "config.val_fraction must be in [0, 1), got -0.1"),
+        ({"batch_size": 10**400},
+         "config.batch_size must be an integer within float range, got an integer of 401 digits"),
     ])
     def test_bad_config_number_rejected_at_load(self, tmp_path, capsys, override, message):
         data = make_dataset(tmp_path, "data", 4, 11)
@@ -561,6 +563,8 @@ class TestReportCommand:
         ({"f1": float("inf")}, "report.f1"),
         ({"categories": [{"category": "car", "iou": float("nan"), "count": 1}]},
          "report.categories[0].iou"),
+        ({"categories": [{"category": "car", "iou": 1.0, "count": 10**400}]},
+         "report.categories[0].count"),
     ])
     @pytest.mark.parametrize("csv", [False, True])
     def test_malformed_report_names_the_field(self, tmp_path, capsys, doc, field, csv):

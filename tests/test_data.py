@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minidet3d.data import (
     CAMERA_NAMES,
@@ -25,7 +26,7 @@ from minidet3d.data import (
     synth_scenes,
     to_lidar_frame,
 )
-from minidet3d.errors import GimbalRisk, ParseError, SchemaVersionMismatch
+from minidet3d.errors import GimbalRisk, ParseError, SchemaVersionMismatch, check_json_value
 from minidet3d.geom import (
     Box7,
     CameraIntrinsics,
@@ -69,15 +70,26 @@ def make_record(annotations=(), ego=Pose.identity(), lidar=Pose.identity(), came
 
 
 HUGE = 10**400  # json.dumps writes every digit; no float holds it
-TOO_LARGE = "int too large to convert to float"
+TOO_LARGE = "must be a finite number, got an integer of 401 digits"
 # (path inside a record, value put there, the field named, the message)
 BAD_NUMBERS = [
-    (("annotations", 0, "box", 2), HUGE, "annotations[0].box", TOO_LARGE),
-    (("ego_to_global", "translation", 1), HUGE, "ego_to_global.translation", TOO_LARGE),
-    (("cameras", 0, "intrinsics", "fx"), HUGE, "cameras[0].intrinsics", TOO_LARGE),
-    (("lidar_to_ego", "rotation", 0), HUGE, "lidar_to_ego.rotation", TOO_LARGE),
-    (("lidar_to_ego", "translation", 0), float("nan"), "lidar_to_ego.translation",
-     "pose components must be finite"),
+    (("annotations", 0, "box", 2), HUGE, "annotations[0].box[2]", TOO_LARGE),
+    (("ego_to_global", "translation", 1), HUGE, "ego_to_global.translation[1]", TOO_LARGE),
+    (("cameras", 0, "intrinsics", "fx"), HUGE, "cameras[0].intrinsics.fx", TOO_LARGE),
+    (("lidar_to_ego", "rotation", 0), HUGE, "lidar_to_ego.rotation[0]", TOO_LARGE),
+    (("lidar_to_ego", "translation", 0), float("nan"), "lidar_to_ego.translation[0]",
+     "must be a finite number, got NaN"),
+    (("cameras", 0, "intrinsics", "fy"), float("inf"), "cameras[0].intrinsics.fy",
+     "must be a finite number, got Infinity"),
+    # values that float() and int() accept but that are not JSON numbers
+    (("annotations", 0, "box", 1), "1.5", "annotations[0].box[1]", 'must be a number, got "1.5"'),
+    (("annotations", 0, "box", 4), True, "annotations[0].box[4]", "must be a number, got true"),
+    (("cameras", 0, "intrinsics", "fx"), "1000", "cameras[0].intrinsics.fx",
+     'must be a number, got "1000"'),
+    (("cameras", 0, "intrinsics", "width"), 1600.9, "cameras[0].intrinsics.width",
+     "must be an integer, got 1600.9"),
+    (("ego_to_global", "translation", 0), "12", "ego_to_global.translation[0]",
+     'must be a number, got "12"'),
 ]
 
 
@@ -151,7 +163,8 @@ class TestIngest:
             ingest(bad)
 
     @pytest.mark.parametrize("path, value, field, message", BAD_NUMBERS,
-                             ids=[field for _, _, field, _ in BAD_NUMBERS])
+                             ids=[f"{field}={type(value).__name__}"
+                                  for _, value, field, _ in BAD_NUMBERS])
     def test_bad_number_rejects_exactly_its_record(self, tmp_path, path, value, field, message):
         records, _ = synth_scenes(3, {"car": 1.0}, seed=9)
         bad = tmp_path / "bad.json"
@@ -163,10 +176,71 @@ class TestIngest:
             (f"records[1].{field}", f"records[1].{field}: {message}")]
 
 
+    @pytest.mark.parametrize("key", ["cameras", "annotations"])
+    @pytest.mark.parametrize("value", [5, None, 1.5])
+    def test_record_list_that_is_not_a_list_names_its_field(self, tmp_path, key, value):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=9)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_value(json.loads(_emitted(tmp_path, records).read_text()),
+                                             ("records", 1, key), value)))
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == [records[0], records[2]]
+        assert [str(d) for d in diagnostics] == [f"records[1].{key}: must be a list"]
+
+
 def _emitted(tmp_path, records):
     path = tmp_path / "emitted.json"
     emit(records, path)
     return path
+
+
+def _numeric_leaves(value, path, field):
+    """(key path, field name) of every JSON number inside `value`."""
+    if isinstance(value, dict):
+        children = [(key, f"{field}.{key}") for key in value]
+    elif isinstance(value, list):
+        children = [(i, f"{field}[{i}]") for i in range(len(value))]
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return [(path, field)] if number else []
+    return [leaf for key, name in children
+            for leaf in _numeric_leaves(value[key], path + (key,), name)]
+
+
+HUGE_INTEGERS = st.integers(10**399, 10**400 - 1) | st.integers(-(10**400 - 1), -(10**399))
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4), st.floats().map(repr), st.booleans(), st.none(), st.just({}),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]), HUGE_INTEGERS,
+)
+NOT_AN_INTEGER = NOT_A_NUMBER | st.floats(1.0, 1e4).filter(lambda v: not v.is_integer())
+
+
+class TestParserFuzz:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        """Three synth records, their scene document, and every numeric leaf in it."""
+        records, _ = synth_scenes(3, {"adult": 0.5, "car": 0.5}, seed=31)
+        doc = json.loads(_emitted(tmp_path_factory.mktemp("fuzz"), records).read_text())
+        leaves = _numeric_leaves(doc["records"], ("records",), "records")
+        assert len(leaves) == 3 * (7 + 2 * 7 + 6 * (6 + 7))
+        return records, doc, leaves, tmp_path_factory.mktemp("fuzzed") / "scenes.json"
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_leaf_that_is_not_a_json_number_rejects_exactly_its_record(self, valid, data):
+        records, doc, leaves, path = valid
+        leaf, field = data.draw(st.sampled_from(leaves))
+        integer = field.endswith((".width", ".height"))
+        value = data.draw(NOT_AN_INTEGER if integer else NOT_A_NUMBER)
+        path.write_text(json.dumps(with_value(json.loads(json.dumps(doc)), leaf, value)))
+        accepted, diagnostics = ingest_lenient(path)
+        bad = leaf[1]
+        assert accepted == records[:bad] + records[bad + 1:]
+        assert [(type(d), d.field) for d in diagnostics] == [(ParseError, field)]
+        assert str(diagnostics[0]).startswith(
+            f"{field}: must be {'an integer' if integer else 'a'}")
 
 
 class TestToLidarFrame:
@@ -509,14 +583,16 @@ class TestIngestMatchesReference:
         doc["records"][0]["ego_to_global"] = {"translation": translation, "rotation": rotation}
         path = tmp_path / "scenes.json"
         path.write_text(json.dumps(doc))
-        field = "translation"
-        try:  # the parser converted the lists before it built the pose
-            t = tuple(float(v) for v in translation)
-            field = "rotation"
-            ref = ReferencePose(t, tuple(float(v) for v in rotation))
-            expected = []
-        except (TypeError, ValueError) as e:
-            ref, expected = None, [f"records[0].ego_to_global.{field}: {e}"]
+        ref, expected = None, []
+        try:  # every value must be a JSON number before the pose is built
+            for key, values in (("translation", translation), ("rotation", rotation)):
+                for i, v in enumerate(values):
+                    check_json_value(v, 0.0, f"records[0].ego_to_global.{key}[{i}]", ParseError)
+            ref = ReferencePose(tuple(translation), tuple(rotation))
+        except ParseError as e:
+            expected = [str(e)]
+        except ValueError as e:
+            expected = [f"records[0].ego_to_global.rotation: {e}"]
         records, diagnostics = ingest_lenient(path)
         assert [str(d) for d in diagnostics] == expected
         if ref is not None:
