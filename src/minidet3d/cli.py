@@ -17,6 +17,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import data as data_mod
 from .errors import ConfigError, MiniDetError, check_json_value
 from .geom import Box7
@@ -67,12 +69,12 @@ def _merge_config(defaults: dict, given: dict, where: str) -> dict:
     return merged
 
 
-def _build(cls, config: dict, key: str):
-    """cls(**config[key]); its ValueError, which names the field first, as a ConfigError."""
+def _build(make, where: str, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError as a ConfigError that starts with `where`."""
     try:
-        return cls(**config[key])
+        return make(*args, **kwargs)
     except ValueError as e:
-        raise ConfigError(f"config.{key}.{e}") from None
+        raise ConfigError(f"{where}{e}") from None
 
 
 def _write_resolved_config(config: dict, path: Path) -> None:
@@ -111,8 +113,7 @@ def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = "
 
 
 def cmd_iou(args) -> int:
-    a = Box7(*args.box[:7])
-    b = Box7(*args.box[7:])
+    a, b = (_build(Box7, f"box {n}: ", *args.box[i:i + 7]) for n, i in (("a", 0), ("b", 7)))
     res = iou_3d(a, b)
     print(f"iou={res.iou!r}")
     print(f"intersection={res.intersection_volume!r}")
@@ -124,6 +125,15 @@ def cmd_iou(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore")  # a pose that overflows fails its finiteness check
+def _process_record(rec):
+    """data.process_record(rec), whose failure names the record."""
+    try:
+        return data_mod.process_record(rec)
+    except (MiniDetError, ValueError) as e:
+        raise MiniDetError(f"record {rec.sample_id!r}: {e}") from None
+
+
 def cmd_ingest(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
@@ -133,9 +143,9 @@ def cmd_ingest(args) -> int:
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            processed = list(pool.map(data_mod.process_record, records, chunksize=16))
+            processed = list(pool.map(_process_record, records, chunksize=16))
     else:
-        processed = [data_mod.process_record(r) for r in records]
+        processed = [_process_record(r) for r in records]
 
     dropped = 0
     out = Path(args.out)
@@ -154,8 +164,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for flag, value, least in (("--seed", args.seed, 0), ("--d-t", args.d_t, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    if not 0.0 <= args.noise < np.inf:
+        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
     mix = {}
     for part in args.mix.split(","):
         name, _, weight = part.partition("=")
@@ -163,6 +176,8 @@ def cmd_synth(args) -> int:
             mix[name.strip()] = float(weight)
         except ValueError:
             raise ConfigError(f"--mix: bad entry {part!r}, expected name=number") from None
+        if not np.isfinite(mix[name.strip()]):
+            raise ConfigError(f"--mix: entry {part!r} is not finite")
     config = data_mod.SynthConfig(d_v=args.d_v, d_t=args.d_t, noise_std=args.noise)
     records, features = data_mod.synth_scenes(args.count, mix, args.seed, config)
 
@@ -197,8 +212,8 @@ def cmd_train(args) -> int:
         if config[key] < least:
             raise ConfigError(f"config.{key} must be >= {least}, got {config[key]}")
 
-    model_config = _build(ModelConfig, config, "model")
-    schedule = _build(LossSchedule, config, "schedule")
+    model_config = _build(ModelConfig, "config.model.", **config["model"])
+    schedule = _build(LossSchedule, "config.schedule.", **config["schedule"])
     need = param_bytes(model_config)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -29,6 +29,8 @@ number, and width/height are JSON integers (errors.check_json_value's rule).
 Quaternions are [w,x,y,z] and must be unit within 1e-9; lengths are meters,
 angles radians. Annotation boxes live in the global frame and are brought
 into the LiDAR frame by inverting the ego and LiDAR calibration poses.
+Records of one file that repeat a pose, bit for bit, share one `Pose`, so
+each calibration pose is checked and inverted once per file.
 Corner visibility follows the camera rule: a corner counts as visible when
 its camera-frame depth is positive and its projection lands inside the
 image; an annotation is retained when at least one corner is visible in at
@@ -47,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -60,6 +63,7 @@ from .geom import (
     CameraIntrinsics,
     Pose,
     ProjectedCorner,
+    _quat_normalize,
     box_corners,
     project_corners,
     quat_from_matrix,
@@ -104,8 +108,7 @@ class SceneRecord:
         names = [c.name for c in self.cameras]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate camera names: {names}")
-        object.__setattr__(self, "cameras", tuple(self.cameras))
-        object.__setattr__(self, "annotations", tuple(self.annotations))
+        vars(self).update(cameras=tuple(self.cameras), annotations=tuple(self.annotations))
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,7 @@ class ProcessedSample:
 # ---- parsing ---------------------------------------------------------------
 
 _FLOAT = {float}
+_pose_key = struct.Struct("<7d").pack  # a pose's 7 values as bits: -0.0 is not 0.0
 
 
 def _check_floats(values: list, where: str, key: str) -> None:
@@ -137,7 +141,7 @@ def _check_floats(values: list, where: str, key: str) -> None:
             check_json_value(v, 0.0, f"{where}.{key}[{i}]", ParseError)
 
 
-def _parse_pose(obj, where: str) -> Pose:
+def _parse_pose(obj, where: str, poses: dict) -> Pose:
     if not isinstance(obj, dict):
         raise ParseError(where, "pose must be an object")
     for key in ("translation", "rotation"):
@@ -153,10 +157,13 @@ def _parse_pose(obj, where: str) -> Pose:
         raise ParseError(f"{where}.rotation", "must be a 4-list [w,x,y,z]")
     _check_floats(t, where, "translation")
     _check_floats(q, where, "rotation")
-    try:
-        return Pose(t, q)
-    except ValueError as e:
-        raise ParseError(f"{where}.rotation", str(e)) from e
+    key = _pose_key(*t, *q)
+    if key not in poses:
+        try:
+            poses[key] = Pose._of_floats(tuple(map(float, t)), _quat_normalize(tuple(map(float, q))))
+        except ValueError as e:
+            raise ParseError(f"{where}.rotation", str(e)) from e
+    return poses[key]
 
 
 # The intrinsics fields, each with a default of the JSON type it must have.
@@ -181,7 +188,7 @@ def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
         raise ParseError(where, str(e)) from e
 
 
-def _parse_record(obj, where: str) -> SceneRecord:
+def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
     if not isinstance(obj, dict):
         raise ParseError(where, "record must be an object")
     required = {"sample_id", "ego_to_global", "lidar_to_ego", "cameras", "annotations"}
@@ -195,8 +202,8 @@ def _parse_record(obj, where: str) -> SceneRecord:
     if not isinstance(sample_id, str) or not sample_id:
         raise ParseError(f"{where}.sample_id", "must be a non-empty string")
 
-    ego = _parse_pose(obj["ego_to_global"], f"{where}.ego_to_global")
-    lidar = _parse_pose(obj["lidar_to_ego"], f"{where}.lidar_to_ego")
+    ego = _parse_pose(obj["ego_to_global"], f"{where}.ego_to_global", poses)
+    lidar = _parse_pose(obj["lidar_to_ego"], f"{where}.lidar_to_ego", poses)
     for key in ("cameras", "annotations"):
         if not isinstance(obj[key], list):
             raise ParseError(f"{where}.{key}", "must be a list")
@@ -217,7 +224,7 @@ def _parse_record(obj, where: str) -> SceneRecord:
             CameraBlock(
                 name=name,
                 intrinsics=_parse_intrinsics(cam["intrinsics"], f"{cw}.intrinsics"),
-                sensor_to_ego=_parse_pose(cam["sensor_to_ego"], f"{cw}.sensor_to_ego"),
+                sensor_to_ego=_parse_pose(cam["sensor_to_ego"], f"{cw}.sensor_to_ego", poses),
             )
         )
 
@@ -266,9 +273,11 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     """Parse a scene file, collecting per-record diagnostics instead of failing.
 
     Every input record ends up either in the accepted list or as exactly one
-    diagnostic naming the offending field. A file that cannot be read as a
+    diagnostic naming the offending field; a record whose sample_id an
+    accepted one already has is rejected. A file that cannot be read as a
     scene file at all raises ParseError naming the path.
 
+    Records that repeat a pose, bit for bit, share one Pose and its inverse.
     The diagnostics hold no traceback frames, so the parsed document is freed
     when this function returns, rejected records or not.
     """
@@ -282,10 +291,14 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     if "records" not in doc or not isinstance(doc["records"], list):
         raise ParseError(str(path), "missing records list")
 
-    records, diagnostics = [], []
+    records, diagnostics, poses, first = [], [], {}, {}
     for i, obj in enumerate(doc["records"]):
         try:
-            records.append(_parse_record(obj, f"records[{i}]"))
+            rec = _parse_record(obj, f"records[{i}]", poses)
+            if (j := first.setdefault(rec.sample_id, i)) != i:
+                raise ParseError(f"records[{i}].sample_id",
+                                 f"duplicate sample_id {rec.sample_id!r}, first at records[{j}]")
+            records.append(rec)
         except ParseError as e:
             diagnostics.append(_frameless(e))
     return records, diagnostics
@@ -315,14 +328,7 @@ def _record_to_json(rec: SceneRecord) -> dict:
         "cameras": [
             {
                 "name": c.name,
-                "intrinsics": {
-                    "fx": c.intrinsics.fx,
-                    "fy": c.intrinsics.fy,
-                    "cx": c.intrinsics.cx,
-                    "cy": c.intrinsics.cy,
-                    "width": c.intrinsics.width,
-                    "height": c.intrinsics.height,
-                },
+                "intrinsics": vars(c.intrinsics),  # the six fields, in order
                 "sensor_to_ego": _pose_to_json(c.sensor_to_ego),
             }
             for c in rec.cameras
@@ -361,18 +367,11 @@ def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> Processed
     corner is visible in at least one camera.
     """
     processed = []
-    ego_from_lidar = rec.lidar_to_ego
-    cameras = [(cam.name, cam.intrinsics, cam.sensor_to_ego.inverse()) for cam in rec.cameras]
     for ann in annotations:
-        corners_lidar = box_corners(ann.box)
-        corners_ego = ego_from_lidar.apply(corners_lidar)
-        projections: dict[str, list[ProjectedCorner]] = {}
-        retained = False
-        for name, intrinsics, cam_from_ego in cameras:
-            proj = project_corners(cam_from_ego.apply(corners_ego), intrinsics)
-            projections[name] = proj
-            if any(c.visible for c in proj):
-                retained = True
+        corners_ego = rec.lidar_to_ego.apply(box_corners(ann.box))
+        projections = {cam.name: project_corners(cam.sensor_to_ego.inverse().apply(corners_ego),
+                                                 cam.intrinsics) for cam in rec.cameras}
+        retained = any(c.visible for proj in projections.values() for c in proj)
         processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
     return ProcessedSample(rec.sample_id, tuple(processed))
 
@@ -391,7 +390,7 @@ def processed_to_json(sample: ProcessedSample) -> dict:
                 "box": list(a.box.params()),
                 "retained": a.retained,
                 "projections": {
-                    name: [[c.u, c.v, c.visible] for c in corners]
+                    name: [list(c) for c in corners]
                     for name, corners in sorted(a.projections.items())
                 },
             }

@@ -6,15 +6,17 @@ Conventions used throughout the package:
   angle about the vertical (+z) axis, with yaw normalized into (-pi, pi].
   Length runs along the box's local x axis at yaw 0.
 - Rigid transforms are stored as translation + unit quaternion (w, x, y, z).
-  A pose computes its rotation matrix once, on first use, and keeps it
-  read-only (`inverse` hands over the one it built); the matrix is not part
-  of its value (==, hash, repr, pickle).
+  A pose builds its rotation matrix (read-only) and its inverse once, on
+  first use, and keeps both out of its value (==, hash, repr, pickle). The
+  scene parser, `inverse` and `compose` build poses of checked values with
+  `Pose._of_floats`, which checks only that the translation is finite.
 - Corner order is fixed: bottom face counter-clockwise viewed from above,
   starting at local (+l/2, -w/2), then the top face in the same x-y order.
   This makes corner-set comparisons element-wise.
 - Camera frames are x-right, y-down, z-forward. The projection of a point
   with positive depth is (u, v) = (fx*x/z + cx, fy*y/z + cy). Points behind
-  the camera or outside [0, width) x [0, height) are tagged invisible.
+  the camera or outside [0, width) x [0, height) are tagged invisible. A
+  projected corner is a `ProjectedCorner` named tuple (u, v, visible).
 
 Everything here is pure functions over frozen values; all geometry is
 64-bit floating point.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,11 +185,20 @@ class Pose:
             raise ValueError(f"rotation must have 4 components, got {len(q)}")
         if not all(map(math.isfinite, t + q)):
             raise ValueError("pose components must be finite")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "rotation", _quat_normalize(q))
+        vars(self).update(translation=t, rotation=_quat_normalize(q))
+
+    @classmethod
+    def _of_floats(cls, t: tuple, q: tuple) -> "Pose":
+        """Pose(t, q) for float tuples that pass its checks, `q` one that
+        _quat_normalize keeps; only `t` is checked again, as it can overflow."""
+        if not math.isfinite(sum(t)) and not all(map(math.isfinite, t)):
+            raise ValueError("pose components must be finite")
+        pose = object.__new__(cls)
+        vars(pose).update(translation=t, rotation=q)
+        return pose
 
     def __getstate__(self):
-        # The fields only: a pickle never carries the matrix cache.
+        # The fields only: a pickle never carries the cached matrix or inverse.
         return {"translation": self.translation, "rotation": self.rotation}
 
     @cached_property
@@ -210,18 +222,19 @@ class Pose:
         t = self.apply(np.asarray(other.translation))
         w, x, y, z = quat_multiply(self.rotation, other.rotation)
         norm = math.sqrt(w * w + x * x + y * y + z * z)
-        return Pose(tuple(t.tolist()), (w / norm, x / norm, y / norm, z / norm))
+        return Pose._of_floats(tuple(t.tolist()), (w / norm, x / norm, y / norm, z / norm))
 
     def inverse(self) -> "Pose":
-        w, x, y, z = self.rotation
-        conj = (w, -x, -y, -z)
-        m = quat_to_matrix(conj)
-        t_inv = -(np.asarray(self.translation) @ m.T)
-        inv = Pose(tuple(t_inv.tolist()), conj)
-        # conj is unit within 1e-12, so inv.rotation is conj and m is its matrix.
-        m.flags.writeable = False
-        inv.__dict__["_matrix"] = m
-        return inv
+        """The inverse transform, built with its matrix on first use and kept."""
+        if "_inverse" not in vars(self):
+            w, x, y, z = self.rotation
+            conj = (w, -x, -y, -z)  # unit within 1e-12, so _quat_normalize keeps it
+            m = quat_to_matrix(conj)
+            m.flags.writeable = False
+            t_inv = -(np.asarray(self.translation) @ m.T)
+            inv = vars(self)["_inverse"] = Pose._of_floats(tuple(t_inv.tolist()), conj)
+            vars(inv)["_matrix"] = m
+        return vars(self)["_inverse"]
 
     def tilt_angle(self) -> float:
         """Angle (rad) by which this rotation tips the vertical axis."""
@@ -257,16 +270,8 @@ def transform_box(box: Box7, pose: Pose) -> Box7:
             f"pose tilts the vertical axis by {pose.tilt_angle():.3e} rad; "
             "boxes here carry yaw only"
         )
-    center = pose.apply(box.center)
-    return Box7(
-        float(center[0]),
-        float(center[1]),
-        float(center[2]),
-        box.l,
-        box.w,
-        box.h,
-        wrap_angle(box.yaw + pose.heading()),
-    )
+    x, y, z = pose.apply(box.center).tolist()
+    return Box7(x, y, z, box.l, box.w, box.h, wrap_angle(box.yaw + pose.heading()))
 
 
 @dataclass(frozen=True)
@@ -287,13 +292,15 @@ class CameraIntrinsics:
             raise ValueError(f"image bounds must be positive, got {self.width}x{self.height}")
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectedCorner:
+class ProjectedCorner(NamedTuple):
     """One corner's projection. u/v are None for points at or behind the camera."""
 
     u: float | None
     v: float | None
     visible: bool
+
+
+_BEHIND = ProjectedCorner(None, None, False)
 
 
 def project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> list[ProjectedCorner]:
@@ -304,13 +311,12 @@ def project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> list[Projecte
     coordinates; behind-camera corners have no meaningful projection.
     """
     pts = np.asarray(corners, dtype=np.float64).reshape(-1, 3)
+    fx, fy, cx, cy, width, height = cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height
     out = []
     for x, y, z in pts.tolist():
         if z <= 0.0:
-            out.append(ProjectedCorner(None, None, False))
-            continue
-        u = float(cam.fx * x / z + cam.cx)
-        v = float(cam.fy * y / z + cam.cy)
-        visible = (0.0 <= u < cam.width) and (0.0 <= v < cam.height)
-        out.append(ProjectedCorner(u, v, visible))
+            out.append(_BEHIND)
+        else:
+            u, v = fx * x / z + cx, fy * y / z + cy
+            out.append(ProjectedCorner(u, v, 0.0 <= u < width and 0.0 <= v < height))
     return out

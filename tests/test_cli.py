@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from minidet3d.cli import main
-from minidet3d.data import Annotation, emit, synth_scenes
-from minidet3d.geom import Box7
+from minidet3d.data import Annotation, emit, ingest_lenient, synth_scenes
+from minidet3d.geom import Box7, quat_from_yaw
 from minidet3d.losses import LossSchedule
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 
@@ -75,6 +75,18 @@ class TestIouCommand:
         # sizes must be positive: parse succeeds, validation fails
         assert run_cli("iou", 0, 0, 0, -1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box, at, message", [
+        ("a", 6, "Box7.yaw must be finite, got nan"),
+        ("b", 6, "Box7.yaw must be finite, got nan"),
+        ("b", 0, "Box7.x must be finite, got inf"),
+        ("a", 4, "Box7 sizes must be positive, got l=1.0, w=-1.0, h=1.0"),
+    ])
+    def test_invalid_box_names_it(self, capsys, box, at, message):
+        values = [0, 0, 0, 1, 1, 1, 0] * 2
+        values[at + (7 if box == "b" else 0)] = {0: "inf", 4: -1, 6: "nan"}[at]
+        assert run_cli("iou", *values) == 1
+        assert capsys.readouterr().err == f"error: box {box}: {message}\n"
 
 
 class TestSynthCommand:
@@ -146,10 +158,44 @@ class TestIngestCommand:
 
     def test_workers_give_identical_output(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 20, 8)
+        records, _ = ingest_lenient(data / "scenes.json")  # the records share their rig
+        assert records[0].lidar_to_ego is records[-1].lidar_to_ego
+        assert records[0].cameras[5].sensor_to_ego is records[-1].cameras[5].sensor_to_ego
         out1, out4 = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"
         assert run_cli("ingest", data / "scenes.json", "--out", out1, "--workers", 1) == 0
         assert run_cli("ingest", data / "scenes.json", "--out", out4, "--workers", 4) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("ego, message", [
+        ({"translation": [1.7e308, 1.7e308, 0.0], "rotation": list(quat_from_yaw(math.pi / 4))},
+         "pose components must be finite"),
+        ({"translation": [5.0, 1.0, 0.0], "rotation": [math.cos(0.01), math.sin(0.01), 0.0, 0.0]},
+         "pose tilts the vertical axis by 2.000e-02 rad; boxes here carry yaw only"),
+    ], ids=["overflow", "tilt"])
+    def test_preprocessing_failure_names_its_record(self, tmp_path, capfd, workers, ego, message):
+        records, _ = synth_scenes(40, {"car": 1.0}, seed=4)
+        scenes = tmp_path / "scenes.json"
+        emit(records, scenes)
+        doc = json.loads(scenes.read_text())
+        doc["records"][21]["ego_to_global"] = ego
+        scenes.write_text(json.dumps(doc))
+        capfd.readouterr()
+        assert run_cli("ingest", scenes, "--out", tmp_path / "out.jsonl", "--workers", workers) == 1
+        captured = capfd.readouterr()
+        assert captured.err == f"error: record {records[21].sample_id!r}: {message}\n"
+        assert captured.out == ""
+
+    def test_repeated_sample_id_rejects_the_later_record(self, tmp_path, capsys):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=1)
+        scenes = tmp_path / "scenes.json"
+        emit([records[0], records[1], dataclasses.replace(records[2], sample_id=records[0].sample_id)],
+             scenes)
+        assert run_cli("ingest", scenes, "--out", tmp_path / "out.jsonl") == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"rejected: records[2].sample_id: duplicate sample_id "
+                                f"{records[0].sample_id!r}, first at records[0]\n")
+        assert "accepted=2 rejected=1" in captured.out
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
@@ -647,6 +693,12 @@ def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, overri
     (("--seed", -1), "--seed"),
     (("--mix", "adult=abc"), "--mix"),
     (("--mix", "adult"), "--mix"),
+    (("--mix", "adult=nan"), "--mix"),
+    (("--mix", "car=0.5,adult=inf"), "--mix"),
+    (("--noise", -1), "--noise"),
+    (("--noise", "nan"), "--noise"),
+    (("--noise", "inf"), "--noise"),
+    (("--d-t", 0), "--d-t"),
 ])
 def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, flag):
     assert run_cli("synth", "--count", 4, "--out", tmp_path / "data", *flags) == 1

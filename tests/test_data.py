@@ -627,3 +627,89 @@ class TestIngestMatchesReference:
         text = (tmp_path / "new.json").read_text(encoding="utf-8")
         assert "\n" not in text
         assert text == json.dumps(json.loads((tmp_path / "ref.json").read_text(encoding="utf-8")))
+
+
+def _as_reference(rec):
+    """`rec` with every pose a ReferencePose of the same fields."""
+    ref = lambda p: ReferencePose(p.translation, p.rotation)  # noqa: E731
+    return dataclasses.replace(
+        rec, ego_to_global=ref(rec.ego_to_global), lidar_to_ego=ref(rec.lidar_to_ego),
+        cameras=tuple(dataclasses.replace(c, sensor_to_ego=ref(c.sensor_to_ego))
+                      for c in rec.cameras))
+
+
+class TestPoseInterning:
+    """Records of one scene file that repeat a pose share one Pose object, and
+    the shared pose's cached inverse changes no output bit."""
+
+    def test_shared_rig_file_equals_the_reference_line_for_line(self, tmp_path):
+        synth, _ = synth_scenes(200, {"adult": 0.4, "car": 0.4, "trafficcone": 0.2}, seed=8)
+        doc = json.loads(_emitted(tmp_path, synth).read_text())
+        # half of the records get a rig of their own, a quarter of them tilted
+        rng = np.random.default_rng(11)
+        for raw in doc["records"][::2]:
+            raw["lidar_to_ego"]["translation"] = rng.uniform(-2, 2, size=3).tolist()
+            cam = raw["cameras"][int(rng.integers(6))]
+            cam["sensor_to_ego"]["rotation"] = list(_random_quat(rng))
+            if rng.random() < 0.25:
+                raw["ego_to_global"]["rotation"] = list(_random_quat(rng))
+        path = tmp_path / "rigs.json"
+        path.write_text(json.dumps(doc))
+
+        records, diagnostics = ingest_lenient(path)
+        assert diagnostics == [] and len(records) == 200
+        shared = records[1].cameras[0].sensor_to_ego
+        assert all(r.cameras[0].sensor_to_ego is shared for r in records[1::2])
+        assert records[1].lidar_to_ego is records[3].lidar_to_ego
+        tilted = 0
+        for rec in records:
+            line = _processed_line(process_record, rec)
+            assert line == _processed_line(reference_process_record, _as_reference(rec))
+            tilted += line.startswith("GimbalRisk")
+        assert tilted > 0
+        # a second pass reads every shared inverse from its cache
+        assert "_inverse" in vars(shared)
+        for rec in records[1::2]:
+            assert _processed_line(process_record, rec) == _processed_line(
+                reference_process_record, _as_reference(rec))
+
+    @pytest.mark.parametrize("key, index", [("translation", 0), ("rotation", 1)])
+    def test_negative_zero_after_zero_keeps_its_bits(self, tmp_path, key, index):
+        rec = make_record(annotations=(Annotation("car", Box7(5, 1, 0, 4, 2, 2, 0.3)),),
+                          lidar=Pose((0.0, 0.0, 1.8)))
+        doc = json.loads(_emitted(tmp_path, [rec, dataclasses.replace(rec, sample_id="b")]).read_text())
+        doc["records"][1]["lidar_to_ego"][key][index] = -0.0
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(doc))
+
+        first, second = ingest(path)
+        assert math.copysign(1.0, getattr(first.lidar_to_ego, key)[index]) == 1.0
+        assert math.copysign(1.0, getattr(second.lidar_to_ego, key)[index]) == -1.0
+        assert first.lidar_to_ego is not second.lidar_to_ego
+        assert first.ego_to_global is second.ego_to_global
+        for loaded in (first, second):
+            assert _processed_line(process_record, loaded) == _processed_line(
+                reference_process_record, _as_reference(loaded))
+        emit([first, second], tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text()) == doc
+        assert repr(ingest(tmp_path / "again.json")) == repr([first, second])
+
+    def test_repeated_sample_id_rejects_the_later_record(self, tmp_path):
+        records, _ = synth_scenes(4, {"car": 1.0}, seed=9)
+        doc = json.loads(_emitted(tmp_path, records).read_text())
+        doc["records"][3]["sample_id"] = doc["records"][1]["sample_id"]
+        doc["records"].append(json.loads(json.dumps(doc["records"][0])))
+        doc["records"][2]["annotations"][0]["box"][3] = -1.0  # rejected: its id stays free
+        doc["records"].append(json.loads(json.dumps(doc["records"][2])))
+        doc["records"][5]["annotations"][0]["box"][3] = 2.0
+        path = tmp_path / "dups.json"
+        path.write_text(json.dumps(doc))
+        accepted, diagnostics = ingest_lenient(path)
+        assert [r.sample_id for r in accepted] == [records[i].sample_id for i in (0, 1, 2)]
+        assert [str(d) for d in diagnostics] == [
+            "records[2].annotations[0].box: Box7 sizes must be positive, got l=-1.0, w="
+            f"{records[2].annotations[0].box.w}, h={records[2].annotations[0].box.h}",
+            f"records[3].sample_id: duplicate sample_id {records[1].sample_id!r}, first at records[1]",
+            f"records[4].sample_id: duplicate sample_id {records[0].sample_id!r}, first at records[0]",
+        ]
+        assert diagnostics[1].field == "records[3].sample_id"

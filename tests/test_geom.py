@@ -200,6 +200,30 @@ class TestPoseMatrixCache:
         assert back == filled and "_matrix" not in vars(back)
         assert back._matrix.tobytes() == filled._matrix.tobytes()
 
+    def test_inverse_is_kept_outside_the_value(self):
+        filled, empty = self._pose(), self._pose()
+        inv = filled.inverse()
+        assert filled.inverse() is inv and vars(filled)["_inverse"] is inv
+        assert "_inverse" not in vars(empty)
+        assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+        assert pickle.dumps(filled) == pickle.dumps(empty)
+        back = pickle.loads(pickle.dumps(filled))
+        assert back == filled and "_inverse" not in vars(back) and "_matrix" not in vars(back)
+        assert repr(back.inverse()) == repr(inv) == repr(empty.inverse())
+        ref = ReferencePose(filled.translation, filled.rotation).inverse()
+        assert repr(inv.translation + inv.rotation) == repr(ref.translation + ref.rotation)
+
+    @pytest.mark.parametrize("make", [
+        lambda P: P((1.7e308, 1.7e308, 0.0), quat_from_yaw(math.pi / 4)).inverse(),
+        lambda P: P((1.7e308, 0.0, 0.0)).compose(P((1.7e308, 0.0, 0.0))),
+    ], ids=["inverse", "compose"])
+    def test_derived_translation_that_overflows_is_rejected(self, make):
+        with pytest.raises(ValueError) as ref, np.errstate(over="ignore"):
+            make(ReferencePose)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"), \
+                np.errstate(over="ignore"):
+            make(Pose)
+
     @pytest.mark.parametrize("translation, rotation", [
         ((0, 0), (1, 0, 0, 0)),
         ((0, 0, 0), (1, 0, 0)),
@@ -295,6 +319,13 @@ class TestProjection:
                 assert pt[2] > 0
                 assert 0 <= proj.u < self.CAM.width
                 assert 0 <= proj.v < self.CAM.height
+
+    def test_projected_corner_is_a_plain_named_tuple(self):
+        behind, ahead = project_corners(np.array([[0.0, 0.0, -1.0], [0.0, 10.0, 1.0]]), self.CAM)
+        assert repr(behind) == "ProjectedCorner(u=None, v=None, visible=False)"
+        assert repr(ahead) == "ProjectedCorner(u=50.0, v=1050.0, visible=False)"
+        assert list(ahead) == [50.0, 1050.0, False]
+        assert pickle.loads(pickle.dumps(ahead)) == ahead
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
