@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -113,6 +114,9 @@ def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = "
 
 
 def cmd_iou(args) -> int:
+    for flag, value in (("--mc-samples", args.mc_samples), ("--mc-seed", args.mc_seed)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     a, b = (_build(Box7, f"box {n}: ", *args.box[i:i + 7]) for n, i in (("a", 0), ("b", 7)))
     res = iou_3d(a, b)
     print(f"iou={res.iou!r}")
@@ -125,15 +129,6 @@ def cmd_iou(args) -> int:
     return 0
 
 
-@np.errstate(over="ignore")  # a pose that overflows fails its finiteness check
-def _process_record(rec):
-    """data.process_record(rec), whose failure names the record."""
-    try:
-        return data_mod.process_record(rec)
-    except (MiniDetError, ValueError) as e:
-        raise MiniDetError(f"record {rec.sample_id!r}: {e}") from None
-
-
 def cmd_ingest(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
@@ -141,11 +136,12 @@ def cmd_ingest(args) -> int:
     for diag in diagnostics:
         print(f"rejected: {diag}", file=sys.stderr)
 
+    step = functools.partial(data_mod.for_record, data_mod.process_record)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            processed = list(pool.map(_process_record, records, chunksize=16))
+            processed = list(pool.map(step, records, chunksize=16))
     else:
-        processed = [_process_record(r) for r in records]
+        processed = [step(r) for r in records]
 
     dropped = 0
     out = Path(args.out)
@@ -164,7 +160,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    for flag, value, least in (("--seed", args.seed, 0), ("--d-t", args.d_t, 1)):
+    for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0),
+                               ("--d-v", args.d_v, 7), ("--d-t", args.d_t, 1)):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     if not 0.0 <= args.noise < np.inf:

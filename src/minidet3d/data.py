@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaVersionMismatch, check_json_value
+from .errors import MiniDetError, ParseError, SchemaVersionMismatch, check_json_value
 from .geom import (
     Box7,
     CameraIntrinsics,
@@ -379,6 +379,15 @@ def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> Processed
 def process_record(rec: SceneRecord) -> ProcessedSample:
     """Full per-record pipeline: global -> LiDAR -> projection/visibility."""
     return filter_visible(to_lidar_frame(rec), rec)
+
+
+@np.errstate(over="ignore")  # a pose that overflows fails its finiteness check
+def for_record(step, rec: SceneRecord):
+    """step(rec), whose failure is a MiniDetError naming the record."""
+    try:
+        return step(rec)
+    except (MiniDetError, ValueError) as e:
+        raise MiniDetError(f"record {rec.sample_id!r}: {e}") from None
 
 
 def processed_to_json(sample: ProcessedSample) -> dict:

@@ -18,10 +18,10 @@ merged q, k, v, o weights W + alpha*B@A (`lora.merge_adapter`; W alone for a
 projection without an adapter) from the parameters as they stand into one
 buffer allocated at construction, so no write to the arena can leave a
 stale merge behind. Q, K and V then come from one GEMM on the stacked
-(3d, d) weight and O from one more; the backward takes the input gradient
-through the same merged weights and the factor gradients from
-`lora.adapter_grads`. One function,
-`_param_shapes`, gives every shape; the constructor lays out the arena from
+(3d, d) weight and O from one more; the backward takes each layer's input
+gradient through the same merged weights and the factor gradients from
+`lora.adapter_grads`. One function, `_param_shapes`, gives every shape; the
+constructor lays out the arena from
 it, and `param_bytes` counts from it the bytes that `load_checkpoint` checks
 a file's size against and `train` the machine's memory, before either builds
 a model. The transformer base weights are frozen at their seeded
@@ -37,22 +37,22 @@ one GEMM for the whole batch; only the (B, H, 2, 2) attention products stay
 batched per sample. A GEMM rounds with the row count, so a batch's outputs
 equal single-sample forwards to about 1e-13 relative, not bit for bit.
 
-Forward passes cache activations; `backward_batch` / `backward_head` replay
-them in reverse for exact gradients. Every array the cache keeps is written
-(numpy `out=`) into the model's activation workspace, one buffer per cached
-array, allocated at the first forward's batch size. The workspace only
-grows: a larger batch allocates it again at the new size, and a smaller one
-uses the leading rows of each buffer, which are contiguous views. A repeat
-forward therefore allocates only its temporaries, not the cache (about 9 MB
-at B=256, which the allocator would otherwise hand back to the OS and fault
-in again at the next large forward), and computes the same bits. The raw
-output it returns is always a fresh array; the cache is valid until the
-next forward, which overwrites it. `backward_batch` writes every trainable
-gradient into `grad`, a second flat vector with the arena's layout (the same
-cuts of the same shape table), through named views of it, so the optimizer
-steps on it as it stands: there is no per-batch dict and no gather. All math
-is float64 numpy, so identical (config, seed, input) triples produce
-bit-identical outputs.
+A forward writes (numpy `out=`) every activation into the model's workspace,
+one buffer per activation, allocated at the first forward's batch size, and
+the workspace's dict of views is the cache: `backward_batch` /
+`backward_head` read it by the same keys, in reverse, for exact gradients.
+The workspace only grows: a larger batch allocates it again at the new size,
+and a smaller one uses the leading rows of each buffer, which are contiguous
+views. A repeat forward therefore allocates only its temporaries, not the
+activations (about 9 MB at B=256, which the allocator would otherwise hand
+back to the OS and fault in again at the next large forward), and computes
+the same bits. The raw output it returns is always a fresh array; the cache
+is valid until the next forward, which overwrites it. `backward_batch`
+writes every trainable gradient into `grad`, a second flat vector with the
+arena's layout (the same cuts of the same shape table), through named views
+of it, and returns that vector, so the optimizer steps on it as it stands:
+there is no per-batch dict and no gather. All math is float64 numpy, so
+identical (config, seed, input) triples produce bit-identical outputs.
 
 Size channels of the raw output go through softplus when a geometric box is
 built, since boxes require strictly positive sizes; yaw is wrapped into
@@ -268,9 +268,10 @@ class FusionModel:
     # ---- forward ---------------------------------------------------------
 
     def _workspace(self, B: int) -> dict:
-        """Views of the leading B samples' rows of every buffer the forward
-        cache keeps: token-row buffers as (2B, width), `S` as (B, H, 2, 2),
-        the rest as (B, width). The buffers are allocated at the first
+        """Views of the leading B samples' rows of every activation buffer:
+        token-row buffers as (2B, width), `S` as (B, H, 2, 2), the rest as
+        (B, width). A forward keeps this dict as its cache, and the backward
+        reads it by the same keys. The buffers are allocated at the first
         batch's size and again only when a larger batch arrives."""
         if B > self._ws_batch:
             cfg, T, d = self.config, 2, self.config.d_model
@@ -289,11 +290,15 @@ class FusionModel:
             self._ws_batch = B
         return {key: buf[: B * n] for key, (n, buf) in self._ws.items()}
 
+    def _heads(self, QKV: np.ndarray, B: int):
+        """(Qh, Kh, Vh): views, each (B, H, 2, d_head), of a (2B, 3d) block of token rows."""
+        return QKV.reshape(B, 2, 3, self.config.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
+
     def forward_batch(self, F: np.ndarray) -> np.ndarray:
         """Run a (B, d_v + d_t) batch of fused features to raw (B, 7) outputs.
 
-        The returned array is fresh; the cached activations live in the
-        workspace and are overwritten by the next forward."""
+        The returned array is fresh; the workspace that holds the activations
+        is the cache, overwritten by the next forward."""
         cfg = self.config
         F = np.asarray(F, dtype=np.float64)
         if F.ndim != 2 or F.shape[1] != cfg.d_v + cfg.d_t:
@@ -305,7 +310,6 @@ class FusionModel:
         self._cache = None  # its buffers are about to be overwritten
         ws = self._workspace(B)
         np.copyto(ws["F"], F)
-        cache: dict = {"F": ws["F"], "layers": []}
         # token rows, sample-major: row 2b is sample b's visual token, 2b+1 its text token
         X = ws[0, "X"]
         tokens = X.reshape(B, T, d)
@@ -328,7 +332,7 @@ class FusionModel:
                 else:
                     merge_adapter(base, adapter, out=W[j])
             QKV = np.matmul(X_in, W[:3].reshape(3 * d, d).T, out=ws[i, "QKV"])
-            Qh, Kh, Vh = QKV.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+            Qh, Kh, Vh = self._heads(QKV, B)
             scores = (Qh @ Kh.swapaxes(-1, -2)) * scale
             scores -= scores.max(axis=-1, keepdims=True)
             e = np.exp(scores)
@@ -343,9 +347,6 @@ class FusionModel:
             np.matmul(Hact, p[f"layers.{i}.ffn.W2"].T, out=X)
             X += X1
             X += p[f"layers.{i}.ffn.b2"]
-            cache["layers"].append(
-                dict(X_in=X_in, Qh=Qh, Kh=Kh, Vh=Vh, S=S, O=O, X1=X1, Hpre=Hpre, Hact=Hact)
-            )
 
         z = np.mean(X.reshape(B, T, d), axis=1, out=ws["pooled"])
         for j, name in enumerate(("0", "1", "2"), start=1):
@@ -353,8 +354,7 @@ class FusionModel:
             a += p[f"head.{name}.b"]
             z = np.maximum(a, 0.0, out=ws[f"z{j}"])
         raw = z @ p["head.out.W"].T + p["head.out.b"]
-        cache.update((key, ws[key]) for key in ("pooled", "a1", "z1", "a2", "z2", "a3", "z3"))
-        self._cache = cache
+        self._cache = ws
         return raw
 
     def forward(self, fused) -> np.ndarray:
@@ -363,86 +363,82 @@ class FusionModel:
 
     # ---- backward --------------------------------------------------------
 
-    def backward_batch(self, upstream: np.ndarray):
+    def backward_batch(self, upstream: np.ndarray) -> np.ndarray:
         """Gradients of sum_b upstream[b] . raw[b] for the cached forward batch.
 
-        Returns (self.grad, input_grad): the trainable-parameter gradients,
-        summed over the batch, in the arena's layout (every element is
-        written, none accumulated), and the gradient w.r.t. the fused input
-        features, shape (B, d_v + d_t). `self.grad` is the model's own
-        vector: the next backward overwrites it.
+        Returns `self.grad`: the trainable-parameter gradients, summed over
+        the batch, in the arena's layout (every element is written, none
+        accumulated). It is the model's own vector: the next backward
+        overwrites it. The fused input features are frozen, so no gradient
+        with respect to them is formed.
         """
-        cache = self._cache
-        if cache is None:
+        ws = self._cache
+        if ws is None:
             raise StaleActivation("backward requested before any forward pass")
         up = np.asarray(upstream, dtype=np.float64)
-        Bsz = cache["F"].shape[0]
-        if up.shape != (Bsz, 7):
+        B = ws["F"].shape[0]
+        if up.shape != (B, 7):
             raise StaleActivation(
-                f"upstream gradient {up.shape} does not match cached batch ({Bsz}, 7)"
+                f"upstream gradient {up.shape} does not match cached batch ({B}, 7)"
             )
         p = self.params
         cfg = self.config
         g = self._grads
 
-        z3, z2, z1 = cache["z3"], cache["z2"], cache["z1"]
-        np.matmul(up.T, z3, out=g["head.out.W"])
+        np.matmul(up.T, ws["z3"], out=g["head.out.W"])
         up.sum(axis=0, out=g["head.out.b"])
         dz3 = up @ p["head.out.W"]
-        da3 = dz3 * (cache["a3"] > 0)
-        np.matmul(da3.T, z2, out=g["head.2.W"])
+        da3 = dz3 * (ws["a3"] > 0)
+        np.matmul(da3.T, ws["z2"], out=g["head.2.W"])
         da3.sum(axis=0, out=g["head.2.b"])
         dz2 = da3 @ p["head.2.W"]
-        da2 = dz2 * (cache["a2"] > 0)
-        np.matmul(da2.T, z1, out=g["head.1.W"])
+        da2 = dz2 * (ws["a2"] > 0)
+        np.matmul(da2.T, ws["z1"], out=g["head.1.W"])
         da2.sum(axis=0, out=g["head.1.b"])
         dz1 = da2 @ p["head.1.W"]
-        da1 = dz1 * (cache["a1"] > 0)
-        np.matmul(da1.T, cache["pooled"], out=g["head.0.W"])
+        da1 = dz1 * (ws["a1"] > 0)
+        np.matmul(da1.T, ws["pooled"], out=g["head.0.W"])
         da1.sum(axis=0, out=g["head.0.b"])
         dpooled = da1 @ p["head.0.W"]
 
-        B, T = Bsz, 2
-        d, H, dh = cfg.d_model, cfg.n_heads, self.d_head
+        T, d, H, dh = 2, cfg.d_model, cfg.n_heads, self.d_head
         scale = 1.0 / math.sqrt(dh)
         dX = np.repeat(dpooled[:, None, :] / T, T, axis=1).reshape(B * T, d)
 
         for i in reversed(range(cfg.n_layers)):
-            lc = cache["layers"][i]
             # FFN with residual: X_out = X1 + W2 relu(W1 X1 + b1) + b2
             dHact = dX @ p[f"layers.{i}.ffn.W2"]
-            dHpre = dHact * (lc["Hpre"] > 0)
+            dHpre = dHact * (ws[i, "Hpre"] > 0)
             dX1 = dX + dHpre @ p[f"layers.{i}.ffn.W1"]
             # attention with residual: X1 = X_in + O @ Wo.T, QKV = X_in @ Wqkv.T,
             # through the forward's merged weights
             W = self._merged[i]
             dOh = (dX1 @ W[3]).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-            S, Vh, Qh, Kh = lc["S"], lc["Vh"], lc["Qh"], lc["Kh"]
+            S, (Qh, Kh, Vh) = ws[i, "S"], self._heads(ws[i, "QKV"], B)
             dS = dOh @ Vh.swapaxes(-1, -2)
             dscores = S * (dS - (dS * S).sum(axis=-1, keepdims=True))
             dQKV = np.empty((B * T, 3 * d))
-            dQh, dKh, dVh = dQKV.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+            dQh, dKh, dVh = self._heads(dQKV, B)
             np.matmul(dscores, Kh, out=dQh)
             dQh *= scale
             np.matmul(dscores.swapaxes(-1, -2), Qh, out=dKh)
             dKh *= scale
             np.matmul(S.swapaxes(-1, -2), dOh, out=dVh)
-            X_in = lc["X_in"]
             for j, t in enumerate(ATTENTION_TARGETS):
                 if (i, t) in self._adapters:
-                    x, dy = (lc["O"], dX1) if t == "o" else (X_in, dQKV[:, j * d : (j + 1) * d])
+                    x, dy = ((ws[i, "O"], dX1) if t == "o"
+                             else (ws[i, "X"], dQKV[:, j * d : (j + 1) * d]))
                     out = (g[f"layers.{i}.attn.{t}.A"], g[f"layers.{i}.attn.{t}.B"])
                     adapter_grads(self._adapters[i, t], x, dy, out=out)
             dX = dX1 + dQKV @ W[:3].reshape(3 * d, d)
 
         dxv, dxt = dX[0::T], dX[1::T]
-        F = cache["F"]
+        F = ws["F"]
         np.matmul(dxv.T, F[:, : cfg.d_v], out=g["proj_v.W"])
         dxv.sum(axis=0, out=g["proj_v.b"])
         np.matmul(dxt.T, F[:, cfg.d_v :], out=g["proj_t.W"])
         dxt.sum(axis=0, out=g["proj_t.b"])
-        input_grad = np.concatenate([dxv @ p["proj_v.W"], dxt @ p["proj_t.W"]], axis=1)
-        return self.grad, input_grad
+        return self.grad
 
     def backward_head(self, fused, upstream7: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for a single input previously run through `forward`, as

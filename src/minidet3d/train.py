@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeaturePair, SceneRecord, to_lidar_frame
+from .data import FeaturePair, SceneRecord, for_record, to_lidar_frame
 from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
 from .geom import Box7, wrap_angle
 from .iou import _iou_rows, _row, bev_footprint, iou_loss_grad
@@ -72,7 +72,7 @@ def build_training_samples(
             )
         if rec.sample_id not in features:
             raise ConfigError(f"no features for sample {rec.sample_id!r}")
-        ann = to_lidar_frame(rec)[0]
+        ann = for_record(to_lidar_frame, rec)[0]
         pair = features[rec.sample_id]
         samples.append(
             TrainSample(
@@ -274,7 +274,7 @@ def run_training(
             if lam2 > 0.0:
                 upstream_params += (lam2 / B) * iou_grads
             upstream_raw = box_params_grad_chain(raw, upstream_params)
-            grad, _ = model.backward_batch(upstream_raw)
+            grad = model.backward_batch(upstream_raw)
             if not np.isfinite(grad).all():
                 _diverged(epoch, batch, "non-finite gradient")
             opt.step(model.arena, grad, lr)

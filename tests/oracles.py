@@ -381,6 +381,8 @@ def reference_match_predictions(preds, gts, iou_threshold):
 # adapter factored: y = x @ W.T + alpha * ((x @ A.T) @ B.T) (`apply_adapted`),
 # one GEMM per q/k/v/o, and in the backward dx = dy @ W + alpha * ((dy @ B) @ A).
 # The merged path rounds differently, so it must agree to about 1e-12 relative.
+# `reference_backward` also returns the gradient w.r.t. the fused input, which
+# the product no longer forms: the tests' input Jacobian comes from it.
 
 
 def _reference_projections(model, layer: int):

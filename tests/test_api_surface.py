@@ -7,12 +7,18 @@ definition, in `perfbench/`, or in `tests/test_acceptance.py`. A word in a
 comment, docstring or string is not a use, and a re-export in `__init__.py`
 is not a caller. A name that fails this belongs in the tests (as an oracle)
 or nowhere.
+
+No module of the package other than `__init__.py` imports a name it never
+uses; `EXEMPT_IMPORTS` lists the only exceptions, and a stale entry fails too.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# perfbench's tracer wraps train.iou_3d and train.match_predictions by name
+EXEMPT_IMPORTS = {"train.iou_3d", "train.match_predictions"}
 
 
 def public_definitions(tree: ast.Module):
@@ -85,3 +91,40 @@ def test_the_scan_flags_a_name_only_its_definition_and_a_re_export_use(tmp_path)
     caller = tmp_path / "acceptance.py"
     caller.write_text('Kept()\nprint(f"{formatted()}")\n')
     assert uncalled(package, [caller]) == ["core.dropped", "core.prose", "core.Kept.method"]
+
+
+def unused_imports(package: Path) -> set[str]:
+    """`module.name` for each name a module of `package` (not `__init__.py`)
+    imports but never uses as a name in its code."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":  # a compiler directive
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.add(f"{path.stem}.{bound}")
+    return found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(ROOT / "src" / "minidet3d") == EXEMPT_IMPORTS
+
+
+def test_the_import_scan_flags_a_name_used_only_in_prose(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .core import unused\n")
+    (package / "core.py").write_text(
+        '"""Calls sqrt()."""\nfrom __future__ import annotations\nimport os.path\n'
+        "import numpy as np\nfrom math import pi, sqrt  # sqrt\nfrom json import dumps as d\n\n\n"
+        'def f() -> "pi":\n    return np.zeros(1), os.sep, "d"\n'
+    )
+    assert unused_imports(package) == {"core.pi", "core.sqrt", "core.d"}

@@ -14,6 +14,14 @@ from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 
 MIX = "adult=0.5,car=0.5"
 
+# ego poses that preprocessing rejects, with the message it gives
+BAD_EGOS = pytest.mark.parametrize("ego, message", [
+    ({"translation": [1.7e308, 1.7e308, 0.0], "rotation": list(quat_from_yaw(math.pi / 4))},
+     "pose components must be finite"),
+    ({"translation": [5.0, 1.0, 0.0], "rotation": [math.cos(0.01), math.sin(0.01), 0.0, 0.0]},
+     "pose tilts the vertical axis by 2.000e-02 rad; boxes here carry yaw only"),
+], ids=["overflow", "tilt"])
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -75,6 +83,15 @@ class TestIouCommand:
         # sizes must be positive: parse succeeds, validation fails
         assert run_cli("iou", 0, 0, 0, -1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mc-samples", -5), ("--mc-seed", -1),
+    ])
+    def test_bad_monte_carlo_flag_named_before_any_output(self, capsys, flag, value):
+        assert run_cli("iou", 0, 0, 0, 1, 1, 1, 0, 0.3, 0, 0, 1, 1, 1, 0.2, flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
 
     @pytest.mark.parametrize("box, at, message", [
         ("a", 6, "Box7.yaw must be finite, got nan"),
@@ -167,12 +184,7 @@ class TestIngestCommand:
         assert out1.read_bytes() == out4.read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("ego, message", [
-        ({"translation": [1.7e308, 1.7e308, 0.0], "rotation": list(quat_from_yaw(math.pi / 4))},
-         "pose components must be finite"),
-        ({"translation": [5.0, 1.0, 0.0], "rotation": [math.cos(0.01), math.sin(0.01), 0.0, 0.0]},
-         "pose tilts the vertical axis by 2.000e-02 rad; boxes here carry yaw only"),
-    ], ids=["overflow", "tilt"])
+    @BAD_EGOS
     def test_preprocessing_failure_names_its_record(self, tmp_path, capfd, workers, ego, message):
         records, _ = synth_scenes(40, {"car": 1.0}, seed=4)
         scenes = tmp_path / "scenes.json"
@@ -272,6 +284,26 @@ def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command
     err = capsys.readouterr().err
     prefix = "rejected" if command == "ingest" else "error"
     assert err == f"{prefix}: {field}: must be a finite number, got an integer of 401 digits\n"
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+@pytest.mark.parametrize("command", ["train", "eval"])
+@BAD_EGOS
+def test_preprocessing_failure_in_train_and_eval_names_its_record(
+        tmp_path, capsys, command, ego, message):
+    data = make_dataset(tmp_path, "data", 6, 13)
+    doc = json.loads((data / "scenes.json").read_text())
+    doc["records"][2]["ego_to_global"] = ego
+    (data / "scenes.json").write_text(json.dumps(doc))
+    args = {
+        "train": ("train", "--config", train_config(tmp_path, data), "--out", tmp_path / "run"),
+        "eval": ("eval", "--data", data, "--out", tmp_path / "e", "--gt-as-pred"),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: record {doc['records'][2]['sample_id']!r}: {message}\n"
+    assert captured.out == ""
 
 
 class TestTrainCommand:
@@ -699,6 +731,8 @@ def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, overri
     (("--noise", "nan"), "--noise"),
     (("--noise", "inf"), "--noise"),
     (("--d-t", 0), "--d-t"),
+    (("--count", 0), "--count"),
+    (("--d-v", 3), "--d-v"),
 ])
 def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, flag):
     assert run_cli("synth", "--count", 4, "--out", tmp_path / "data", *flags) == 1

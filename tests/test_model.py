@@ -39,14 +39,10 @@ def max_relative_gap(a, b):
 
 
 def input_jacobian(model, x):
-    """Exact (7, d_v + d_t) Jacobian of the raw output at `x`, row by row."""
-    model.forward(x)
-    rows = []
-    for k in range(7):
-        up = np.zeros((1, 7))
-        up[0, k] = 1.0
-        rows.append(model.backward_batch(up)[1][0])
-    return np.array(rows)
+    """Exact (7, d_v + d_t) Jacobian of the raw output at `x`, row by row, from
+    the reference forward and backward (the product forms no input gradient)."""
+    cache = reference_forward(model, np.asarray(x)[None, :])[1]
+    return np.stack([reference_backward(model, cache, up[None, :])[1][0] for up in np.eye(7)])
 
 
 class TestForward:
@@ -139,10 +135,7 @@ class TestWorkspace:
         for F in (X, V, X):
             model.forward_batch(F)
         fresh.forward_batch(X)
-        grad, input_grad = model.backward_batch(up)
-        fresh_grad, fresh_input_grad = fresh.backward_batch(up)
-        assert grad.tobytes() == fresh_grad.tobytes()
-        assert input_grad.tobytes() == fresh_input_grad.tobytes()
+        assert model.backward_batch(up).tobytes() == fresh.backward_batch(up).tobytes()
 
     def test_small_batch_after_a_large_one_equals_a_fresh_model(self):
         rng = np.random.default_rng(20)
@@ -160,16 +153,12 @@ class TestBackward:
         rng = np.random.default_rng(4)
         F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
         model.forward_batch(F)
-        grad, input_grad = model.backward_batch(up)
-        grad = grad.copy()
-        total, single_input_grads = np.zeros_like(grad), []
+        grad = model.backward_batch(up).copy()
+        total = np.zeros_like(grad)
         for b in range(32):
             model.forward_batch(F[b : b + 1])
-            g, ig = model.backward_batch(up[b : b + 1])
-            total += g
-            single_input_grads.append(ig[0])
+            total += model.backward_batch(up[b : b + 1])
         assert max_relative_gap(grad, total) <= 1e-12
-        assert max_relative_gap(input_grad, np.stack(single_input_grads)) <= 1e-12
 
     def test_zero_upstream_gives_zero_grads(self):
         model = randomized_model()
@@ -226,12 +215,12 @@ class TestBackward:
                     assert abs(fd - an) / denom <= 1e-4, f"{name}[{i}]: {an} vs {fd}"
 
     def test_input_gradient_matches_fd(self):
+        # the reference's input gradient against differences of the product's forward
         model = randomized_model()
         rng = np.random.default_rng(9)
         x = rng.normal(size=16)
         u = rng.normal(size=7)
-        model.forward(x)
-        _, din = model.backward_batch(u[None, :])
+        din = reference_backward(model, reference_forward(model, x[None, :])[1], u[None, :])[1]
         h = 1e-6
         for i in range(16):
             xp, xm = x.copy(), x.copy()
@@ -265,18 +254,16 @@ class TestMergedWeights:
         rng = np.random.default_rng(31)
         F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
         model.forward_batch(F)
-        grad, input_grad = model.backward_batch(up)
-        ref_grad, ref_input_grad = reference_backward(model, reference_forward(model, F)[1], up)
+        grad = model.backward_batch(up)
+        ref_grad, _ = reference_backward(model, reference_forward(model, F)[1], up)
         assert max_relative_gap(grad, ref_grad) <= 1e-12
-        assert max_relative_gap(input_grad, ref_input_grad) <= 1e-12
 
     def test_arena_write_is_seen_by_the_next_forward(self, tmp_path):
         model = randomized_model(ModelConfig(), scale=0.02)
         rng = np.random.default_rng(32)
         F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
         model.forward_batch(F)
-        grad, _ = model.backward_batch(up)
-        AdamW(model.arena).step(model.arena, grad, lr=1e-2)
+        AdamW(model.arena).step(model.arena, model.backward_batch(up), lr=1e-2)
         raw = model.forward_batch(F)
         save_checkpoint(model, tmp_path / "model.bin")
         assert raw.tobytes() == load_checkpoint(tmp_path / "model.bin").forward_batch(F).tobytes()
@@ -467,8 +454,8 @@ class TestArena:
         rng = np.random.default_rng(14)
         model.forward_batch(rng.normal(size=(5, 16)))
         model.grad[:] = np.nan
-        grad, _ = model.backward_batch(rng.normal(size=(5, 7)))
-        assert grad is model.grad and np.isfinite(grad).all()
+        assert model.backward_batch(rng.normal(size=(5, 7))) is model.grad
+        assert np.isfinite(model.grad).all()
 
     def test_second_backward_overwrites_the_first(self):
         rng = np.random.default_rng(15)
