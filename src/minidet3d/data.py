@@ -334,7 +334,7 @@ def _record_to_json(rec: SceneRecord) -> dict:
             for c in rec.cameras
         ],
         "annotations": [
-            {"category": a.category, "box": list(a.box.params())} for a in rec.annotations
+            {"category": a.category, "box": list(a.box)} for a in rec.annotations
         ],
     }
 
@@ -396,7 +396,7 @@ def processed_to_json(sample: ProcessedSample) -> dict:
         "annotations": [
             {
                 "category": a.category,
-                "box": list(a.box.params()),
+                "box": list(a.box),
                 "retained": a.retained,
                 "projections": {
                     name: [list(c) for c in corners]
@@ -426,6 +426,8 @@ _CATEGORY_SIZES = {
     "bicycle": (1.7, 0.6, 1.3),
 }
 _DEFAULT_SIZE = (1.5, 1.0, 1.5)
+_SIZE_JITTER = 0.15  # each size is scaled by a factor drawn in 1 +- this
+_RANGE_RADIUS = (4.0, 18.0)  # m, the LiDAR-frame distance of a box's center
 
 # Normalization constants for the box-parameter feature block.
 _PARAM_SHIFT = np.array([0.0, 0.0, 0.0, 2.0, 1.0, 1.5, 0.0])
@@ -444,8 +446,6 @@ class SynthConfig:
     d_v: int = 32
     d_t: int = 32
     noise_std: float = 0.0
-    range_radius: tuple[float, float] = (4.0, 18.0)
-    size_jitter: float = 0.15
 
 
 def _normalize_params(params: np.ndarray) -> np.ndarray:
@@ -531,10 +531,10 @@ def synth_scenes(
     for i in range(count):
         category = names[int(rng.choice(len(names), p=weights))]
         nominal = _CATEGORY_SIZES.get(category, _DEFAULT_SIZE)
-        jitter = 1.0 + rng.uniform(-config.size_jitter, config.size_jitter, size=3)
+        jitter = 1.0 + rng.uniform(-_SIZE_JITTER, _SIZE_JITTER, size=3)
         l, w, h = (max(0.1, n * j) for n, j in zip(nominal, jitter))
 
-        radius = rng.uniform(*config.range_radius)
+        radius = rng.uniform(*_RANGE_RADIUS)
         bearing = rng.uniform(-math.pi, math.pi)
         box_lidar = Box7(
             x=radius * math.cos(bearing),

@@ -54,17 +54,11 @@ def wrap_angle(theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
-    return math.pi - (math.pi - theta) % (2.0 * math.pi)
+    wrapped = math.pi - (math.pi - theta) % (2.0 * math.pi)
+    return wrapped if wrapped > -math.pi else math.pi  # pi + 1 ulp: the remainder rounds to 2 pi
 
 
-@dataclass(frozen=True)
-class Box7:
-    """Oriented 3D bounding box: center (m), size (m), yaw (rad) about +z.
-
-    Sizes must be strictly positive; yaw is normalized into (-pi, pi] at
-    construction, so two parameterizations of the same box compare equal.
-    """
-
+class _Box7Fields(NamedTuple):
     x: float
     y: float
     z: float
@@ -73,23 +67,40 @@ class Box7:
     h: float
     yaw: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "z", "l", "w", "h", "yaw"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
+
+class Box7(_Box7Fields):
+    """Oriented 3D bounding box: center (m), size (m), yaw (rad) about +z.
+
+    A box is its row, the 7-tuple (x, y, z, l, w, h, yaw) of finite floats.
+    Sizes must be strictly positive; yaw is normalized into (-pi, pi] by the
+    constructor, which `_make`, `_replace` and unpickling go through, so two
+    parameterizations of the same box compare equal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, z, l, w, h, yaw):
+        row = []
+        for name, v in zip(cls._fields, (x, y, z, l, w, h, yaw)):
+            if not math.isfinite(v := float(v)):
                 raise ValueError(f"Box7.{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-        if self.l <= 0 or self.w <= 0 or self.h <= 0:
-            raise ValueError(f"Box7 sizes must be positive, got l={self.l}, w={self.w}, h={self.h}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+            row.append(v)
+        x, y, z, l, w, h, yaw = row
+        if l <= 0 or w <= 0 or h <= 0:
+            raise ValueError(f"Box7 sizes must be positive, got l={l}, w={w}, h={h}")
+        return tuple.__new__(cls, (x, y, z, l, w, h, wrap_angle(yaw)))
+
+    @classmethod
+    def _make(cls, iterable) -> "Box7":
+        return cls(*iterable)
 
     @property
     def center(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
+        return np.array(self[:3], dtype=np.float64)
 
     def params(self) -> np.ndarray:
         """The 7-vector (x, y, z, l, w, h, yaw)."""
-        return np.array([self.x, self.y, self.z, self.l, self.w, self.h, self.yaw], dtype=np.float64)
+        return np.array(self, dtype=np.float64)
 
 
 def _quat_normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:

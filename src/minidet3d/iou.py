@@ -2,9 +2,9 @@
 
 Boxes carry yaw only, so a 3D intersection decomposes into the intersection
 of the two bird's-eye-view footprints (convex quadrilaterals) times the
-overlap of the two vertical extents. IoU values come from one kernel on
-plain rows (x, y, z, l, w, h, yaw), which `iou_3d` wraps for two Box7s:
-Sutherland-Hodgman clipping, then the shoelace area. Two exits skip the
+overlap of the two vertical extents. IoU values come from one function,
+`iou_3d`, on two Box7s or plain rows (x, y, z, l, w, h, yaw), a Box7 being
+one: Sutherland-Hodgman clipping, then the shoelace area. Two exits skip the
 clip and return exactly what it would: boxes apart vertically, and
 footprints whose circumscribed circles are apart by a relative margin. A
 subject edge whose ends both lie on a clip edge's line within rounding, as
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,14 +122,9 @@ def polygon_area(poly: ConvexPolygon2D) -> float:
 _FOOTPRINT_SIGNS = ((1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _row(box) -> tuple:
-    """A box as its row (x, y, z, l, w, h, yaw): a Box7's fields, or the row itself."""
-    return box if type(box) is tuple else (box.x, box.y, box.z, box.l, box.w, box.h, box.yaw)
-
-
 def bev_footprint(box) -> ConvexPolygon2D:
     """Bird's-eye-view footprint of a box (a Box7 or its row): 4 CCW (x, y) vertices."""
-    x, y, _, l, w, _, yaw = _row(box)
+    x, y, _, l, w, _, yaw = box
     c, s = math.cos(yaw), math.sin(yaw)
     hl, hw = l / 2.0, w / 2.0
     # Corner (sx hl, sy hw) is (x + c sx hl - s sy hw, ...); sign flips are exact.
@@ -137,19 +133,23 @@ def bev_footprint(box) -> ConvexPolygon2D:
     return [(xf + shw, yf - chw), (xf - shw, yf + chw), (xb - shw, yb + chw), (xb + shw, yb - chw)]
 
 
-@dataclass(frozen=True)
-class IoUResult:
+class IoUResult(NamedTuple):
     iou: float
     intersection_volume: float
     union_volume: float
 
 
-def _iou_rows(p: tuple, g: tuple, fp=None, fg=None) -> tuple[float, float, float]:
-    """iou_3d's (IoU, intersection, union) of two rows with yaw in (-pi, pi] and, optionally,
-    their footprints: training, validation, eval and matching build no object per pair."""
+def iou_3d(p: Box7, g: Box7, fp=None, fg=None) -> IoUResult:
+    """Exact IoU of two yaw-only boxes: intersection volume over union volume.
+
+    p and g are Box7s or rows with yaw in (-pi, pi]; their footprints fp, fg
+    are made here unless given, so that callers can cache them. The
+    computation is symmetric in its arguments by construction (operands are
+    put in a canonical order before clipping).
+    """
     if p == g:
         vol = p[3] * p[4] * p[5]
-        return 1.0, vol, vol
+        return IoUResult(1.0, vol, vol)
     # Clip order is fixed by a canonical operand ordering so that
     # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
     if g < p:
@@ -165,23 +165,13 @@ def _iou_rows(p: tuple, g: tuple, fp=None, fg=None) -> tuple[float, float, float
     ):
         # Apart vertically, or footprints too far apart to touch: exactly
         # what the clip path returns for an empty intersection.
-        return 0.0, 0.0, vol_p + vol_g
+        return IoUResult(0.0, 0.0, vol_p + vol_g)
 
     inter_area = polygon_area(polygon_clip(fp or bev_footprint(p), fg or bev_footprint(g)))
     # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
     inter = min(inter_area * z_overlap, vol_p, vol_g)
     union = vol_p + vol_g - inter
-    return inter / union, inter, union
-
-
-def iou_3d(p: Box7, g: Box7) -> IoUResult:
-    """Exact IoU of two yaw-only boxes: intersection volume over union volume.
-
-    Intersection volume = footprint-intersection area x vertical overlap.
-    The computation is symmetric in its arguments by construction (operands
-    are put in a canonical order before clipping).
-    """
-    return IoUResult(*_iou_rows(_row(p), _row(g)))
+    return IoUResult(inter / union, inter, union)
 
 
 # Topology ties are decided within this fraction of the largest box size: a
@@ -298,9 +288,8 @@ def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
     corner lies on the other box's edge, an edge crossing lies at an edge end,
     or top or bottom faces are flush (within _TIE_EPS times the largest size).
     """
-    p, g = _row(p), _row(g)
     fp, fg = fp or bev_footprint(p), fg or bev_footprint(g)
-    iou = _iou_rows(p, g, fp, fg)[0] if iou is None else iou
+    iou = iou_3d(p, g, fp, fg).iou if iou is None else iou
     if iou <= 0.0 or iou >= 1.0:
         raise DegenerateOverlap(f"IoU {iou} has no usable gradient")
     (_, _, pz, pl, pw, ph, _), (_, _, gz, gl, gw, gh, _) = p, g

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError, check_json_value
 from .geom import Box7
-from .iou import _iou_rows, _row, bev_footprint, iou_3d
+from .iou import bev_footprint, iou_3d
 
 DEFAULT_IOU_THRESHOLD = 0.25
 
@@ -59,13 +59,13 @@ def match_predictions(
     permutation-invariant in the counts.
     """
     check_iou_threshold(iou_threshold)
-    ps, gs = ([(_row(b), bev_footprint(b), c) for b, c in boxes] for boxes in (preds, gts))
+    ps, gs = ([(b, bev_footprint(b), c) for b, c in boxes] for boxes in (preds, gts))
     candidates = []
-    for i, (prow, pfoot, pcat) in enumerate(ps):
-        for j, (grow, gfoot, gcat) in enumerate(gs):
+    for i, (pbox, pfoot, pcat) in enumerate(ps):
+        for j, (gbox, gfoot, gcat) in enumerate(gs):
             if pcat != gcat:
                 continue
-            iou = _iou_rows(prow, grow, pfoot, gfoot)[0]
+            iou = iou_3d(pbox, gbox, pfoot, gfoot).iou
             if iou >= iou_threshold:
                 candidates.append((iou, i, j))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -80,51 +80,6 @@ def match_predictions(
         matched.append(iou)
     tp = len(matched)
     return ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp), matched
-
-
-def match_optimal_bruteforce(
-    preds: list[tuple[Box7, str]],
-    gts: list[tuple[Box7, str]],
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-) -> tuple[ConfusionCounts, list[float]]:
-    """Exhaustive one-to-one matching oracle for small instances.
-
-    Enumerates every injective assignment of predictions to ground truths
-    over eligible pairs and keeps the one maximizing (match count, IoU sum).
-    Exponential; only sensible for a handful of boxes per side.
-    """
-    eligible: dict[int, list[tuple[int, float]]] = {}
-    for i, (pbox, pcat) in enumerate(preds):
-        for j, (gbox, gcat) in enumerate(gts):
-            if pcat != gcat:
-                continue
-            iou = iou_3d(pbox, gbox).iou
-            if iou >= iou_threshold:
-                eligible.setdefault(i, []).append((j, iou))
-
-    best: tuple[int, float, list[float]] = (0, 0.0, [])
-
-    def extend(pred_ids: list[int], k: int, used: set[int], ious: list[float]):
-        nonlocal best
-        if k == len(pred_ids):
-            score = (len(ious), sum(ious))
-            if score > (best[0], best[1]):
-                best = (len(ious), sum(ious), list(ious))
-            return
-        extend(pred_ids, k + 1, used, ious)  # leave this prediction unmatched
-        for j, iou in eligible.get(pred_ids[k], []):
-            if j in used:
-                continue
-            used.add(j)
-            ious.append(iou)
-            extend(pred_ids, k + 1, used, ious)
-            ious.pop()
-            used.remove(j)
-
-    extend(sorted(eligible), 0, set(), [])
-    tp = best[0]
-    counts = ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp)
-    return counts, sorted(best[2], reverse=True)
 
 
 def accuracy(c: ConfusionCounts) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 from .data import FeaturePair, SceneRecord, for_record, to_lidar_frame
 from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
 from .geom import Box7, wrap_angle
-from .iou import _iou_rows, _row, bev_footprint, iou_loss_grad
+from .iou import bev_footprint, iou_3d, iou_loss_grad
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .metrics import (
     ConfusionCounts,
@@ -45,8 +45,7 @@ from .metrics import (
     miou_samples,
     report_dict,
 )
-# perfbench's tracer wraps train.iou_3d and train.match_predictions: keep them importable.
-from .iou import iou_3d  # noqa: F401
+# perfbench's tracer wraps train.match_predictions: keep it importable.
 from .metrics import match_predictions  # noqa: F401
 from .model import FusionModel, box_params_from_raw, box_params_grad_chain
 
@@ -192,19 +191,19 @@ def _rows(params: np.ndarray) -> list[tuple]:
 
 def _sample_ious(model, samples: list[TrainSample], predictions=None, gts=None) -> list[float]:
     """IoU of each sample's prediction (by default the model's) with its ground
-    truth; `gts`, if given, holds the ground truths' (row, footprint) pairs."""
+    truth; `gts`, if given, holds the ground truths' (box, footprint) pairs."""
     if predictions is None:
         raws = model.forward_batch(np.stack([s.fused for s in samples]))
         predictions = _rows(_checked_box_params(raws))
-    gts = gts or [(_row(s.gt_box), None) for s in samples]
-    return [_iou_rows(_row(pred), row, None, fg)[0] for pred, (row, fg) in zip(predictions, gts)]
+    gts = gts or [(s.gt_box, None) for s in samples]
+    return [iou_3d(pred, g, None, fg).iou for pred, (g, fg) in zip(predictions, gts)]
 
 
 def validation_miou(model: FusionModel, samples: list[TrainSample], gts=None) -> float:
     """Mean IoU between predicted and ground-truth boxes; `gts` as in `_sample_ious`."""
     if not samples:
         raise EmptyBatch("validation requires at least one sample")
-    return sum(_sample_ious(model, samples, gts=gts)) / len(samples)
+    return miou_samples(_sample_ious(model, samples, gts=gts))
 
 
 def _diverged(epoch: int, batch: int, what: str):
@@ -232,7 +231,7 @@ def run_training(
     opt = AdamW(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
-    gts, val_gts = ([(r, bev_footprint(r)) for r in (_row(s.gt_box) for s in ss)]
+    gts, val_gts = ([(s.gt_box, bev_footprint(s.gt_box)) for s in ss]
                     for ss in (train_samples, val_samples or []))
     fused_all = np.stack([s.fused for s in train_samples])
 
@@ -257,10 +256,10 @@ def run_training(
             if not math.isfinite(mse_batch):
                 _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
-            # _iou_rows's (p, g, fp, fg) per pair; a prediction's footprint in stage 2 only
+            # iou_3d's (p, g, fp, fg) per pair; a prediction's footprint in stage 2 only
             pairs = [(p, gts[i][0], bev_footprint(p) if lam2 > 0.0 else None, gts[i][1])
                      for p, i in zip(_rows(params_pred), idx)]
-            ious = [_iou_rows(*pair)[0] for pair in pairs]
+            ious = [iou_3d(*pair).iou for pair in pairs]
             iou_batch = sum(1.0 - iou for iou in ious) / B
             iou_grads = np.zeros((B, 7))
             if lam2 > 0.0:

@@ -340,7 +340,8 @@ def reference_process_record(rec: SceneRecord) -> ProcessedSample:
 # `bev_footprint` and `match_predictions` as they stood while every IoU value
 # went through `iou_3d` on two Box7s: one footprint corner per comprehension
 # step, and one `iou_3d` per same-category pair with both footprints made
-# again for each pair. The row path must return the same bits.
+# again for each pair. `iou_3d` on rows with cached footprints must return
+# the same bits.
 
 
 def reference_bev_footprint(box: Box7):
@@ -373,6 +374,54 @@ def reference_match_predictions(preds, gts, iou_threshold):
         matched.append(iou)
     tp = len(matched)
     return ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp), matched
+
+
+# ---- optimal matching by exhaustive search ------------------------------------
+
+
+def match_optimal_bruteforce(
+    preds: list[tuple[Box7, str]],
+    gts: list[tuple[Box7, str]],
+    iou_threshold: float,
+) -> tuple[ConfusionCounts, list[float]]:
+    """Exhaustive one-to-one matching oracle for small instances.
+
+    Enumerates every injective assignment of predictions to ground truths
+    over eligible pairs and keeps the one maximizing (match count, IoU sum).
+    Exponential; only sensible for a handful of boxes per side.
+    """
+    eligible: dict[int, list[tuple[int, float]]] = {}
+    for i, (pbox, pcat) in enumerate(preds):
+        for j, (gbox, gcat) in enumerate(gts):
+            if pcat != gcat:
+                continue
+            iou = iou_3d(pbox, gbox).iou
+            if iou >= iou_threshold:
+                eligible.setdefault(i, []).append((j, iou))
+
+    best: tuple[int, float, list[float]] = (0, 0.0, [])
+
+    def extend(pred_ids: list[int], k: int, used: set[int], ious: list[float]):
+        nonlocal best
+        if k == len(pred_ids):
+            score = (len(ious), sum(ious))
+            if score > (best[0], best[1]):
+                best = (len(ious), sum(ious), list(ious))
+            return
+        extend(pred_ids, k + 1, used, ious)  # leave this prediction unmatched
+        for j, iou in eligible.get(pred_ids[k], []):
+            if j in used:
+                continue
+            used.add(j)
+            ious.append(iou)
+            extend(pred_ids, k + 1, used, ious)
+            ious.pop()
+            used.remove(j)
+
+    extend(sorted(eligible), 0, set(), [])
+    tp = best[0]
+    counts = ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp)
+    return counts, sorted(best[2], reverse=True)
 
 
 # ---- the fusion model before its merged weights --------------------------------

@@ -206,7 +206,8 @@ def test_criterion_6_pipeline_roundtrip():
 
 def test_criterion_7_metric_identities():
     def body():
-        from minidet3d.metrics import match_optimal_bruteforce, match_predictions, miou_categories
+        from minidet3d.metrics import match_predictions, miou_categories
+        from oracles import match_optimal_bruteforce
         from test_metrics import TRAINING_CATEGORY_IOUS, random_instance
 
         table = miou_categories([(c, v, 1) for c, v in TRAINING_CATEGORY_IOUS])

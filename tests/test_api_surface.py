@@ -17,8 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# perfbench's tracer wraps train.iou_3d and train.match_predictions by name
-EXEMPT_IMPORTS = {"train.iou_3d", "train.match_predictions"}
+# perfbench's tracer wraps train.match_predictions by name
+EXEMPT_IMPORTS = {"train.match_predictions"}
 
 
 def public_definitions(tree: ast.Module):

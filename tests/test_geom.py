@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from minidet3d.errors import GimbalRisk
 from minidet3d.geom import (
@@ -58,6 +58,56 @@ class TestBox7:
     def test_wrap_angle_boundary(self):
         assert wrap_angle(math.pi) == math.pi
         assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(math.nextafter(math.pi, 4.0)) == math.pi  # not -pi
+
+
+def bits(row) -> list[str]:
+    return [float(v).hex() for v in row]
+
+
+RAW_ROWS = st.tuples(
+    *[st.floats(-1e4, 1e4)] * 3, *[st.floats(1e-3, 1e3)] * 3, st.floats(-1e3, 1e3))
+
+
+class TestBox7IsItsRow:
+    """A Box7 is the checked tuple of its fields: the constructor's floats with
+    yaw wrapped, rebuilt from itself, by `_make`, `_replace` or a pickle, with
+    the same bits; and no way of building one skips the checks."""
+
+    @given(raw=RAW_ROWS)
+    @example(raw=(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, math.nextafter(math.pi, 4.0)))
+    def test_row_is_the_fields_with_yaw_wrapped(self, raw):
+        box = Box7(*raw)
+        assert isinstance(box, tuple) and len(box) == 7
+        assert bits(box) == bits((*raw[:6], wrap_angle(raw[6])))
+        assert bits(Box7(*box)) == bits(box) == bits(Box7._make(box)) == bits(box._replace())
+        assert bits(box.params()) == bits(box) and bits(box.center) == bits(box[:3])
+
+    @given(raw=RAW_ROWS)
+    @example(raw=(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, math.nextafter(math.pi, 4.0)))
+    def test_pickle_round_trip_keeps_type_and_bits(self, raw):
+        box = Box7(*raw)
+        back = pickle.loads(pickle.dumps(box))
+        assert type(back) is Box7 and bits(back) == bits(box)
+
+    def test_replace_checks_and_wraps(self):
+        box = Box7(1, 2, 3, 4, 5, 6, 0.5)
+        assert box._replace(yaw=0.5 + 2 * math.pi) == box
+        assert bits(box._replace(x=7)) == bits((7.0, *box[1:]))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("l", -1.0, "Box7 sizes must be positive, got l=-1.0, w=5.0, h=6.0"),
+        ("h", 0.0, "Box7 sizes must be positive, got l=4.0, w=5.0, h=0.0"),
+        ("x", math.nan, "Box7.x must be finite, got nan"),
+        ("yaw", math.inf, "Box7.yaw must be finite, got inf"),
+    ])
+    def test_make_and_replace_reject_with_the_constructors_message(self, field, value, message):
+        box = Box7(1, 2, 3, 4, 5, 6, 0.5)
+        row = [value if name == field else v for name, v in zip(Box7._fields, box)]
+        for build in (lambda: Box7(*row), lambda: Box7._make(row),
+                      lambda: box._replace(**{field: value})):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 class TestCorners:

@@ -15,7 +15,6 @@ from minidet3d.iou import (
     polygon_area,
     polygon_clip,
 )
-from minidet3d.iou import _iou_rows, _row
 from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, iou_loss
 from oracles import reference_iou_3d, volume
 from oracles import reference_polygon_clip
@@ -514,26 +513,27 @@ def raw_row_near(g: Box7, kind: str, draw) -> tuple:
             g.yaw + draw(st.floats(-0.3, 0.3)) + 2.0 * math.pi * turns)
 
 
-class TestRowKernelMatchesIoU3D:
-    """The row kernel behind training, validation, evaluation and matching
-    returns `iou_3d`'s IoU bit for bit, for a row built as the trainer builds
-    one (yaw through `wrap_angle`) against the Box7 built from the same raw
-    row, with or without footprints handed in, in both argument orders."""
+class TestIoU3DOnRowsMatchesBoxes:
+    """`iou_3d` on plain rows, as training, validation, evaluation and
+    matching hand them in, returns its IoU on Box7s bit for bit: a row built
+    as the trainer builds one (yaw through `wrap_angle`) and a Box7's plain
+    tuple against the Box7s built from the same raw rows, with or without
+    footprints handed in, in both argument orders."""
 
     @staticmethod
     def check(raw, g):
         row = (*raw[:6], wrap_angle(raw[6]))
         box = Box7(*raw)
         assert bev_footprint(row) == bev_footprint(box) == reference_bev_footprint(box)
-        grow = _row(g)
+        grow = tuple(g)
         for got, expected in (
-            (_iou_rows(row, grow)[0], iou_3d(box, g).iou),
-            (_iou_rows(grow, row)[0], iou_3d(g, box).iou),
-            (_iou_rows(row, grow, bev_footprint(row), bev_footprint(g))[0], iou_3d(box, g).iou),
-            (_iou_rows(grow, row, bev_footprint(g), bev_footprint(row))[0], iou_3d(g, box).iou),
+            (iou_3d(row, grow).iou, iou_3d(box, g).iou),
+            (iou_3d(grow, row).iou, iou_3d(g, box).iou),
+            (iou_3d(row, grow, bev_footprint(row), bev_footprint(g)).iou, iou_3d(box, g).iou),
+            (iou_3d(grow, row, bev_footprint(g), bev_footprint(row)).iou, iou_3d(g, box).iou),
         ):
             assert got.hex() == expected.hex(), (raw, g)
-        loss = 1.0 - _iou_rows(row, grow)[0]
+        loss = 1.0 - iou_3d(row, grow).iou
         assert loss.hex() == iou_loss(box, g).hex() == iou_loss(row, g).hex()
         return iou_3d(box, g)
 
@@ -610,9 +610,9 @@ class TestGradFromCachedPartsMatchesBoxes:
             raw = row_with_flush_face(g, data.draw)
         else:
             raw = raw_row_near(g, kind, data.draw)
-        row, grow = (*raw[:6], wrap_angle(raw[6])), _row(g)
+        row, grow = (*raw[:6], wrap_angle(raw[6])), tuple(g)
         fp, fg = bev_footprint(row), bev_footprint(grow)
-        iou = _iou_rows(row, grow, fp, fg)[0]
+        iou = iou_3d(row, grow, fp, fg).iou
         expected = grad_outcome(Box7(*raw), g)
         assert grad_outcome(row, grow, fp, fg, iou) == expected, (raw, g)
         assert grad_outcome(row, grow) == expected, (raw, g)
@@ -626,7 +626,7 @@ class TestGradFromCachedPartsMatchesBoxes:
            gap=st.sampled_from([0.0, 1e-9, 1e-3, 0.1, -1e-2, -5.0]))
     def test_collinear_pairs(self, seed, kind, gap):
         a, b, _ = collinear_pair(np.random.default_rng(seed), kind, gap)
-        ra, rb = _row(a), _row(b)
+        ra, rb = tuple(a), tuple(b)
         fa, fb = bev_footprint(ra), bev_footprint(rb)
-        got = grad_outcome(ra, rb, fa, fb, _iou_rows(ra, rb, fa, fb)[0])
+        got = grad_outcome(ra, rb, fa, fb, iou_3d(ra, rb, fa, fb).iou)
         assert got == grad_outcome(a, b), (a, b)

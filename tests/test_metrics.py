@@ -12,7 +12,6 @@ from minidet3d.metrics import (
     accuracy,
     aggregate_by_category,
     f1,
-    match_optimal_bruteforce,
     match_predictions,
     miou_categories,
     miou_samples,
@@ -22,7 +21,7 @@ from minidet3d.metrics import (
     report_dict,
 )
 
-from oracles import reference_match_predictions
+from oracles import match_optimal_bruteforce, reference_match_predictions
 
 # Per-category IoU, training-set column of the published results table.
 TRAINING_CATEGORY_IOUS = [

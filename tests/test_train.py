@@ -12,7 +12,7 @@ import minidet3d
 from minidet3d.data import synth_scenes
 from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
 from minidet3d.geom import Box7
-from minidet3d.iou import _row, bev_footprint, iou_3d, iou_loss_grad
+from minidet3d.iou import bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.losses import LossSchedule, schedule_weights
 from minidet3d.metrics import (
     ConfusionCounts,
@@ -397,7 +397,7 @@ class TestValidationOnRowsEqualsBoxes:
         expected = sum(ious) / len(val)
 
         assert validation_miou(model, val).hex() == expected.hex()
-        gts = [(_row(s.gt_box), bev_footprint(s.gt_box)) for s in val]  # as run_training caches them
+        gts = [(s.gt_box, bev_footprint(s.gt_box)) for s in val]  # as run_training caches them
         assert validation_miou(model, val, gts).hex() == expected.hex()
         report = evaluate_model(model, val, 0.25)
         assert report["miou_samples"].hex() == expected.hex()
