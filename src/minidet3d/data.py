@@ -41,11 +41,13 @@ whose visual part is a fixed smooth, invertible function of the LiDAR-frame
 box parameters (plus optional noise) and whose text part indexes the
 category, so a learnable mapping from features to boxes exists by
 construction. Encoder constants are derived from a fixed internal seed so
-that datasets generated with different user seeds share one feature space.
+that datasets generated with different user seeds share one feature space;
+the matrix is drawn once per width, each text embedding once per call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -447,14 +449,25 @@ class SynthConfig:
     d_t: int = 32
     noise_std: float = 0.0
 
+    def __post_init__(self):
+        if self.d_v < 7:
+            raise ValueError(f"d_v must be >= 7 to keep the encoding invertible, got {self.d_v}")
+        if self.d_t < 1:
+            raise ValueError(f"d_t must be >= 1, got {self.d_t}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+
 
 def _normalize_params(params: np.ndarray) -> np.ndarray:
     return (np.asarray(params, dtype=np.float64) - _PARAM_SHIFT) / _PARAM_SCALE
 
 
+@functools.cache
 def _encoder_matrix(d_v: int) -> np.ndarray:
-    rng = np.random.default_rng(_ENCODER_SEED)
-    return rng.normal(0.0, 1.0, size=(max(d_v - 7, 0), 7))
+    """The fixed (d_v - 7, 7) tanh-mixing matrix: one read-only array per width."""
+    M = np.random.default_rng(_ENCODER_SEED).normal(0.0, 1.0, size=(max(d_v - 7, 0), 7))
+    M.flags.writeable = False
+    return M
 
 
 def category_embedding(category: str, d_t: int) -> np.ndarray:
@@ -519,6 +532,9 @@ def synth_scenes(
         raise ValueError("category_mix must name at least one category")
     names = sorted(category_mix)
     weights = np.array([category_mix[n] for n in names], dtype=np.float64)
+    for n, w in zip(names, weights):
+        if not math.isfinite(w):
+            raise ValueError(f"category weight of {n!r} must be finite, got {w}")
     if (weights < 0).any() or weights.sum() <= 0:
         raise ValueError("category weights must be non-negative and sum to > 0")
     weights = weights / weights.sum()
@@ -526,6 +542,7 @@ def synth_scenes(
     rng = np.random.default_rng(seed)
     cameras = _ring_cameras()
     lidar_to_ego = Pose((0.9, 0.0, 1.8))
+    texts = {n: category_embedding(n, config.d_t) for n in names}
 
     records, features = [], []
     for i in range(count):
@@ -566,9 +583,7 @@ def synth_scenes(
         visual = encode_visual(box_lidar.params(), config.d_v)
         if config.noise_std > 0:
             visual = visual + rng.normal(0.0, config.noise_std, size=visual.shape)
-        features.append(
-            FeaturePair(sample_id, visual, category_embedding(category, config.d_t))
-        )
+        features.append(FeaturePair(sample_id, visual, texts[category].copy()))
     return records, features
 
 

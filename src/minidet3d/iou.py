@@ -139,6 +139,11 @@ class IoUResult(NamedTuple):
     union_volume: float
 
 
+def _result(iou: float, inter: float, union: float) -> IoUResult:
+    """IoUResult(iou, inter, union), without the NamedTuple's Python-level __new__."""
+    return tuple.__new__(IoUResult, (iou, inter, union))
+
+
 def iou_3d(p: Box7, g: Box7, fp=None, fg=None) -> IoUResult:
     """Exact IoU of two yaw-only boxes: intersection volume over union volume.
 
@@ -149,7 +154,7 @@ def iou_3d(p: Box7, g: Box7, fp=None, fg=None) -> IoUResult:
     """
     if p == g:
         vol = p[3] * p[4] * p[5]
-        return IoUResult(1.0, vol, vol)
+        return _result(1.0, vol, vol)
     # Clip order is fixed by a canonical operand ordering so that
     # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
     if g < p:
@@ -165,13 +170,13 @@ def iou_3d(p: Box7, g: Box7, fp=None, fg=None) -> IoUResult:
     ):
         # Apart vertically, or footprints too far apart to touch: exactly
         # what the clip path returns for an empty intersection.
-        return IoUResult(0.0, 0.0, vol_p + vol_g)
+        return _result(0.0, 0.0, vol_p + vol_g)
 
     inter_area = polygon_area(polygon_clip(fp or bev_footprint(p), fg or bev_footprint(g)))
     # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
     inter = min(inter_area * z_overlap, vol_p, vol_g)
     union = vol_p + vol_g - inter
-    return IoUResult(inter / union, inter, union)
+    return _result(inter / union, inter, union)
 
 
 # Topology ties are decided within this fraction of the largest box size: a

@@ -37,14 +37,16 @@ one GEMM for the whole batch; only the (B, H, 2, 2) attention products stay
 batched per sample. A GEMM rounds with the row count, so a batch's outputs
 equal single-sample forwards to about 1e-13 relative, not bit for bit.
 
-A forward writes (numpy `out=`) every activation into the model's workspace,
-one buffer per activation, allocated at the first forward's batch size, and
-the workspace's dict of views is the cache: `backward_batch` /
-`backward_head` read it by the same keys, in reverse, for exact gradients.
+A forward writes (numpy `out=`) each activation the backward reads into the
+model's workspace, allocated at the first forward's batch size, and the
+workspace's dict of views is the cache: `backward_batch` / `backward_head`
+read it by the same keys, in reverse, for exact gradients. ReLU runs in
+place, its output positive exactly where its input is, and the attention
+residual sum, which no gradient reads, is one scratch buffer for all layers.
 The workspace only grows: a larger batch allocates it again at the new size,
 and a smaller one uses the leading rows of each buffer, which are contiguous
 views. A repeat forward therefore allocates only its temporaries, not the
-activations (about 9 MB at B=256, which the allocator would otherwise hand
+activations (about 6 MB at B=256, which the allocator would otherwise hand
 back to the OS and fault in again at the next large forward), and computes
 the same bits. The raw output it returns is always a fresh array; the cache
 is valid until the next forward, which overwrites it. `backward_batch`
@@ -271,21 +273,19 @@ class FusionModel:
         """Views of the leading B samples' rows of every activation buffer:
         token-row buffers as (2B, width), `S` as (B, H, 2, 2), the rest as
         (B, width). A forward keeps this dict as its cache, and the backward
-        reads it by the same keys. The buffers are allocated at the first
-        batch's size and again only when a larger batch arrives."""
+        reads it by the same keys; `X1` is every layer's scratch. The buffers
+        are allocated at the first batch's size and again only when a larger
+        batch arrives."""
         if B > self._ws_batch:
             cfg, T, d = self.config, 2, self.config.d_model
-            rows = {"F": (1, cfg.d_v + cfg.d_t), "pooled": (1, d)}
+            rows = {"F": (1, cfg.d_v + cfg.d_t), "pooled": (1, d), "X1": (T, d)}
             for j, width in enumerate(MLP_HIDDEN, start=1):
-                rows[f"a{j}"] = rows[f"z{j}"] = (1, width)
+                rows[f"z{j}"] = (1, width)
             for i in range(cfg.n_layers + 1):
                 rows[i, "X"] = (T, d)  # layer i's input; the last one is the final output
             for i in range(cfg.n_layers):
-                rows[i, "QKV"] = (T, 3 * d)
-                for name in ("O", "X1"):
-                    rows[i, name] = (T, d)
-                rows[i, "S"] = (1, cfg.n_heads, T, T)
-                rows[i, "Hpre"] = rows[i, "Hact"] = (T, 2 * d)
+                rows[i, "QKV"], rows[i, "O"] = (T, 3 * d), (T, d)
+                rows[i, "S"], rows[i, "H"] = (1, cfg.n_heads, T, T), (T, 2 * d)
             self._ws = {key: (n, np.empty((B * n, *rest))) for key, (n, *rest) in rows.items()}
             self._ws_batch = B
         return {key: buf[: B * n] for key, (n, buf) in self._ws.items()}
@@ -339,20 +339,20 @@ class FusionModel:
             S = np.divide(e, e.sum(axis=-1, keepdims=True), out=ws[i, "S"])
             O = ws[i, "O"]
             np.matmul(S, Vh, out=O.reshape(B, T, H, dh).transpose(0, 2, 1, 3))
-            X1 = np.matmul(O, W[3].T, out=ws[i, "X1"])
+            X1 = np.matmul(O, W[3].T, out=ws["X1"])
             X1 += X_in  # X_in + attention output: the sum commutes bit for bit
-            Hpre = np.matmul(X1, p[f"layers.{i}.ffn.W1"].T, out=ws[i, "Hpre"])
-            Hpre += p[f"layers.{i}.ffn.b1"]
-            Hact = np.maximum(Hpre, 0.0, out=ws[i, "Hact"])
-            np.matmul(Hact, p[f"layers.{i}.ffn.W2"].T, out=X)
+            Hid = np.matmul(X1, p[f"layers.{i}.ffn.W1"].T, out=ws[i, "H"])
+            Hid += p[f"layers.{i}.ffn.b1"]
+            np.maximum(Hid, 0.0, out=Hid)
+            np.matmul(Hid, p[f"layers.{i}.ffn.W2"].T, out=X)
             X += X1
             X += p[f"layers.{i}.ffn.b2"]
 
         z = np.mean(X.reshape(B, T, d), axis=1, out=ws["pooled"])
         for j, name in enumerate(("0", "1", "2"), start=1):
-            a = np.matmul(z, p[f"head.{name}.W"].T, out=ws[f"a{j}"])
-            a += p[f"head.{name}.b"]
-            z = np.maximum(a, 0.0, out=ws[f"z{j}"])
+            z = np.matmul(z, p[f"head.{name}.W"].T, out=ws[f"z{j}"])
+            z += p[f"head.{name}.b"]
+            np.maximum(z, 0.0, out=z)
         raw = z @ p["head.out.W"].T + p["head.out.b"]
         self._cache = ws
         return raw
@@ -388,15 +388,15 @@ class FusionModel:
         np.matmul(up.T, ws["z3"], out=g["head.out.W"])
         up.sum(axis=0, out=g["head.out.b"])
         dz3 = up @ p["head.out.W"]
-        da3 = dz3 * (ws["a3"] > 0)
+        da3 = dz3 * (ws["z3"] > 0)
         np.matmul(da3.T, ws["z2"], out=g["head.2.W"])
         da3.sum(axis=0, out=g["head.2.b"])
         dz2 = da3 @ p["head.2.W"]
-        da2 = dz2 * (ws["a2"] > 0)
+        da2 = dz2 * (ws["z2"] > 0)
         np.matmul(da2.T, ws["z1"], out=g["head.1.W"])
         da2.sum(axis=0, out=g["head.1.b"])
         dz1 = da2 @ p["head.1.W"]
-        da1 = dz1 * (ws["a1"] > 0)
+        da1 = dz1 * (ws["z1"] > 0)
         np.matmul(da1.T, ws["pooled"], out=g["head.0.W"])
         da1.sum(axis=0, out=g["head.0.b"])
         dpooled = da1 @ p["head.0.W"]
@@ -406,9 +406,9 @@ class FusionModel:
         dX = np.repeat(dpooled[:, None, :] / T, T, axis=1).reshape(B * T, d)
 
         for i in reversed(range(cfg.n_layers)):
-            # FFN with residual: X_out = X1 + W2 relu(W1 X1 + b1) + b2
-            dHact = dX @ p[f"layers.{i}.ffn.W2"]
-            dHpre = dHact * (ws[i, "Hpre"] > 0)
+            # FFN with residual: X_out = X1 + W2 relu(W1 X1 + b1) + b2; relu's
+            # output is positive exactly where its input is
+            dHpre = (dX @ p[f"layers.{i}.ffn.W2"]) * (ws[i, "H"] > 0)
             dX1 = dX + dHpre @ p[f"layers.{i}.ffn.W1"]
             # attention with residual: X1 = X_in + O @ Wo.T, QKV = X_in @ Wqkv.T,
             # through the forward's merged weights

@@ -12,6 +12,8 @@ from minidet3d.data import (
     CameraBlock,
     SceneRecord,
     SynthConfig,
+    _ENCODER_SEED,
+    _encoder_matrix,
     category_embedding,
     emit,
     encode_visual,
@@ -449,6 +451,44 @@ class TestSynth:
     def test_encode_requires_room_for_params(self):
         with pytest.raises(ValueError):
             encode_visual(np.zeros(7), d_v=5)
+
+    @pytest.mark.parametrize("d", [7, 8, 32, 64])
+    def test_encoder_matrix_is_one_read_only_draw_per_width(self, d):
+        M = _encoder_matrix(d)
+        assert _encoder_matrix(d) is M and not M.flags.writeable
+        fresh = np.random.default_rng(_ENCODER_SEED).normal(0.0, 1.0, size=(max(d - 7, 0), 7))
+        assert M.shape == fresh.shape and M.tobytes() == fresh.tobytes()
+
+    def test_synth_at_two_widths_in_one_process_uses_each_widths_encoding(self):
+        mix = {"adult": 1.0, "car": 1.0, "trafficcone": 1.0, "bicycle": 1.0}
+        for d_v, d_t in ((32, 32), (16, 8)):
+            records, features = synth_scenes(40, mix, seed=33, config=SynthConfig(d_v, d_t))
+            M = np.random.default_rng(_ENCODER_SEED).normal(0.0, 1.0, size=(d_v - 7, 7))
+            for rec, f in zip(records, features):
+                assert f.visual.shape == (d_v,)
+                assert f.visual[7:].tobytes() == np.tanh(M @ f.visual[:7]).tobytes()
+                fresh = category_embedding(rec.annotations[0].category, d_t)
+                assert f.text.tobytes() == fresh.tobytes()
+
+    def test_records_of_one_category_hold_their_own_text(self):
+        _, (a, b) = synth_scenes(2, {"car": 1.0}, seed=3)
+        assert a.text.flags.writeable and b.text.flags.writeable
+        assert not np.shares_memory(a.text, b.text)
+        a.text[0] += 1.0
+        assert b.text.tobytes() == category_embedding("car", 32).tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_v", 6), ("d_t", 0), ("noise_std", math.nan), ("noise_std", math.inf),
+        ("noise_std", -0.1),
+    ])
+    def test_config_out_of_range_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_mix_weight_names_its_category(self, weight):
+        with pytest.raises(ValueError, match="category weight of 'car' must be finite"):
+            synth_scenes(4, {"adult": 1.0, "car": weight}, seed=1)
 
 
 def _perturbed(q, rng):

@@ -8,6 +8,7 @@ from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
 from minidet3d.geom import Box7, Pose, quat_from_yaw, transform_box
 from minidet3d.geom import wrap_angle
 from minidet3d.iou import (
+    IoUResult,
     bev_footprint,
     iou_3d,
     iou_loss_grad,
@@ -78,6 +79,19 @@ class TestIoU3D:
         assert res.iou == 1.0
         assert res.intersection_volume == pytest.approx(volume(box))
         assert res.union_volume == pytest.approx(volume(box))
+
+    @pytest.mark.parametrize("other, expected", [
+        (Box7(1, 2, 3, 4, 2, 2, 0.0), (1.0, 16.0, 16.0)),  # identical: no clip
+        (Box7(50, 2, 3, 4, 2, 2, 0.0), (0.0, 0.0, 32.0)),  # footprints apart: no clip
+        (Box7(3, 2, 3, 4, 2, 2, 0.0), (1.0 / 3.0, 8.0, 24.0)),  # clipped
+    ], ids=["identical", "separated", "clipped"])
+    def test_every_exit_returns_an_iou_result(self, other, expected):
+        res = iou_3d(Box7(1, 2, 3, 4, 2, 2, 0.0), other)
+        assert type(res) is IoUResult and len(res) == 3
+        assert (res.iou, res.intersection_volume, res.union_volume) == pytest.approx(expected)
+        assert res == tuple(res) and res._asdict()["iou"] == res[0]
+        iou, inter, union = res
+        assert res._replace(iou=0.5) == (0.5, inter, union)
 
     def test_far_apart(self):
         a = Box7(0, 0, 0, 1, 1, 1, 0)

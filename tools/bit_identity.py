@@ -4,7 +4,7 @@
 
 Run from the repository root; `src/` of the same checkout is imported and
 nothing is installed. A change that leaves the arithmetic alone must print
-the same five lines as its parent commit. BLAS is pinned to one thread
+the same six lines as its parent commit. BLAS is pinned to one thread
 before numpy loads. It takes a few seconds on one core and writes only
 to a temporary directory.
 
@@ -18,6 +18,11 @@ to a temporary directory.
   256 training records at data seed 101 and 64 validation records at 202
   (adult/car 0.5 each), `ModelConfig(seed=5)`, epochs 8/14 at lr
   2e-3/5e-5, batch-order seed 5. Its stage 2 takes IoU-loss gradients.
+- `synth_widths`: `synth` of 64 records at seed 33 (adult, car, trafficcone
+  and bicycle, weight 1 each) at `--d-v 16 --d-t 8 --noise 0.05`, run after
+  the criterion-9 synth in the same process, so an encoder matrix or text
+  embedding kept from one width cannot stand in for another's. One hash of
+  `scenes.json` followed by `features.json`.
 
 Each line is a label and the first 16 hex digits of the artifact's SHA-256.
 The exit code is 1 if a command fails or the two ingests differ.
@@ -47,8 +52,11 @@ from minidet3d.train import build_training_samples, run_training  # noqa: E402
 MIX = {"adult": 0.5, "car": 0.5}
 
 
-def digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+def digest(*paths: Path) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
 
 
 def cli(*argv) -> None:
@@ -74,8 +82,15 @@ def criterion_9(tmp: Path) -> dict[str, Path]:
         cli("ingest", data / "scenes.json", "--out", out, "--workers", workers)
     if ingests[0].read_bytes() != ingests[1].read_bytes():
         raise SystemExit("ingest --workers 1 and --workers 4 wrote different bytes")
-    return {"checkpoint": run / "checkpoint.bin", "train_log": run / "train_log.csv",
-            "report": report / "report.json", "ingest": ingests[0]}
+    return {"checkpoint": (run / "checkpoint.bin",), "train_log": (run / "train_log.csv",),
+            "report": (report / "report.json",), "ingest": ingests[:1]}
+
+
+def synth_widths(tmp: Path) -> tuple[Path, Path]:
+    out = tmp / "widths"
+    cli("synth", "--count", 64, "--seed", 33, "--out", out,
+        "--mix", "adult=1,car=1,trafficcone=1,bicycle=1", "--d-v", 16, "--d-t", 8, "--noise", 0.05)
+    return out / "scenes.json", out / "features.json"
 
 
 def stage2_run(tmp: Path) -> Path:
@@ -94,9 +109,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         artifacts = criterion_9(tmp)
-        artifacts["stage2_checkpoint"] = stage2_run(tmp)
-        for label, path in artifacts.items():
-            print(f"{label:<18} {digest(path)}")
+        widths = synth_widths(tmp)  # between two synths at the default widths
+        artifacts["stage2_checkpoint"] = (stage2_run(tmp),)
+        artifacts["synth_widths"] = widths
+        for label, paths in artifacts.items():
+            print(f"{label:<18} {digest(*paths)}")
     return 0
 
 
