@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, MiniDetError, check_json_value
+from .errors import ConfigError, MiniDetError, check_json_value, check_keys
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
@@ -52,20 +52,20 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _config_error(path: str, message: str) -> ConfigError:
+    return ConfigError(f"{path} {message}")
+
+
 def _merge_config(defaults: dict, given: dict, where: str) -> dict:
-    if not isinstance(given, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
+    """`defaults` updated from `given`, whose every key is optional."""
+    check_keys(given, (), where, _config_error, optional=defaults)
     merged = {}
     for key, default in defaults.items():
         if isinstance(default, dict):
             merged[key] = _merge_config(default, given.get(key, {}), f"{where}.{key}")
         else:
             if key in given:
-                check_json_value(given[key], default, f"{where}.{key}",
-                                 lambda path, message: ConfigError(f"{path} {message}"))
+                check_json_value(given[key], default, f"{where}.{key}", _config_error)
             merged[key] = given.get(key, default)
     return merged
 
@@ -169,14 +169,18 @@ def cmd_synth(args) -> int:
     mix = {}
     for part in args.mix.split(","):
         name, _, weight = part.partition("=")
+        name = name.strip()
+        if name in mix:
+            raise ConfigError(f"--mix: category {name!r} is given twice")
         try:
-            mix[name.strip()] = float(weight)
+            mix[name] = float(weight)
         except ValueError:
             raise ConfigError(f"--mix: bad entry {part!r}, expected name=number") from None
-        if not np.isfinite(mix[name.strip()]):
+        if not np.isfinite(mix[name]):
             raise ConfigError(f"--mix: entry {part!r} is not finite")
     config = data_mod.SynthConfig(d_v=args.d_v, d_t=args.d_t, noise_std=args.noise)
-    records, features = data_mod.synth_scenes(args.count, mix, args.seed, config)
+    # the flags are checked above, so any ValueError left is the mix's
+    records, features = _build(data_mod.synth_scenes, "--mix: ", args.count, mix, args.seed, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -286,14 +290,14 @@ def cmd_report(args) -> int:
     if args.csv:
         print(report_csv(report), end="")
         return 0
-    width = max([len("category")] + [len(r["category"]) for r in report["categories"]])
+    summary = {"mIoU (categories)": "miou_categories", "mIoU (samples)": "miou_samples",
+               **{key: key for key in ("accuracy", "precision", "recall", "f1")}}
+    width = max(map(len, ["category", *summary, *(r["category"] for r in report["categories"])]))
     print(f"{'category':<{width}}  {'iou':>8}  count")
     for row in report["categories"]:
         print(f"{row['category']:<{width}}  {row['iou']:>8.4f}  {row['count']}")
-    print(f"{'mIoU (categories)':<{width}}  {report['miou_categories']:>8.4f}")
-    print(f"{'mIoU (samples)':<{width}}  {report['miou_samples']:>8.4f}")
-    for key in ("accuracy", "precision", "recall", "f1"):
-        print(f"{key:<{width}}  {report[key]:>8.4f}")
+    for label, key in summary.items():
+        print(f"{label:<{width}}  {report[key]:>8.4f}")
     return 0
 
 

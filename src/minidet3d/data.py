@@ -24,8 +24,10 @@ one-line JSON, which `python -m json.tool` pretty-prints):
       ]
     }
 
-Every box value, translation, rotation and fx/fy/cx/cy is a finite JSON
-number, and width/height are JSON integers (errors.check_json_value's rule).
+Every object holds just the keys shown (errors.check_keys), and an error
+about the top level starts with the file's path. Every box value,
+translation, rotation and fx/fy/cx/cy is a finite JSON number, and
+width/height are JSON integers (errors.check_json_value).
 Quaternions are [w,x,y,z] and must be unit within 1e-9; lengths are meters,
 angles radians. Annotation boxes live in the global frame and are brought
 into the LiDAR frame by inverting the ego and LiDAR calibration poses.
@@ -59,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MiniDetError, ParseError, SchemaVersionMismatch, check_json_value
+from .errors import MiniDetError, ParseError, SchemaVersionMismatch, check_json_value, check_keys
 from .geom import (
     Box7,
     CameraIntrinsics,
@@ -144,14 +146,7 @@ def _check_floats(values: list, where: str, key: str) -> None:
 
 
 def _parse_pose(obj, where: str, poses: dict) -> Pose:
-    if not isinstance(obj, dict):
-        raise ParseError(where, "pose must be an object")
-    for key in ("translation", "rotation"):
-        if key not in obj:
-            raise ParseError(f"{where}.{key}", "missing")
-    extra = set(obj) - {"translation", "rotation"}
-    if extra:
-        raise ParseError(where, f"unknown keys {sorted(extra)}")
+    check_keys(obj, ("translation", "rotation"), where, ParseError)
     t, q = obj["translation"], obj["rotation"]
     if not (isinstance(t, list) and len(t) == 3):
         raise ParseError(f"{where}.translation", "must be a 3-list")
@@ -174,8 +169,7 @@ _intrinsic_values = itemgetter(*_INTRINSICS)
 
 
 def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
-    if not isinstance(obj, dict) or obj.keys() != _INTRINSICS.keys():
-        raise ParseError(where, f"intrinsics must have exactly the fields {tuple(_INTRINSICS)}")
+    check_keys(obj, _INTRINSICS, where, ParseError)
     fx, fy, cx, cy, width, height = _intrinsic_values(obj)
     if not (type(fx) is type(fy) is type(cx) is type(cy) is float
             and math.isfinite(fx + fy + cx + cy)
@@ -191,15 +185,8 @@ def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
 
 
 def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
-    if not isinstance(obj, dict):
-        raise ParseError(where, "record must be an object")
-    required = {"sample_id", "ego_to_global", "lidar_to_ego", "cameras", "annotations"}
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(where, f"missing keys {sorted(missing)}")
-    extra = set(obj) - required
-    if extra:
-        raise ParseError(where, f"unknown keys {sorted(extra)}")
+    check_keys(obj, ("sample_id", "ego_to_global", "lidar_to_ego", "cameras", "annotations"),
+               where, ParseError)
     sample_id = obj["sample_id"]
     if not isinstance(sample_id, str) or not sample_id:
         raise ParseError(f"{where}.sample_id", "must be a non-empty string")
@@ -214,8 +201,7 @@ def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
     seen = set()
     for j, cam in enumerate(obj["cameras"]):
         cw = f"{where}.cameras[{j}]"
-        if not isinstance(cam, dict) or set(cam) != {"name", "intrinsics", "sensor_to_ego"}:
-            raise ParseError(cw, "camera must have name, intrinsics, sensor_to_ego")
+        check_keys(cam, ("name", "intrinsics", "sensor_to_ego"), cw, ParseError)
         name = cam["name"]
         if name not in CAMERA_NAMES:
             raise ParseError(f"{cw}.name", f"unknown camera {name!r}")
@@ -233,8 +219,7 @@ def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
     annotations = []
     for j, ann in enumerate(obj["annotations"]):
         aw = f"{where}.annotations[{j}]"
-        if not isinstance(ann, dict) or set(ann) != {"category", "box"}:
-            raise ParseError(aw, "annotation must have category and box")
+        check_keys(ann, ("category", "box"), aw, ParseError)
         if not isinstance(ann["category"], str) or not ann["category"]:
             raise ParseError(f"{aw}.category", "must be a non-empty string")
         box = ann["box"]
@@ -259,16 +244,31 @@ def ingest(path: str | Path) -> list[SceneRecord]:
     return records
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON document in the file at `path`, which `what` names in errors.
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at `path`, which `what` names in errors.
 
-    A file that is not UTF-8, not JSON, or nested too deeply to parse raises
-    ParseError whose field is the path.
+    A file that is not UTF-8, not JSON, nested too deeply to parse, or whose
+    top level is not an object raises ParseError whose field is the path.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
         raise ParseError(str(path), f"not a JSON {what}: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(str(path), "top level must be an object")
+    return doc
+
+
+def _read_body(path: str | Path, what: str, key: str):
+    """The `key` entry of a scene or features file, whose top level must hold
+    exactly schema_version and `key`; a field path here starts with the path."""
+    doc = read_json(path, what)
+    check_keys(doc, ("schema_version", key), str(path), ParseError)
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
+        raise SchemaVersionMismatch(
+            f"{path}: schema_version: {json.dumps(version)}, expected {SCHEMA_VERSION}")
+    return doc[key]
 
 
 def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError]]:
@@ -277,24 +277,19 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     Every input record ends up either in the accepted list or as exactly one
     diagnostic naming the offending field; a record whose sample_id an
     accepted one already has is rejected. A file that cannot be read as a
-    scene file at all raises ParseError naming the path.
+    scene file at all raises ParseError naming the path, or
+    SchemaVersionMismatch.
 
     Records that repeat a pose, bit for bit, share one Pose and its inverse.
     The diagnostics hold no traceback frames, so the parsed document is freed
     when this function returns, rejected records or not.
     """
-    doc = read_json(path, "scene file")
-    if not isinstance(doc, dict) or "schema_version" not in doc:
-        raise ParseError(str(path), "top level must be an object with schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"schema_version {doc['schema_version']!r}, expected {SCHEMA_VERSION}"
-        )
-    if "records" not in doc or not isinstance(doc["records"], list):
-        raise ParseError(str(path), "missing records list")
+    body = _read_body(path, "scene file", "records")
+    if not isinstance(body, list):
+        raise ParseError(f"{path}.records", "must be a list")
 
     records, diagnostics, poses, first = [], [], {}, {}
-    for i, obj in enumerate(doc["records"]):
+    for i, obj in enumerate(body):
         try:
             rec = _parse_record(obj, f"records[{i}]", poses)
             if (j := first.setdefault(rec.sample_id, i)) != i:
@@ -530,6 +525,8 @@ def synth_scenes(
         raise ValueError(f"count must be >= 1, got {count}")
     if not category_mix:
         raise ValueError("category_mix must name at least one category")
+    if "" in category_mix:
+        raise ValueError("category names must be non-empty")
     names = sorted(category_mix)
     weights = np.array([category_mix[n] for n in names], dtype=np.float64)
     for n, w in zip(names, weights):
@@ -598,47 +595,37 @@ def save_features(features: list[FeaturePair], path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def _feature_vector(payload: dict, sid: str, key: str, width: int | None) -> np.ndarray:
-    def fail(message):
-        return ParseError(f"features[{json.dumps(sid)}].{key}", message)
-
-    if key not in payload:
-        raise fail("missing")
+def _feature_vector(value, field: str, width: int | None) -> np.ndarray:
     try:
-        vec = np.array(payload[key])
+        vec = np.array(value)
     except ValueError as e:  # ragged nesting
-        raise fail("must be a list of numbers") from e
+        raise ParseError(field, "must be a list of numbers") from e
     if vec.dtype.kind not in "iuf":
-        raise fail("must be a list of numbers")
+        raise ParseError(field, "must be a list of numbers")
     if vec.ndim != 1:
-        raise fail(f"must be a 1-D list, got {vec.ndim}-D")
+        raise ParseError(field, f"must be a 1-D list, got {vec.ndim}-D")
     if width is not None and len(vec) != width:
-        raise fail(f"width {len(vec)} differs from the first entry's {width}")
+        raise ParseError(field, f"width {len(vec)} differs from the first entry's {width}")
     if not np.isfinite(vec).all():
-        raise fail("values must be finite")
+        raise ParseError(field, "values must be finite")
     return vec.astype(np.float64, copy=False)
 
 
 def load_features(path: str | Path) -> dict[str, FeaturePair]:
     """Read a features file; every entry must hold finite 1-D visual and text
-    vectors of the first entry's widths. Malformed content raises ParseError
-    naming the field, e.g. 'features["synth-1-000003"].text', or the path
-    for a file that is not a JSON object."""
-    doc = read_json(path, "features file")
-    if not isinstance(doc, dict):
-        raise ParseError(str(path), "top level must be an object with schema_version")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"features file schema {doc.get('schema_version')!r}")
-    entries = doc.get("features")
-    if not isinstance(entries, dict):
-        raise ParseError("features", "missing or not an object")
+    vectors of the first entry's widths, and no other key. Malformed content
+    raises ParseError naming the field, e.g. 'features["synth-1-000003"].text',
+    or, for the file's top level, starting with the path."""
+    entries = _read_body(path, "features file", "features")
+    if not isinstance(entries, dict):  # a map keyed by sample id, not a record
+        raise ParseError(f"{path}.features", "must be an object")
     out = {}
     visual_width = text_width = None
     for sid, payload in entries.items():
-        if not isinstance(payload, dict):
-            raise ParseError(f"features[{json.dumps(sid)}]", "must be an object with visual and text")
-        visual = _feature_vector(payload, sid, "visual", visual_width)
-        text = _feature_vector(payload, sid, "text", text_width)
+        where = f"features[{json.dumps(sid)}]"
+        check_keys(payload, ("visual", "text"), where, ParseError)
+        visual = _feature_vector(payload["visual"], f"{where}.visual", visual_width)
+        text = _feature_vector(payload["text"], f"{where}.text", text_width)
         visual_width, text_width = len(visual), len(text)
         out[sid] = FeaturePair(sid, visual, text)
     return out

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one type rule for JSON
-inputs: `check_json_value` decides whether a value read from a train config,
-a checkpoint header or an eval report has the type of its default, and raises
-the caller's own error type with the value's field path."""
+"""Exception types shared across the package, and the two rules for JSON
+inputs. `check_keys` decides which keys an object of a scene file, features
+file, train config, checkpoint header or eval report may hold;
+`check_json_value` decides whether a value has the type of its default. Both
+raise the caller's own error type, built by `fail(where, message)`, with the
+field path of the object or value."""
 
 import json
 import sys
@@ -101,6 +103,21 @@ _ACCEPTED = {
     str: (str, "a string"),
     tuple: (list, "a list"),
 }
+
+
+def check_keys(obj, keys, where: str, fail, optional=()) -> None:
+    """Raise `fail(where, message)` unless `obj` is a JSON object holding every
+    key of `keys` and no key outside `keys` and `optional`. The first absent
+    key of `keys` raises `fail(f"{where}.{key}", "missing")`; other keys raise
+    `fail(where, "unknown keys [...]")`, sorted. An object that holds just
+    `keys` builds no set."""
+    if not isinstance(obj, dict):
+        raise fail(where, "must be an object")
+    for key in keys:
+        if key not in obj:
+            raise fail(f"{where}.{key}", "missing")
+    if len(obj) != len(keys) and (unknown := set(obj).difference(keys, optional)):
+        raise fail(where, f"unknown keys {sorted(unknown)}")
 
 
 def check_json_value(value, default, where: str, fail) -> None:

@@ -9,6 +9,8 @@ degenerates to TP / (TP + FP + FN).
 
 Mean IoU comes in two conventions, both provided: the mean over samples and
 the unweighted mean over per-category means.
+`check_report` reads a report back under errors.check_keys (`counts` and
+`iou_threshold` may be left out) and errors.check_json_value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError, check_json_value
+from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError
+from .errors import check_json_value, check_keys
 from .geom import Box7
 from .iou import bev_footprint, iou_3d
 
@@ -187,27 +190,21 @@ _REPORT_NUMBERS = dict.fromkeys(
 )
 
 
-def _check_fields(obj: dict, defaults: dict, where: str) -> None:
+def _check_fields(obj, defaults: dict, where: str, keys=(), optional=()) -> None:
+    check_keys(obj, (*keys, *defaults), where, ParseError, optional)
     for key, default in defaults.items():
-        if key not in obj:
-            raise ParseError(f"{where}.{key}", "missing")
         check_json_value(obj[key], default, f"{where}.{key}", ParseError)
 
 
 def check_report(report) -> None:
     """ParseError naming the field path (`report.categories[2].iou`) unless
-    every field the renderings read is there with its type, and every number
-    is finite."""
-    if not isinstance(report, dict):
-        raise ParseError("report", "must be an object")
-    rows = report.get("categories")
-    if not isinstance(rows, list):
-        raise ParseError("report.categories", "missing or not a list")
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ParseError(f"report.categories[{i}]", "must be an object")
+    every field the renderings read is there with its type, every number is
+    finite, and no object holds a key that `report_dict` does not write."""
+    _check_fields(report, _REPORT_NUMBERS, "report", ("categories",), ("counts", "iou_threshold"))
+    if not isinstance(report["categories"], list):
+        raise ParseError("report.categories", "must be a list")
+    for i, row in enumerate(report["categories"]):
         _check_fields(row, _REPORT_ROW, f"report.categories[{i}]")
-    _check_fields(report, _REPORT_NUMBERS, "report")
 
 
 def report_csv(report: dict) -> str:

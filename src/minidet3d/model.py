@@ -74,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch, StaleActivation, check_json_value
+from .errors import CheckpointError, ShapeMismatch, StaleActivation, check_json_value, check_keys
 from .lora import LoRAAdapter, adapter_grads, adapter_init, adapter_param_fraction, merge_adapter
 
 MLP_HIDDEN = (512, 256, 128)
@@ -483,14 +483,10 @@ def save_checkpoint(model: FusionModel, path: str | Path) -> None:
 
 def _header_config(cfg, bad) -> ModelConfig:
     """The ModelConfig a checkpoint header describes, every key and JSON type checked."""
-    if not isinstance(cfg, dict):
-        raise bad("header", "not a JSON object")
+    defaults = asdict(ModelConfig())
+    check_keys(cfg, defaults, "header", bad, optional=("mlp_hidden",))
     if cfg.pop("mlp_hidden", None) != list(MLP_HIDDEN):
         raise bad("header.mlp_hidden", f"checkpoint head widths are not the fixed {MLP_HIDDEN}")
-    defaults = asdict(ModelConfig())
-    if set(cfg) != set(defaults):
-        raise bad("header", f"unknown keys {sorted(set(cfg) - set(defaults))}, "
-                  f"missing keys {sorted(set(defaults) - set(cfg))}")
     for key, default in defaults.items():
         check_json_value(cfg[key], default, f"header.{key}", bad)
     try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -162,15 +162,12 @@ class EpochStats:
     skipped_iou_grads: int
 
 
-LOG_HEADER = "epoch,lambda1,lambda2,lr,mse_loss,iou_loss,combined_loss,val_miou,skipped_iou_grads"
+LOG_HEADER = ",".join(f.name for f in fields(EpochStats))
 
 
 def format_log_row(s: EpochStats) -> str:
-    val = repr(s.val_miou) if s.val_miou is not None else ""
-    return (
-        f"{s.epoch},{s.lambda1!r},{s.lambda2!r},{s.lr!r},{s.mse_loss!r},"
-        f"{s.iou_loss!r},{s.combined_loss!r},{val},{s.skipped_iou_grads}"
-    )
+    """One train_log.csv row: each field's repr, or nothing for None."""
+    return ",".join("" if v is None else repr(v) for v in astuple(s))
 
 
 def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:

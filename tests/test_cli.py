@@ -408,9 +408,7 @@ class TestTrainCommand:
         (data / "features.json").write_text(json.dumps(doc))
         cfg = train_config(tmp_path, data)
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: features: ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {data / 'features.json'}.features: missing\n"
 
     def test_feature_width_mismatch_rejected(self, tmp_path, capsys):
         data = make_narrow_dataset(tmp_path)
@@ -462,6 +460,16 @@ class TestTrainCommand:
         rows = (out / "train_log.csv").read_text().strip().split("\n")[1:]
         assert all(row.split(",")[7] != "" for row in rows)  # val_miou column filled
 
+    def test_validation_features_schema_names_that_file(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, "data", 4, 13)
+        val = make_dataset(tmp_path, "val", 4, 14)
+        doc = json.loads((val / "features.json").read_text())
+        (val / "features.json").write_text(json.dumps({**doc, "schema_version": 2}))
+        cfg = train_config(tmp_path, data, val_data=str(val))
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {val / 'features.json'}: schema_version: 2, expected 1\n"
+
     def test_stage1_only_converges_on_zero_noise_data(self, tmp_path, capsys):
         # 200-epoch MSE-only run on zero-noise data: by construction the
         # features determine the box, so the loss must collapse. The loss
@@ -510,7 +518,7 @@ MALFORMED_CHECKPOINTS = {
         lambda blob: blob[:5] + (10**5).to_bytes(4, "little") + b"[" * 10**5, "header"
     ),
     "unknown_header_key": (_header_edit(lambda c: c.update(extra=1)), "header"),
-    "missing_header_key": (_header_edit(lambda c: c.pop("seed")), "header"),
+    "missing_header_key": (_header_edit(lambda c: c.pop("seed")), "header.seed"),
     "mistyped_header_value": (_header_edit(lambda c: c.update(d_v="x")), "header.d_v"),
     "header_number_too_large_for_a_float": (
         _header_edit(lambda c: c.update(lora_alpha=10**400)), "header.lora_alpha"
@@ -620,9 +628,20 @@ class TestReportCommand:
         assert run_cli("report", path) == 0
         assert "car" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("category", ["car", "a-category-name-longer-than-the-labels"])
+    def test_table_values_start_in_one_column(self, tmp_path, capsys, category):
+        path = tmp_path / "report.json"
+        rows = [{"category": category, "iou": 0.5, "count": 3},
+                {"category": "adult", "iou": 0.25, "count": 1}]
+        path.write_text(json.dumps({**self.VALID, "categories": rows}))
+        assert run_cli("report", path) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 + 6
+        assert len({re.search(r"\d\.\d{4}", line).start() for line in lines}) == 1
+
     @pytest.mark.parametrize("doc, field", [
         ({}, "report.categories"),
-        ([], "report"),
+        ([], "{path}"),
         ({"categories": {}}, "report.categories"),
         ({"categories": ["car"]}, "report.categories[0]"),
         ({"categories": [{"iou": 1.0, "count": 1}]}, "report.categories[0].category"),
@@ -652,7 +671,7 @@ class TestReportCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("report", path, *(["--csv"] if csv else [])) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {field}: ")
+        assert captured.err.startswith(f"error: {field.format(path=path)}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -727,6 +746,10 @@ def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, overri
     (("--mix", "adult"), "--mix"),
     (("--mix", "adult=nan"), "--mix"),
     (("--mix", "car=0.5,adult=inf"), "--mix"),
+    (("--mix", "adult=1,adult=2"), "--mix"),
+    (("--mix", "adult=-1,car=1"), "--mix"),
+    (("--mix", "adult=0,car=0"), "--mix"),
+    (("--mix", "=1"), "--mix"),
     (("--noise", -1), "--noise"),
     (("--noise", "nan"), "--noise"),
     (("--noise", "inf"), "--noise"),

@@ -128,11 +128,18 @@ class TestIngest:
             ingest(bad)
         assert "records[0].ego_to_global.rotation" in str(err.value)
 
-    def test_schema_version_mismatch(self, tmp_path):
-        path = tmp_path / "scenes.json"
-        path.write_text(json.dumps({"schema_version": 99, "records": []}))
-        with pytest.raises(SchemaVersionMismatch):
-            ingest(path)
+    @pytest.mark.parametrize("load, body", [(ingest, {"records": []}),
+                                            (load_features, {"features": {}})],
+                             ids=["scenes", "features"])
+    @pytest.mark.parametrize("version, shown", [(99, "99"), ("1", '"1"'), (None, "null"),
+                                                (True, "true"), (1.0, "1.0")])
+    def test_schema_version_mismatch_names_file_and_field(self, tmp_path, load, body,
+                                                           version, shown):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"schema_version": version, **body}))
+        with pytest.raises(SchemaVersionMismatch) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: schema_version: {shown}, expected 1"
 
     def test_unknown_keys_rejected(self, tmp_path):
         rec = make_record()
@@ -404,8 +411,8 @@ class TestSynth:
     @pytest.mark.parametrize(
         "mutate, field",
         [
-            (lambda doc: doc.pop("features"), "features"),
-            (lambda doc: doc.update(features=[]), "features"),
+            (lambda doc: doc.pop("features"), "{path}.features"),
+            (lambda doc: doc.update(features=[]), "{path}.features"),
             (lambda doc: doc["features"].update(s1=[1.0]), 'features["s1"]'),
             (lambda doc: doc["features"]["s1"].pop("visual"), 'features["s1"].visual'),
             (lambda doc: doc["features"]["s1"].update(text="x"), 'features["s1"].text'),
@@ -438,7 +445,7 @@ class TestSynth:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as exc:
             load_features(path)
-        assert exc.value.field == field
+        assert exc.value.field == field.format(path=path)
 
     def test_features_file_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "features.json"
@@ -489,6 +496,10 @@ class TestSynth:
     def test_non_finite_mix_weight_names_its_category(self, weight):
         with pytest.raises(ValueError, match="category weight of 'car' must be finite"):
             synth_scenes(4, {"adult": 1.0, "car": weight}, seed=1)
+
+    def test_empty_category_name_rejected_before_drawing(self):
+        with pytest.raises(ValueError, match="^category names must be non-empty$"):
+            synth_scenes(4, {"": 1.0, "car": 1.0}, seed=1)
 
 
 def _perturbed(q, rng):
