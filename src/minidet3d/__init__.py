@@ -7,7 +7,7 @@ scene ingestion with camera visibility filtering, and detection metrics.
 
 from .geom import Box7, CameraIntrinsics, Pose, box_corners, project_corners, transform_box
 from .iou import IoUResult, iou_3d, iou_loss_grad, monte_carlo_iou
-from .lora import LoRAAdapter, adapter_init, adapter_param_fraction, apply_adapted, merge_adapter
+from .lora import LoRAAdapter, adapter_init, merge_adapter
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .model import FusionModel, ModelConfig
 
@@ -26,9 +26,7 @@ __all__ = [
     "monte_carlo_iou",
     "LoRAAdapter",
     "adapter_init",
-    "apply_adapted",
     "merge_adapter",
-    "adapter_param_fraction",
     "LossSchedule",
     "mse_semantic_loss",
     "combined_loss",

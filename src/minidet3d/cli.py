@@ -53,7 +53,7 @@ _TRAIN_DEFAULTS = {
 
 
 def _config_error(path: str, message: str) -> ConfigError:
-    return ConfigError(f"{path} {message}")
+    return ConfigError(f"{path}: {message}")
 
 
 def _merge_config(defaults: dict, given: dict, where: str) -> dict:

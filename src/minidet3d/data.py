@@ -532,9 +532,13 @@ def synth_scenes(
     for n, w in zip(names, weights):
         if not math.isfinite(w):
             raise ValueError(f"category weight of {n!r} must be finite, got {w}")
-    if (weights < 0).any() or weights.sum() <= 0:
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        total = weights.sum()
+    if (weights < 0).any() or total <= 0:
         raise ValueError("category weights must be non-negative and sum to > 0")
-    weights = weights / weights.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"category weights sum to {total}, not a finite number")
+    weights = weights / total
 
     rng = np.random.default_rng(seed)
     cameras = _ring_cameras()

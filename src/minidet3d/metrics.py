@@ -10,7 +10,8 @@ degenerates to TP / (TP + FP + FN).
 Mean IoU comes in two conventions, both provided: the mean over samples and
 the unweighted mean over per-category means.
 `check_report` reads a report back under errors.check_keys (`counts` and
-`iou_threshold` may be left out) and errors.check_json_value.
+`iou_threshold` may be left out) and errors.check_json_value, and checks
+each value's range as `report_dict` writes it.
 """
 
 from __future__ import annotations
@@ -183,28 +184,45 @@ def report_dict(
     }
 
 
-# The fields the renderings read, each with a default of its JSON type.
+# The fields of a report, each with a default of its JSON type. Every float
+# among them is an IoU or a rate, in [0, 1]; every integer is a count.
 _REPORT_ROW = {"category": "", "iou": 0.0, "count": 0}
 _REPORT_NUMBERS = dict.fromkeys(
     ("miou_categories", "miou_samples", "accuracy", "precision", "recall", "f1"), 0.0
 )
+_REPORT_COUNTS = dict.fromkeys(("tp", "tn", "fp", "fn"), 0)
 
 
 def _check_fields(obj, defaults: dict, where: str, keys=(), optional=()) -> None:
     check_keys(obj, (*keys, *defaults), where, ParseError, optional)
     for key, default in defaults.items():
-        check_json_value(obj[key], default, f"{where}.{key}", ParseError)
+        value = obj[key]
+        check_json_value(value, default, f"{where}.{key}", ParseError)
+        if isinstance(default, float) and not 0.0 <= value <= 1.0:
+            raise ParseError(f"{where}.{key}", f"must be in [0, 1], got {json.dumps(value)}")
+        if isinstance(default, int) and value < 0:
+            raise ParseError(f"{where}.{key}", f"must be >= 0, got {json.dumps(value)}")
 
 
 def check_report(report) -> None:
     """ParseError naming the field path (`report.categories[2].iou`) unless
     every field the renderings read is there with its type, every number is
-    finite, and no object holds a key that `report_dict` does not write."""
+    finite and in its range (an IoU or a rate in [0, 1], a count >= 0), no
+    object holds a key that `report_dict` does not write, and `counts` and
+    `iou_threshold`, where present, are four counts and a number in (0, 1)."""
     _check_fields(report, _REPORT_NUMBERS, "report", ("categories",), ("counts", "iou_threshold"))
     if not isinstance(report["categories"], list):
         raise ParseError("report.categories", "must be a list")
     for i, row in enumerate(report["categories"]):
         _check_fields(row, _REPORT_ROW, f"report.categories[{i}]")
+    if "counts" in report:
+        _check_fields(report["counts"], _REPORT_COUNTS, "report.counts")
+    if "iou_threshold" in report:
+        threshold = report["iou_threshold"]
+        check_json_value(threshold, 0.0, "report.iou_threshold", ParseError)
+        if not 0.0 < threshold < 1.0:
+            raise ParseError("report.iou_threshold",
+                             f"must be in (0, 1), got {json.dumps(threshold)}")
 
 
 def report_csv(report: dict) -> str:

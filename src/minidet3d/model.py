@@ -3,25 +3,28 @@
 The model stands in for a large vision-language backbone while keeping the
 mechanisms intact: a visual feature and a text feature are projected to a
 2-token sequence, run through a small transformer whose attention
-projections carry rank-r adapters, mean-pooled, and regressed to a raw
-7-vector (x, y, z, l, w, h, yaw) by an MLP head with ReLU activations and
-hidden widths fixed at `MLP_HIDDEN` = 512/256/128 (not a config field).
+projections (q, k, v and o of every layer) carry rank-r adapters,
+mean-pooled, and regressed to a raw 7-vector (x, y, z, l, w, h, yaw) by an
+MLP head with ReLU activations and hidden widths fixed at `MLP_HIDDEN` =
+512/256/128. Neither is a config field; checkpoint headers record both.
 
 Trainable parameters: the two input projections, the adapter factors, and
 the MLP head. They live in one contiguous float64 vector, `arena`, laid out
 in `trainable_parameters()` order; each of their `params` entries is a
 reshaped view into it, so the optimizer runs over the arena as one vector.
-The `LoRAAdapter`s built at construction hold those same views as A and B.
+The factors are also one stacked `LoRAAdapter` (A: (n_layers, 4, r, d), B:
+(n_layers, 4, d, r)) on views of the arena, and the frozen q/k/v/o bases
+one (n_layers, 4, d, d) array whose views are their `params` entries.
 `params` entries are therefore updated in place (the optimizer,
-`load_checkpoint`) and never rebound. Each forward writes every layer's
-merged q, k, v, o weights W + alpha*B@A (`lora.merge_adapter`; W alone for a
-projection without an adapter) from the parameters as they stand into one
-buffer allocated at construction, so no write to the arena can leave a
-stale merge behind. Q, K and V then come from one GEMM on the stacked
-(3d, d) weight and O from one more; the backward takes each layer's input
-gradient through the same merged weights and the factor gradients from
-`lora.adapter_grads`. One function, `_param_shapes`, gives every shape; the
-constructor lays out the arena from
+`load_checkpoint`) and never rebound. Each forward merges all the q, k, v, o
+weights W + alpha*B@A from the parameters as they stand with one
+`lora.merge_adapter` call into one buffer allocated at construction, so no
+write to the arena can leave a stale merge behind. Q, K and V then come
+from one GEMM on the stacked (3d, d) weight and O from one more; the
+backward takes each layer's input gradient through the same merged weights
+and each projection's factor gradients from `lora.adapter_grads`, on
+per-projection adapters built at construction. One function,
+`_param_shapes`, gives every shape; the constructor lays out the arena from
 it, and `param_bytes` counts from it the bytes that `load_checkpoint` checks
 a file's size against and `train` the machine's memory, before either builds
 a model. The transformer base weights are frozen at their seeded
@@ -75,7 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ShapeMismatch, StaleActivation, check_json_value, check_keys
-from .lora import LoRAAdapter, adapter_grads, adapter_init, adapter_param_fraction, merge_adapter
+from .lora import LoRAAdapter, adapter_grads, adapter_init, merge_adapter
 
 MLP_HIDDEN = (512, 256, 128)
 SEMANTIC_DIM = 128
@@ -83,6 +86,8 @@ ATTENTION_TARGETS = ("q", "k", "v", "o")
 
 _CHECKPOINT_MAGIC = b"MD3D"
 _CHECKPOINT_VERSION = 1
+# header fields that no config sets; a file with another value is refused
+_FIXED_HEADER = {"mlp_hidden": list(MLP_HIDDEN), "lora_targets": list(ATTENTION_TARGETS)}
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,6 @@ class ModelConfig:
     n_heads: int = 4
     lora_rank: int = 16
     lora_alpha: float = 32.0
-    lora_targets: tuple[str, ...] = ATTENTION_TARGETS
     seed: int = 0
 
     def __post_init__(self):
@@ -107,12 +111,6 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.lora_rank > self.d_model:
             raise ValueError(f"lora_rank {self.lora_rank} exceeds d_model {self.d_model}")
-        targets = tuple(self.lora_targets)
-        if not targets or any(t not in ATTENTION_TARGETS for t in targets):
-            raise ValueError(f"lora_targets must be a non-empty subset of {ATTENTION_TARGETS}")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"lora_targets must not repeat a target, got {list(targets)}")
-        object.__setattr__(self, "lora_targets", targets)
 
 
 def softplus(x):
@@ -161,7 +159,7 @@ def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
     r, layers = config.lora_rank, range(config.n_layers)
     trainable = {"proj_v.W": (d, dv), "proj_v.b": (d,), "proj_t.W": (d, dt), "proj_t.b": (d,)}
     for i in layers:
-        for t in config.lora_targets:
+        for t in ATTENTION_TARGETS:
             trainable[f"layers.{i}.attn.{t}.A"] = (r, d)
             trainable[f"layers.{i}.attn.{t}.B"] = (d, r)
     widths = (d,) + MLP_HIDDEN + (7,)
@@ -204,30 +202,38 @@ class FusionModel:
             return {name: v.reshape(shape)
                     for (name, shape), v in zip(trainable.items(), np.split(flat, cuts))}
 
+        # the arena's adapter factors, after the input projections, as (A, B)
+        # stacks over (layer, target): assigning .shape makes a view or raises
+        L, n = config.n_layers, len(ATTENTION_TARGETS)
+        r, alpha = config.lora_rank, config.lora_alpha
+        block = self.arena[cuts[3] : cuts[3] + L * n * 2 * r * d].reshape(L, n, 2 * r * d)
+        A, B = block[..., : r * d], block[..., r * d :]
+        A.shape, B.shape = (L, n, r, d), (L, n, d, r)
+        self._adapter_stack = LoRAAdapter(A, B, r, alpha)
+        self._base = np.empty((L, n, d, d))  # the q/k/v/o bases, stacked alike; viewed below
+
         p = views(self.arena)
-        p.update((name, np.zeros(shape)) for name, shape in frozen.items())
+        p.update((name, np.zeros(shape)) for name, shape in frozen.items() if "attn" not in name)
         self.params = p
         self._grads = views(self.grad)
         self._trainable = tuple(trainable)
+        self._target_adapters = [[] for _ in range(L)]  # per-projection, for the backward
 
         rng = np.random.default_rng(config.seed)
 
         def draw(name: str, std: float) -> None:
             p[name][...] = rng.normal(0.0, std, size=p[name].shape)
 
-        self._adapters: dict[tuple[int, str], LoRAAdapter] = {}
         draw("proj_v.W", 1.0 / math.sqrt(dv))
         draw("proj_t.W", 1.0 / math.sqrt(dt))
-        for i in range(config.n_layers):
-            for t in ATTENTION_TARGETS:
-                draw(f"layers.{i}.attn.{t}.base", 1.0 / math.sqrt(d))
-                if t in config.lora_targets:
-                    seed = int(rng.integers(0, 2**31))
-                    adapter = adapter_init(d, d, config.lora_rank, config.lora_alpha, seed)
-                    A, B = p[f"layers.{i}.attn.{t}.A"], p[f"layers.{i}.attn.{t}.B"]
-                    A[...], B[...] = adapter.A, adapter.B
-                    adapter.A, adapter.B = A, B
-                    self._adapters[i, t] = adapter
+        for i in range(L):
+            for j, t in enumerate(ATTENTION_TARGETS):
+                key = f"layers.{i}.attn.{t}"
+                p[f"{key}.base"] = self._base[i, j]
+                draw(f"{key}.base", 1.0 / math.sqrt(d))
+                seed = int(rng.integers(0, 2**31))
+                A[i, j] = adapter_init(d, d, r, alpha, seed).A  # B stays 0
+                self._target_adapters[i].append(LoRAAdapter(p[f"{key}.A"], p[f"{key}.B"], r, alpha))
             draw(f"layers.{i}.ffn.W1", math.sqrt(2.0 / d))
             draw(f"layers.{i}.ffn.W2", 1.0 / math.sqrt(d_ff))
         widths = (d,) + MLP_HIDDEN
@@ -236,7 +242,7 @@ class FusionModel:
         draw("head.out.W", 0.02)
         draw("semantic.W", 1.0 / math.sqrt(SEMANTIC_DIM))
 
-        self._merged = np.empty((config.n_layers, len(ATTENTION_TARGETS), d, d))
+        self._merged = np.empty_like(self._base)
         self._cache = None
         self._ws, self._ws_batch = {}, 0
         logging.getLogger(__name__).info(
@@ -251,21 +257,14 @@ class FusionModel:
         return {name: self.params[name] for name in self._trainable}
 
     def adapters(self) -> list[LoRAAdapter]:
-        """The model's adapters; their A and B are the `params` arrays themselves."""
-        return list(self._adapters.values())
+        """Per-projection adapters; their A and B are the `params` arrays themselves."""
+        return [a for layer in self._target_adapters for a in layer]
 
     def total_param_count(self) -> int:
         return sum(v.size for v in self.params.values())
 
     def trainable_fraction(self) -> float:
-        total = self.total_param_count()
-        adapter_fraction = adapter_param_fraction(total, self.adapters())
-        dense = sum(
-            self.params[name].size
-            for name in self._trainable
-            if not name.endswith(".A") and not name.endswith(".B")
-        )
-        return adapter_fraction + dense / total
+        return self.arena.size / self.total_param_count()
 
     # ---- forward ---------------------------------------------------------
 
@@ -321,16 +320,11 @@ class FusionModel:
 
         H, dh = cfg.n_heads, self.d_head
         scale = 1.0 / math.sqrt(dh)
+        # every layer's q, k, v, o weights, merged from the parameters as they stand
+        merge_adapter(self._base, self._adapter_stack, out=self._merged)
         for i in range(cfg.n_layers):
             X_in, X = X, ws[i + 1, "X"]
-            # q, k, v, o weights merged from the parameters as they stand
             W = self._merged[i]
-            for j, t in enumerate(ATTENTION_TARGETS):
-                base, adapter = p[f"layers.{i}.attn.{t}.base"], self._adapters.get((i, t))
-                if adapter is None:
-                    np.copyto(W[j], base)
-                else:
-                    merge_adapter(base, adapter, out=W[j])
             QKV = np.matmul(X_in, W[:3].reshape(3 * d, d).T, out=ws[i, "QKV"])
             Qh, Kh, Vh = self._heads(QKV, B)
             scores = (Qh @ Kh.swapaxes(-1, -2)) * scale
@@ -424,12 +418,11 @@ class FusionModel:
             np.matmul(dscores.swapaxes(-1, -2), Qh, out=dKh)
             dKh *= scale
             np.matmul(S.swapaxes(-1, -2), dOh, out=dVh)
-            for j, t in enumerate(ATTENTION_TARGETS):
-                if (i, t) in self._adapters:
-                    x, dy = ((ws[i, "O"], dX1) if t == "o"
-                             else (ws[i, "X"], dQKV[:, j * d : (j + 1) * d]))
-                    out = (g[f"layers.{i}.attn.{t}.A"], g[f"layers.{i}.attn.{t}.B"])
-                    adapter_grads(self._adapters[i, t], x, dy, out=out)
+            for j, (t, adapter) in enumerate(zip(ATTENTION_TARGETS, self._target_adapters[i])):
+                x, dy = ((ws[i, "O"], dX1) if t == "o"
+                         else (ws[i, "X"], dQKV[:, j * d : (j + 1) * d]))
+                out = (g[f"layers.{i}.attn.{t}.A"], g[f"layers.{i}.attn.{t}.B"])
+                adapter_grads(adapter, x, dy, out=out)
             dX = dX1 + dQKV @ W[:3].reshape(3 * d, d)
 
         dxv, dxt = dX[0::T], dX[1::T]
@@ -467,11 +460,10 @@ def save_checkpoint(model: FusionModel, path: str | Path) -> None:
 
     Weights are float64 little-endian, concatenated in sorted parameter-name
     order; the config header fixes every shape. It also records the fixed
-    head widths, so that a checkpoint for other widths is refused at load.
+    head widths and adapted projections (`_FIXED_HEADER`), so that a
+    checkpoint for another head or adapter layout is refused at load.
     """
-    cfg = asdict(model.config)
-    cfg["mlp_hidden"] = MLP_HIDDEN
-    header = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    header = json.dumps({**asdict(model.config), **_FIXED_HEADER}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(bytes([_CHECKPOINT_VERSION]))
@@ -482,11 +474,13 @@ def save_checkpoint(model: FusionModel, path: str | Path) -> None:
 
 
 def _header_config(cfg, bad) -> ModelConfig:
-    """The ModelConfig a checkpoint header describes, every key and JSON type checked."""
+    """The ModelConfig a checkpoint header describes, every key and JSON type
+    checked, and each fixed field equal to its one value."""
     defaults = asdict(ModelConfig())
-    check_keys(cfg, defaults, "header", bad, optional=("mlp_hidden",))
-    if cfg.pop("mlp_hidden", None) != list(MLP_HIDDEN):
-        raise bad("header.mlp_hidden", f"checkpoint head widths are not the fixed {MLP_HIDDEN}")
+    check_keys(cfg, (*defaults, *_FIXED_HEADER), "header", bad)
+    for key, fixed in _FIXED_HEADER.items():
+        if (value := cfg.pop(key)) != fixed:
+            raise bad(f"header.{key}", f"must be {json.dumps(fixed)}, got {json.dumps(value)}")
     for key, default in defaults.items():
         check_json_value(cfg[key], default, f"header.{key}", bad)
     try:

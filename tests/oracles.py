@@ -17,7 +17,7 @@ from minidet3d.data import (
     SceneRecord,
     _record_to_json,
 )
-from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
+from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint, ShapeMismatch
 from minidet3d.geom import (
     Box7,
     CameraIntrinsics,
@@ -29,7 +29,7 @@ from minidet3d.geom import (
 )
 from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.iou import polygon_area
-from minidet3d.lora import LoRAAdapter, apply_adapted
+from minidet3d.lora import LoRAAdapter
 from minidet3d.metrics import ConfusionCounts
 
 FD_STEP = 1e-4  # meters for x,y,z,l,w,h; radians for yaw
@@ -434,15 +434,25 @@ def match_optimal_bruteforce(
 # the product no longer forms: the tests' input Jacobian comes from it.
 
 
+def apply_adapted(w: np.ndarray, a: LoRAAdapter, x: np.ndarray) -> np.ndarray:
+    """x @ (W + alpha*B@A).T for any x of shape (..., d_in) and one factor
+    pair, never merging the matrix: x @ W.T, then alpha * ((x @ A.T) @ B.T)
+    added in place."""
+    w, x = np.asarray(w, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    if w.shape != (a.d_out, a.d_in) or x.shape[-1] != a.d_in:
+        raise ShapeMismatch(f"base {w.shape} and input {x.shape} do not fit the adapter")
+    y = x @ w.T
+    y += a.alpha * ((x @ a.A.T) @ a.B.T)
+    return y
+
+
 def _reference_projections(model, layer: int):
-    """{target: (base weight, LoRAAdapter or None)} over the model's parameters."""
+    """{target: (base weight, LoRAAdapter)} over the model's parameters."""
     p, cfg = model.params, model.config
     out = {}
     for t in ("q", "k", "v", "o"):
         key = f"layers.{layer}.attn.{t}"
-        adapter = None
-        if t in cfg.lora_targets:
-            adapter = LoRAAdapter(p[key + ".A"], p[key + ".B"], cfg.lora_rank, cfg.lora_alpha)
+        adapter = LoRAAdapter(p[key + ".A"], p[key + ".B"], cfg.lora_rank, cfg.lora_alpha)
         out[t] = (p[key + ".base"], adapter)
     return out
 
@@ -466,8 +476,7 @@ def reference_forward(model, F):
         proj = _reference_projections(model, i)
 
         def lin(x, t):
-            w, a = proj[t]
-            return x @ w.T if a is None else apply_adapted(w, a, x)
+            return apply_adapted(*proj[t], x)
 
         Qh, Kh, Vh = (heads(lin(X, t)) for t in "qkv")
         scores = (Qh @ Kh.swapaxes(-1, -2)) / math.sqrt(dh)
@@ -509,8 +518,6 @@ def reference_backward(model, cache, upstream):
 
         def lin_backward(x, dy, t):
             w, a = proj[t]
-            if a is None:
-                return dy @ w
             dyB = dy @ a.B
             g[f"layers.{i}.attn.{t}.A"] = a.alpha * (dyB.T @ x)
             g[f"layers.{i}.attn.{t}.B"] = a.alpha * (dy.T @ (x @ a.A.T))

@@ -16,10 +16,11 @@ from minidet3d.cli import main as cli_main
 from minidet3d.data import synth_scenes
 from minidet3d.geom import Box7
 from minidet3d.iou import iou_3d, monte_carlo_iou
-from minidet3d.lora import LoRAAdapter, adapter_init, apply_adapted, merge_adapter
+from minidet3d.lora import LoRAAdapter, adapter_init, merge_adapter
 from minidet3d.losses import LossSchedule
 from minidet3d.model import FusionModel, ModelConfig
 from minidet3d.train import build_training_samples, run_training
+from oracles import apply_adapted
 
 BENCH_MIX = {"adult": 0.4, "car": 0.4, "trafficcone": 0.2}
 
@@ -118,10 +119,11 @@ def test_criterion_4_lora_algebra():
         # B = 0 initialization leaves the base model bit-identical
         w = rng.normal(size=(64, 64))
         fresh = adapter_init(64, 64, r=16, alpha=32.0, seed=1)
+        assert merge_adapter(w, fresh).tobytes() == w.tobytes()
         for _ in range(10):
             x = rng.normal(size=64)
             assert np.array_equal(apply_adapted(w, fresh, x), w @ x)
-        # merged and factored paths agree
+        # the product's merged weight agrees with the factored oracle
         for _ in range(20):
             a = LoRAAdapter(
                 A=rng.normal(size=(16, 64)), B=rng.normal(size=(64, 16)), r=16, alpha=32.0

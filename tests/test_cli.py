@@ -346,7 +346,6 @@ class TestTrainCommand:
             ({"batch_size": "8"}, "config.batch_size"),
             ({"model": {"lora_alpha": "32"}}, "config.model.lora_alpha"),
             ({"schedule": {"stage1_weights": 1.0}}, "config.schedule.stage1_weights"),
-            ({"model": {"lora_targets": "qk"}}, "config.model.lora_targets"),
         ],
     )
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, override, path):
@@ -355,29 +354,29 @@ class TestTrainCommand:
         cfg.write_text(json.dumps({"data": str(data), **override}))
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and path + " " in err
+        assert err.startswith(f"error: {path}: must be ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("override, message", [
         ({"schedule": {"stage1_lr": float("nan")}},
-         "config.schedule.stage1_lr must be a finite number, got NaN"),
+         "config.schedule.stage1_lr: must be a finite number, got NaN"),
         ({"schedule": {"stage2_lr": float("inf")}},
-         "config.schedule.stage2_lr must be a finite number, got Infinity"),
+         "config.schedule.stage2_lr: must be a finite number, got Infinity"),
         ({"model": {"lora_alpha": -float("inf")}},
-         "config.model.lora_alpha must be a finite number, got -Infinity"),
+         "config.model.lora_alpha: must be a finite number, got -Infinity"),
         ({"schedule": {"stage2_weights": [0.2, float("nan")]}},
-         "config.schedule.stage2_weights[1] must be a finite number, got NaN"),
+         "config.schedule.stage2_weights[1]: must be a finite number, got NaN"),
         ({"schedule": {"stage1_lr": 10**400}},
-         "config.schedule.stage1_lr must be a finite number, got an integer of 401 digits"),
+         "config.schedule.stage1_lr: must be a finite number, got an integer of 401 digits"),
         ({"schedule": {"stage2_weights": [0.2, -(10**400)]}},
-         "config.schedule.stage2_weights[1] must be a finite number, got an integer of 401 digits"),
+         "config.schedule.stage2_weights[1]: must be a finite number, got an integer of 401 digits"),
         ({"model": {"lora_alpha": 10**309}},
-         "config.model.lora_alpha must be a finite number, got an integer of 310 digits"),
+         "config.model.lora_alpha: must be a finite number, got an integer of 310 digits"),
         ({"val_fraction": 1.5}, "config.val_fraction must be in [0, 1), got 1.5"),
         ({"val_fraction": 1}, "config.val_fraction must be in [0, 1), got 1"),
         ({"val_fraction": -0.1}, "config.val_fraction must be in [0, 1), got -0.1"),
         ({"batch_size": 10**400},
-         "config.batch_size must be an integer within float range, got an integer of 401 digits"),
+         "config.batch_size: must be an integer within float range, got an integer of 401 digits"),
     ])
     def test_bad_config_number_rejected_at_load(self, tmp_path, capsys, override, message):
         data = make_dataset(tmp_path, "data", 4, 11)
@@ -662,6 +661,19 @@ class TestReportCommand:
          "report.categories[0].iou"),
         ({"categories": [{"category": "car", "iou": 1.0, "count": 10**400}]},
          "report.categories[0].count"),
+        ({"categories": [{"category": "car", "iou": 1.0, "count": -5}]},
+         "report.categories[0].count"),
+        ({"categories": [{"category": "car", "iou": 2.0, "count": 1}]},
+         "report.categories[0].iou"),
+        ({"miou_categories": 1.5}, "report.miou_categories"),
+        ({"recall": -0.25}, "report.recall"),
+        ({"iou_threshold": "x"}, "report.iou_threshold"),
+        ({"iou_threshold": 1.0}, "report.iou_threshold"),
+        ({"iou_threshold": 0}, "report.iou_threshold"),
+        ({"counts": "y"}, "report.counts"),
+        ({"counts": {"tp": 1, "tn": 0, "fp": -1, "fn": 0}}, "report.counts.fp"),
+        ({"counts": {"tp": 1, "tn": 0, "fp": 0}}, "report.counts.fn"),
+        ({"counts": {"tp": 1.5, "tn": 0, "fp": 0, "fn": 0}}, "report.counts.tp"),
     ])
     @pytest.mark.parametrize("csv", [False, True])
     def test_malformed_report_names_the_field(self, tmp_path, capsys, doc, field, csv):
@@ -721,8 +733,8 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     ({"seed": -1}, "config.seed"),
     ({"model": {"seed": -3}}, "config.model.seed"),
     ({"model": {"d_model": 65}}, "config.model.d_model"),
-    ({"model": {"lora_targets": ["x"]}}, "config.model.lora_targets"),
-    ({"model": {"lora_targets": ["q", "q"]}}, "config.model.lora_targets"),
+    ({"model": {"lora_targets": ["q", "k", "v", "o"]}}, "config.model: unknown keys"),
+    ({"model": {"mlp_hidden": [512, 256, 128]}}, "config.model: unknown keys"),
     ({"model": {"lora_rank": 100}}, "config.model.lora_rank"),
     ({"schedule": {"transition_epoch": 0}}, "config.schedule.transition_epoch"),
     ({"schedule": {"stage2_weights": [1]}}, "config.schedule.stage2_weights"),
@@ -756,7 +768,9 @@ def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, overri
     (("--d-t", 0), "--d-t"),
     (("--count", 0), "--count"),
     (("--d-v", 3), "--d-v"),
+    (("--mix", "adult=1e308,car=1e308"), "--mix: category weights sum to inf, not a finite"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, flag):
     assert run_cli("synth", "--count", 4, "--out", tmp_path / "data", *flags) == 1
     err = capsys.readouterr().err

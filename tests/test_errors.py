@@ -31,10 +31,6 @@ def parse_line(field, message):
     return f"{field}: {message}"
 
 
-def config_line(field, message):
-    return f"{field} {message}"
-
-
 def header_line(field, message):
     return f"{{path}}: {field}: {message}"
 
@@ -68,11 +64,12 @@ KINDS = {
     "features file": Kind("features", lambda d: d, "{path}", ("schema_version", "features")),
     "features entry": Kind("features", lambda d: d["features"][SID], f"features[{json.dumps(SID)}]",
                            ("visual", "text")),
-    "config": Kind("config", lambda d: d, "config", (), config_line),
-    "config model": Kind("config", lambda d: d["model"], "config.model", (), config_line),
-    "config schedule": Kind("config", lambda d: d["schedule"], "config.schedule", (), config_line),
+    "config": Kind("config", lambda d: d, "config", ()),
+    "config model": Kind("config", lambda d: d["model"], "config.model", ()),
+    "config schedule": Kind("config", lambda d: d["schedule"], "config.schedule", ()),
     "checkpoint header": Kind("checkpoint", lambda d: d, "header",
-                              tuple(f.name for f in dataclasses.fields(ModelConfig)), header_line),
+                              (*(f.name for f in dataclasses.fields(ModelConfig)),
+                               "lora_targets", "mlp_hidden"), header_line),
     "report": Kind("report", lambda d: d, "report",
                    ("categories", "miou_categories", "miou_samples",
                     "accuracy", "precision", "recall", "f1")),

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from minidet3d.errors import RankTooLarge, ShapeMismatch
-from minidet3d.lora import (
-    LoRAAdapter,
-    adapter_grads,
-    adapter_init,
-    adapter_param_fraction,
-    apply_adapted,
-    merge_adapter,
-)
+from minidet3d.lora import LoRAAdapter, adapter_grads, adapter_init, merge_adapter
+from oracles import apply_adapted
 
 
 class TestAdapterInit:
@@ -187,22 +181,25 @@ class TestMergeAdapter:
         assert out.tobytes() == merge_adapter(w, a).tobytes()
         assert out.tobytes() == (w + a.alpha * (a.B @ a.A)).tobytes()
 
-
-class TestParamFraction:
-    def test_no_adapters(self):
-        assert adapter_param_fraction(1000, []) == 0.0
-
-    def test_point_one_percent(self):
-        a = adapter_init(768, 768, r=16, alpha=32.0, seed=0)
-        assert adapter_param_fraction(24_576_000, [a]) == pytest.approx(0.001)
-
-    def test_two_adapters_double(self):
-        a = adapter_init(64, 64, r=4, alpha=1.0, seed=0)
-        one = adapter_param_fraction(10_000, [a])
-        two = adapter_param_fraction(10_000, [a, a])
-        assert two == pytest.approx(2 * one)
-
-    def test_rejects_nonpositive_total(self):
-        with pytest.raises(ValueError):
-            adapter_param_fraction(0, [])
-
+    def test_stack_equals_the_per_matrix_calls(self):
+        # factors laid out as the model's arena holds them: (A, B) of each
+        # matrix side by side in one block, so each stack is a strided view
+        rng = np.random.default_rng(26)
+        r, d_in, d_out, alpha = 3, 12, 9, 1.7
+        block = rng.normal(size=(2, 4, r * (d_in + d_out)))
+        A, B = block[..., : r * d_in], block[..., r * d_in :]
+        A.shape, B.shape = (2, 4, r, d_in), (2, 4, d_out, r)
+        w = rng.normal(size=(2, 4, d_out, d_in))
+        a = LoRAAdapter(A, B, r, alpha)
+        assert a.A is A and a.param_count == block.size
+        out = np.full(w.shape, np.nan)
+        assert merge_adapter(w, a, out=out) is out
+        for i, j in np.ndindex(2, 4):
+            one = merge_adapter(w[i, j], LoRAAdapter(A[i, j], B[i, j], r, alpha))
+            assert out[i, j].tobytes() == one.tobytes()
+        with pytest.raises(ShapeMismatch):
+            merge_adapter(w[:1], a)
+        with pytest.raises(ShapeMismatch):
+            merge_adapter(w[0, 0], a)
+        with pytest.raises(ShapeMismatch):
+            LoRAAdapter(A[:1], B, r, alpha)

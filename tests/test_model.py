@@ -8,8 +8,9 @@ import pytest
 
 from minidet3d.errors import CheckpointError, ShapeMismatch, StaleActivation
 from minidet3d.geom import Box7
-from minidet3d.lora import adapter_param_fraction
+from minidet3d import model as model_mod
 from minidet3d.model import (
+    ATTENTION_TARGETS,
     FusionModel,
     ModelConfig,
     box_params_from_raw,
@@ -254,19 +255,15 @@ class TestMergedWeights:
     the base weights moves the reference's own gradient by about 1.3e-12, so
     a bound there would measure the conditioning, not the merge."""
 
-    TARGETS = [ModelConfig().lora_targets, ("q", "o")]
-
-    @pytest.mark.parametrize("targets", TARGETS, ids=["qkvo", "qo"])
-    def test_forward_matches_factored_reference(self, targets):
-        model = randomized_model(ModelConfig(lora_targets=targets), scale=0.02)
+    def test_forward_matches_factored_reference(self):
+        model = randomized_model(ModelConfig(), scale=0.02)
         rng = np.random.default_rng(30)
         for B in (1, 32, 256):
             F = rng.normal(size=(B, 64))
             assert max_relative_gap(model.forward_batch(F), reference_forward(model, F)[0]) <= 1e-12
 
-    @pytest.mark.parametrize("targets", TARGETS, ids=["qkvo", "qo"])
-    def test_backward_matches_factored_reference(self, targets):
-        model = randomized_model(ModelConfig(lora_targets=targets), scale=0.02)
+    def test_backward_matches_factored_reference(self):
+        model = randomized_model(ModelConfig(), scale=0.02)
         rng = np.random.default_rng(31)
         F, up = rng.normal(size=(32, 64)), rng.normal(size=(32, 7))
         model.forward_batch(F)
@@ -285,17 +282,26 @@ class TestMergedWeights:
         assert raw.tobytes() == load_checkpoint(tmp_path / "model.bin").forward_batch(F).tobytes()
 
     def test_fresh_adapters_leave_the_base_weights(self):
-        # B = 0 makes W + alpha*B@A equal W bit for bit. A twin adapting only
-        # "o" (or only "q") runs q, k, v (or o) on its copied base weights
-        # alone, through the same GEMMs, so every output bit must agree.
+        # B = 0 makes W + alpha*B@A equal W bit for bit, for every layer and target
         model = FusionModel(ModelConfig())
-        F = np.random.default_rng(33).normal(size=(32, 64))
-        raw = model.forward_batch(F)
-        for targets in (("o",), ("q",)):
-            twin = FusionModel(ModelConfig(lora_targets=targets))
-            for name, p in twin.params.items():
-                p[...] = model.params[name]
-            assert raw.tobytes() == twin.forward_batch(F).tobytes()
+        model.forward_batch(np.random.default_rng(33).normal(size=(32, 64)))
+        bases = [[model.params[f"layers.{i}.attn.{t}.base"] for t in ATTENTION_TARGETS]
+                 for i in range(model.config.n_layers)]
+        assert model._merged.tobytes() == np.array(bases).tobytes()
+
+    def test_one_merge_per_forward(self, monkeypatch):
+        calls, merge = [], model_mod.merge_adapter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "merge_adapter", counted)
+        model = randomized_model(ModelConfig(), scale=0.02)
+        rng = np.random.default_rng(34)
+        for B in (1, 32):
+            model.forward_batch(rng.normal(size=(B, 64)))
+        assert len(calls) == 2
 
 
 class TestSemanticHead:
@@ -359,13 +365,11 @@ class TestAccounting:
     def test_trainable_fraction_decomposition(self):
         model = FusionModel(SMALL)
         total = model.total_param_count()
-        dense = sum(
-            p.size
-            for name, p in model.trainable_parameters().items()
-            if not name.endswith(".A") and not name.endswith(".B")
-        )
-        expected = adapter_param_fraction(total, model.adapters()) + dense / total
-        assert model.trainable_fraction() == pytest.approx(expected)
+        trainable = sum(p.size for p in model.trainable_parameters().values())
+        adapters = sum(a.param_count for a in model.adapters())
+        d, r = SMALL.d_model, SMALL.lora_rank
+        assert adapters == SMALL.n_layers * len(ATTENTION_TARGETS) * 2 * d * r
+        assert model.trainable_fraction() == trainable / total == model.arena.size / total
         assert 0 < model.trainable_fraction() < 1
 
     def test_adapter_count_formula(self):
@@ -379,9 +383,9 @@ class TestAccounting:
         # runs through must be bound to those arrays, also after a reload
         def check(model):
             adapters = model.adapters()
-            assert len(adapters) == SMALL.n_layers * len(SMALL.lora_targets)
+            assert len(adapters) == SMALL.n_layers * len(ATTENTION_TARGETS)
             names = [
-                f"layers.{i}.attn.{t}" for i in range(SMALL.n_layers) for t in SMALL.lora_targets
+                f"layers.{i}.attn.{t}" for i in range(SMALL.n_layers) for t in ATTENTION_TARGETS
             ]
             for name, a in zip(names, adapters):
                 assert a.A is model.params[f"{name}.A"] and a.B is model.params[f"{name}.B"]
@@ -406,17 +410,12 @@ class TestAccounting:
         with pytest.raises(ValueError):
             ModelConfig(d_model=30, n_heads=4)
         with pytest.raises(ValueError):
-            ModelConfig(lora_targets=("q", "z"))
-        with pytest.raises(ValueError):
             ModelConfig(lora_rank=128, d_model=64)
 
 
 class TestArena:
-    @pytest.mark.parametrize(
-        "cfg", [SMALL, dataclasses.replace(SMALL, lora_targets=("v", "q"))], ids=["qkvo", "vq"]
-    )
-    def test_trainable_parameters_tile_the_arena(self, cfg):
-        model = FusionModel(cfg)
+    def test_trainable_parameters_tile_the_arena(self):
+        model = FusionModel(SMALL)
         arena, trainable = model.arena, model.trainable_parameters()
         assert arena.ndim == 1 and arena.flags.c_contiguous
         start = arena.__array_interface__["data"][0]
@@ -446,11 +445,8 @@ class TestArena:
         for a, (A, B) in zip(loaded.adapters(), adapters_before):
             assert not np.array_equal(a.A, A) and not np.array_equal(a.B, B)
 
-    @pytest.mark.parametrize(
-        "cfg", [SMALL, dataclasses.replace(SMALL, lora_targets=("v", "q"))], ids=["qkvo", "vq"]
-    )
-    def test_gradient_views_tile_the_gradient_arena(self, cfg):
-        model = FusionModel(cfg)
+    def test_gradient_views_tile_the_gradient_arena(self):
+        model = FusionModel(SMALL)
         grad = model.grad
         assert grad.shape == model.arena.shape and not np.shares_memory(grad, model.arena)
         assert list(model._grads) == list(model.trainable_parameters())
@@ -462,11 +458,8 @@ class TestArena:
             offset += g.size
         assert offset == grad.size
 
-    @pytest.mark.parametrize(
-        "cfg", [SMALL, dataclasses.replace(SMALL, lora_targets=("v", "q"))], ids=["qkvo", "vq"]
-    )
-    def test_backward_writes_every_gradient_element(self, cfg):
-        model = randomized_model(cfg)
+    def test_backward_writes_every_gradient_element(self):
+        model = randomized_model()
         rng = np.random.default_rng(14)
         model.forward_batch(rng.normal(size=(5, 16)))
         model.grad[:] = np.nan
@@ -531,43 +524,35 @@ class TestCheckpoint:
         assert blob[:9] == b"MD3D\x01" + len(header).to_bytes(4, "little")
         assert blob[9 : 9 + len(header)] == header
 
-    @pytest.mark.parametrize("widths", [[64, 32, 16], None], ids=["other", "missing"])
-    def test_other_head_widths_rejected(self, tmp_path, widths):
+    @pytest.mark.parametrize("key, value", [
+        ("mlp_hidden", [64, 32, 16]), ("mlp_hidden", None),
+        ("lora_targets", ["q", "o"]), ("lora_targets", ["q", "k", "v", "o", "o"]),
+        ("lora_targets", None),
+    ], ids=["other", "missing", "targets-subset", "targets-repeat", "targets-missing"])
+    def test_other_head_widths_rejected(self, tmp_path, key, value):
+        # the head widths and the adapted projections are fixed header
+        # fields: any other value, or none, is refused by name
         path = tmp_path / "model.bin"
         save_checkpoint(FusionModel(SMALL), path)
         blob = path.read_bytes()
         hlen = int.from_bytes(blob[5:9], "little")
         cfg = json.loads(blob[9 : 9 + hlen])
-        if widths is None:
-            del cfg["mlp_hidden"]
+        if value is None:
+            del cfg[key]
         else:
-            cfg["mlp_hidden"] = widths
+            cfg[key] = value
         header = json.dumps(cfg, sort_keys=True).encode()
         path.write_bytes(blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :])
-        with pytest.raises(ValueError, match="head widths"):
+        with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
-
-    def test_repeated_lora_target_rejected(self, tmp_path):
-        # the shape table would fold the repeat away, so the layout would
-        # rest on a list that was never valid
-        with pytest.raises(ValueError, match="lora_targets must not repeat"):
-            ModelConfig(lora_targets=("q", "q", "k"))
-        path = tmp_path / "model.bin"
-        save_checkpoint(FusionModel(dataclasses.replace(SMALL, lora_targets=("q",))), path)
-        blob = path.read_bytes()
-        hlen = int.from_bytes(blob[5:9], "little")
-        cfg = json.loads(blob[9 : 9 + hlen])
-        cfg["lora_targets"] = ["q", "q"]
-        header = json.dumps(cfg, sort_keys=True).encode()
-        path.write_bytes(blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :])
-        with pytest.raises(CheckpointError, match=r"model\.bin: header: lora_targets must not repeat"):
-            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: header.{key}: ")
+        assert str(err.value).endswith("missing" if value is None else f"got {json.dumps(value)}")
 
     def test_weight_count_checked_before_the_model_is_built(self, tmp_path, monkeypatch):
         # a tiny file whose header asks for a wide model must fail on its
         # weight byte count without allocating that model
         cfg = dataclasses.asdict(ModelConfig(d_model=1024))
-        cfg["mlp_hidden"] = [512, 256, 128]
+        cfg.update(mlp_hidden=[512, 256, 128], lora_targets=["q", "k", "v", "o"])
         header = json.dumps(cfg, sort_keys=True).encode()
         path = tmp_path / "wide.bin"
         path.write_bytes(b"MD3D\x01" + len(header).to_bytes(4, "little") + header)
