@@ -219,10 +219,6 @@ class Pose:
         m.flags.writeable = False
         return m
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls((0.0, 0.0, 0.0))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (N, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)

@@ -325,6 +325,10 @@ def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
     ])
 
 
+# rows of Monte-Carlo points drawn and tested at once: about 5 MB of temporaries
+_MC_CHUNK = 65_536
+
+
 @dataclass(frozen=True)
 class MonteCarloIoU:
     iou: float
@@ -334,14 +338,14 @@ class MonteCarloIoU:
 
 
 def _in_box_mask(pts: np.ndarray, box: Box7) -> np.ndarray:
-    local = pts - box.center
+    """Which rows of (n, 3) points lie in `box`. Only the offsets read are
+    formed, not an (n, 3) copy, which keeps a chunk's temporaries small."""
+    dx, dy = pts[:, 0] - box.x, pts[:, 1] - box.y
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    x = c * local[:, 0] + s * local[:, 1]
-    y = -s * local[:, 0] + c * local[:, 1]
     return (
-        (np.abs(x) <= box.l / 2.0)
-        & (np.abs(y) <= box.w / 2.0)
-        & (np.abs(local[:, 2]) <= box.h / 2.0)
+        (np.abs(c * dx + s * dy) <= box.l / 2.0)
+        & (np.abs(-s * dx + c * dy) <= box.w / 2.0)
+        & (np.abs(pts[:, 2] - box.z) <= box.h / 2.0)
     )
 
 
@@ -350,21 +354,27 @@ def monte_carlo_iou(p: Box7, g: Box7, samples: int, seed: int) -> MonteCarloIoU:
 
     Points are drawn uniformly in the axis-aligned box covering both inputs;
     points in neither box are rejected. The standard error is the binomial
-    estimate over points that landed in the union.
+    estimate over points that landed in the union. Points are drawn and
+    tested `_MC_CHUNK` rows at a time: the generator fills row by row, so the
+    draws are those of one (samples, 3) call, and memory stays bounded
+    whatever the sample count.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = int(samples)
     all_corners = np.vstack([box_corners(p), box_corners(g)])
     lo, hi = all_corners.min(axis=0), all_corners.max(axis=0)
 
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(int(samples), 3))
-    in_p = _in_box_mask(pts, p)
-    in_g = _in_box_mask(pts, g)
-    union_hits = int(np.count_nonzero(in_p | in_g))
-    both_hits = int(np.count_nonzero(in_p & in_g))
+    union_hits = both_hits = 0
+    for start in range(0, samples, _MC_CHUNK):
+        pts = rng.uniform(lo, hi, size=(min(_MC_CHUNK, samples - start), 3))
+        in_p = _in_box_mask(pts, p)
+        in_g = _in_box_mask(pts, g)
+        union_hits += int(np.count_nonzero(in_p | in_g))
+        both_hits += int(np.count_nonzero(in_p & in_g))
     if union_hits == 0:
-        return MonteCarloIoU(0.0, 0.0, 0, int(samples))
+        return MonteCarloIoU(0.0, 0.0, 0, samples)
     est = both_hits / union_hits
     se = math.sqrt(est * (1.0 - est) / union_hits)
-    return MonteCarloIoU(est, se, union_hits, int(samples))
+    return MonteCarloIoU(est, se, union_hits, samples)

@@ -42,10 +42,10 @@ equal single-sample forwards to about 1e-13 relative, not bit for bit.
 
 A forward writes (numpy `out=`) each activation the backward reads into the
 model's workspace, allocated at the first forward's batch size, and the
-workspace's dict of views is the cache: `backward_batch` / `backward_head`
-read it by the same keys, in reverse, for exact gradients. ReLU runs in
-place, its output positive exactly where its input is, and the attention
-residual sum, which no gradient reads, is one scratch buffer for all layers.
+workspace's dict of views is the cache: `backward_batch` reads it by the
+same keys, in reverse, for exact gradients. ReLU runs in place, its output
+positive exactly where its input is, and the attention residual sum, which
+no gradient reads, is one scratch buffer for all layers.
 The workspace only grows: a larger batch allocates it again at the new size,
 and a smaller one uses the leading rows of each buffer, which are contiguous
 views. A repeat forward therefore allocates only its temporaries, not the
@@ -141,15 +141,6 @@ def box_params_grad_chain(raw: np.ndarray, grad_params: np.ndarray) -> np.ndarra
     grad = np.asarray(grad_params, dtype=np.float64).copy()
     grad[..., 3:6] *= _sigmoid(raw[..., 3:6])
     return grad
-
-
-def semantic_project(params: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Linear embedding of 7-vectors into the semantic feature space."""
-    params = np.asarray(params, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape[1] != params.shape[-1]:
-        raise ShapeMismatch(f"head {weight.shape} does not accept {params.shape[-1]}-vectors")
-    return params @ weight.T
 
 
 def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
@@ -351,10 +342,6 @@ class FusionModel:
         self._cache = ws
         return raw
 
-    def forward(self, fused) -> np.ndarray:
-        """Raw 7-vector for a single fused feature."""
-        return self.forward_batch(np.asarray(fused, dtype=np.float64)[None, :])[0]
-
     # ---- backward --------------------------------------------------------
 
     def backward_batch(self, upstream: np.ndarray) -> np.ndarray:
@@ -433,22 +420,11 @@ class FusionModel:
         dxt.sum(axis=0, out=g["proj_t.b"])
         return self.grad
 
-    def backward_head(self, fused, upstream7: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for a single input previously run through `forward`, as
-        a dict of copies by trainable parameter name."""
-        fused = np.asarray(fused, dtype=np.float64)
-        if self._cache is None or self._cache["F"].shape[0] != 1 or not np.array_equal(
-            self._cache["F"][0], fused
-        ):
-            raise StaleActivation("no cached forward pass matches this input")
-        self.backward_batch(np.asarray(upstream7, dtype=np.float64)[None, :])
-        return {name: g.copy() for name, g in self._grads.items()}
-
     # ---- semantic head ----------------------------------------------------
 
     def semantic_features(self, params7: np.ndarray) -> np.ndarray:
         """Frozen linear embedding of box parameters into the 128-dim space."""
-        return semantic_project(params7, self.params["semantic.W"])
+        return np.asarray(params7, dtype=np.float64) @ self.params["semantic.W"].T
 
     def semantic_input_grad(self, feature_grad: np.ndarray) -> np.ndarray:
         """Pull a semantic-space gradient back to box-parameter space."""

@@ -21,7 +21,8 @@ MSE term keeps pulling them toward overlap); the per-epoch log counts how
 many were skipped. A batch whose model output, loss or gradients go
 non-finite, or whose predicted sizes underflow to zero, raises
 DivergenceError naming the epoch and batch before the optimizer step; the
-same output check guards the per-epoch validation pass.
+same output check guards the per-epoch validation pass and evaluation, and
+names the first sample whose output failed it.
 """
 
 from __future__ import annotations
@@ -170,14 +171,23 @@ def format_log_row(s: EpochStats) -> str:
     return ",".join("" if v is None else repr(v) for v in astuple(s))
 
 
-def _checked_box_params(raw: np.ndarray, where: str = "") -> np.ndarray:
-    """Box parameters of a raw (B, 7) batch; DivergenceError if the output is
-    non-finite or a size underflowed to zero, before any IoU is taken."""
+def _checked_box_params(raw: np.ndarray, samples, where: str = "", rows=None) -> np.ndarray:
+    """Box parameters of a raw (B, 7) batch whose row b is the prediction for
+    `samples[rows[b]]` (`samples[b]` without `rows`); DivergenceError if the
+    output is non-finite or a size underflowed to zero, before any IoU is
+    taken. Only a failing batch is searched for the first row at fault, and
+    the message names its sample (and, for a size, the raw channel)."""
+    def sample(b) -> str:
+        return f"sample {samples[b if rows is None else rows[b]].sample_id!r}"
+
     if not np.isfinite(raw).all():
-        raise DivergenceError(f"non-finite model output{where}")
+        b = np.flatnonzero(~np.isfinite(raw).all(axis=1))[0]
+        raise DivergenceError(f"non-finite model output{where} ({sample(b)})")
     params = box_params_from_raw(raw)
     if not (params[:, 3:6] > 0.0).all():
-        raise DivergenceError(f"a predicted box size is not positive{where}")
+        b, c = np.argwhere(params[:, 3:6] <= 0.0)[0]  # row-major: the first row at fault
+        raise DivergenceError(f"a predicted box size is not positive{where} "
+                              f"({sample(b)}, raw {'lwh'[c]} {raw[b, 3 + c]:.6g})")
     return params
 
 
@@ -191,7 +201,7 @@ def _sample_ious(model, samples: list[TrainSample], predictions=None, gts=None) 
     truth; `gts`, if given, holds the ground truths' (box, footprint) pairs."""
     if predictions is None:
         raws = model.forward_batch(np.stack([s.fused for s in samples]))
-        predictions = _rows(_checked_box_params(raws))
+        predictions = _rows(_checked_box_params(raws, samples))
     gts = gts or [(s.gt_box, None) for s in samples]
     return [iou_3d(pred, g, None, fg).iou for pred, (g, fg) in zip(predictions, gts)]
 
@@ -245,7 +255,8 @@ def run_training(
             B = len(idx)
             F = fused_all[idx]
             raw = model.forward_batch(F)
-            params_pred = _checked_box_params(raw, f" at epoch {epoch}, batch {batch}")
+            where = f" at epoch {epoch}, batch {batch}"
+            params_pred = _checked_box_params(raw, train_samples, where, idx)
             f_pred = model.semantic_features(params_pred)
             f_gt = model.semantic_features(gt_params[idx])
             diffs = f_pred - f_gt

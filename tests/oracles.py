@@ -27,7 +27,7 @@ from minidet3d.geom import (
     quat_to_matrix,
     transform_box,
 )
-from minidet3d.iou import IoUResult, _dedup, bev_footprint, iou_3d, iou_loss_grad
+from minidet3d.iou import IoUResult, MonteCarloIoU, _dedup, bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.iou import polygon_area
 from minidet3d.lora import LoRAAdapter
 from minidet3d.metrics import ConfusionCounts
@@ -422,6 +422,55 @@ def match_optimal_bruteforce(
     tp = best[0]
     counts = ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp)
     return counts, sorted(best[2], reverse=True)
+
+
+# ---- the fusion model's gradients by parameter name -----------------------------
+
+
+def named_grads(model, upstream) -> dict[str, np.ndarray]:
+    """`model.backward_batch(upstream)` for the cached forward batch, split in
+    `trainable_parameters()` order (the arena's layout) into a dict of copies
+    by parameter name."""
+    grad = model.backward_batch(upstream)
+    out, start = {}, 0
+    for name, p in model.trainable_parameters().items():
+        out[name] = grad[start : start + p.size].reshape(p.shape).copy()
+        start += p.size
+    return out
+
+
+# ---- the Monte-Carlo IoU before it drew in chunks ------------------------------
+# `reference_monte_carlo_iou` is `monte_carlo_iou` as it stood while it drew
+# every point in one (samples, 3) call and held them all at once, each in its
+# box's frame as a (samples, 3) array too (about 75 bytes per point). The
+# chunked draw must return an equal `MonteCarloIoU`.
+
+
+def _reference_in_box_mask(pts: np.ndarray, box: Box7) -> np.ndarray:
+    local = pts - box.center
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    x = c * local[:, 0] + s * local[:, 1]
+    y = -s * local[:, 0] + c * local[:, 1]
+    return (
+        (np.abs(x) <= box.l / 2.0)
+        & (np.abs(y) <= box.w / 2.0)
+        & (np.abs(local[:, 2]) <= box.h / 2.0)
+    )
+
+
+def reference_monte_carlo_iou(p: Box7, g: Box7, samples: int, seed: int) -> MonteCarloIoU:
+    all_corners = np.vstack([box_corners(p), box_corners(g)])
+    lo, hi = all_corners.min(axis=0), all_corners.max(axis=0)
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(int(samples), 3))
+    in_p = _reference_in_box_mask(pts, p)
+    in_g = _reference_in_box_mask(pts, g)
+    union_hits = int(np.count_nonzero(in_p | in_g))
+    both_hits = int(np.count_nonzero(in_p & in_g))
+    if union_hits == 0:
+        return MonteCarloIoU(0.0, 0.0, 0, int(samples))
+    est = both_hits / union_hits
+    se = math.sqrt(est * (1.0 - est) / union_hits)
+    return MonteCarloIoU(est, se, union_hits, int(samples))
 
 
 # ---- the fusion model before its merged weights --------------------------------

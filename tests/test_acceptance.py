@@ -20,7 +20,7 @@ from minidet3d.lora import LoRAAdapter, adapter_init, merge_adapter
 from minidet3d.losses import LossSchedule
 from minidet3d.model import FusionModel, ModelConfig
 from minidet3d.train import build_training_samples, run_training
-from oracles import apply_adapted
+from oracles import apply_adapted, named_grads
 
 BENCH_MIX = {"adult": 0.4, "car": 0.4, "trafficcone": 0.2}
 
@@ -88,16 +88,16 @@ def test_criterion_3_gradient_correctness():
             in_rng = np.random.default_rng(input_seed)
             x = in_rng.normal(size=cfg.d_v + cfg.d_t)
             u = in_rng.normal(size=7)
-            model.forward(x)
-            grads = model.backward_head(x, u)
+            model.forward_batch(x[None])
+            grads = named_grads(model, u[None])
             for name, p in model.trainable_parameters().items():
                 flat = p.reshape(-1)
                 for i in in_rng.choice(flat.size, size=min(3, flat.size), replace=False):
                     orig = flat[i]
                     flat[i] = orig + h
-                    fp = float(u @ model.forward(x))
+                    fp = float(u @ model.forward_batch(x[None])[0])
                     flat[i] = orig - h
-                    fm = float(u @ model.forward(x))
+                    fm = float(u @ model.forward_batch(x[None])[0])
                     flat[i] = orig
                     fd = (fp - fm) / (2 * h)
                     an = grads[name].reshape(-1)[i]
@@ -105,7 +105,7 @@ def test_criterion_3_gradient_correctness():
                     denom = max(abs(fd), abs(an))
                     if denom > 1e-12:
                         worst = max(worst, abs(fd - an) / denom)
-            model.forward(x)  # restore a clean cache for the next seed
+            model.forward_batch(x[None])  # restore a clean cache for the next seed
         assert sampled >= 200, f"only sampled {sampled} parameters"
         assert worst <= 1e-4, f"max relative error {worst:.3e}"
         return f"{sampled} params, max rel err {worst:.2e}"
@@ -195,8 +195,8 @@ def test_criterion_6_pipeline_roundtrip():
         )
         behind = SceneRecord(
             sample_id="behind",
-            ego_to_global=Pose.identity(),
-            lidar_to_ego=Pose.identity(),
+            ego_to_global=Pose((0.0, 0.0, 0.0)),
+            lidar_to_ego=Pose((0.0, 0.0, 0.0)),
             cameras=(cam,),
             annotations=(Annotation("car", Box7(-10, 0, 0, 1, 1, 1, 0)),),
         )

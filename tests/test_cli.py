@@ -141,8 +141,8 @@ class TestIngestCommand:
         )
         rec = SceneRecord(
             sample_id="behind-0",
-            ego_to_global=Pose.identity(),
-            lidar_to_ego=Pose.identity(),
+            ego_to_global=Pose((0.0, 0.0, 0.0)),
+            lidar_to_ego=Pose((0.0, 0.0, 0.0)),
             cameras=(cam,),
             annotations=(Annotation("car", Box7(-10, 0, 0, 1, 1, 1, 0)),),
         )
@@ -304,6 +304,27 @@ def test_preprocessing_failure_in_train_and_eval_names_its_record(
     captured = capsys.readouterr()
     assert captured.err == f"error: record {doc['records'][2]['sample_id']!r}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings: an open gap
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_overflowing_feature_names_its_sample(tmp_path, capsys, command):
+    # -1e308 is finite, so the features file loads; the first layer overflows
+    data = make_dataset(tmp_path, "data", 40, 3)
+    doc = json.loads((data / "features.json").read_text())
+    sample_id = sorted(doc["features"])[7]
+    doc["features"][sample_id]["visual"][0] = -1e308
+    (data / "features.json").write_text(json.dumps(doc))
+    save_checkpoint(FusionModel(ModelConfig()), tmp_path / "model.bin")
+    args = {
+        "train": ("train", "--config", train_config(tmp_path, data), "--out", tmp_path / "run"),
+        "eval": ("eval", "--checkpoint", tmp_path / "model.bin", "--data", data,
+                 "--out", tmp_path / "e"),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: non-finite model output[^\n]* \(sample '{sample_id}'\)[^\n]*\n", err)
 
 
 class TestTrainCommand:

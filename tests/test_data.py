@@ -61,7 +61,10 @@ def front_camera(width=1600, height=900):
     )
 
 
-def make_record(annotations=(), ego=Pose.identity(), lidar=Pose.identity(), cameras=None):
+IDENTITY = Pose((0.0, 0.0, 0.0))
+
+
+def make_record(annotations=(), ego=IDENTITY, lidar=IDENTITY, cameras=None):
     return SceneRecord(
         sample_id="fixture-0",
         ego_to_global=ego,

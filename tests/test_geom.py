@@ -20,6 +20,8 @@ from minidet3d.geom import (
 )
 from oracles import ReferencePose, volume
 
+IDENTITY = Pose((0.0, 0.0, 0.0))
+
 
 def rotz(theta):
     c, s = math.cos(theta), math.sin(theta)
@@ -162,10 +164,10 @@ class TestPose:
 
     def test_identity_compose(self):
         p = Pose((1, 2, 3), quat_from_yaw(0.7))
-        assert Pose.identity().compose(p) == p
+        assert IDENTITY.compose(p) == p
 
     def test_inverse_of_identity(self):
-        assert Pose.identity().inverse() == Pose.identity()
+        assert IDENTITY.inverse() == IDENTITY
 
     def test_compose_is_associative(self):
         rng = np.random.default_rng(15)
@@ -294,7 +296,7 @@ class TestPoseMatrixCache:
 class TestTransformBox:
     def test_identity(self):
         box = Box7(1, 2, 3, 4, 2, 2, 0.3)
-        assert transform_box(box, Pose.identity()) == box
+        assert transform_box(box, IDENTITY) == box
 
     def test_pure_translation(self):
         box = Box7(1, 2, 3, 4, 2, 2, 0.3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
 from minidet3d.geom import Box7, Pose, quat_from_yaw, transform_box
 from minidet3d.geom import wrap_angle
 from minidet3d.iou import (
+    _MC_CHUNK,
     IoUResult,
     bev_footprint,
     iou_3d,
@@ -17,7 +19,7 @@ from minidet3d.iou import (
     polygon_clip,
 )
 from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, iou_loss
-from oracles import reference_iou_3d, volume
+from oracles import reference_iou_3d, reference_monte_carlo_iou, volume
 from oracles import reference_polygon_clip
 from oracles import reference_bev_footprint
 
@@ -371,6 +373,31 @@ class TestMonteCarlo:
         for samples in (250_000, 500_000, 1_000_000):
             mc = monte_carlo_iou(a, b, samples, seed=17)
             assert abs(mc.iou - exact) <= 4 * mc.standard_error
+
+    @pytest.mark.parametrize("samples", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 1_000_000])
+    def test_chunked_draw_equals_one_draw(self, samples):
+        # the generator fills row by row, so drawing _MC_CHUNK rows at a time
+        # gives the points, counts and estimate of one (samples, 3) draw
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            a = random_box(rng)
+            b = Box7(*(a.params() + rng.uniform(-0.3, 0.3, 7)))
+            seed = int(rng.integers(2**31))
+            assert monte_carlo_iou(a, b, samples, seed) == reference_monte_carlo_iou(a, b, samples, seed)
+
+    def test_memory_stays_bounded_at_a_million_points(self):
+        a, b = Box7(0, 0, 0, 1, 1, 1, 0), Box7(0.2, 0.1, 0, 1, 1, 1, 0.4)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            monte_carlo_iou(a, b, 1_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 10e6, peak  # the one-draw reference holds about 75 MB
 
     def test_oracle_agreement_sample(self):
         # Smaller seeded version of the acceptance check.

@@ -17,10 +17,9 @@ from minidet3d.model import (
     box_params_grad_chain,
     load_checkpoint,
     save_checkpoint,
-    semantic_project,
 )
 from minidet3d.train import AdamW
-from oracles import reference_backward, reference_forward
+from oracles import named_grads, reference_backward, reference_forward
 
 SMALL = ModelConfig(d_v=8, d_t=8, d_model=16, n_layers=2, n_heads=4, lora_rank=4, seed=3)
 
@@ -49,8 +48,8 @@ def input_jacobian(model, x):
 class TestForward:
     def test_deterministic_across_fresh_models(self):
         x = np.random.default_rng(0).normal(size=16)
-        raw1 = FusionModel(SMALL).forward(x)
-        raw2 = FusionModel(SMALL).forward(x)
+        raw1 = FusionModel(SMALL).forward_batch(x[None])[0]
+        raw2 = FusionModel(SMALL).forward_batch(x[None])[0]
         assert np.array_equal(raw1, raw2)
 
     def test_shape_and_finiteness_bulk(self):
@@ -65,7 +64,7 @@ class TestForward:
         F = np.random.default_rng(2).normal(size=(5, 16))
         batched = model.forward_batch(F)
         for i in range(5):
-            assert np.allclose(model.forward(F[i]), batched[i], atol=1e-12)
+            assert np.allclose(model.forward_batch(F[i][None])[0], batched[i], atol=1e-12)
 
     def test_batch_matches_single_at_real_sizes(self):
         # the default widths at B=256 put 512 token rows through each GEMM,
@@ -73,13 +72,13 @@ class TestForward:
         model = randomized_model(ModelConfig())
         F = np.random.default_rng(3).normal(size=(256, 64))
         batched = model.forward_batch(F)
-        single = np.stack([model.forward(f) for f in F])
+        single = np.stack([model.forward_batch(f[None])[0] for f in F])
         assert max_relative_gap(batched, single) <= 1e-12
 
     def test_shape_mismatch(self):
         model = FusionModel(SMALL)
         with pytest.raises(ShapeMismatch):
-            model.forward(np.zeros(15))
+            model.forward_batch(np.zeros(15)[None])
 
     def test_input_perturbation_bounded_by_jacobian_norm(self):
         # product of layer operator norms upper-bounds the Jacobian norm, so
@@ -89,11 +88,11 @@ class TestForward:
         x = rng.normal(size=16)
         J = input_jacobian(model, x)
         L = np.linalg.svd(J, compute_uv=False)[0]
-        base = model.forward(x)
+        base = model.forward_batch(x[None])[0]
         for i in range(16):
             xp = x.copy()
             xp[i] += 1e-6
-            delta = np.linalg.norm(model.forward(xp) - base)
+            delta = np.linalg.norm(model.forward_batch(xp[None])[0] - base)
             assert delta <= L * 1e-6 + 1e-10
 
 
@@ -180,31 +179,30 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = randomized_model()
         x = np.random.default_rng(4).normal(size=16)
-        model.forward(x)
-        grads = model.backward_head(x, np.zeros(7))
+        model.forward_batch(x[None])
+        grads = named_grads(model, np.zeros((1, 7)))
         for g in grads.values():
             assert np.all(g == 0.0)
 
     def test_stale_activation_without_forward(self):
         model = FusionModel(SMALL)
         with pytest.raises(StaleActivation):
-            model.backward_head(np.zeros(16), np.zeros(7))
+            model.backward_batch(np.zeros((1, 7)))
 
-    def test_stale_activation_on_input_mismatch(self):
+    def test_stale_activation_on_batch_size_mismatch(self):
         model = FusionModel(SMALL)
-        rng = np.random.default_rng(5)
-        model.forward(rng.normal(size=16))
+        model.forward_batch(np.random.default_rng(5).normal(size=(1, 16)))
         with pytest.raises(StaleActivation):
-            model.backward_head(rng.normal(size=16), np.zeros(7))
+            model.backward_batch(np.zeros((2, 7)))
 
     def test_output_layer_gradient_is_outer_product(self):
         # analytic hand check: d(u . raw)/dW_out = outer(u, z3)
         model = randomized_model()
         x = np.random.default_rng(6).normal(size=16)
-        model.forward(x)
+        model.forward_batch(x[None])
         z3 = model._cache["z3"][0]
         u = np.arange(7.0)
-        grads = model.backward_head(x, u)
+        grads = named_grads(model, u[None])
         assert np.allclose(grads["head.out.W"], np.outer(u, z3), atol=1e-12)
         assert np.allclose(grads["head.out.b"], u, atol=1e-12)
 
@@ -213,17 +211,17 @@ class TestBackward:
         rng = np.random.default_rng(8)
         x = rng.normal(size=16)
         u = rng.normal(size=7)
-        model.forward(x)
-        grads = model.backward_head(x, u)
+        model.forward_batch(x[None])
+        grads = named_grads(model, u[None])
         h = 1e-5
         for name, p in model.trainable_parameters().items():
             flat = p.reshape(-1)
             for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                fp = float(u @ model.forward(x))
+                fp = float(u @ model.forward_batch(x[None])[0])
                 flat[i] = orig - h
-                fm = float(u @ model.forward(x))
+                fm = float(u @ model.forward_batch(x[None])[0])
                 flat[i] = orig
                 fd = (fp - fm) / (2 * h)
                 an = grads[name].reshape(-1)[i]
@@ -243,7 +241,8 @@ class TestBackward:
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (u @ model.forward(xp) - u @ model.forward(xm)) / (2 * h)
+            fp, fm = (u @ model.forward_batch(xs[None])[0] for xs in (xp, xm))
+            fd = (fp - fm) / (2 * h)
             assert fd == pytest.approx(din[0, i], rel=1e-4, abs=1e-9)
 
 
@@ -310,12 +309,12 @@ class TestSemanticHead:
         assert np.array_equal(model.semantic_features(np.zeros(7)), np.zeros(128))
 
     def test_linearity(self):
+        model = FusionModel(SMALL)
         rng = np.random.default_rng(10)
-        W = rng.normal(size=(128, 7))
         a, b = rng.normal(size=7), rng.normal(size=7)
         assert np.allclose(
-            semantic_project(a + b, W),
-            semantic_project(a, W) + semantic_project(b, W),
+            model.semantic_features(a + b),
+            model.semantic_features(a) + model.semantic_features(b),
             atol=1e-12,
         )
 
@@ -477,14 +476,13 @@ class TestArena:
         fresh.backward_batch(up2)
         assert model.grad.tobytes() == fresh.grad.tobytes()
 
-    def test_backward_head_returns_copies(self):
+    def test_named_grads_returns_copies(self):
         model = randomized_model()
         rng = np.random.default_rng(16)
-        x = rng.normal(size=16)
-        model.forward(x)
-        grads = model.backward_head(x, rng.normal(size=7))
+        model.forward_batch(rng.normal(size=(1, 16)))
+        grads = named_grads(model, rng.normal(size=(1, 7)))
         before = {name: g.copy() for name, g in grads.items()}
-        model.backward_head(x, rng.normal(size=7))
+        named_grads(model, rng.normal(size=(1, 7)))
         for name, g in grads.items():
             assert not np.shares_memory(g, model.grad), name
             assert np.array_equal(g, before[name]), name
@@ -494,11 +492,11 @@ class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         model = randomized_model()
         x = np.random.default_rng(13).normal(size=16)
-        raw = model.forward(x)
+        raw = model.forward_batch(x[None])[0]
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.forward(x), raw)
+        assert np.array_equal(loaded.forward_batch(x[None])[0], raw)
         for name in model.params:
             assert np.array_equal(model.params[name], loaded.params[name])
 

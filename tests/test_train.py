@@ -229,6 +229,27 @@ class TestRunTraining:
         with pytest.raises(DivergenceError, match=r"on the validation samples at epoch \d+$"):
             run_training(model, samples[:16], bad, seed=0, val_samples=samples[16:])
 
+    def test_divergence_names_the_first_sample_and_its_raw_size(self):
+        # every raw size is near -1000, where softplus underflows to 0: each
+        # batch fails at its first row, and that row at its l channel
+        samples = small_dataset(16, seed=9)
+        model = FusionModel(ModelConfig(seed=4))
+        model.params["head.out.b"][3:6] = -1000.0
+        first = np.random.default_rng(0).permutation(16)[:4]
+        runs = [
+            (lambda: run_training(model, samples, LossSchedule(transition_epoch=1, total_epochs=2),
+                                  seed=0, batch_size=4), first, " at epoch 1, batch 0"),
+            (lambda: validation_miou(model, samples), range(16), ""),
+            (lambda: evaluate_model(model, samples, 0.25), range(16), ""),
+        ]
+        for run, rows, where in runs:
+            raw_l = model.forward_batch(np.stack([samples[i].fused for i in rows]))[0, 3]
+            message = (f"a predicted box size is not positive{where} "
+                       f"(sample {samples[rows[0]].sample_id!r}, raw l {raw_l:.6g})")
+            with pytest.raises(DivergenceError) as caught:
+                run()
+            assert str(caught.value) == message
+
     def test_stage2_run_is_bit_reproducible(self, tmp_path):
         train, val = small_dataset(256, seed=101), small_dataset(64, seed=202)
         sched = LossSchedule(transition_epoch=8, total_epochs=14, stage1_lr=2e-3, stage2_lr=5e-5)
