@@ -25,7 +25,7 @@ from .errors import ConfigError, MiniDetError, check_json_value, check_keys
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
-from .metrics import DEFAULT_IOU_THRESHOLD, check_report, report_csv, report_json
+from .metrics import DEFAULT_IOU_THRESHOLD, check_iou_threshold, check_report, report_csv, report_json
 from .model import FusionModel, ModelConfig, load_checkpoint, param_bytes, save_checkpoint
 from .train import (
     DEFAULT_BATCH_SIZE,
@@ -105,7 +105,7 @@ def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = "
             want, got = getattr(model, key), len(getattr(first, name))
             if got != want:
                 raise ConfigError(
-                    f"{owner}{key} is {want}, but the {name} features in {feats} are {got} wide"
+                    f"{owner}{key}: {want}, but the {name} features in {feats} are {got} wide"
                 )
     return build_training_samples(records, features)
 
@@ -206,12 +206,13 @@ def cmd_train(args) -> int:
     given = data_mod.read_json(args.config, "config")
     config = _merge_config(_TRAIN_DEFAULTS, given, "config")
     if not config["data"]:
-        raise ConfigError("config.data must point to a dataset directory")
+        raise _config_error("config.data", "must point to a dataset directory")
     if not 0.0 <= config["val_fraction"] < 1.0:
-        raise ConfigError(f"config.val_fraction must be in [0, 1), got {config['val_fraction']}")
+        raise _config_error("config.val_fraction",
+                            f"must be in [0, 1), got {config['val_fraction']}")
     for key, least in (("seed", 0), ("batch_size", 1)):
         if config[key] < least:
-            raise ConfigError(f"config.{key} must be >= {least}, got {config[key]}")
+            raise _config_error(f"config.{key}", f"must be >= {least}, got {config[key]}")
 
     model_config = _build(ModelConfig, "config.model.", **config["model"])
     schedule = _build(LossSchedule, "config.schedule.", **config["schedule"])
@@ -252,6 +253,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _build(check_iou_threshold, "--threshold: ", args.threshold)
     if args.gt_as_pred:
         model = None
         samples = _load_dataset(args.data)

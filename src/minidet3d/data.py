@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MiniDetError, ParseError, SchemaVersionMismatch, check_json_value, check_keys
+from .errors import MiniDetError, ParseError, check_json_value, check_keys
 from .geom import (
     Box7,
     CameraIntrinsics,
@@ -266,8 +266,8 @@ def _read_body(path: str | Path, what: str, key: str):
     check_keys(doc, ("schema_version", key), str(path), ParseError)
     version = doc["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
-        raise SchemaVersionMismatch(
-            f"{path}: schema_version: {json.dumps(version)}, expected {SCHEMA_VERSION}")
+        raise ParseError(f"{path}.schema_version",
+                         f"must be {SCHEMA_VERSION}, got {json.dumps(version)}")
     return doc[key]
 
 
@@ -277,8 +277,8 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     Every input record ends up either in the accepted list or as exactly one
     diagnostic naming the offending field; a record whose sample_id an
     accepted one already has is rejected. A file that cannot be read as a
-    scene file at all raises ParseError naming the path, or
-    SchemaVersionMismatch.
+    scene file at all, or one of another schema version, raises ParseError
+    naming the path.
 
     Records that repeat a pose, bit for bit, share one Pose and its inverse.
     The diagnostics hold no traceback frames, so the parsed document is freed

@@ -1,9 +1,17 @@
-"""Exception types shared across the package, and the two rules for JSON
-inputs. `check_keys` decides which keys an object of a scene file, features
-file, train config, checkpoint header or eval report may hold;
-`check_json_value` decides whether a value has the type of its default. Both
-raise the caller's own error type, built by `fail(where, message)`, with the
-field path of the object or value."""
+"""Exception types shared across the package, one per kind of failure, and
+the two rules for JSON inputs.
+
+Bad user input raises `ParseError` (a scene, features or report file, with
+the field path), `ConfigError` (a train config or flag) or `CheckpointError`.
+Code catches `DivergenceError`, `DegenerateOverlap` and `NonSmoothPoint` by
+type. `EmptyBatch`, `ShapeMismatch`, `StaleActivation` and `GimbalRisk` guard
+a call's preconditions; a plain range check on an argument is a `ValueError`.
+
+`check_keys` decides which keys an object of a scene file, features file,
+train config, checkpoint header or eval report may hold; `check_json_value`
+decides whether a value has the type of its default. Both raise the caller's
+own error type, built by `fail(where, message)`, with the field path of the
+object or value."""
 
 import json
 import sys
@@ -11,43 +19,6 @@ import sys
 
 class MiniDetError(Exception):
     """Base class for all package-specific errors."""
-
-
-class GimbalRisk(MiniDetError):
-    """A rigid transform tilts a box's vertical axis; yaw-only boxes cannot represent it."""
-
-
-class EmptyBatch(MiniDetError):
-    """An aggregate was requested over zero samples."""
-
-
-class DegenerateOverlap(MiniDetError):
-    """IoU gradient requested at IoU exactly 0 or 1, where no useful gradient exists."""
-
-
-class NonSmoothPoint(MiniDetError):
-    """The IoU loss has a kink here: a corner lies on the other box's edge, an edge
-    crossing lies at an edge end, or top or bottom faces are flush."""
-
-
-class RankTooLarge(MiniDetError):
-    """Adapter rank exceeds min(d_in, d_out)."""
-
-
-class ShapeMismatch(MiniDetError):
-    """Matrix/vector dimensions are incompatible."""
-
-
-class StaleActivation(MiniDetError):
-    """Backward pass requested without a matching forward pass."""
-
-
-class LengthMismatch(MiniDetError):
-    """Paired batches have different lengths."""
-
-
-class EpochOutOfRange(MiniDetError):
-    """Epoch index outside [1, total_epochs]."""
 
 
 class ParseError(MiniDetError):
@@ -63,34 +34,43 @@ class ParseError(MiniDetError):
         self.field = field
 
 
-class SchemaVersionMismatch(MiniDetError):
-    """Scene file declares an unsupported schema version."""
-
-
-class EmptyCounts(MiniDetError):
-    """Confusion counts sum to zero."""
-
-
-class NoPositives(MiniDetError):
-    """Recall undefined: no positive ground truth (TP + FN == 0)."""
-
-
-class EmptyTable(MiniDetError):
-    """Category table requested with no categories."""
-
-
 class ConfigError(MiniDetError):
     """Run configuration is invalid (unknown key, bad value, missing file)."""
 
 
-class CheckpointError(MiniDetError, ValueError):
+class CheckpointError(MiniDetError):
     """A model checkpoint is malformed. The message names the file and the bad part:
-    magic, version, header length, header, header.<key> or weights. It is also a
-    ValueError, which the checkpoint loader raised before this type existed."""
+    magic, version, header length, header, header.<key> or weights."""
 
 
 class DivergenceError(MiniDetError):
     """Training went non-finite or predicted a non-positive box size."""
+
+
+class DegenerateOverlap(MiniDetError):
+    """IoU gradient requested at IoU exactly 0 or 1, where no useful gradient exists."""
+
+
+class NonSmoothPoint(MiniDetError):
+    """The IoU loss has a kink here: a corner lies on the other box's edge, an edge
+    crossing lies at an edge end, or top or bottom faces are flush."""
+
+
+class EmptyBatch(MiniDetError):
+    """An aggregate was requested over zero samples, or a table over zero rows."""
+
+
+class ShapeMismatch(MiniDetError):
+    """Array dimensions are incompatible: paired batches of different shapes, or
+    an adapter rank above min(d_in, d_out)."""
+
+
+class StaleActivation(MiniDetError):
+    """Backward pass requested without a matching forward pass."""
+
+
+class GimbalRisk(MiniDetError):
+    """A rigid transform tilts a box's vertical axis; yaw-only boxes cannot represent it."""
 
 
 # Python types a JSON value may have, and their JSON name, by its default's

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankTooLarge, ShapeMismatch
+from .errors import ShapeMismatch
 
 _INIT_STD = 0.02
 
@@ -47,7 +47,7 @@ class LoRAAdapter:
             raise ShapeMismatch(f"factor shapes {self.A.shape}, {self.B.shape} are not a rank-"
                                 f"{self.r} pair (..., r, d_in), (..., d_out, r)")
         if self.r > min(self.d_in, self.d_out):
-            raise RankTooLarge(f"rank {self.r} exceeds min({self.d_in}, {self.d_out})")
+            raise ShapeMismatch(f"rank {self.r} exceeds min({self.d_in}, {self.d_out})")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValueError("adapter factors must be finite")
 
@@ -69,7 +69,7 @@ def adapter_init(d_in: int, d_out: int, r: int, alpha: float, seed: int) -> LoRA
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     if r > min(d_in, d_out):
-        raise RankTooLarge(f"rank {r} exceeds min({d_in}, {d_out})")
+        raise ShapeMismatch(f"rank {r} exceeds min({d_in}, {d_out})")
     rng = np.random.default_rng(seed)
     return LoRAAdapter(
         A=rng.normal(0.0, _INIT_STD, size=(r, d_in)),

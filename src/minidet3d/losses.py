@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, EpochOutOfRange, LengthMismatch
+from .errors import EmptyBatch, ShapeMismatch
 
 
 def mse_semantic_loss(pred, gt) -> float:
@@ -26,11 +26,11 @@ def mse_semantic_loss(pred, gt) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if len(pred) != len(gt):
-        raise LengthMismatch(f"{len(pred)} predictions vs {len(gt)} ground truths")
+        raise ShapeMismatch(f"{len(pred)} predictions vs {len(gt)} ground truths")
     if not len(pred):
         raise EmptyBatch("mse_semantic_loss requires at least one pair")
     if pred.ndim != 2 or pred.shape != gt.shape:
-        raise LengthMismatch(f"expected two equal (B, D) batches, got {pred.shape} vs {gt.shape}")
+        raise ShapeMismatch(f"expected two equal (B, D) batches, got {pred.shape} vs {gt.shape}")
     d = pred - gt
     return float((d * d).sum(axis=1).mean())
 
@@ -55,21 +55,20 @@ class LossSchedule:
         for name in ("stage1_weights", "stage2_weights"):
             pair = tuple(getattr(self, name))
             if len(pair) != 2 or pair[0] < 0 or pair[1] < 0:
-                raise ValueError(f"{name} must be two non-negative values, got {pair}")
+                raise ValueError(f"{name}: must be two non-negative values, got {pair}")
             object.__setattr__(self, name, pair)
         if not 1 <= self.transition_epoch < self.total_epochs:
-            raise ValueError(
-                f"transition_epoch {self.transition_epoch} must lie in [1, total_epochs)"
-            )
+            raise ValueError(f"transition_epoch: {self.transition_epoch} must lie in [1, "
+                             f"total_epochs {self.total_epochs})")
         for name in ("stage1_lr", "stage2_lr"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
 
 
 def schedule_weights(s: LossSchedule, epoch: int) -> tuple[float, float, float]:
     """(lambda1, lambda2, lr) for a 1-based epoch index."""
     if not 1 <= epoch <= s.total_epochs:
-        raise EpochOutOfRange(f"epoch {epoch} outside [1, {s.total_epochs}]")
+        raise ValueError(f"epoch {epoch} outside [1, {s.total_epochs}]")
     if epoch <= s.transition_epoch:
         return (s.stage1_weights[0], s.stage1_weights[1], s.stage1_lr)
     return (s.stage2_weights[0], s.stage2_weights[1], s.stage2_lr)

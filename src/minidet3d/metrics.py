@@ -21,8 +21,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import EmptyBatch, EmptyCounts, EmptyTable, NoPositives, ParseError
-from .errors import check_json_value, check_keys
+from .errors import EmptyBatch, ParseError, check_json_value, check_keys
 from .geom import Box7
 from .iou import bev_footprint, iou_3d
 
@@ -87,15 +86,16 @@ def match_predictions(
 
 
 def accuracy(c: ConfusionCounts) -> float:
-    """(TP + TN) / total; with TN = 0 this is TP / (TP + FP + FN)."""
+    """(TP + TN) / total, 0 for no counts; with TN = 0 this is TP / (TP + FP + FN)."""
     if c.total == 0:
-        raise EmptyCounts("accuracy undefined for all-zero counts")
+        return 0.0
     return (c.tp + c.tn) / c.total
 
 
 def recall(c: ConfusionCounts) -> float:
+    """TP / (TP + FN); 0 when there is no ground truth at all."""
     if c.tp + c.fn == 0:
-        raise NoPositives("recall undefined without positive ground truth")
+        return 0.0
     return c.tp / (c.tp + c.fn)
 
 
@@ -143,7 +143,7 @@ def miou_categories(rows) -> CategoryIoUTable:
     """
     rows = [(str(c), float(v), int(n)) for c, v, n in rows]
     if not rows:
-        raise EmptyTable("miou_categories requires at least one category")
+        raise EmptyBatch("miou_categories requires at least one category")
     for c, v, n in rows:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"category {c!r} IoU {v} outside [0, 1]")
@@ -160,19 +160,11 @@ def report_dict(
     counts: ConfusionCounts,
     iou_threshold: float,
 ) -> dict:
-    p = precision(counts)
-    try:
-        r = recall(counts)
-    except NoPositives:
-        r = 0.0
-    try:
-        acc = accuracy(counts)
-    except EmptyCounts:
-        acc = 0.0
+    p, r = precision(counts), recall(counts)
     return {
         "iou_threshold": iou_threshold,
         "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-        "accuracy": acc,
+        "accuracy": accuracy(counts),
         "precision": p,
         "recall": r,
         "f1": f1(p, r),

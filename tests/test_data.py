@@ -28,7 +28,7 @@ from minidet3d.data import (
     synth_scenes,
     to_lidar_frame,
 )
-from minidet3d.errors import GimbalRisk, ParseError, SchemaVersionMismatch, check_json_value
+from minidet3d.errors import GimbalRisk, ParseError, check_json_value
 from minidet3d.geom import (
     Box7,
     CameraIntrinsics,
@@ -140,9 +140,10 @@ class TestIngest:
                                                            version, shown):
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"schema_version": version, **body}))
-        with pytest.raises(SchemaVersionMismatch) as exc:
+        with pytest.raises(ParseError) as exc:
             load(path)
-        assert str(exc.value) == f"{path}: schema_version: {shown}, expected 1"
+        assert exc.value.field == f"{path}.schema_version"
+        assert str(exc.value) == f"{path}.schema_version: must be 1, got {shown}"
 
     def test_unknown_keys_rejected(self, tmp_path):
         rec = make_record()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minidet3d.errors import RankTooLarge, ShapeMismatch
+from minidet3d.errors import ShapeMismatch
 from minidet3d.lora import LoRAAdapter, adapter_grads, adapter_init, merge_adapter
 from oracles import apply_adapted
 
@@ -26,7 +26,7 @@ class TestAdapterInit:
 
     def test_rank_boundary(self):
         adapter_init(16, 32, r=16, alpha=1.0, seed=0)  # r == min dim allowed
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(ShapeMismatch, match=r"^rank 17 exceeds min\(16, 32\)$"):
             adapter_init(16, 32, r=17, alpha=1.0, seed=0)
 
     def test_deterministic(self):

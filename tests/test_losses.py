@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from minidet3d.errors import EmptyBatch, EpochOutOfRange, LengthMismatch
+from minidet3d.errors import EmptyBatch, ShapeMismatch
 from minidet3d.losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 
 
@@ -47,9 +47,10 @@ class TestMseSemanticLoss:
         assert mse_semantic_loss(pred, pred) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match="^1 predictions vs 2 ground truths$"):
             mse_semantic_loss([np.zeros(4)], [np.zeros(4), np.zeros(4)])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match=r"^expected two equal \(B, D\) batches, got "
+                                                r"\(1, 4\) vs \(1, 5\)$"):
             mse_semantic_loss([np.zeros(4)], [np.zeros(5)])
 
     def test_empty_batch(self):
@@ -76,17 +77,18 @@ class TestSchedule:
 
     def test_epoch_out_of_range(self):
         s = LossSchedule()
-        with pytest.raises(EpochOutOfRange):
+        with pytest.raises(ValueError, match=r"^epoch 0 outside \[1, 100\]$"):
             schedule_weights(s, 0)
-        with pytest.raises(EpochOutOfRange):
+        with pytest.raises(ValueError, match=r"^epoch 101 outside \[1, 100\]$"):
             schedule_weights(s, 101)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^transition_epoch: 100 must lie in \[1, "
+                                             r"total_epochs 100\)$"):
             LossSchedule(transition_epoch=100, total_epochs=100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^stage1_lr: must be positive, got 0.0$"):
             LossSchedule(stage1_lr=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^stage1_weights: must be two non-negative"):
             LossSchedule(stage1_weights=(-1.0, 0.0))
 
 

@@ -406,9 +406,9 @@ class TestAccounting:
         assert any("trainable fraction" in r.message for r in caplog.records)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^d_model: 30 is not divisible by n_heads 4$"):
             ModelConfig(d_model=30, n_heads=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lora_rank: 128 exceeds d_model 64$"):
             ModelConfig(lora_rank=128, d_model=64)
 
 
@@ -507,7 +507,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
     def test_header_bytes_pinned(self, tmp_path):
@@ -565,5 +565,5 @@ class TestCheckpoint:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + bytes(100))
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(CheckpointError, match="checkpoint"):
             load_checkpoint(path)
