@@ -3,7 +3,7 @@
 Every command is deterministic under a fixed seed and fixed inputs, writes
 its resolved configuration next to its outputs, and sends diagnostics to
 stderr. Exit code 0 means the command completed with zero errors; argparse
-failures exit 2. Set MINIDET3D_LOG=debug for verbose logging.
+failures exit 2.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +25,7 @@ from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
 from .metrics import DEFAULT_IOU_THRESHOLD, check_iou_threshold, check_report, report_csv, report_json
-from .model import FusionModel, ModelConfig, load_checkpoint, param_bytes, save_checkpoint
+from .model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint, train_bytes
 from .train import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_VAL_FRACTION,
@@ -37,9 +36,6 @@ from .train import (
     run_training,
     split_by_hash,
 )
-
-log = logging.getLogger("minidet3d")
-
 
 _TRAIN_DEFAULTS = {
     "seed": 0,
@@ -216,10 +212,10 @@ def cmd_train(args) -> int:
 
     model_config = _build(ModelConfig, "config.model.", **config["model"])
     schedule = _build(LossSchedule, "config.schedule.", **config["schedule"])
-    need = param_bytes(model_config)
+    need = train_bytes(model_config)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"config.model: the parameters need {need / 2**30:.1f} GiB, "
+        raise ConfigError(f"config.model: training needs {need / 2**30:.1f} GiB, "
                           f"more than this machine's {have / 2**30:.1f} GiB of memory")
     samples = _load_dataset(config["data"], model_config, "config.model.")
     if config["val_data"]:
@@ -356,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("MINIDET3D_LOG"):
-        logging.basicConfig(level=os.environ["MINIDET3D_LOG"].upper())
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,14 +1,15 @@
-"""Detection matching and the evaluation metric suite.
+"""Detection matching and the evaluation report.
 
 Matching is greedy one-to-one in descending IoU order among same-category
 pairs whose IoU clears the threshold; matched pairs are true positives,
 leftover predictions false positives, leftover ground truths false
 negatives; each box's footprint is computed once per call, not per pair.
-Detection has no countable true negatives, so TN is fixed at 0 and accuracy
-degenerates to TP / (TP + FP + FN).
 
-Mean IoU comes in two conventions, both provided: the mean over samples and
-the unweighted mean over per-category means.
+`report_dict` builds the whole eval report from each sample's (category,
+IoU): the hit rule, the counts, accuracy, precision, recall and F1, and
+mean IoU in both conventions, the mean over samples and the unweighted mean
+over the per-category means of `category_means`. Detection has no countable
+true negatives, so TN is fixed at 0 and accuracy is TP / (TP + FP + FN).
 `check_report` reads a report back under errors.check_keys (`counts` and
 `iou_threshold` may be left out) and errors.check_json_value, and checks
 each value's range as `report_dict` writes it.
@@ -38,10 +39,6 @@ class ConfusionCounts:
     def __post_init__(self):
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 def check_iou_threshold(iou_threshold: float) -> None:
@@ -85,34 +82,6 @@ def match_predictions(
     return ConfusionCounts(tp=tp, tn=0, fp=len(preds) - tp, fn=len(gts) - tp), matched
 
 
-def accuracy(c: ConfusionCounts) -> float:
-    """(TP + TN) / total, 0 for no counts; with TN = 0 this is TP / (TP + FP + FN)."""
-    if c.total == 0:
-        return 0.0
-    return (c.tp + c.tn) / c.total
-
-
-def recall(c: ConfusionCounts) -> float:
-    """TP / (TP + FN); 0 when there is no ground truth at all."""
-    if c.tp + c.fn == 0:
-        return 0.0
-    return c.tp / (c.tp + c.fn)
-
-
-def precision(c: ConfusionCounts) -> float:
-    """TP / (TP + FP); 0 when there are no predictions at all."""
-    if c.tp + c.fp == 0:
-        return 0.0
-    return c.tp / (c.tp + c.fp)
-
-
-def f1(precision_value: float, recall_value: float) -> float:
-    """Harmonic mean of precision and recall; 0 when both are 0."""
-    if precision_value + recall_value == 0:
-        return 0.0
-    return 2.0 * precision_value * recall_value / (precision_value + recall_value)
-
-
 def miou_samples(ious) -> float:
     """Mean IoU across samples."""
     ious = list(ious)
@@ -121,58 +90,44 @@ def miou_samples(ious) -> float:
     return sum(ious) / len(ious)
 
 
-@dataclass(frozen=True)
-class CategoryIoUTable:
-    rows: tuple[tuple[str, float, int], ...]  # (category, mean IoU, instance count)
-    miou: float  # unweighted mean over categories
-
-
-def aggregate_by_category(instances) -> list[tuple[str, float, int]]:
-    """Collapse per-instance (category, iou) pairs into per-category rows."""
-    sums: dict[str, list[float]] = {}
-    for category, iou in instances:
-        sums.setdefault(category, []).append(iou)
-    return [(cat, sum(v) / len(v), len(v)) for cat, v in sorted(sums.items())]
-
-
-def miou_categories(rows) -> CategoryIoUTable:
-    """Unweighted per-category mean IoU table.
-
-    `rows` are (category, mean IoU, instance count) triples; the overall
-    value averages category means with equal weight regardless of counts.
-    """
-    rows = [(str(c), float(v), int(n)) for c, v, n in rows]
-    if not rows:
-        raise EmptyBatch("miou_categories requires at least one category")
-    for c, v, n in rows:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"category {c!r} IoU {v} outside [0, 1]")
-    overall = sum(v for _, v, _ in rows) / len(rows)
-    return CategoryIoUTable(tuple(rows), overall)
+def category_means(instances) -> list[tuple[str, float, int]]:
+    """(category, mean, count) rows of (category, value) pairs, sorted by
+    category; each mean is its values' sum, in input order, over their count."""
+    by_category: dict[str, list[float]] = {}
+    for category, value in instances:
+        by_category.setdefault(category, []).append(value)
+    return [(c, sum(v) / len(v), len(v)) for c, v in sorted(by_category.items())]
 
 
 # ---- report rendering --------------------------------------------------------
 
 
-def report_dict(
-    table: CategoryIoUTable,
-    sample_miou: float,
-    counts: ConfusionCounts,
-    iou_threshold: float,
-) -> dict:
-    p, r = precision(counts), recall(counts)
+def report_dict(instances, iou_threshold: float) -> dict:
+    """The eval report of each sample's (category, IoU), in sample order.
+
+    A sample is a true positive iff its IoU reaches the threshold (ties count
+    as hits, as in `match_predictions`), and a false positive plus a false
+    negative otherwise, so FP = FN and TN = 0. With at least one sample,
+    F1's is the only denominator that can be 0 (no hit), and F1 is then 0.
+    EmptyBatch if there is no sample.
+    """
+    instances = list(instances)
+    if not instances:
+        raise EmptyBatch("report_dict requires at least one sample")
+    tp = sum(iou >= iou_threshold for _, iou in instances)
+    fp = fn = len(instances) - tp
+    p, r = tp / (tp + fp), tp / (tp + fn)
+    rows = category_means(instances)
     return {
         "iou_threshold": iou_threshold,
-        "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-        "accuracy": accuracy(counts),
+        "counts": {"tp": tp, "tn": 0, "fp": fp, "fn": fn},
+        "accuracy": tp / (tp + fp + fn),
         "precision": p,
         "recall": r,
-        "f1": f1(p, r),
-        "miou_samples": sample_miou,
-        "miou_categories": table.miou,
-        "categories": [
-            {"category": c, "iou": v, "count": n} for c, v, n in table.rows
-        ],
+        "f1": 2.0 * p * r / (p + r) if tp else 0.0,
+        "miou_samples": miou_samples(iou for _, iou in instances),
+        "miou_categories": sum(v for _, v, _ in rows) / len(rows),
+        "categories": [{"category": c, "iou": v, "count": n} for c, v, n in rows],
     }
 
 

@@ -26,12 +26,13 @@ and each projection's factor gradients from `lora.adapter_grads`, on
 per-projection adapters built at construction. One function,
 `_param_shapes`, gives every shape; the constructor lays out the arena from
 it, and `param_bytes` counts from it the bytes that `load_checkpoint` checks
-a file's size against and `train` the machine's memory, before either builds
-a model. The transformer base weights are frozen at their seeded
-initialization, as is the semantic projection head (a linear map from box
-parameters to a 128-dim feature space). Freezing the semantic head keeps the
-feature-space MSE a fixed positive-definite quadratic in the box-parameter
-error; a trainable head would collapse the objective by shrinking to zero.
+a file's size against, and `train_bytes` those that `train` checks the
+machine's memory against, before either builds a model. The transformer
+base weights are frozen at their seeded initialization, as is the semantic
+projection head (a linear map from box parameters to a 128-dim feature
+space). Freezing the semantic head keeps the feature-space MSE a fixed
+positive-definite quadratic in the box-parameter error; a trainable head
+would collapse the objective by shrinking to zero.
 
 A batch of B samples runs as the (2B, d) matrix of its token rows (sample
 b's visual token in row 2b, its text token in row 2b+1), so each linear map
@@ -69,7 +70,6 @@ from here.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import struct
 from dataclasses import dataclass, asdict
@@ -175,6 +175,15 @@ def param_bytes(config: ModelConfig) -> int:
     return 8 * sum(math.prod(s) for group in _param_shapes(config) for s in group.values())
 
 
+def train_bytes(config: ModelConfig) -> int:
+    """Bytes that training holds whatever the batch: the parameters, the
+    gradient and AdamW's two moments (each the arena's size), and the merged
+    q/k/v/o weights (the bases' size). Activations are not counted."""
+    arena = sum(math.prod(s) for s in _param_shapes(config)[0].values())
+    bases = config.n_layers * len(ATTENTION_TARGETS) * config.d_model**2
+    return param_bytes(config) + 8 * (3 * arena + bases)
+
+
 class FusionModel:
     """Two-token fusion transformer with adapter-only fine-tuning."""
 
@@ -236,11 +245,6 @@ class FusionModel:
         self._merged = np.empty_like(self._base)
         self._cache = None
         self._ws, self._ws_batch = {}, 0
-        logging.getLogger(__name__).info(
-            "built fusion model: %d params total, trainable fraction %.6f",
-            self.total_param_count(),
-            self.trainable_fraction(),
-        )
 
     # ---- parameter accounting -------------------------------------------
 

@@ -38,14 +38,7 @@ from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch,
 from .geom import Box7, wrap_angle
 from .iou import bev_footprint, iou_3d, iou_loss_grad
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
-from .metrics import (
-    ConfusionCounts,
-    aggregate_by_category,
-    check_iou_threshold,
-    miou_categories,
-    miou_samples,
-    report_dict,
-)
+from .metrics import check_iou_threshold, miou_samples, report_dict
 # perfbench's tracer wraps train.match_predictions: keep it importable.
 from .metrics import match_predictions  # noqa: F401
 from .model import FusionModel, box_params_from_raw, box_params_grad_chain
@@ -312,12 +305,11 @@ def evaluate_model(
     iou_threshold: float,
     predictions: list[Box7] | None = None,
 ) -> dict:
-    """Inference plus matching and the full metric report.
+    """Inference and the eval report: `metrics.report_dict` of each sample's
+    (category, IoU) in sample order.
 
     Each sample pairs one prediction with one ground truth of the same
-    category, so its match is a true positive iff its IoU reaches the
-    threshold (ties count as hits, as in `match_predictions`), and a false
-    positive plus a false negative otherwise: one IoU per sample.
+    category, so it has one IoU, and `report_dict` applies the hit rule.
     `predictions` overrides the model's own outputs (used for oracle runs
     that evaluate ground truth against itself).
     """
@@ -329,13 +321,5 @@ def evaluate_model(
     if predictions is not None and len(predictions) != len(samples):
         raise ConfigError("predictions list does not match samples")
 
-    per_sample_iou = _sample_ious(model, samples, predictions)
-    tp = sum(iou >= iou_threshold for iou in per_sample_iou)
-    table = miou_categories(aggregate_by_category(
-        (s.category, iou) for s, iou in zip(samples, per_sample_iou)))
-    return report_dict(
-        table,
-        miou_samples(per_sample_iou),
-        ConfusionCounts(tp=tp, tn=0, fp=len(samples) - tp, fn=len(samples) - tp),
-        iou_threshold,
-    )
+    ious = _sample_ious(model, samples, predictions)
+    return report_dict(zip((s.category for s in samples), ious), iou_threshold)

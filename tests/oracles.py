@@ -424,6 +424,39 @@ def match_optimal_bruteforce(
     return counts, sorted(best[2], reverse=True)
 
 
+def reference_report(instances, iou_threshold: float) -> dict:
+    """The eval report of (category, IoU) pairs, built the general way: the
+    counts as a `ConfusionCounts`, each rate from its definition over any
+    counts (TN included, 0.0 on a zero denominator), and the category table
+    as per-category (category, mean, count) rows, then their unweighted mean."""
+    instances = list(instances)
+    if not instances:
+        raise EmptyBatch("reference_report requires at least one sample")
+    tp = sum(iou >= iou_threshold for _, iou in instances)
+    n = len(instances)
+    c = ConfusionCounts(tp=tp, tn=0, fp=n - tp, fn=n - tp)
+
+    def ratio(num, den):
+        return num / den if den else 0.0
+
+    p, r = ratio(c.tp, c.tp + c.fp), ratio(c.tp, c.tp + c.fn)
+    by_category: dict[str, list[float]] = {}
+    for category, iou in instances:
+        by_category.setdefault(category, []).append(iou)
+    rows = [(cat, sum(v) / len(v), len(v)) for cat, v in sorted(by_category.items())]
+    return {
+        "iou_threshold": iou_threshold,
+        "counts": {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn},
+        "accuracy": ratio(c.tp + c.tn, c.tp + c.tn + c.fp + c.fn),
+        "precision": p,
+        "recall": r,
+        "f1": 0.0 if p + r == 0 else 2.0 * p * r / (p + r),
+        "miou_samples": sum(iou for _, iou in instances) / n,
+        "miou_categories": sum(v for _, v, _ in rows) / len(rows),
+        "categories": [{"category": cat, "iou": v, "count": k} for cat, v, k in rows],
+    }
+
+
 # ---- the fusion model's gradients by parameter name -----------------------------
 
 

@@ -208,12 +208,12 @@ def test_criterion_6_pipeline_roundtrip():
 
 def test_criterion_7_metric_identities():
     def body():
-        from minidet3d.metrics import match_predictions, miou_categories
+        from minidet3d.metrics import match_predictions, report_dict
         from oracles import match_optimal_bruteforce
         from test_metrics import TRAINING_CATEGORY_IOUS, random_instance
 
-        table = miou_categories([(c, v, 1) for c, v in TRAINING_CATEGORY_IOUS])
-        assert abs(table.miou - 0.2344) <= 0.0015, f"mIoU {table.miou}"
+        miou = report_dict([(c, v) for c, v in TRAINING_CATEGORY_IOUS], 0.25)["miou_categories"]
+        assert abs(miou - 0.2344) <= 0.0015, f"mIoU {miou}"
 
         rng = np.random.default_rng(77)
         for _ in range(200):
@@ -222,7 +222,7 @@ def test_criterion_7_metric_identities():
             optimal, o_matched = match_optimal_bruteforce(preds, gts, 0.25)
             assert greedy == optimal
             assert sorted(g_matched) == pytest.approx(sorted(o_matched))
-        return f"table mIoU {table.miou:.4f}; greedy==bruteforce on 200 instances"
+        return f"table mIoU {miou:.4f}; greedy==bruteforce on 200 instances"
 
     _criterion(7, "metric-identities", body)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from minidet3d.cli import main
 from minidet3d.data import Annotation, emit, ingest_lenient, synth_scenes
 from minidet3d.geom import Box7, quat_from_yaw
 from minidet3d.losses import LossSchedule
-from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
+from minidet3d.model import FusionModel, ModelConfig, param_bytes, save_checkpoint, train_bytes
 
 MIX = "adult=0.5,car=0.5"
 
@@ -73,6 +74,11 @@ class TestIouCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "mc_iou=" in out and "mc_se=" in out
+
+    def test_log_variable_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("MINIDET3D_LOG", "verbose")
+        assert run_cli("iou", *([0, 0, 0, 1, 1, 1, 0] * 2)) == 0
+        assert "iou=1.0" in capsys.readouterr().out
 
     def test_parse_failure_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -409,15 +415,33 @@ class TestTrainCommand:
 
     def test_model_larger_than_memory_rejected_before_it_is_built(self, tmp_path, capsys):
         # d_model 2**20 makes each frozen attention and FFN weight at least
-        # 2**40 values, 2**47 bytes (128 TiB) in all: the count is computed
-        # from the shape table, and nothing of that size is allocated
+        # 2**40 values, 2**47 bytes (128 TiB) in all, and training holds half
+        # as much again in merged weights: the count is computed from the
+        # shape table, and nothing of that size is allocated
         data = make_dataset(tmp_path, "data", 4, 11)
         cfg = train_config(tmp_path, data, model={"seed": 0, "d_model": 2**20})
         capsys.readouterr()
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config.model: the parameters need 131") and "GiB" in err
+        assert err.startswith("error: config.model: training needs 196634.1 GiB, more than")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_memory_check_counts_gradient_optimizer_and_merged_weights(
+            self, tmp_path, capsys, monkeypatch):
+        # memory between the default model's parameters and what its training
+        # holds besides them: the gradient, AdamW's two moments, the merge
+        params, held = param_bytes(ModelConfig()), train_bytes(ModelConfig())
+        assert 3 * params < held
+        have = (params + held) // 2
+        data = make_dataset(tmp_path, "data", 4, 11)
+        cfg = train_config(tmp_path, data)
+        capsys.readouterr()
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.model: training needs ") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_malformed_features_file_rejected(self, tmp_path, capsys):

@@ -2,26 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minidet3d.errors import EmptyBatch
 from minidet3d.geom import Box7
 from minidet3d.iou import iou_3d
-from minidet3d.metrics import (
-    ConfusionCounts,
-    accuracy,
-    aggregate_by_category,
-    f1,
-    match_predictions,
-    miou_categories,
-    miou_samples,
-    precision,
-    recall,
-    report_csv,
-    report_dict,
-)
+from minidet3d.metrics import match_predictions, miou_samples, report_csv, report_dict
 
-from oracles import match_optimal_bruteforce, reference_match_predictions
+from oracles import match_optimal_bruteforce, reference_match_predictions, reference_report
 
 # Per-category IoU, training-set column of the published results table.
 TRAINING_CATEGORY_IOUS = [
@@ -166,43 +154,41 @@ class TestMatching:
             assert sorted(g_matched) == pytest.approx(sorted(o_matched))
 
 
+def hits_and_misses(hits, misses):
+    """(category, IoU) pairs of `hits` cars at IoU 0.5 and `misses` at 0.1,
+    so each is a hit or a miss at threshold 0.25."""
+    return [("car", 0.5)] * hits + [("car", 0.1)] * misses
+
+
 class TestScalarMetrics:
     def test_accuracy(self):
-        assert accuracy(ConfusionCounts(1, 1, 0, 0)) == 1.0
-        assert accuracy(ConfusionCounts(0, 0, 1, 1)) == 0.0
-        assert accuracy(ConfusionCounts(3, 0, 1, 2)) == 0.5
-
-    def test_accuracy_empty(self):
-        assert accuracy(ConfusionCounts(0, 0, 0, 0)) == 0.0
+        assert report_dict(hits_and_misses(2, 0), 0.25)["accuracy"] == 1.0
+        assert report_dict(hits_and_misses(0, 2), 0.25)["accuracy"] == 0.0
+        assert report_dict(hits_and_misses(2, 1), 0.25)["accuracy"] == 0.5
 
     def test_recall(self):
-        assert recall(ConfusionCounts(5, 0, 3, 0)) == 1.0
-        assert recall(ConfusionCounts(0, 0, 3, 5)) == 0.0
-        assert recall(ConfusionCounts(2, 0, 0, 3)) == pytest.approx(0.4)
-
-    def test_recall_no_positives(self):
-        assert recall(ConfusionCounts(0, 1, 1, 0)) == 0.0
+        assert report_dict(hits_and_misses(5, 0), 0.25)["recall"] == 1.0
+        assert report_dict(hits_and_misses(0, 5), 0.25)["recall"] == 0.0
+        assert report_dict(hits_and_misses(2, 3), 0.25)["recall"] == pytest.approx(0.4)
 
     def test_f1(self):
-        assert f1(0.6, 0.6) == pytest.approx(0.6)
-        assert f1(1.0, 0.0) == 0.0
-        assert f1(0.5, 1.0) == pytest.approx(2.0 / 3.0)
-        assert f1(0.0, 0.0) == 0.0
+        assert report_dict(hits_and_misses(3, 2), 0.25)["f1"] == pytest.approx(0.6)
+        assert report_dict(hits_and_misses(0, 3), 0.25)["f1"] == 0.0
 
-    @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
-    def test_f1_between_min_and_arithmetic_mean(self, p, r):
-        value = f1(p, r)
-        assert min(p, r) - 1e-12 <= value <= (p + r) / 2 + 1e-12
+    @given(st.integers(1, 40), st.integers(0, 40))
+    def test_f1_between_min_and_arithmetic_mean(self, hits, misses):
+        report = report_dict(hits_and_misses(hits, misses), 0.25)
+        p, r = report["precision"], report["recall"]
+        assert min(p, r) - 1e-12 <= report["f1"] <= (p + r) / 2 + 1e-12
 
     def test_metrics_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            c = ConfusionCounts(*(int(v) for v in rng.integers(0, 20, 4)))
-            if c.total:
-                assert 0 <= accuracy(c) <= 1
-            if c.tp + c.fn:
-                assert 0 <= recall(c) <= 1
-            assert 0 <= f1(precision(c), recall(c) if c.tp + c.fn else 0.0) <= 1
+            hits, misses = (int(v) for v in rng.integers(0, 20, 2))
+            if hits + misses:
+                report = report_dict(hits_and_misses(hits, misses), 0.25)
+                for key in ("accuracy", "precision", "recall", "f1"):
+                    assert 0 <= report[key] <= 1
 
 
 class TestMiou:
@@ -217,45 +203,42 @@ class TestMiou:
             miou_samples([])
 
     def test_single_category(self):
-        table = miou_categories([("car", 0.5, 10)])
-        assert table.miou == 0.5
+        assert report_dict([("car", 0.5)] * 10, 0.25)["miou_categories"] == 0.5
 
     def test_unweighted_regardless_of_counts(self):
-        table = miou_categories([("a", 1.0, 1000), ("b", 0.0, 1)])
-        assert table.miou == 0.5
+        instances = [("a", 1.0)] * 1000 + [("b", 0.0)]
+        assert report_dict(instances, 0.25)["miou_categories"] == 0.5
 
     def test_row_order_invariance(self):
-        rows = [("a", 0.2, 1), ("b", 0.4, 2), ("c", 0.9, 3)]
-        assert miou_categories(rows).miou == miou_categories(rows[::-1]).miou
+        instances = [("a", 0.2), ("b", 0.4), ("b", 0.4), ("c", 0.9), ("c", 0.9), ("c", 0.9)]
+        forward, backward = report_dict(instances, 0.25), report_dict(instances[::-1], 0.25)
+        assert forward["miou_categories"] == backward["miou_categories"]
+        assert forward["categories"] == backward["categories"]
 
     def test_published_training_table(self):
-        rows = [(c, v, 1) for c, v in TRAINING_CATEGORY_IOUS]
-        table = miou_categories(rows)
-        assert abs(table.miou - 0.2344) <= 0.0015
+        miou = report_dict(TRAINING_CATEGORY_IOUS, 0.25)["miou_categories"]
+        assert abs(miou - 0.2344) <= 0.0015
 
     def test_published_test_table(self):
-        rows = [(c, v, 1) for c, v in TEST_CATEGORY_IOUS]
-        assert abs(miou_categories(rows).miou - 0.2257) <= 0.0015
+        assert abs(report_dict(TEST_CATEGORY_IOUS, 0.25)["miou_categories"] - 0.2257) <= 0.0015
 
     def test_published_training_rows_as_samples(self):
         values = [v for _, v in TRAINING_CATEGORY_IOUS]
         assert abs(miou_samples(values) - 0.2344) <= 0.0015
 
     def test_empty_table(self):
-        with pytest.raises(EmptyBatch, match="^miou_categories requires at least one category$"):
-            miou_categories([])
+        with pytest.raises(EmptyBatch, match="^report_dict requires at least one sample$"):
+            report_dict([], 0.25)
 
     def test_aggregate_by_category(self):
-        rows = aggregate_by_category(
-            [("car", 0.2), ("car", 0.4), ("adult", 0.6)]
-        )
-        assert rows == [("adult", 0.6, 1), ("car", pytest.approx(0.3), 2)]
+        rows = report_dict([("car", 0.2), ("car", 0.4), ("adult", 0.6)], 0.25)["categories"]
+        assert rows == [{"category": "adult", "iou": 0.6, "count": 1},
+                        {"category": "car", "iou": pytest.approx(0.3), "count": 2}]
 
 
 class TestReport:
     def test_csv_has_category_and_summary_rows(self):
-        table = miou_categories([("car", 0.25, 3), ("adult", 0.5, 2)])
-        report = report_dict(table, 0.4, ConfusionCounts(3, 0, 1, 2), 0.25)
+        report = report_dict([("car", 0.25)] * 3 + [("adult", 0.5)] * 2, 0.25)
         csv_text = report_csv(report)
         lines = csv_text.strip().split("\n")
         assert lines[0] == "category,iou,count"
@@ -264,12 +247,30 @@ class TestReport:
         assert any(line.startswith("recall,") for line in lines)
 
     def test_report_values(self):
-        table = miou_categories([("car", 0.25, 3)])
-        report = report_dict(table, 0.25, ConfusionCounts(3, 0, 1, 2), 0.25)
-        assert report["accuracy"] == pytest.approx(0.5)
-        assert report["recall"] == pytest.approx(0.6)
-        assert report["precision"] == pytest.approx(0.75)
-        assert report["f1"] == pytest.approx(2 * 0.75 * 0.6 / 1.35)
+        # (hits, misses, accuracy, precision = recall = F1)
+        for hits, misses, accuracy, rate in [(2, 1, 0.5, 2 * 0.75 * 0.6 / 1.35),
+                                             (3, 2, 3 / 7, 0.6), (3, 1, 0.6, 0.75)]:
+            report = report_dict(hits_and_misses(hits, misses), 0.25)
+            assert report["counts"] == {"tp": hits, "tn": 0, "fp": misses, "fn": misses}
+            assert report["accuracy"] == pytest.approx(accuracy)
+            for key in ("precision", "recall", "f1"):
+                assert report[key] == pytest.approx(rate)
+
+
+class TestReportEqualsReference:
+    """`report_dict` must equal the report built from the general rates on
+    `ConfusionCounts` and the per-category table, bit for bit."""
+
+    CATEGORIES = st.sampled_from(["car", "adult", "trafficcone", "bicycle"])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(CATEGORIES, st.floats(0.0, 1.0)), min_size=1, max_size=40),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example([("car", 0.1), ("adult", 0.2)], 0.5)  # every sample misses: F1 is 0.0
+    @example([("car", 0.6), ("adult", 1.0)], 0.5)  # every sample hits
+    @example([("car", 0.5), ("car", 0.25), ("adult", 0.5)], 0.5)  # a tie counts as a hit
+    def test_equals_reference_report(self, instances, threshold):
+        assert report_dict(instances, threshold) == reference_report(instances, threshold)
 
 
 class TestMatchingEqualsPerPairReference:

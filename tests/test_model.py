@@ -398,13 +398,6 @@ class TestAccounting:
         for a, b in zip(model.adapters(), loaded.adapters()):
             assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
-    def test_fraction_logged_at_build(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.INFO, logger="minidet3d.model"):
-            FusionModel(SMALL)
-        assert any("trainable fraction" in r.message for r in caplog.records)
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="^d_model: 30 is not divisible by n_heads 4$"):
             ModelConfig(d_model=30, n_heads=4)

@@ -14,14 +14,7 @@ from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
 from minidet3d.geom import Box7
 from minidet3d.iou import bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.losses import LossSchedule, schedule_weights
-from minidet3d.metrics import (
-    ConfusionCounts,
-    aggregate_by_category,
-    match_predictions,
-    miou_categories,
-    miou_samples,
-    report_dict,
-)
+from minidet3d.metrics import match_predictions
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
 from minidet3d.model import box_params_from_raw
 from minidet3d.train import (
@@ -36,7 +29,7 @@ from minidet3d.train import (
     validation_miou,
 )
 
-from oracles import DictAdamW, grad_outcome
+from oracles import DictAdamW, grad_outcome, reference_report
 
 MIX = {"adult": 0.5, "car": 0.5}
 
@@ -362,16 +355,16 @@ class TestEvaluate:
 
     @staticmethod
     def matched_report(predictions, samples, threshold):
-        """The report built from one 1x1 `match_predictions` per sample."""
+        """`reference_report` of the per-sample IoUs, whose hits must be those
+        of one 1x1 `match_predictions` per sample."""
         ious, tp = [], 0
         for pred, s in zip(predictions, samples):
             counts, _ = match_predictions([(pred, s.category)], [(s.gt_box, s.category)], threshold)
             tp += counts.tp
             ious.append(iou_3d(pred, s.gt_box).iou)
-        table = miou_categories(aggregate_by_category(zip((s.category for s in samples), ious)))
-        n = len(samples)
-        return report_dict(table, miou_samples(ious), ConfusionCounts(tp, 0, n - tp, n - tp),
-                           threshold)
+        report = reference_report(zip((s.category for s in samples), ious), threshold)
+        assert report["counts"]["tp"] == tp
+        return report
 
     def test_report_equals_per_sample_matching(self):
         samples = small_dataset(60, seed=16)
