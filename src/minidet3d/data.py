@@ -31,8 +31,10 @@ width/height are JSON integers (errors.check_json_value).
 Quaternions are [w,x,y,z] and must be unit within 1e-9; lengths are meters,
 angles radians. Annotation boxes live in the global frame and are brought
 into the LiDAR frame by inverting the ego and LiDAR calibration poses.
-Records of one file that repeat a pose, bit for bit, share one `Pose`, so
-each calibration pose is checked and inverted once per file.
+Records of one file share one rig: a pose, intrinsics, camera block or
+`cameras` tuple repeated bit for bit is one object, so each calibration pose
+is checked and inverted once per file. `emit` and `save_features` write the
+JSON text of each repeated rig block and text vector once per call.
 Corner visibility follows the camera rule: a corner counts as visible when
 its camera-frame depth is positive and its projection lands inside the
 image; an annotation is retained when at least one corner is visible in at
@@ -145,7 +147,7 @@ def _check_floats(values: list, where: str, key: str) -> None:
             check_json_value(v, 0.0, f"{where}.{key}[{i}]", ParseError)
 
 
-def _parse_pose(obj, where: str, poses: dict) -> Pose:
+def _parse_pose(obj, where: str, rig: dict) -> Pose:
     check_keys(obj, ("translation", "rotation"), where, ParseError)
     t, q = obj["translation"], obj["rotation"]
     if not (isinstance(t, list) and len(t) == 3):
@@ -155,20 +157,21 @@ def _parse_pose(obj, where: str, poses: dict) -> Pose:
     _check_floats(t, where, "translation")
     _check_floats(q, where, "rotation")
     key = _pose_key(*t, *q)
-    if key not in poses:
+    if key not in rig:
         try:
-            poses[key] = Pose._of_floats(tuple(map(float, t)), _quat_normalize(tuple(map(float, q))))
+            rig[key] = Pose._of_floats(tuple(map(float, t)), _quat_normalize(tuple(map(float, q))))
         except ValueError as e:
             raise ParseError(f"{where}.rotation", str(e)) from e
-    return poses[key]
+    return rig[key]
 
 
 # The intrinsics fields, each with a default of the JSON type it must have.
 _INTRINSICS = {"fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width": 0, "height": 0}
 _intrinsic_values = itemgetter(*_INTRINSICS)
+_focal_key = struct.Struct("<4d").pack  # fx, fy, cx, cy as bits, as _pose_key
 
 
-def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
+def _parse_intrinsics(obj, where: str, rig: dict) -> CameraIntrinsics:
     check_keys(obj, _INTRINSICS, where, ParseError)
     fx, fy, cx, cy, width, height = _intrinsic_values(obj)
     if not (type(fx) is type(fy) is type(cx) is type(cy) is float
@@ -178,21 +181,24 @@ def _parse_intrinsics(obj, where: str) -> CameraIntrinsics:
         for key, default in _INTRINSICS.items():
             check_json_value(obj[key], default, f"{where}.{key}", ParseError)
         fx, fy, cx, cy = float(fx), float(fy), float(cx), float(cy)
-    try:
-        return CameraIntrinsics(fx, fy, cx, cy, width, height)
-    except ValueError as e:
-        raise ParseError(where, str(e)) from e
+    key = (_focal_key(fx, fy, cx, cy), width, height)
+    if key not in rig:
+        try:
+            rig[key] = CameraIntrinsics(fx, fy, cx, cy, width, height)
+        except ValueError as e:
+            raise ParseError(where, str(e)) from e
+    return rig[key]
 
 
-def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
+def _parse_record(obj, where: str, rig: dict) -> SceneRecord:
     check_keys(obj, ("sample_id", "ego_to_global", "lidar_to_ego", "cameras", "annotations"),
                where, ParseError)
     sample_id = obj["sample_id"]
     if not isinstance(sample_id, str) or not sample_id:
         raise ParseError(f"{where}.sample_id", "must be a non-empty string")
 
-    ego = _parse_pose(obj["ego_to_global"], f"{where}.ego_to_global", poses)
-    lidar = _parse_pose(obj["lidar_to_ego"], f"{where}.lidar_to_ego", poses)
+    ego = _parse_pose(obj["ego_to_global"], f"{where}.ego_to_global", rig)
+    lidar = _parse_pose(obj["lidar_to_ego"], f"{where}.lidar_to_ego", rig)
     for key in ("cameras", "annotations"):
         if not isinstance(obj[key], list):
             raise ParseError(f"{where}.{key}", "must be a list")
@@ -208,13 +214,12 @@ def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
         if name in seen:
             raise ParseError(f"{cw}.name", f"duplicate camera {name!r}")
         seen.add(name)
-        cameras.append(
-            CameraBlock(
-                name=name,
-                intrinsics=_parse_intrinsics(cam["intrinsics"], f"{cw}.intrinsics"),
-                sensor_to_ego=_parse_pose(cam["sensor_to_ego"], f"{cw}.sensor_to_ego", poses),
-            )
-        )
+        intrinsics = _parse_intrinsics(cam["intrinsics"], f"{cw}.intrinsics", rig)
+        pose = _parse_pose(cam["sensor_to_ego"], f"{cw}.sensor_to_ego", rig)
+        key = (name, id(intrinsics), id(pose))  # both held by `rig`, so ids stay theirs
+        if key not in rig:
+            rig[key] = CameraBlock(name, intrinsics, pose)
+        cameras.append(rig[key])
 
     annotations = []
     for j, ann in enumerate(obj["annotations"]):
@@ -231,7 +236,8 @@ def _parse_record(obj, where: str, poses: dict) -> SceneRecord:
         except ValueError as e:
             raise ParseError(f"{aw}.box", str(e)) from e
 
-    return SceneRecord(sample_id, ego, lidar, tuple(cameras), tuple(annotations))
+    cameras = rig.setdefault(tuple(map(id, cameras)), tuple(cameras))
+    return SceneRecord(sample_id, ego, lidar, cameras, tuple(annotations))
 
 
 def ingest(path: str | Path) -> list[SceneRecord]:
@@ -280,7 +286,11 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     scene file at all, or one of another schema version, raises ParseError
     naming the path.
 
-    Records that repeat a pose, bit for bit, share one Pose and its inverse.
+    Records of one rig share it: a pose or intrinsics repeated bit for bit is
+    one object (a pose with its inverse), and so is a camera block of the
+    same name, intrinsics and pose, and a `cameras` tuple of the same blocks.
+    One dict interns all four kinds for the call; their keys never collide
+    (pose bits; intrinsics bits, width, height; name, ids; ids of blocks).
     The diagnostics hold no traceback frames, so the parsed document is freed
     when this function returns, rejected records or not.
     """
@@ -288,10 +298,10 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     if not isinstance(body, list):
         raise ParseError(f"{path}.records", "must be a list")
 
-    records, diagnostics, poses, first = [], [], {}, {}
+    records, diagnostics, rig, first = [], [], {}, {}
     for i, obj in enumerate(body):
         try:
-            rec = _parse_record(obj, f"records[{i}]", poses)
+            rec = _parse_record(obj, f"records[{i}]", rig)
             if (j := first.setdefault(rec.sample_id, i)) != i:
                 raise ParseError(f"records[{i}].sample_id",
                                  f"duplicate sample_id {rec.sample_id!r}, first at records[{j}]")
@@ -317,30 +327,37 @@ def _pose_to_json(p: Pose) -> dict:
     return {"translation": list(p.translation), "rotation": list(p.rotation)}
 
 
-def _record_to_json(rec: SceneRecord) -> dict:
-    return {
-        "sample_id": rec.sample_id,
-        "ego_to_global": _pose_to_json(rec.ego_to_global),
-        "lidar_to_ego": _pose_to_json(rec.lidar_to_ego),
-        "cameras": [
-            {
-                "name": c.name,
-                "intrinsics": vars(c.intrinsics),  # the six fields, in order
-                "sensor_to_ego": _pose_to_json(c.sensor_to_ego),
-            }
-            for c in rec.cameras
-        ],
-        "annotations": [
-            {"category": a.category, "box": list(a.box)} for a in rec.annotations
-        ],
-    }
+def _cameras_to_json(cameras: tuple[CameraBlock, ...]) -> list:
+    return [{"name": c.name,
+             "intrinsics": vars(c.intrinsics),  # the six fields, in order
+             "sensor_to_ego": _pose_to_json(c.sensor_to_ego)} for c in cameras]
 
 
 def emit(records, path: str | Path) -> None:
     """Serialize records to the scene file format as compact one-line JSON
-    (`python -m json.tool` pretty-prints it); ingest(emit(r)) == r."""
-    doc = {"schema_version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    (`python -m json.tool` pretty-prints it); ingest(emit(r)) == r.
+
+    The bytes are those of json.dumps of the document, built from the JSON
+    text of each distinct pose and `cameras` tuple, made once per call. The
+    memo is keyed by id and holds the object itself, so no id is reused
+    while the call runs, even when `records` frees each record after use.
+    """
+    memo = {}
+
+    def text(obj, to_json) -> str:
+        if (hit := memo.get(id(obj))) is None:
+            hit = memo[id(obj)] = (obj, json.dumps(to_json(obj)))
+        return hit[1]
+
+    body = ", ".join(
+        f'{{"sample_id": {json.dumps(r.sample_id)}, '
+        f'"ego_to_global": {text(r.ego_to_global, _pose_to_json)}, '
+        f'"lidar_to_ego": {text(r.lidar_to_ego, _pose_to_json)}, '
+        f'"cameras": {text(r.cameras, _cameras_to_json)}, "annotations": '
+        f'{json.dumps([{"category": a.category, "box": list(a.box)} for a in r.annotations])}}}'
+        for r in records)
+    Path(path).write_text(f'{{"schema_version": {SCHEMA_VERSION}, "records": [{body}]}}',
+                          encoding="utf-8")
 
 
 # ---- preprocessing ----------------------------------------------------------
@@ -589,14 +606,24 @@ def synth_scenes(
 
 
 def save_features(features: list[FeaturePair], path: str | Path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "features": {
-            f.sample_id: {"visual": f.visual.tolist(), "text": f.text.tolist()}
-            for f in features
-        },
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    """Write a features file: json.dumps of the document, with the JSON text of
+    each distinct text vector (same dtype, shape and bytes) made once. A
+    sample_id that is not a string raises TypeError, and one given twice
+    ValueError, before anything is written."""
+    texts, entries = {}, {}
+    for f in features:
+        if not isinstance(f.sample_id, str):  # its JSON text would be no object key
+            raise TypeError(f"sample_id must be a string, got {f.sample_id!r}")
+        if f.sample_id in entries:
+            raise ValueError(f"repeated sample_id {f.sample_id!r} in the features")
+        key = (f.text.dtype.str, f.text.shape, f.text.tobytes())
+        if (text := texts.get(key)) is None:
+            text = texts[key] = json.dumps(f.text.tolist())
+        entries[f.sample_id] = (f'{json.dumps(f.sample_id)}: '
+                                f'{{"visual": {json.dumps(f.visual.tolist())}, "text": {text}}}')
+    body = ", ".join(entries.values())
+    Path(path).write_text(f'{{"schema_version": {SCHEMA_VERSION}, "features": {{{body}}}}}',
+                          encoding="utf-8")
 
 
 def _feature_vector(value, field: str, width: int | None) -> np.ndarray:

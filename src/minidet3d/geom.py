@@ -325,5 +325,6 @@ def project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> list[Projecte
             out.append(_BEHIND)
         else:
             u, v = fx * x / z + cx, fy * y / z + cy
-            out.append(ProjectedCorner(u, v, 0.0 <= u < width and 0.0 <= v < height))
+            # tuple.__new__: ProjectedCorner(...) without its Python-level __new__
+            out.append(tuple.__new__(ProjectedCorner, (u, v, 0.0 <= u < width and 0.0 <= v < height)))
     return out

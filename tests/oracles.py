@@ -15,7 +15,6 @@ from minidet3d.data import (
     ProcessedAnnotation,
     ProcessedSample,
     SceneRecord,
-    _record_to_json,
 )
 from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint, ShapeMismatch
 from minidet3d.geom import (
@@ -307,8 +306,32 @@ def reference_project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> lis
     return out
 
 
+def _pose_to_json(p) -> dict:
+    return {"translation": list(p.translation), "rotation": list(p.rotation)}
+
+
+def record_to_json(rec: SceneRecord) -> dict:
+    """One record as the dict `emit` writes the JSON text of."""
+    return {
+        "sample_id": rec.sample_id,
+        "ego_to_global": _pose_to_json(rec.ego_to_global),
+        "lidar_to_ego": _pose_to_json(rec.lidar_to_ego),
+        "cameras": [
+            {
+                "name": c.name,
+                "intrinsics": vars(c.intrinsics),  # the six fields, in order
+                "sensor_to_ego": _pose_to_json(c.sensor_to_ego),
+            }
+            for c in rec.cameras
+        ],
+        "annotations": [
+            {"category": a.category, "box": list(a.box)} for a in rec.annotations
+        ],
+    }
+
+
 def reference_emit(records, path) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]}
+    doc = {"schema_version": SCHEMA_VERSION, "records": [record_to_json(r) for r in records]}
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 

@@ -10,6 +10,7 @@ from minidet3d.data import (
     CAMERA_NAMES,
     Annotation,
     CameraBlock,
+    FeaturePair,
     SceneRecord,
     SynthConfig,
     _ENCODER_SEED,
@@ -40,6 +41,7 @@ from minidet3d.geom import (
 from oracles import (
     ReferencePose,
     decode_visual,
+    record_to_json,
     reference_emit,
     reference_process_record,
     reference_project_corners,
@@ -768,3 +770,174 @@ class TestPoseInterning:
             f"records[4].sample_id: duplicate sample_id {records[0].sample_id!r}, first at records[0]",
         ]
         assert diagnostics[1].field == "records[3].sample_id"
+
+
+def _scene_document(records) -> str:
+    return json.dumps({"schema_version": 1, "records": [record_to_json(r) for r in records]})
+
+
+def _features_document(features) -> str:
+    return json.dumps({"schema_version": 1, "features": {
+        f.sample_id: {"visual": f.visual.tolist(), "text": f.text.tolist()} for f in features}})
+
+
+def _other_rig(rec):
+    """`rec` on a rig of its own: every camera shifted, with other intrinsics."""
+    return dataclasses.replace(rec, cameras=tuple(
+        CameraBlock(c.name, dataclasses.replace(c.intrinsics, fx=c.intrinsics.fx + 1.0),
+                    Pose(np.add(c.sensor_to_ego.translation, 0.25), c.sensor_to_ego.rotation))
+        for c in rec.cameras))
+
+
+def _zero_rig_records():
+    """Two records whose cameras differ only in the sign of a zero cx and of a
+    zero sensor translation."""
+    signed = []
+    for zero in (0.0, -0.0):
+        cam = CameraBlock("front", CameraIntrinsics(1000.0, 1000.0, zero, 450.0, 1600, 900),
+                          Pose((zero, 0.0, 1.5), FRONT_CAM_ROTATION))
+        signed.append(make_record((Annotation("car", Box7(5, 1, 0, 4, 2, 2, 0.3)),),
+                                  cameras=(cam,)))
+    return [signed[0], dataclasses.replace(signed[1], sample_id="fixture-1"), signed[0]]
+
+
+def _fresh_records(count):
+    """Records built on the fly, each on a rig of its own that the generator
+    frees after use, so a later record's objects can take a freed id."""
+    for i in range(count):
+        cam = CameraBlock("front", CameraIntrinsics(1000.0 + i, 1000.0, 800.0, 450.0, 1600, 900),
+                          Pose((0.1 * i, 0.0, 1.5), FRONT_CAM_ROTATION))
+        yield SceneRecord(f"fresh-{i}", Pose((float(i), 0.0, 0.0)), Pose((0.9, 0.0, 1.8 + i)),
+                          (cam,), (Annotation("car", Box7(5, 1, 0, 4, 2, 2, 0.3)),))
+
+
+SYNTH_MIX = {"adult": 0.4, "car": 0.4, "trafficcone": 0.2}
+
+
+class TestWritersEqualJsonDumps:
+    """`emit` and `save_features` write each repeated rig block and text vector
+    once per call, and their bytes equal json.dumps of the dict document."""
+
+    @pytest.fixture(scope="class")
+    def synth(self):
+        return synth_scenes(40, SYNTH_MIX, seed=13)
+
+    @pytest.mark.parametrize("case", ["synth", "ingested", "two-rigs", "signed-zeros", "empty"])
+    def test_emit(self, tmp_path, synth, case):
+        records = synth[0]
+        if case == "ingested":
+            records = ingest(_emitted(tmp_path, records))
+            assert len({id(r.cameras) for r in records}) == 1
+        elif case == "two-rigs":
+            records = [r if i % 3 else _other_rig(r) for i, r in enumerate(records)]
+        elif case == "signed-zeros":
+            records = _zero_rig_records()
+        elif case == "empty":
+            records = []
+        assert _emitted(tmp_path, records).read_text(encoding="utf-8") == _scene_document(records)
+
+    def test_emit_of_a_generator_freeing_each_record(self, tmp_path):
+        path = tmp_path / "fresh.json"
+        emit(_fresh_records(50), path)
+        assert path.read_text(encoding="utf-8") == _scene_document(list(_fresh_records(50)))
+
+    def test_emit_of_ingested_records_reproduces_the_synth_file(self, tmp_path, synth):
+        records, _ = synth
+        path = _emitted(tmp_path, records)
+        emit(ingest(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("case", ["synth", "loaded", "two-widths", "signed-zeros", "empty"])
+    def test_save_features(self, tmp_path, synth, case):
+        features = synth[1]
+        if case == "loaded":
+            save_features(features, tmp_path / "synth.json")
+            features = list(load_features(tmp_path / "synth.json").values())
+        elif case == "two-widths":
+            _, narrow = synth_scenes(20, SYNTH_MIX, seed=14, config=SynthConfig(d_v=9, d_t=4))
+            features = [f for pair in zip(features, narrow) for f in pair]
+        elif case == "signed-zeros":
+            vec = np.array([0.0, 1.5])
+            features = [FeaturePair("a", vec, np.array([0.0, 1.0])),
+                        FeaturePair("b", -vec, np.array([-0.0, 1.0])),
+                        FeaturePair("c", vec, np.array([0, 1])),
+                        FeaturePair("d", vec, np.array([0.0, 1.0], dtype=np.float32)),
+                        FeaturePair("é", vec, np.array([[0.0, 1.0]])),
+                        FeaturePair("f", vec, np.array([0.0, 1.0]))]
+        elif case == "empty":
+            features = []
+        path = tmp_path / "features.json"
+        save_features(features, path)
+        assert path.read_text(encoding="utf-8") == _features_document(features)
+
+    def test_save_features_of_a_generator_freeing_each_entry(self, tmp_path):
+        def fresh(count):
+            for i in range(count):
+                yield FeaturePair(f"fresh-{i}", np.arange(3.0) * i, np.arange(2.0) + i % 3)
+
+        path = tmp_path / "fresh.json"
+        save_features(fresh(30), path)
+        assert path.read_text(encoding="utf-8") == _features_document(list(fresh(30)))
+
+    def test_save_features_refuses_a_repeated_sample_id(self, tmp_path):
+        vec = np.array([1.0, 2.0])
+        features = [FeaturePair("a", vec, vec), FeaturePair("b", vec, vec),
+                    FeaturePair("a", -vec, vec)]
+        path = tmp_path / "features.json"
+        with pytest.raises(ValueError, match="^repeated sample_id 'a' in the features$"):
+            save_features(features, path)
+        assert not path.exists()
+
+    def test_save_features_refuses_a_sample_id_that_is_not_a_string(self, tmp_path):
+        vec = np.array([1.0, 2.0])
+        path = tmp_path / "features.json"
+        with pytest.raises(TypeError, match="^sample_id must be a string, got 7$"):
+            save_features([FeaturePair("a", vec, vec), FeaturePair(7, vec, vec)], path)
+        assert not path.exists()
+
+
+class TestRigInterning:
+    """Records of one scene file that repeat a rig share its intrinsics,
+    camera blocks and `cameras` tuple; every check still runs per record."""
+
+    def test_records_of_one_rig_share_one_cameras_tuple_and_intrinsics(self, tmp_path):
+        records, _ = synth_scenes(30, SYNTH_MIX, seed=15)
+        loaded = ingest(_emitted(tmp_path, records))
+        assert loaded == records
+        assert all(r.cameras is loaded[0].cameras for r in loaded)
+        assert len({id(c.intrinsics) for r in loaded for c in r.cameras}) == 1
+
+    def test_negative_zero_cx_after_zero_keeps_its_sign(self, tmp_path):
+        records = _zero_rig_records()[:2]
+        path = _emitted(tmp_path, records)
+        first, second = ingest(path)
+        signs = [math.copysign(1.0, r.cameras[0].intrinsics.cx) for r in (first, second)]
+        assert signs == [1.0, -1.0]
+        assert math.copysign(1.0, second.cameras[0].sensor_to_ego.translation[0]) == -1.0
+        assert first.cameras is not second.cameras
+        emit([first, second], tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_float_width_after_an_accepted_integer_is_rejected(self, tmp_path):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=9)
+        doc = json.loads(_emitted(tmp_path, records).read_text())
+        doc["records"][1]["cameras"][2]["intrinsics"]["width"] = 1600.0
+        path = tmp_path / "widths.json"
+        path.write_text(json.dumps(doc))
+        accepted, diagnostics = ingest_lenient(path)
+        assert accepted == [records[0], records[2]]
+        assert [str(d) for d in diagnostics] == [
+            "records[1].cameras[2].intrinsics.width: must be an integer, got 1600.0"]
+
+    def test_invalid_intrinsics_in_two_records_give_two_diagnostics(self, tmp_path):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=9)
+        doc = json.loads(_emitted(tmp_path, records).read_text())
+        for i in (0, 2):
+            doc["records"][i]["cameras"][1]["intrinsics"]["fx"] = -1000.0
+        path = tmp_path / "focal.json"
+        path.write_text(json.dumps(doc))
+        accepted, diagnostics = ingest_lenient(path)
+        assert accepted == [records[1]]
+        assert [str(d) for d in diagnostics] == [
+            f"records[{i}].cameras[1].intrinsics: focal lengths must be positive, "
+            "got fx=-1000.0, fy=1000.0" for i in (0, 2)]

@@ -13,7 +13,9 @@ to a temporary directory.
   with seed 4, batch 16, epochs 2/4 at lr 1e-3/1e-4, `eval` of that
   checkpoint on the same data, and `ingest` of the scene file. The ingest
   runs with `--workers 1` and `--workers 4`, and the two outputs must be
-  equal bytes.
+  equal bytes. The records that `ingest` parses from the scene file, which
+  share one interned rig, are then emitted again, and the new file must
+  equal the synth's `scenes.json` byte for byte.
 - `stage2_checkpoint`: the run of `test_stage2_run_is_bit_reproducible`.
   256 training records at data seed 101 and 64 validation records at 202
   (adult/car 0.5 each), `ModelConfig(seed=5)`, epochs 8/14 at lr
@@ -29,7 +31,8 @@ to a temporary directory.
   hits (TP 29, FP = FN = 35), so it pins every rate formula.
 
 Each line is a label and the first 16 hex digits of the artifact's SHA-256.
-The exit code is 1 if a command fails or the two ingests differ.
+The exit code is 1 if a command fails, the two ingests differ, or the
+re-emitted scene file differs from the synth's.
 """
 
 import os
@@ -48,7 +51,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minidet3d.cli import main as cli_main  # noqa: E402
-from minidet3d.data import synth_scenes  # noqa: E402
+from minidet3d.data import emit, ingest, synth_scenes  # noqa: E402
 from minidet3d.losses import LossSchedule  # noqa: E402
 from minidet3d.metrics import report_json  # noqa: E402
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint  # noqa: E402
@@ -87,6 +90,9 @@ def criterion_9(tmp: Path) -> dict[str, Path]:
         cli("ingest", data / "scenes.json", "--out", out, "--workers", workers)
     if ingests[0].read_bytes() != ingests[1].read_bytes():
         raise SystemExit("ingest --workers 1 and --workers 4 wrote different bytes")
+    emit(ingest(data / "scenes.json"), tmp / "reemitted.json")
+    if (tmp / "reemitted.json").read_bytes() != (data / "scenes.json").read_bytes():
+        raise SystemExit("the ingested records emitted again differ from the synth's scenes.json")
     return {"checkpoint": (run / "checkpoint.bin",), "train_log": (run / "train_log.csv",),
             "report": (report / "report.json",), "ingest": ingests[:1]}
 
