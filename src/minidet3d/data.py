@@ -31,10 +31,10 @@ width/height are JSON integers (errors.check_json_value).
 Quaternions are [w,x,y,z] and must be unit within 1e-9; lengths are meters,
 angles radians. Annotation boxes live in the global frame and are brought
 into the LiDAR frame by inverting the ego and LiDAR calibration poses.
-Records of one file share one rig: a pose, intrinsics, camera block or
-`cameras` tuple repeated bit for bit is one object, so each calibration pose
-is checked and inverted once per file. `emit` and `save_features` write the
-JSON text of each repeated rig block and text vector once per call.
+Records of one file share their rig: a pose or intrinsics repeated bit for
+bit is one object, so each calibration pose is checked and inverted, and each
+camera's intrinsics built, once per file. `emit` and `save_features` write
+the JSON text of each repeated rig block and text vector once per call.
 Corner visibility follows the camera rule: a corner counts as visible when
 its camera-frame depth is positive and its projection lands inside the
 image; an annotation is retained when at least one corner is visible in at
@@ -182,12 +182,12 @@ def _parse_intrinsics(obj, where: str, rig: dict) -> CameraIntrinsics:
             check_json_value(obj[key], default, f"{where}.{key}", ParseError)
         fx, fy, cx, cy = float(fx), float(fy), float(cx), float(cy)
     key = (_focal_key(fx, fy, cx, cy), width, height)
-    if key not in rig:
+    if (intrinsics := rig.get(key)) is None:
         try:
-            rig[key] = CameraIntrinsics(fx, fy, cx, cy, width, height)
+            intrinsics = rig[key] = CameraIntrinsics(fx, fy, cx, cy, width, height)
         except ValueError as e:
             raise ParseError(where, str(e)) from e
-    return rig[key]
+    return intrinsics
 
 
 def _parse_record(obj, where: str, rig: dict) -> SceneRecord:
@@ -216,10 +216,7 @@ def _parse_record(obj, where: str, rig: dict) -> SceneRecord:
         seen.add(name)
         intrinsics = _parse_intrinsics(cam["intrinsics"], f"{cw}.intrinsics", rig)
         pose = _parse_pose(cam["sensor_to_ego"], f"{cw}.sensor_to_ego", rig)
-        key = (name, id(intrinsics), id(pose))  # both held by `rig`, so ids stay theirs
-        if key not in rig:
-            rig[key] = CameraBlock(name, intrinsics, pose)
-        cameras.append(rig[key])
+        cameras.append(CameraBlock(name, intrinsics, pose))
 
     annotations = []
     for j, ann in enumerate(obj["annotations"]):
@@ -236,8 +233,7 @@ def _parse_record(obj, where: str, rig: dict) -> SceneRecord:
         except ValueError as e:
             raise ParseError(f"{aw}.box", str(e)) from e
 
-    cameras = rig.setdefault(tuple(map(id, cameras)), tuple(cameras))
-    return SceneRecord(sample_id, ego, lidar, cameras, tuple(annotations))
+    return SceneRecord(sample_id, ego, lidar, tuple(cameras), tuple(annotations))
 
 
 def ingest(path: str | Path) -> list[SceneRecord]:
@@ -287,10 +283,11 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     naming the path.
 
     Records of one rig share it: a pose or intrinsics repeated bit for bit is
-    one object (a pose with its inverse), and so is a camera block of the
-    same name, intrinsics and pose, and a `cameras` tuple of the same blocks.
-    One dict interns all four kinds for the call; their keys never collide
-    (pose bits; intrinsics bits, width, height; name, ids; ids of blocks).
+    one object (a pose with its inverse). One dict interns both kinds for
+    the call; their keys never collide (a pose's bits; the intrinsics' bits,
+    width and height). Camera blocks and `cameras` tuples are built per
+    record: interning them too cost more on a file whose rigs do not repeat
+    than it saved on a shared rig (ROADMAP, measured and not worth doing).
     The diagnostics hold no traceback frames, so the parsed document is freed
     when this function returns, rejected records or not.
     """

@@ -325,6 +325,5 @@ def project_corners(corners: np.ndarray, cam: CameraIntrinsics) -> list[Projecte
             out.append(_BEHIND)
         else:
             u, v = fx * x / z + cx, fy * y / z + cy
-            # tuple.__new__: ProjectedCorner(...) without its Python-level __new__
-            out.append(tuple.__new__(ProjectedCorner, (u, v, 0.0 <= u < width and 0.0 <= v < height)))
+            out.append(ProjectedCorner(u, v, 0.0 <= u < width and 0.0 <= v < height))
     return out

@@ -827,7 +827,8 @@ class TestWritersEqualJsonDumps:
         records = synth[0]
         if case == "ingested":
             records = ingest(_emitted(tmp_path, records))
-            assert len({id(r.cameras) for r in records}) == 1
+            assert len({id(r.cameras) for r in records}) == len(records)
+            assert len({id(r.lidar_to_ego) for r in records}) == 1
         elif case == "two-rigs":
             records = [r if i % 3 else _other_rig(r) for i, r in enumerate(records)]
         elif case == "signed-zeros":
@@ -897,15 +898,16 @@ class TestWritersEqualJsonDumps:
 
 
 class TestRigInterning:
-    """Records of one scene file that repeat a rig share its intrinsics,
-    camera blocks and `cameras` tuple; every check still runs per record."""
+    """Records of one scene file that repeat a rig share its poses and
+    intrinsics; every check still runs per record."""
 
-    def test_records_of_one_rig_share_one_cameras_tuple_and_intrinsics(self, tmp_path):
+    def test_records_of_one_rig_share_its_poses_and_intrinsics(self, tmp_path):
         records, _ = synth_scenes(30, SYNTH_MIX, seed=15)
         loaded = ingest(_emitted(tmp_path, records))
         assert loaded == records
-        assert all(r.cameras is loaded[0].cameras for r in loaded)
         assert len({id(c.intrinsics) for r in loaded for c in r.cameras}) == 1
+        for j, cam in enumerate(loaded[0].cameras):
+            assert all(r.cameras[j].sensor_to_ego is cam.sensor_to_ego for r in loaded)
 
     def test_negative_zero_cx_after_zero_keeps_its_sign(self, tmp_path):
         records = _zero_rig_records()[:2]
@@ -914,7 +916,7 @@ class TestRigInterning:
         signs = [math.copysign(1.0, r.cameras[0].intrinsics.cx) for r in (first, second)]
         assert signs == [1.0, -1.0]
         assert math.copysign(1.0, second.cameras[0].sensor_to_ego.translation[0]) == -1.0
-        assert first.cameras is not second.cameras
+        assert first.cameras[0].intrinsics is not second.cameras[0].intrinsics
         emit([first, second], tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 

@@ -14,8 +14,8 @@ to a temporary directory.
   checkpoint on the same data, and `ingest` of the scene file. The ingest
   runs with `--workers 1` and `--workers 4`, and the two outputs must be
   equal bytes. The records that `ingest` parses from the scene file, which
-  share one interned rig, are then emitted again, and the new file must
-  equal the synth's `scenes.json` byte for byte.
+  share the rig's interned poses and intrinsics, are then emitted again,
+  and the new file must equal the synth's `scenes.json` byte for byte.
 - `stage2_checkpoint`: the run of `test_stage2_run_is_bit_reproducible`.
   256 training records at data seed 101 and 64 validation records at 202
   (adult/car 0.5 each), `ModelConfig(seed=5)`, epochs 8/14 at lr
