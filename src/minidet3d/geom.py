@@ -72,9 +72,11 @@ class Box7(_Box7Fields):
     """Oriented 3D bounding box: center (m), size (m), yaw (rad) about +z.
 
     A box is its row, the 7-tuple (x, y, z, l, w, h, yaw) of finite floats.
-    Sizes must be strictly positive; yaw is normalized into (-pi, pi] by the
-    constructor, which `_make`, `_replace` and unpickling go through, so two
-    parameterizations of the same box compare equal.
+    Sizes must be strictly positive and their product, the volume, positive
+    and finite, so that an IoU with a Box7 has a positive, finite union; yaw
+    is normalized into (-pi, pi] by the constructor, which `_make`,
+    `_replace` and unpickling go through, so two parameterizations of the
+    same box compare equal.
     """
 
     __slots__ = ()
@@ -88,6 +90,9 @@ class Box7(_Box7Fields):
         x, y, z, l, w, h, yaw = row
         if l <= 0 or w <= 0 or h <= 0:
             raise ValueError(f"Box7 sizes must be positive, got l={l}, w={w}, h={h}")
+        if not 0.0 < l * w * h < math.inf:
+            raise ValueError(
+                f"Box7 sizes must give a positive, finite volume, got l={l}, w={w}, h={h}")
         return tuple.__new__(cls, (x, y, z, l, w, h, wrap_angle(yaw)))
 
     @classmethod

@@ -4,21 +4,25 @@ Boxes carry yaw only, so a 3D intersection decomposes into the intersection
 of the two bird's-eye-view footprints (convex quadrilaterals) times the
 overlap of the two vertical extents. IoU values come from one function,
 `iou_3d`, on two Box7s or plain rows (x, y, z, l, w, h, yaw), a Box7 being
-one: Sutherland-Hodgman clipping, then the shoelace area. Two exits skip the
-clip and return exactly what it would: boxes apart vertically, and
-footprints whose circumscribed circles are apart by a relative margin. A
-subject edge whose ends both lie on a clip edge's line within rounding, as
-the edges of boxes placed end to end or side by side do, has its end taken
-as the crossing: the crossing of two lines that close to parallel is lost
-to rounding.
+one. It turns one footprint into the other box's frame, where that box is
+an axis-aligned rectangle about the origin, clips it there (Sutherland-
+Hodgman, one comparison per vertex and side) and takes the shoelace area.
+The clip sees coordinates the size of the boxes, so the IoU keeps its
+digits far from the origin, and its crossings are taken only between ends
+on opposite sides of a side, so boxes placed end to end or side by side
+need no special rule. Two exits skip the clip and return exactly what it
+would: boxes apart vertically, and footprints whose circumscribed circles
+are apart by a relative margin.
 
 The IoU-loss gradient is analytic. The footprint intersection is rebuilt
 from its vertices (corners inside the other box plus edge crossings, as in
 Zhou et al., "IoU Loss for 2D/3D Object Detection", arXiv:1908.03851),
 whose shoelace area is differentiated in one reverse pass. The loss is
 piecewise smooth: at a topology tie, where the vertex set changes, no
-gradient is returned. A seeded Monte-Carlo estimator provides an
-independent cross-check of the exact IoU.
+gradient is returned. The gradient clips nothing: it works on the two
+footprints in the world frame, made once by its caller where it can. A
+seeded Monte-Carlo estimator provides an independent cross-check of the
+exact IoU.
 """
 
 from __future__ import annotations
@@ -35,75 +39,38 @@ from .geom import Box7, box_corners
 # A convex polygon is an ordered CCW list of (x, y) vertices; [] is empty.
 ConvexPolygon2D = list[tuple[float, float]]
 
-_DEDUP_EPS = 1e-12
-# A crossing's denominator is the clip edge's length times the summed
-# distances of the subject edge's ends to the clip edge's line. At most this
-# fraction of length x (length + size of the clip edge's coordinates), both
-# ends lie on the line within rounding, and the crossing is lost to it.
-_COLLINEAR_EPS = 1e-12
 # Footprints whose centres lie further apart than this many times the sum of
 # their circumscribed radii cannot touch, whatever the rounding of the clip.
 _SEPARATION_MARGIN = 1.0 + 1e-6
 
 
-def polygon_clip(subject: ConvexPolygon2D, clip: ConvexPolygon2D) -> ConvexPolygon2D:
-    """Intersection of two convex CCW polygons (Sutherland-Hodgman).
+def rectangle_clip(poly: ConvexPolygon2D, hl: float, hw: float) -> ConvexPolygon2D:
+    """Part of a convex CCW polygon inside the rectangle |x| <= hl, |y| <= hw
+    (Sutherland-Hodgman, one half-plane per pass).
 
-    Ref: https://rosettacode.org/wiki/Sutherland-Hodgman_polygon_clipping
-    Points exactly on a clip edge count as inside, so clipping a polygon
-    against itself returns it unchanged. A subject edge whose ends both lie
-    on the clip edge's line within rounding (_COLLINEAR_EPS) can have them
-    classified on opposite sides, and the crossing of two lines that close
-    to parallel is lost to rounding: the edge's end stands in for it. Output
-    vertices are deduplicated within 1e-12.
+    Each pass clips against x <= limit, then turns the output a quarter turn
+    clockwise, (x, y) -> (y, -x), so the four passes meet the four sides and
+    the last turn restores the frame; a turn only swaps and negates, so it
+    is exact. Points on the boundary count as inside. A crossing is taken
+    only between ends on opposite sides, where rounding keeps its fraction
+    t in [0, 1], so it lies on the subject edge. Vertices may repeat, which
+    adds nothing to the shoelace area.
     """
-    if not subject or not clip:
-        return []
-
-    output = list(subject)
-    c1x, c1y = clip[-1]
-    for c2x, c2y in clip:
-        if not output:
+    for limit in (hl, hw, hl, hw):
+        if not poly:
             return []
-        ex, ey = c2x - c1x, c2y - c1y
-        dcx, dcy = c1x - c2x, c1y - c2y
-        n1 = c1x * c2y - c1y * c2x
-        span = abs(ex) + abs(ey)
-        on_line = _COLLINEAR_EPS * span * (span + abs(c1x) + abs(c1y))
         clipped = []
-        sx, sy = output[-1]
-        s_in = ex * (sy - c1y) - ey * (sx - c1x) >= 0.0
-        for e in output:
-            px, py = e
-            e_in = ex * (py - c1y) - ey * (px - c1x) >= 0.0
+        sx, sy = poly[-1]
+        s_in = sx <= limit
+        for ex, ey in poly:
+            e_in = ex <= limit
             if e_in != s_in:
-                dpx, dpy = sx - px, sy - py
-                d = dcx * dpy - dcy * dpx
-                if abs(d) <= on_line:
-                    clipped.append(e)
-                else:
-                    n2 = sx * py - sy * px
-                    clipped.append(((n1 * dpx - n2 * dcx) / d, (n1 * dpy - n2 * dcy) / d))
+                clipped.append((sy + (limit - sx) / (ex - sx) * (ey - sy), -limit))
             if e_in:
-                clipped.append(e)
-            sx, sy, s_in = px, py, e_in
-        output = clipped
-        c1x, c1y = c2x, c2y
-
-    return _dedup(output)
-
-
-def _dedup(poly: ConvexPolygon2D) -> ConvexPolygon2D:
-    if not poly:
-        return []
-    out = []
-    for p in poly:
-        if out and abs(p[0] - out[-1][0]) <= _DEDUP_EPS and abs(p[1] - out[-1][1]) <= _DEDUP_EPS:
-            continue
-        out.append(p)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= _DEDUP_EPS and abs(out[0][1] - out[-1][1]) <= _DEDUP_EPS:
-        out.pop()
-    return out if len(out) >= 3 else []
+                clipped.append((ey, -ex))
+            sx, sy, s_in = ex, ey, e_in
+        poly = clipped
+    return poly
 
 
 def polygon_area(poly: ConvexPolygon2D) -> float:
@@ -144,13 +111,15 @@ def _result(iou: float, inter: float, union: float) -> IoUResult:
     return tuple.__new__(IoUResult, (iou, inter, union))
 
 
-def iou_3d(p: Box7, g: Box7, fp=None, fg=None) -> IoUResult:
+def iou_3d(p: Box7, g: Box7) -> IoUResult:
     """Exact IoU of two yaw-only boxes: intersection volume over union volume.
 
-    p and g are Box7s or rows with yaw in (-pi, pi]; their footprints fp, fg
-    are made here unless given, so that callers can cache them. The
-    computation is symmetric in its arguments by construction (operands are
-    put in a canonical order before clipping).
+    p and g are Box7s or rows with yaw in (-pi, pi]. Once the operands are
+    in a canonical order, p's footprint is built in g's frame (g's centre at
+    the origin, its length along x), where g's footprint is the rectangle
+    |x| <= l/2, |y| <= w/2, and clipped against it: the clip works on
+    coordinates the size of the boxes wherever they lie. The computation is
+    symmetric in its arguments by construction, through that order.
     """
     if p == g:
         vol = p[3] * p[4] * p[5]
@@ -158,21 +127,23 @@ def iou_3d(p: Box7, g: Box7, fp=None, fg=None) -> IoUResult:
     # Clip order is fixed by a canonical operand ordering so that
     # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
     if g < p:
-        p, g, fp, fg = g, p, fg, fp
-    px, py, pz, pl, pw, ph, _ = p
-    gx, gy, gz, gl, gw, gh, _ = g
+        p, g = g, p
+    px, py, pz, pl, pw, ph, pyaw = p
+    gx, gy, gz, gl, gw, gh, gyaw = g
 
     z_overlap = min(pz + ph / 2.0, gz + gh / 2.0) - max(pz - ph / 2.0, gz - gh / 2.0)
     vol_p, vol_g = pl * pw * ph, gl * gw * gh
+    dx, dy = px - gx, py - gy
     if z_overlap <= 0.0 or (
-        math.hypot(gx - px, gy - py)
-        > _SEPARATION_MARGIN * 0.5 * (math.hypot(pl, pw) + math.hypot(gl, gw))
+        math.hypot(dx, dy) > _SEPARATION_MARGIN * 0.5 * (math.hypot(pl, pw) + math.hypot(gl, gw))
     ):
         # Apart vertically, or footprints too far apart to touch: exactly
         # what the clip path returns for an empty intersection.
         return _result(0.0, 0.0, vol_p + vol_g)
 
-    inter_area = polygon_area(polygon_clip(fp or bev_footprint(p), fg or bev_footprint(g)))
+    c, s = math.cos(gyaw), math.sin(gyaw)
+    rel = (c * dx + s * dy, c * dy - s * dx, 0.0, pl, pw, 0.0, pyaw - gyaw)
+    inter_area = polygon_area(rectangle_clip(bev_footprint(rel), gl / 2.0, gw / 2.0))
     # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
     inter = min(inter_area * z_overlap, vol_p, vol_g)
     union = vol_p + vol_g - inter
@@ -294,7 +265,7 @@ def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
     or top or bottom faces are flush (within _TIE_EPS times the largest size).
     """
     fp, fg = fp or bev_footprint(p), fg or bev_footprint(g)
-    iou = iou_3d(p, g, fp, fg).iou if iou is None else iou
+    iou = iou_3d(p, g).iou if iou is None else iou
     if iou <= 0.0 or iou >= 1.0:
         raise DegenerateOverlap(f"IoU {iou} has no usable gradient")
     (_, _, pz, pl, pw, ph, _), (_, _, gz, gl, gw, gh, _) = p, g

@@ -3,7 +3,7 @@
 Matching is greedy one-to-one in descending IoU order among same-category
 pairs whose IoU clears the threshold; matched pairs are true positives,
 leftover predictions false positives, leftover ground truths false
-negatives; each box's footprint is computed once per call, not per pair.
+negatives.
 
 `report_dict` builds the whole eval report from each sample's (category,
 IoU): the hit rule, the counts, accuracy, precision, recall and F1, and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyBatch, ParseError, check_json_value, check_keys
 from .geom import Box7
-from .iou import bev_footprint, iou_3d
+from .iou import iou_3d
 
 DEFAULT_IOU_THRESHOLD = 0.25
 
@@ -59,13 +59,12 @@ def match_predictions(
     permutation-invariant in the counts.
     """
     check_iou_threshold(iou_threshold)
-    ps, gs = ([(b, bev_footprint(b), c) for b, c in boxes] for boxes in (preds, gts))
     candidates = []
-    for i, (pbox, pfoot, pcat) in enumerate(ps):
-        for j, (gbox, gfoot, gcat) in enumerate(gs):
+    for i, (pbox, pcat) in enumerate(preds):
+        for j, (gbox, gcat) in enumerate(gts):
             if pcat != gcat:
                 continue
-            iou = iou_3d(pbox, gbox, pfoot, gfoot).iou
+            iou = iou_3d(pbox, gbox).iou
             if iou >= iou_threshold:
                 candidates.append((iou, i, j))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))

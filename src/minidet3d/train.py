@@ -14,7 +14,9 @@ such changes to the training arithmetic.
 Losses come from `mse_semantic_loss`, the mean IoU loss and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
 head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, handed
-the pair's rows, footprints and IoU: each pair is clipped once per batch.
+the pair's rows, IoU and world-frame footprints (each ground truth's made
+once per run): each pair is clipped once per batch, by `iou_3d`, and the
+gradient clips nothing.
 Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
 contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how
@@ -189,21 +191,19 @@ def _rows(params: np.ndarray) -> list[tuple]:
     return [(x, y, z, l, w, h, wrap_angle(yaw)) for x, y, z, l, w, h, yaw in params.tolist()]
 
 
-def _sample_ious(model, samples: list[TrainSample], predictions=None, gts=None) -> list[float]:
-    """IoU of each sample's prediction (by default the model's) with its ground
-    truth; `gts`, if given, holds the ground truths' (box, footprint) pairs."""
+def _sample_ious(model, samples: list[TrainSample], predictions=None) -> list[float]:
+    """IoU of each sample's prediction (by default the model's) with its ground truth."""
     if predictions is None:
         raws = model.forward_batch(np.stack([s.fused for s in samples]))
         predictions = _rows(_checked_box_params(raws, samples))
-    gts = gts or [(s.gt_box, None) for s in samples]
-    return [iou_3d(pred, g, None, fg).iou for pred, (g, fg) in zip(predictions, gts)]
+    return [iou_3d(pred, s.gt_box).iou for pred, s in zip(predictions, samples)]
 
 
-def validation_miou(model: FusionModel, samples: list[TrainSample], gts=None) -> float:
-    """Mean IoU between predicted and ground-truth boxes; `gts` as in `_sample_ious`."""
+def validation_miou(model: FusionModel, samples: list[TrainSample]) -> float:
+    """Mean IoU between predicted and ground-truth boxes."""
     if not samples:
         raise EmptyBatch("validation requires at least one sample")
-    return miou_samples(_sample_ious(model, samples, gts=gts))
+    return miou_samples(_sample_ious(model, samples))
 
 
 def _diverged(epoch: int, batch: int, what: str):
@@ -231,8 +231,7 @@ def run_training(
     opt = AdamW(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
-    gts, val_gts = ([(s.gt_box, bev_footprint(s.gt_box)) for s in ss]
-                    for ss in (train_samples, val_samples or []))
+    gts = [(s.gt_box, bev_footprint(s.gt_box)) for s in train_samples]
     fused_all = np.stack([s.fused for s in train_samples])
 
     history: list[EpochStats] = []
@@ -257,16 +256,14 @@ def run_training(
             if not math.isfinite(mse_batch):
                 _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
-            # iou_3d's (p, g, fp, fg) per pair; a prediction's footprint in stage 2 only
-            pairs = [(p, gts[i][0], bev_footprint(p) if lam2 > 0.0 else None, gts[i][1])
-                     for p, i in zip(_rows(params_pred), idx)]
-            ious = [iou_3d(*pair).iou for pair in pairs]
+            pairs = [(p, *gts[i]) for p, i in zip(_rows(params_pred), idx)]
+            ious = [iou_3d(p, g).iou for p, g, _ in pairs]
             iou_batch = sum(1.0 - iou for iou in ious) / B
             iou_grads = np.zeros((B, 7))
             if lam2 > 0.0:
-                for b, pair in enumerate(pairs):
+                for b, (p, g, fg) in enumerate(pairs):
                     try:
-                        iou_grads[b] = iou_loss_grad(*pair, ious[b])
+                        iou_grads[b] = iou_loss_grad(p, g, bev_footprint(p), fg, ious[b])
                     except (DegenerateOverlap, NonSmoothPoint):
                         skipped += 1
 
@@ -289,7 +286,7 @@ def run_training(
         if not math.isfinite(combined):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {combined}")
         try:
-            val = validation_miou(model, val_samples, val_gts) if val_samples else None
+            val = validation_miou(model, val_samples) if val_samples else None
         except DivergenceError as e:
             raise DivergenceError(f"{e} on the validation samples at epoch {epoch}") from None
         stats = EpochStats(epoch, lam1, lam2, lr, mse_epoch, iou_epoch, combined, val, skipped)

@@ -26,7 +26,7 @@ from minidet3d.geom import (
     quat_to_matrix,
     transform_box,
 )
-from minidet3d.iou import IoUResult, MonteCarloIoU, _dedup, bev_footprint, iou_3d, iou_loss_grad
+from minidet3d.iou import IoUResult, MonteCarloIoU, bev_footprint, iou_3d, iou_loss_grad
 from minidet3d.iou import polygon_area
 from minidet3d.lora import LoRAAdapter
 from minidet3d.metrics import ConfusionCounts
@@ -150,13 +150,154 @@ class DictAdamW:
                 p -= m / (np.sqrt(v) * (1.0 / math.sqrt(bc2)) + self.eps) * (lr / bc1)
 
 
+# ---- the world-frame clip ------------------------------------------------------
+# `polygon_clip` is the general clip `iou_3d` used before it clipped in the
+# clip box's own frame: two convex polygons in world coordinates, crossings
+# from cross products of absolute coordinates, a collinear-edge rule and a
+# 1e-12 deduplication. Its rounding grows with the distance from the origin,
+# so it serves as an independent oracle near the origin.
+
+_DEDUP_EPS = 1e-12
+# A crossing's denominator is the clip edge's length times the summed
+# distances of the subject edge's ends to the clip edge's line. At most this
+# fraction of length x (length + size of the clip edge's coordinates), both
+# ends lie on the line within rounding, and the crossing is lost to it.
+_COLLINEAR_EPS = 1e-12
+
+
+def polygon_clip(subject, clip):
+    """Intersection of two convex CCW polygons (Sutherland-Hodgman).
+
+    Ref: https://rosettacode.org/wiki/Sutherland-Hodgman_polygon_clipping
+    Points exactly on a clip edge count as inside, so clipping a polygon
+    against itself returns it unchanged. A subject edge whose ends both lie
+    on the clip edge's line within rounding (_COLLINEAR_EPS) can have them
+    classified on opposite sides, and the crossing of two lines that close
+    to parallel is lost to rounding: the edge's end stands in for it. Output
+    vertices are deduplicated within 1e-12.
+    """
+    if not subject or not clip:
+        return []
+
+    output = list(subject)
+    c1x, c1y = clip[-1]
+    for c2x, c2y in clip:
+        if not output:
+            return []
+        ex, ey = c2x - c1x, c2y - c1y
+        dcx, dcy = c1x - c2x, c1y - c2y
+        n1 = c1x * c2y - c1y * c2x
+        span = abs(ex) + abs(ey)
+        on_line = _COLLINEAR_EPS * span * (span + abs(c1x) + abs(c1y))
+        clipped = []
+        sx, sy = output[-1]
+        s_in = ex * (sy - c1y) - ey * (sx - c1x) >= 0.0
+        for e in output:
+            px, py = e
+            e_in = ex * (py - c1y) - ey * (px - c1x) >= 0.0
+            if e_in != s_in:
+                dpx, dpy = sx - px, sy - py
+                d = dcx * dpy - dcy * dpx
+                if abs(d) <= on_line:
+                    clipped.append(e)
+                else:
+                    n2 = sx * py - sy * px
+                    clipped.append(((n1 * dpx - n2 * dcx) / d, (n1 * dpy - n2 * dcy) / d))
+            if e_in:
+                clipped.append(e)
+            sx, sy, s_in = px, py, e_in
+        output = clipped
+        c1x, c1y = c2x, c2y
+
+    return _dedup(output)
+
+
+def _dedup(poly):
+    if not poly:
+        return []
+    out = []
+    for p in poly:
+        if out and abs(p[0] - out[-1][0]) <= _DEDUP_EPS and abs(p[1] - out[-1][1]) <= _DEDUP_EPS:
+            continue
+        out.append(p)
+    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= _DEDUP_EPS and abs(out[0][1] - out[-1][1]) <= _DEDUP_EPS:
+        out.pop()
+    return out if len(out) >= 3 else []
+
+
+def world_frame_iou(p, g) -> float:
+    """IoU from the world-frame `polygon_clip` of the two footprints."""
+    z_overlap = min(p[2] + p[5] / 2.0, g[2] + g[5] / 2.0) - max(p[2] - p[5] / 2.0, g[2] - g[5] / 2.0)
+    if z_overlap <= 0.0:
+        return 0.0
+    vol_p, vol_g = p[3] * p[4] * p[5], g[3] * g[4] * g[5]
+    inter = min(polygon_area(polygon_clip(bev_footprint(p), bev_footprint(g))) * z_overlap,
+                vol_p, vol_g)
+    return inter / (vol_p + vol_g - inter)
+
+
+# ---- the frame clip without its fast exit -------------------------------------
+# `reference_frame_iou_3d` is `iou_3d` without the separated-footprint exit
+# and without the quarter turns: p's footprint in g's frame, clipped against
+# x <= l/2, y <= w/2, x >= -l/2 and y >= -w/2 in turn, each side named.
+# Its crossings and corners round as the package's do (a turn only swaps
+# and negates), so the fast path must return an equal IoUResult on every
+# pair.
+
+
+def _half_plane_clip(poly, axis, sign, limit):
+    """Part of `poly` where sign * v[axis] <= limit."""
+    out = []
+    s = poly[-1]
+    for e in poly:
+        s_in, e_in = sign * s[axis] <= limit, sign * e[axis] <= limit
+        if s_in != e_in:
+            t = (limit - sign * s[axis]) / (sign * e[axis] - sign * s[axis])
+            cross = [0.0, 0.0]
+            cross[axis] = sign * limit
+            cross[1 - axis] = s[1 - axis] + t * (e[1 - axis] - s[1 - axis])
+            out.append(tuple(cross))
+        if e_in:
+            out.append(e)
+        s = e
+    return out
+
+
+def reference_frame_iou_3d(p, g) -> IoUResult:
+    if p == g:
+        vol = p[3] * p[4] * p[5]
+        return IoUResult(1.0, vol, vol)
+    if tuple(g) < tuple(p):
+        p, g = g, p
+    px, py, pz, pl, pw, ph, pyaw = p
+    gx, gy, gz, gl, gw, gh, gyaw = g
+    z_overlap = min(pz + ph / 2.0, gz + gh / 2.0) - max(pz - ph / 2.0, gz - gh / 2.0)
+    vol_p, vol_g = pl * pw * ph, gl * gw * gh
+    if z_overlap <= 0.0:
+        return IoUResult(0.0, 0.0, vol_p + vol_g)
+
+    c, s = math.cos(gyaw), math.sin(gyaw)
+    dx, dy = px - gx, py - gy
+    x, y = c * dx + s * dy, c * dy - s * dx
+    cr, sr = math.cos(pyaw - gyaw), math.sin(pyaw - gyaw)
+    hl, hw = pl / 2.0, pw / 2.0
+    poly = [(x + cr * ox - sr * oy, y + sr * ox + cr * oy)
+            for ox, oy in ((hl, -hw), (hl, hw), (-hl, hw), (-hl, -hw))]
+    for axis, sign, limit in ((0, 1.0, gl / 2.0), (1, 1.0, gw / 2.0),
+                              (0, -1.0, gl / 2.0), (1, -1.0, gw / 2.0)):
+        poly = _half_plane_clip(poly, axis, sign, limit) if poly else []
+    inter = min(polygon_area(poly) * z_overlap, vol_p, vol_g)
+    union = vol_p + vol_g - inter
+    return IoUResult(inter / union, inter, union)
+
+
 # ---- the IoU value path before its fast path ---------------------------------
 # `reference_polygon_clip` and `reference_iou_3d` are `polygon_clip` and
 # `iou_3d` as they stood before the separated-footprint exit, the
-# closure-free clipper and the collinear-edge rule: the fast path must return
-# an equal IoUResult wherever no subject edge runs along a clip edge's line.
-# On such collinear edges these references are wrong (a near-parallel
-# crossing lands far away) or divide by zero.
+# closure-free clipper and the collinear-edge rule: `polygon_clip` must
+# return an equal polygon wherever no subject edge runs along a clip edge's
+# line. On such collinear edges these references are wrong (a near-parallel
+# crossing lands far away) or divide by zero, which `iou_3d` must not be.
 
 
 def reference_polygon_clip(subject, clip):
@@ -363,8 +504,8 @@ def reference_process_record(rec: SceneRecord) -> ProcessedSample:
 # `bev_footprint` and `match_predictions` as they stood while every IoU value
 # went through `iou_3d` on two Box7s: one footprint corner per comprehension
 # step, and one `iou_3d` per same-category pair with both footprints made
-# again for each pair. `iou_3d` on rows with cached footprints must return
-# the same bits.
+# again for each pair. `iou_3d` on rows must return the same bits, and
+# `bev_footprint`, which the gradient still uses, the same footprints.
 
 
 def reference_bev_footprint(box: Box7):

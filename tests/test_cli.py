@@ -112,6 +112,19 @@ class TestIouCommand:
         assert capsys.readouterr().err == f"error: box {box}: {message}\n"
 
 
+    @pytest.mark.parametrize("values, box, size", [
+        ([0, 0, 0, 1e-110, 1e-110, 1e-110, 0, 1e-111, 0, 0, 1e-110, 1e-110, 1e-110, 0], "a", 1e-110),
+        ([0, 0, 0, 1, 1, 1, 0, 0.5, 0, 0, 1e110, 1e110, 1e110, 0], "b", 1e110),
+    ], ids=["underflow", "overflow"])
+    def test_box_without_a_positive_finite_volume_names_it(self, capsys, values, box, size):
+        # the union of two such boxes is 0 or inf: no IoU is taken
+        assert run_cli("iou", *values) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: box {box}: Box7 sizes must give a positive, finite "
+                                f"volume, got l={size}, w={size}, h={size}\n")
+
+
 class TestSynthCommand:
     def test_writes_dataset(self, tmp_path, capsys):
         out = make_dataset(tmp_path, "data", 12, 3)

@@ -191,6 +191,21 @@ class TestIngest:
             (f"records[1].{field}", f"records[1].{field}: {message}")]
 
 
+    @pytest.mark.parametrize("size", [1e-110, 1e110])
+    def test_box_whose_volume_underflows_or_overflows_rejects_exactly_its_record(self, tmp_path,
+                                                                                  size):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=9)
+        doc = json.loads(_emitted(tmp_path, records).read_text())
+        doc["records"][1]["annotations"][0]["box"][3:6] = [size] * 3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == [records[0], records[2]]
+        assert [(d.field, str(d)) for d in diagnostics] == [(
+            "records[1].annotations[0].box",
+            "records[1].annotations[0].box: Box7 sizes must give a positive, finite volume, "
+            f"got l={size}, w={size}, h={size}")]
+
     @pytest.mark.parametrize("key", ["cameras", "annotations"])
     @pytest.mark.parametrize("value", [5, None, 1.5])
     def test_record_list_that_is_not_a_list_names_its_field(self, tmp_path, key, value):
@@ -660,7 +675,9 @@ class TestIngestMatchesReference:
     def _extreme_records(self):
         records = []
         for i, v in enumerate(self.EXTREMES):
-            box = Box7(v, -v, v, abs(v) or 5e-324, 1.2345678901234567, 5e-324, v % 3.0)
+            # a subnormal size needs a huge one beside it to keep the volume positive and finite
+            h = 5e-324 if abs(v) >= 1.0 else 1e308
+            box = Box7(v, -v, v, abs(v) or 5e-324, 1.2345678901234567, h, v % 3.0)
             cam = CameraBlock("front", CameraIntrinsics(fx=abs(v) or 1.0, fy=1.0000000000000002,
                                                         cx=v, cy=-v, width=1600, height=900),
                               Pose((v, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0)))

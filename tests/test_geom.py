@@ -112,6 +112,18 @@ class TestBox7IsItsRow:
                 build()
 
 
+    @pytest.mark.parametrize("size", [1e-110, 1e110])
+    def test_sizes_whose_volume_underflows_or_overflows_are_rejected(self, size):
+        # each size is positive and finite, but l * w * h is 0 or inf
+        message = f"Box7 sizes must give a positive, finite volume, got l={size}, w={size}, h={size}"
+        box = Box7(1, 2, 3, 4, 5, 6, 0.5)
+        row = (*box[:3], size, size, size, box.yaw)
+        for build in (lambda: Box7(*row), lambda: Box7._make(row),
+                      lambda: box._replace(l=size, w=size, h=size)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+
 class TestCorners:
     def test_unit_cube_axis_aligned(self):
         corners = box_corners(Box7(0, 0, 0, 1, 1, 1, 0))

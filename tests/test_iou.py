@@ -16,11 +16,11 @@ from minidet3d.iou import (
     iou_loss_grad,
     monte_carlo_iou,
     polygon_area,
-    polygon_clip,
+    rectangle_clip,
 )
 from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, iou_loss
 from oracles import reference_iou_3d, reference_monte_carlo_iou, volume
-from oracles import reference_polygon_clip
+from oracles import polygon_clip, reference_frame_iou_3d, reference_polygon_clip, world_frame_iou
 from oracles import reference_bev_footprint
 
 UNIT_SQUARE = [(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)]
@@ -61,6 +61,36 @@ class TestPolygonClip:
     def test_empty_inputs(self):
         assert polygon_clip([], UNIT_SQUARE) == []
         assert polygon_clip(UNIT_SQUARE, []) == []
+
+
+class TestRectangleClip:
+    def test_self_clip_is_identity(self):
+        assert rectangle_clip(UNIT_SQUARE, 0.5, 0.5) == UNIT_SQUARE
+
+    def test_disjoint_square_empty(self):
+        assert rectangle_clip([(x + 5.0, y) for x, y in UNIT_SQUARE], 0.5, 0.5) == []
+
+    def test_half_overlapping_squares(self):
+        out = rectangle_clip([(x + 0.5, y) for x, y in UNIT_SQUARE], 0.5, 0.5)
+        assert polygon_area(out) == 0.5
+
+    def test_equals_the_world_frame_clip_and_stays_on_the_subject_edges(self):
+        # footprints turned into g's frame: the clip is g's axis-aligned rectangle
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            p, g = random_box(rng), jittered(rng, random_box(rng), 0.5)
+            P = bev_footprint((*rng.uniform(-2, 2, 2), 0.0, p.l, p.w, 0.0, p.yaw))
+            out = rectangle_clip(P, g.l / 2.0, g.w / 2.0)
+            G = bev_footprint((0.0, 0.0, 0.0, g.l, g.w, 0.0, 0.0))
+            assert abs(polygon_area(out) - polygon_area(polygon_clip(P, G))) <= 1e-12
+            for x, y in out:
+                assert abs(x) <= g.l / 2.0 and abs(y) <= g.w / 2.0
+                # on or inside each of P's edges, within rounding
+                for (ax, ay), (bx, by) in zip(P[-1:] + P[:-1], P):
+                    assert (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= -1e-12
+
+    def test_empty_input(self):
+        assert rectangle_clip([], 0.5, 0.5) == []
 
 
 class TestPolygonArea:
@@ -461,7 +491,7 @@ class TestFastPathMatchesReference:
         assert len(pairs) >= 20000
         apart = vertical = identical = overlapping = 0
         for p, g in pairs:
-            got, expected = iou_3d(p, g), reference_iou_3d(p, g)
+            got, expected = iou_3d(p, g), reference_frame_iou_3d(p, g)
             assert (got.iou, got.intersection_volume, got.union_volume) == (
                 expected.iou, expected.intersection_volume, expected.union_volume), (p, g)
             identical += p == g
@@ -469,6 +499,11 @@ class TestFastPathMatchesReference:
             apart += footprints_apart(p, g)
             overlapping += 0.0 < got.iou < 1.0
         assert apart >= 10000 and vertical >= 5000 and identical == 500 and overlapping >= 5000
+
+    def test_world_frame_clip_agrees(self):
+        # an independent oracle: the general clip in world coordinates
+        worst = max(abs(iou_3d(p, g).iou - world_frame_iou(p, g)) for p, g in reference_pairs(606))
+        assert worst <= 1e-12
 
     def test_clip_equal_on_generic_footprints(self):
         rng = np.random.default_rng(607)
@@ -478,14 +513,15 @@ class TestFastPathMatchesReference:
             assert polygon_clip(P, G) == reference_polygon_clip(P, G)
 
 
-def collinear_pair(rng, kind, gap):
+def collinear_pair(rng, kind, gap, reach=20.0):
     """Two boxes of one yaw placed end to end (same width) or side by side
     (same length) at a random yaw, `gap` apart along the placing axis (a
-    negative gap overlaps); with the closed-form IoU."""
+    negative gap overlaps), the first centred within `reach` of the origin
+    on each axis; with the closed-form IoU."""
     yaw = rng.uniform(-math.pi, math.pi)
     l1, l2, w1, w2 = rng.uniform(0.3, 5.0, 4)
     h, z = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
-    x, y = rng.uniform(-20.0, 20.0, 2)
+    x, y = rng.uniform(-reach, reach, 2)
     if kind == "end-to-end":
         w1 = w2
         along, across, size1, size2 = (math.cos(yaw), math.sin(yaw)), w1, l1, l2
@@ -528,6 +564,49 @@ class TestCollinearEdges:
             assert reference_failures > 0
 
 
+class TestExactFarFromOrigin:
+    """The clip works in the clip box's own frame, so a pair far from the
+    origin loses to rounding only what placing it there loses."""
+
+    @pytest.mark.parametrize("offset", [1e3, 5e3, 5e4], ids=["1 km", "5 km", "50 km"])
+    def test_overlapping_pairs_moved_away_match_the_pairs_at_the_origin(self, offset):
+        rng = np.random.default_rng(808)
+        overlapping = 0
+        for _ in range(2000):
+            g = scene_box(rng, 3.0)
+            p = jittered(rng, g, 0.2)
+            angle = rng.uniform(-math.pi, math.pi)
+            ox, oy = offset * math.cos(angle), offset * math.sin(angle)
+            far_p, far_g = (b._replace(x=b.x + ox, y=b.y + oy) for b in (p, g))
+            base, far = iou_3d(p, g).iou, iou_3d(far_p, far_g)
+            assert abs(far.iou - base) <= 1e-10, (p, g, offset)
+            assert far == iou_3d(far_g, far_p)
+            overlapping += 0.0 < base < 1.0
+        assert overlapping >= 1500
+
+    @pytest.mark.parametrize("kind", ["end-to-end", "side-by-side"])
+    def test_collinear_pairs_out_to_5_km_match_the_closed_form(self, kind):
+        rng = np.random.default_rng([5000, len(kind)])
+        bounds = list(TestCollinearEdges.CASES.values())
+        for n in range(4000):
+            bound = bounds[n % len(bounds)]
+            gap = rng.uniform(bound, 0.0) if bound < 0.0 else bound
+            a, b, expected = collinear_pair(rng, kind, gap, reach=5000.0)
+            got = iou_3d(a, b)
+            assert abs(got.iou - expected) <= 1e-9, (a, b, expected)
+            assert got == iou_3d(b, a)
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.7, -2.9])
+    def test_half_overlapping_boxes_at_a_tiny_scale(self, yaw):
+        # no absolute tolerance stands in for a size: 1e-100 m boxes keep their IoU
+        size = 1e-100
+        a = Box7(0.0, 0.0, 0.0, size, size, size, yaw)
+        b = Box7(size / 2.0 * math.cos(yaw), size / 2.0 * math.sin(yaw), 0.0, size, size, size, yaw)
+        res = iou_3d(a, b)
+        assert abs(res.iou - 1.0 / 3.0) <= 1e-12
+        assert res == iou_3d(b, a)
+
+
 def raw_row_near(g: Box7, kind: str, draw) -> tuple:
     """A raw (x, y, z, l, w, h, yaw) row placed against `g` as `kind` says;
     its yaw is drawn outside (-pi, pi] as the model's raw output can be."""
@@ -558,8 +637,8 @@ class TestIoU3DOnRowsMatchesBoxes:
     """`iou_3d` on plain rows, as training, validation, evaluation and
     matching hand them in, returns its IoU on Box7s bit for bit: a row built
     as the trainer builds one (yaw through `wrap_angle`) and a Box7's plain
-    tuple against the Box7s built from the same raw rows, with or without
-    footprints handed in, in both argument orders."""
+    tuple against the Box7s built from the same raw rows, in both argument
+    orders. The row's footprint, which the gradient takes, is the Box7's."""
 
     @staticmethod
     def check(raw, g):
@@ -570,8 +649,6 @@ class TestIoU3DOnRowsMatchesBoxes:
         for got, expected in (
             (iou_3d(row, grow).iou, iou_3d(box, g).iou),
             (iou_3d(grow, row).iou, iou_3d(g, box).iou),
-            (iou_3d(row, grow, bev_footprint(row), bev_footprint(g)).iou, iou_3d(box, g).iou),
-            (iou_3d(grow, row, bev_footprint(g), bev_footprint(row)).iou, iou_3d(g, box).iou),
         ):
             assert got.hex() == expected.hex(), (raw, g)
         loss = 1.0 - iou_3d(row, grow).iou
@@ -653,7 +730,7 @@ class TestGradFromCachedPartsMatchesBoxes:
             raw = raw_row_near(g, kind, data.draw)
         row, grow = (*raw[:6], wrap_angle(raw[6])), tuple(g)
         fp, fg = bev_footprint(row), bev_footprint(grow)
-        iou = iou_3d(row, grow, fp, fg).iou
+        iou = iou_3d(row, grow).iou
         expected = grad_outcome(Box7(*raw), g)
         assert grad_outcome(row, grow, fp, fg, iou) == expected, (raw, g)
         assert grad_outcome(row, grow) == expected, (raw, g)
@@ -669,5 +746,5 @@ class TestGradFromCachedPartsMatchesBoxes:
         a, b, _ = collinear_pair(np.random.default_rng(seed), kind, gap)
         ra, rb = tuple(a), tuple(b)
         fa, fb = bev_footprint(ra), bev_footprint(rb)
-        got = grad_outcome(ra, rb, fa, fb, iou_3d(ra, rb, fa, fb).iou)
+        got = grad_outcome(ra, rb, fa, fb, iou_3d(ra, rb).iou)
         assert got == grad_outcome(a, b), (a, b)

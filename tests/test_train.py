@@ -12,7 +12,7 @@ import minidet3d
 from minidet3d.data import synth_scenes
 from minidet3d.errors import ConfigError, DivergenceError, EmptyBatch
 from minidet3d.geom import Box7
-from minidet3d.iou import bev_footprint, iou_3d, iou_loss_grad
+from minidet3d.iou import iou_3d, iou_loss_grad
 from minidet3d.losses import LossSchedule, schedule_weights
 from minidet3d.metrics import match_predictions
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint
@@ -395,8 +395,7 @@ class TestValidationOnRowsEqualsBoxes:
     """`validation_miou` and `evaluate_model` take the model's predictions as
     rows. They must equal the per-sample `iou_3d` of the Box7s built from the
     same outputs, summed in the same order, bit for bit, also where the raw
-    yaw lies turns outside (-pi, pi] and is wrapped, and when validation is
-    handed the ground truths' rows and footprints."""
+    yaw lies turns outside (-pi, pi] and is wrapped."""
 
     @pytest.mark.parametrize("yaw_turns", [0, 3, -2])
     def test_equals_iou_3d_over_predicted_boxes(self, yaw_turns):
@@ -411,8 +410,6 @@ class TestValidationOnRowsEqualsBoxes:
         expected = sum(ious) / len(val)
 
         assert validation_miou(model, val).hex() == expected.hex()
-        gts = [(s.gt_box, bev_footprint(s.gt_box)) for s in val]  # as run_training caches them
-        assert validation_miou(model, val, gts).hex() == expected.hex()
         report = evaluate_model(model, val, 0.25)
         assert report["miou_samples"].hex() == expected.hex()
         assert report == evaluate_model(None, val, 0.25, predictions=boxes)
@@ -424,9 +421,9 @@ class TestValidationOnRowsEqualsBoxes:
 class TestOneClipPerPair:
     """Each training pair is clipped at most once per batch (its IoU serves the
     logged loss, the degeneracy check and the gradient) and each validation
-    pair at most once per epoch, in both stages. Every stage-2 pair reaches
-    iou_loss_grad, whose answer on the trainer's rows, footprints and IoU is
-    the one it gives on the Box7s."""
+    pair at most once per epoch, in both stages; the gradient clips nothing.
+    Every stage-2 pair reaches iou_loss_grad, whose answer on the trainer's
+    rows, footprints and IoU is the one it gives on the Box7s."""
 
     def test_no_pair_is_clipped_twice_per_forward(self, monkeypatch):
         train, val = small_dataset(64, seed=35), small_dataset(24, seed=36)
@@ -437,22 +434,26 @@ class TestOneClipPerPair:
 
         segments = []  # per forward: its row count and the operands of each clip after it
         grads = []  # per gradient call: its arguments
-        forward, clip = model.forward_batch, minidet3d.iou.polygon_clip
+        forward, clip = model.forward_batch, minidet3d.iou.rectangle_clip
 
         def counted_forward(F):
             segments.append((len(F), []))
             return forward(F)
 
-        def counted_clip(subject, clip_polygon):
-            segments[-1][1].append((tuple(subject), tuple(clip_polygon)))
-            return clip(subject, clip_polygon)
+        def counted_clip(poly, hl, hw):
+            segments[-1][1].append((tuple(poly), hl, hw))
+            return clip(poly, hl, hw)
 
         def recorded_grad(*args):
+            clips = len(segments[-1][1])
             grads.append(args)
-            return iou_loss_grad(*args)
+            try:
+                return iou_loss_grad(*args)
+            finally:
+                assert len(segments[-1][1]) == clips
 
         monkeypatch.setattr(model, "forward_batch", counted_forward)
-        monkeypatch.setattr(minidet3d.iou, "polygon_clip", counted_clip)
+        monkeypatch.setattr(minidet3d.iou, "rectangle_clip", counted_clip)
         monkeypatch.setattr(minidet3d.train, "iou_loss_grad", recorded_grad)
         sched = LossSchedule(transition_epoch=1, total_epochs=3, stage1_lr=5e-5, stage2_lr=5e-5)
         history = run_training(model, train, sched, seed=6, batch_size=16, val_samples=val)
@@ -471,6 +472,5 @@ class TestOneClipPerPair:
             assert grad_outcome(p, g, *rest) == expected
             skipped += not isinstance(expected, bytes)
         assert skipped == history[1].skipped_iou_grads + history[2].skipped_iou_grads
-        # the validation mIoU taken on cached ground-truth footprints inside
-        # run_training equals the one validation_miou makes on its own
+        # the validation mIoU inside run_training equals the one validation_miou makes
         assert history[-1].val_miou.hex() == validation_miou(model, val).hex()
