@@ -63,7 +63,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MiniDetError, ParseError, check_json_value, check_keys
+from .errors import (MiniDetError, ParseError, RepeatedKey, check_json_value, check_keys,
+                     unique_keys)
 from .geom import (
     Box7,
     CameraIntrinsics,
@@ -246,14 +247,14 @@ def ingest(path: str | Path) -> list[SceneRecord]:
     return records
 
 
-def read_json(path: str | Path, what: str) -> dict:
+def read_json(path: str | Path, what: str, pairs_hook=None) -> dict:
     """The JSON object in the file at `path`, which `what` names in errors.
 
     A file that is not UTF-8, not JSON, nested too deeply to parse, or whose
     top level is not an object raises ParseError whose field is the path.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=pairs_hook)
     except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
         raise ParseError(str(path), f"not a JSON {what}: {e}") from None
     if not isinstance(doc, dict):
@@ -261,10 +262,10 @@ def read_json(path: str | Path, what: str) -> dict:
     return doc
 
 
-def _read_body(path: str | Path, what: str, key: str):
+def _read_body(path: str | Path, what: str, key: str, pairs_hook=None):
     """The `key` entry of a scene or features file, whose top level must hold
     exactly schema_version and `key`; a field path here starts with the path."""
-    doc = read_json(path, what)
+    doc = read_json(path, what, pairs_hook)
     check_keys(doc, ("schema_version", key), str(path), ParseError)
     version = doc["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
@@ -623,37 +624,28 @@ def save_features(features: list[FeaturePair], path: str | Path) -> None:
                           encoding="utf-8")
 
 
-def _feature_vector(value, field: str, width: int | None) -> np.ndarray:
-    try:
-        vec = np.array(value)
-    except ValueError as e:  # ragged nesting
-        raise ParseError(field, "must be a list of numbers") from e
-    if vec.dtype.kind not in "iuf":
-        raise ParseError(field, "must be a list of numbers")
-    if vec.ndim != 1:
-        raise ParseError(field, f"must be a 1-D list, got {vec.ndim}-D")
-    if width is not None and len(vec) != width:
-        raise ParseError(field, f"width {len(vec)} differs from the first entry's {width}")
-    if not np.isfinite(vec).all():
-        raise ParseError(field, "values must be finite")
-    return vec.astype(np.float64, copy=False)
-
-
 def load_features(path: str | Path) -> dict[str, FeaturePair]:
-    """Read a features file; every entry must hold finite 1-D visual and text
-    vectors of the first entry's widths, and no other key. Malformed content
-    raises ParseError naming the field, e.g. 'features["synth-1-000003"].text',
-    or, for the file's top level, starting with the path."""
-    entries = _read_body(path, "features file", "features")
+    """Read a features file; every entry must hold finite visual and text
+    vectors of the first entry's widths and no other key, and no object may
+    repeat a key. Malformed content raises ParseError naming the field, e.g.
+    'features["synth-1-000003"].text[2]', or for the top level the path."""
+    entries = _read_body(path, "features file", "features", unique_keys)
     if not isinstance(entries, dict):  # a map keyed by sample id, not a record
         raise ParseError(f"{path}.features", "must be an object")
-    out = {}
-    visual_width = text_width = None
+    if type(entries) is RepeatedKey:
+        raise ParseError(f"features[{json.dumps(entries.key)}]", "is given more than once")
+    out, widths = {}, {}
     for sid, payload in entries.items():
         where = f"features[{json.dumps(sid)}]"
         check_keys(payload, ("visual", "text"), where, ParseError)
-        visual = _feature_vector(payload["visual"], f"{where}.visual", visual_width)
-        text = _feature_vector(payload["text"], f"{where}.text", text_width)
-        visual_width, text_width = len(visual), len(text)
-        out[sid] = FeaturePair(sid, visual, text)
+        for key in ("visual", "text"):
+            value = payload[key]
+            if not isinstance(value, list):
+                raise ParseError(f"{where}.{key}", "must be a list of numbers")
+            _check_floats(value, where, key)  # the scene file's number rule
+            if (width := widths.setdefault(key, len(value))) != len(value):
+                raise ParseError(f"{where}.{key}",
+                                 f"width {len(value)} differs from the first entry's {width}")
+        out[sid] = FeaturePair(sid, np.array(payload["visual"], dtype=np.float64),
+                               np.array(payload["text"], dtype=np.float64))
     return out

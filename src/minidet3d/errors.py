@@ -8,10 +8,10 @@ type. `EmptyBatch`, `ShapeMismatch`, `StaleActivation` and `GimbalRisk` guard
 a call's preconditions; a plain range check on an argument is a `ValueError`.
 
 `check_keys` decides which keys an object of a scene file, features file,
-train config, checkpoint header or eval report may hold; `check_json_value`
-decides whether a value has the type of its default. Both raise the caller's
-own error type, built by `fail(where, message)`, with the field path of the
-object or value."""
+train config, checkpoint header or eval report may hold (each only once in
+a file read through `unique_keys`); `check_json_value` decides whether a
+value has the type of its default. Both raise the caller's own error type,
+built by `fail(where, message)`, with the field path of the object or value."""
 
 import json
 import sys
@@ -85,14 +85,29 @@ _ACCEPTED = {
 }
 
 
+class RepeatedKey(dict):
+    """A JSON object that gives `key` more than once (json.loads keeps the last)."""
+
+
+def unique_keys(pairs: list) -> dict:
+    """json.loads's object_pairs_hook where no object may repeat a key: the
+    object, as a RepeatedKey naming its first repeated key if it has one."""
+    if len(obj := dict(pairs)) < len(pairs):
+        seen, obj = set(), RepeatedKey(obj)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
 def check_keys(obj, keys, where: str, fail, optional=()) -> None:
     """Raise `fail(where, message)` unless `obj` is a JSON object holding every
     key of `keys` and no key outside `keys` and `optional`. The first absent
     key of `keys` raises `fail(f"{where}.{key}", "missing")`; other keys raise
-    `fail(where, "unknown keys [...]")`, sorted. An object that holds just
-    `keys` builds no set."""
+    `fail(where, "unknown keys [...]")`, sorted, and a RepeatedKey's key
+    `fail(f"{where}.{key}", ...)`. An object holding just `keys` builds no set."""
     if not isinstance(obj, dict):
         raise fail(where, "must be an object")
+    if type(obj) is RepeatedKey:
+        raise fail(f"{where}.{obj.key}", "is given more than once")
     for key in keys:
         if key not in obj:
             raise fail(f"{where}.{key}", "missing")

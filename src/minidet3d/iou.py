@@ -14,15 +14,13 @@ need no special rule. Two exits skip the clip and return exactly what it
 would: boxes apart vertically, and footprints whose circumscribed circles
 are apart by a relative margin.
 
-The IoU-loss gradient is analytic. The footprint intersection is rebuilt
-from its vertices (corners inside the other box plus edge crossings, as in
-Zhou et al., "IoU Loss for 2D/3D Object Detection", arXiv:1908.03851),
-whose shoelace area is differentiated in one reverse pass. The loss is
-piecewise smooth: at a topology tie, where the vertex set changes, no
-gradient is returned. The gradient clips nothing: it works on the two
-footprints in the world frame, made once by its caller where it can. A
-seeded Monte-Carlo estimator provides an independent cross-check of the
-exact IoU.
+The IoU-loss gradient is analytic. It takes the two rows and the IoU, works
+in g's frame as `iou_3d` does, and rebuilds the footprint intersection from
+its vertices (corners inside the other box plus edge crossings, as in Zhou
+et al., arXiv:1908.03851), whose shoelace area it differentiates in one
+reverse pass. The loss is piecewise smooth: at a topology tie, where the
+vertex set changes, no gradient is returned. A seeded Monte-Carlo
+estimator provides an independent cross-check of the exact IoU.
 """
 
 from __future__ import annotations
@@ -111,15 +109,22 @@ def _result(iou: float, inter: float, union: float) -> IoUResult:
     return tuple.__new__(IoUResult, (iou, inter, union))
 
 
+def _relative_row(p, g) -> tuple:
+    """Row p in g's frame, where g's centre is the origin and its length runs
+    along x: (x, y, 0, l, w, 0, yaw) with p's sizes and p's yaw less g's."""
+    c, s = math.cos(g[6]), math.sin(g[6])
+    dx, dy = p[0] - g[0], p[1] - g[1]
+    return (c * dx + s * dy, c * dy - s * dx, 0.0, p[3], p[4], 0.0, p[6] - g[6])
+
+
 def iou_3d(p: Box7, g: Box7) -> IoUResult:
     """Exact IoU of two yaw-only boxes: intersection volume over union volume.
 
     p and g are Box7s or rows with yaw in (-pi, pi]. Once the operands are
-    in a canonical order, p's footprint is built in g's frame (g's centre at
-    the origin, its length along x), where g's footprint is the rectangle
-    |x| <= l/2, |y| <= w/2, and clipped against it: the clip works on
-    coordinates the size of the boxes wherever they lie. The computation is
-    symmetric in its arguments by construction, through that order.
+    in a canonical order, p's footprint is built in g's frame, where g's
+    footprint is the rectangle |x| <= l/2, |y| <= w/2, and clipped against
+    it: the clip works on coordinates the size of the boxes wherever they
+    lie. The computation is symmetric in its arguments through that order.
     """
     if p == g:
         vol = p[3] * p[4] * p[5]
@@ -128,8 +133,8 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
     # iou_3d(a, b) and iou_3d(b, a) run the identical computation.
     if g < p:
         p, g = g, p
-    px, py, pz, pl, pw, ph, pyaw = p
-    gx, gy, gz, gl, gw, gh, gyaw = g
+    px, py, pz, pl, pw, ph, _ = p
+    gx, gy, gz, gl, gw, gh, _ = g
 
     z_overlap = min(pz + ph / 2.0, gz + gh / 2.0) - max(pz - ph / 2.0, gz - gh / 2.0)
     vol_p, vol_g = pl * pw * ph, gl * gw * gh
@@ -141,8 +146,7 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
         # what the clip path returns for an empty intersection.
         return _result(0.0, 0.0, vol_p + vol_g)
 
-    c, s = math.cos(gyaw), math.sin(gyaw)
-    rel = (c * dx + s * dy, c * dy - s * dx, 0.0, pl, pw, 0.0, pyaw - gyaw)
+    rel = _relative_row(p, g)
     inter_area = polygon_area(rectangle_clip(bev_footprint(rel), gl / 2.0, gw / 2.0))
     # Guard the bound intersection <= min(vol) against last-ulp clipping noise.
     inter = min(inter_area * z_overlap, vol_p, vol_g)
@@ -157,32 +161,23 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
 _TIE_EPS = 1e-9
 
 
-def _edges(poly: ConvexPolygon2D, lengths) -> list[tuple[float, float, float, float]]:
-    """(start x, start y, inward unit normal x, y) of each edge k of a CCW
-    polygon, where edge k runs from vertex k-1 to vertex k."""
-    out = []
-    ax, ay = poly[-1]
-    for (bx, by), length in zip(poly, lengths):
-        out.append((ax, ay, (ay - by) / length, (bx - ax) / length))
-        ax, ay = bx, by
-    return out
-
-
-def _footprint_overlap_grad(p: tuple, g: tuple, P, G, tol: float) -> tuple[float, list[float]]:
+def _footprint_overlap_grad(p: tuple, g: tuple, tol: float) -> tuple[float, list[float]]:
     """Footprint-intersection area and its gradient w.r.t. (x, y, l, w, yaw) of
-    row p, given P and G, the footprints of rows p and g.
-
-    The intersection's vertices are p's corners strictly inside g, g's
-    corners strictly inside p, and the transversal crossings of p's edges
-    with g's edges. Sorted by angle about their mean, they give the area by
-    the shoelace formula; the reverse pass runs the same graph backwards.
-    """
+    row p. In g's frame, the intersection's vertices are p's corners strictly
+    inside G (the rectangle |x| <= l/2, |y| <= w/2), G's corners strictly
+    inside P, and the transversal crossings of their sides. Sorted by angle
+    about their mean, they give the shoelace area, which the reverse pass
+    differentiates; its (x, y) part is turned back by g's yaw."""
+    rel = _relative_row(p, g)
+    x, y, c, s = rel[0], rel[1], math.cos(rel[6]), math.sin(rel[6])
+    hl, hw, phl, phw = g[3] / 2.0, g[4] / 2.0, p[3] / 2.0, p[4] / 2.0
+    P, G = bev_footprint(rel), [(sx * hl, sy * hw) for sx, sy in _FOOTPRINT_SIGNS]
     p_len, g_len = (p[3], p[4], p[3], p[4]), (g[3], g[4], g[3], g[4])
-    p_edges, g_edges = _edges(P, p_len), _edges(G, g_len)
-    # dist_p[k][j]: signed distance of p's corner k to g's edge j; dist_g alike.
-    dist_p = [[(x - ex) * nx + (y - ey) * ny for ex, ey, nx, ny in g_edges] for x, y in P]
-    dist_g = [[(x - ex) * nx + (y - ey) * ny for ex, ey, nx, ny in p_edges] for x, y in G]
-
+    # dist_p[k][j]: signed distance of p's corner k to g's side j, side j running
+    # from corner j-1 to j; dist_g alike, g's corner (u, v) taken into p's frame.
+    dist_p = [(hw + v, hl - u, hw - v, hl + u) for u, v in P]
+    dist_g = [(phw + v, phl - u, phw - v, phl + u) for u, v in
+              ((c * (a - x) + s * (b - y), c * (b - y) - s * (a - x)) for a, b in G)]
     # A vertex is (x, y, source): source is p's corner index, None for a
     # corner of g, or (i, j, t, sa, sb) for p's edge i crossing g's edge j at
     # fraction t, where sa, sb are the distances of p's edge ends to g's edge.
@@ -232,7 +227,8 @@ def _footprint_overlap_grad(p: tuple, g: tuple, P, G, tol: float) -> tuple[float
         # Crossing X = A + t (B - A), t = sa / (sa - sb), sa and sb affine in A, B.
         i, j, t, sa, sb = src
         (ax, ay), (bx, by) = P[i - 1], P[i]
-        _, _, nx, ny = g_edges[j]
+        # inward unit normal of g's side j: the gradient of sa and sb in A and B
+        nx, ny = ((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0))[j]
         k_n = (gx * (bx - ax) + gy * (by - ay)) / (sa - sb) ** 2
         da, db = d_corner[i - 1], d_corner[i]
         da[0] += (1.0 - t) * gx - k_n * sb * nx
@@ -240,7 +236,6 @@ def _footprint_overlap_grad(p: tuple, g: tuple, P, G, tol: float) -> tuple[float
         db[0] += t * gx + k_n * sa * nx
         db[1] += t * gy + k_n * sa * ny
 
-    x, y, c, s = p[0], p[1], math.cos(p[6]), math.sin(p[6])
     grad = [0.0] * 5
     for (gx, gy), (px, py), (sx, sy) in zip(d_corner, P, _FOOTPRINT_SIGNS):
         grad[0] += gx
@@ -248,23 +243,23 @@ def _footprint_overlap_grad(p: tuple, g: tuple, P, G, tol: float) -> tuple[float
         grad[2] += 0.5 * sx * (c * gx + s * gy)
         grad[3] += 0.5 * sy * (c * gy - s * gx)
         grad[4] += (px - x) * gy - (py - y) * gx
+    c, s = math.cos(g[6]), math.sin(g[6])
+    grad[0], grad[1] = c * grad[0] - s * grad[1], s * grad[0] + c * grad[1]
     return 0.5 * twice_area, grad
 
 
-def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
+def iou_loss_grad(p, g, iou=None) -> np.ndarray:
     """Exact gradient of 1 - IoU w.r.t. p's 7 parameters (x, y, z, l, w, h, yaw).
 
-    p and g are Box7s or rows; their footprints fp, fg and IoU are made here unless given.
-    Intersection volume = footprint-intersection area x vertical overlap,
+    p and g are Box7s or rows; the IoU is taken here unless given. The
+    intersection volume, footprint-intersection area x vertical overlap, is
     differentiated in one reverse pass: the shoelace area to its vertices,
     edge crossings to the ends of p's edges, p's corners to (x, y, l, w,
     yaw), and the vertical overlap and volumes to (z, l, w, h). IoU must lie
-    strictly inside (0, 1), otherwise DegenerateOverlap. The loss is
-    piecewise smooth; NonSmoothPoint is raised only at a topology tie, where a
-    corner lies on the other box's edge, an edge crossing lies at an edge end,
-    or top or bottom faces are flush (within _TIE_EPS times the largest size).
+    strictly inside (0, 1), otherwise DegenerateOverlap. NonSmoothPoint marks
+    a topology tie (`_TIE_EPS`): a corner on the other box's edge, an edge
+    crossing at an edge end, or flush top or bottom faces.
     """
-    fp, fg = fp or bev_footprint(p), fg or bev_footprint(g)
     iou = iou_3d(p, g).iou if iou is None else iou
     if iou <= 0.0 or iou >= 1.0:
         raise DegenerateOverlap(f"IoU {iou} has no usable gradient")
@@ -278,7 +273,7 @@ def iou_loss_grad(p, g, fp=None, fg=None, iou=None) -> np.ndarray:
     top_is_p, bottom_is_p = p_top < g_top, p_bottom > g_bottom
     z_overlap = min(p_top, g_top) - max(p_bottom, g_bottom)
 
-    area, (da_x, da_y, da_l, da_w, da_yaw) = _footprint_overlap_grad(p, g, fp, fg, tol)
+    area, (da_x, da_y, da_l, da_w, da_yaw) = _footprint_overlap_grad(p, g, tol)
     inter = area * z_overlap
     union = pl * pw * ph + gl * gw * gh - inter
     # loss = 1 - inter / union with union = vol_p + vol_g - inter

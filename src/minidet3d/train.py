@@ -14,9 +14,9 @@ such changes to the training arithmetic.
 Losses come from `mse_semantic_loss`, the mean IoU loss and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
 head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, handed
-the pair's rows, IoU and world-frame footprints (each ground truth's made
-once per run): each pair is clipped once per batch, by `iou_3d`, and the
-gradient clips nothing.
+the pair's rows and IoU only: each pair is clipped once per batch, by
+`iou_3d`, the gradient works in the ground truth's frame and clips nothing,
+and the trainer makes no footprints.
 Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
 contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how
@@ -38,7 +38,7 @@ import numpy as np
 from .data import FeaturePair, SceneRecord, for_record, to_lidar_frame
 from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
 from .geom import Box7, wrap_angle
-from .iou import bev_footprint, iou_3d, iou_loss_grad
+from .iou import iou_3d, iou_loss_grad
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
 from .metrics import check_iou_threshold, miou_samples, report_dict
 # perfbench's tracer wraps train.match_predictions: keep it importable.
@@ -231,7 +231,6 @@ def run_training(
     opt = AdamW(model.arena)
     rng = np.random.default_rng(seed)
     gt_params = np.stack([s.gt_box.params() for s in train_samples])
-    gts = [(s.gt_box, bev_footprint(s.gt_box)) for s in train_samples]
     fused_all = np.stack([s.fused for s in train_samples])
 
     history: list[EpochStats] = []
@@ -256,19 +255,17 @@ def run_training(
             if not math.isfinite(mse_batch):
                 _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
-            pairs = [(p, *gts[i]) for p, i in zip(_rows(params_pred), idx)]
-            ious = [iou_3d(p, g).iou for p, g, _ in pairs]
+            pairs = [(p, train_samples[i].gt_box) for p, i in zip(_rows(params_pred), idx)]
+            ious = [iou_3d(p, g).iou for p, g in pairs]
             iou_batch = sum(1.0 - iou for iou in ious) / B
-            iou_grads = np.zeros((B, 7))
-            if lam2 > 0.0:
-                for b, (p, g, fg) in enumerate(pairs):
-                    try:
-                        iou_grads[b] = iou_loss_grad(p, g, bev_footprint(p), fg, ious[b])
-                    except (DegenerateOverlap, NonSmoothPoint):
-                        skipped += 1
-
             upstream_params = (2.0 * lam1 / B) * model.semantic_input_grad(diffs)
             if lam2 > 0.0:
+                iou_grads = np.zeros((B, 7))
+                for b, (p, g) in enumerate(pairs):
+                    try:
+                        iou_grads[b] = iou_loss_grad(p, g, ious[b])
+                    except (DegenerateOverlap, NonSmoothPoint):
+                        skipped += 1
                 upstream_params += (lam2 / B) * iou_grads
             upstream_raw = box_params_grad_chain(raw, upstream_params)
             grad = model.backward_batch(upstream_raw)

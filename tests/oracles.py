@@ -27,7 +27,7 @@ from minidet3d.geom import (
     transform_box,
 )
 from minidet3d.iou import IoUResult, MonteCarloIoU, bev_footprint, iou_3d, iou_loss_grad
-from minidet3d.iou import polygon_area
+from minidet3d.iou import _FOOTPRINT_SIGNS, _TIE_EPS, polygon_area
 from minidet3d.lora import LoRAAdapter
 from minidet3d.metrics import ConfusionCounts
 
@@ -234,6 +234,142 @@ def world_frame_iou(p, g) -> float:
     inter = min(polygon_area(polygon_clip(bev_footprint(p), bev_footprint(g))) * z_overlap,
                 vol_p, vol_g)
     return inter / (vol_p + vol_g - inter)
+
+
+# ---- the IoU gradient in the world frame ---------------------------------------
+# `world_frame_iou_loss_grad` is `iou_loss_grad` as it stood before it worked
+# in g's frame: both footprints in world coordinates, g's edges made like
+# p's, corner distances and crossings from world coordinates. Its rounding
+# grows with the distance from the origin, so it serves as the reference
+# near the origin, where the frame gradient must match it and skip alike.
+
+
+def _edges(poly, lengths):
+    """(start x, start y, inward unit normal x, y) of each edge k of a CCW
+    polygon, where edge k runs from vertex k-1 to vertex k."""
+    out = []
+    ax, ay = poly[-1]
+    for (bx, by), length in zip(poly, lengths):
+        out.append((ax, ay, (ay - by) / length, (bx - ax) / length))
+        ax, ay = bx, by
+    return out
+
+
+def _world_frame_overlap_grad(p, g, P, G, tol):
+    """Footprint-intersection area and its gradient w.r.t. (x, y, l, w, yaw) of
+    row p, given P and G, the footprints of rows p and g.
+
+    The intersection's vertices are p's corners strictly inside g, g's
+    corners strictly inside p, and the transversal crossings of p's edges
+    with g's edges. Sorted by angle about their mean, they give the area by
+    the shoelace formula; the reverse pass runs the same graph backwards.
+    """
+    p_len, g_len = (p[3], p[4], p[3], p[4]), (g[3], g[4], g[3], g[4])
+    p_edges, g_edges = _edges(P, p_len), _edges(G, g_len)
+    # dist_p[k][j]: signed distance of p's corner k to g's edge j; dist_g alike.
+    dist_p = [[(x - ex) * nx + (y - ey) * ny for ex, ey, nx, ny in g_edges] for x, y in P]
+    dist_g = [[(x - ex) * nx + (y - ey) * ny for ex, ey, nx, ny in p_edges] for x, y in G]
+
+    # A vertex is (x, y, source): source is p's corner index, None for a
+    # corner of g, or (i, j, t, sa, sb) for p's edge i crossing g's edge j at
+    # fraction t, where sa, sb are the distances of p's edge ends to g's edge.
+    verts = []
+    for corners, dists, own in ((P, dist_p, True), (G, dist_g, False)):
+        for k, row in enumerate(dists):
+            inner = min(row)
+            if abs(inner) <= tol:
+                raise NonSmoothPoint(f"a corner lies on the other box's edge (distance {inner:.3e})")
+            if inner > 0.0:
+                verts.append((*corners[k], k if own else None))
+    for i in range(4):
+        for j in range(4):
+            sa, sb = dist_p[i - 1][j], dist_p[i][j]
+            sc, sd = dist_g[j - 1][i], dist_g[j][i]
+            if ((sa > tol and sb > tol) or (sa < -tol and sb < -tol)
+                    or (sc > tol and sd > tol) or (sc < -tol and sd < -tol)
+                    or sa == sb or sc == sd):
+                continue
+            t, u = sa / (sa - sb), sc / (sc - sd)
+            along_p, along_g = t * p_len[i], u * g_len[j]
+            if tol < along_p < p_len[i] - tol and tol < along_g < g_len[j] - tol:
+                (ax, ay), (bx, by) = P[i - 1], P[i]
+                verts.append((ax + t * (bx - ax), ay + t * (by - ay), (i, j, t, sa, sb)))
+            elif -tol <= along_p <= p_len[i] + tol and -tol <= along_g <= g_len[j] + tol:
+                raise NonSmoothPoint("an edge crossing lies at an edge end")
+
+    n = len(verts)
+    cx = sum(v[0] for v in verts) / n
+    cy = sum(v[1] for v in verts) / n
+    verts.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+
+    twice_area = 0.0
+    d_corner = [[0.0, 0.0] for _ in range(4)]
+    for k in range(n):
+        x0, y0, _ = verts[k - 1]
+        x1, y1, src = verts[k]
+        x2, y2, _ = verts[(k + 1) % n]
+        twice_area += x0 * y1 - x1 * y0
+        if src is None:
+            continue
+        gx, gy = 0.5 * (y2 - y0), 0.5 * (x0 - x2)
+        if isinstance(src, int):
+            d_corner[src][0] += gx
+            d_corner[src][1] += gy
+            continue
+        # Crossing X = A + t (B - A), t = sa / (sa - sb), sa and sb affine in A, B.
+        i, j, t, sa, sb = src
+        (ax, ay), (bx, by) = P[i - 1], P[i]
+        _, _, nx, ny = g_edges[j]
+        k_n = (gx * (bx - ax) + gy * (by - ay)) / (sa - sb) ** 2
+        da, db = d_corner[i - 1], d_corner[i]
+        da[0] += (1.0 - t) * gx - k_n * sb * nx
+        da[1] += (1.0 - t) * gy - k_n * sb * ny
+        db[0] += t * gx + k_n * sa * nx
+        db[1] += t * gy + k_n * sa * ny
+
+    x, y, c, s = p[0], p[1], math.cos(p[6]), math.sin(p[6])
+    grad = [0.0] * 5
+    for (gx, gy), (px, py), (sx, sy) in zip(d_corner, P, _FOOTPRINT_SIGNS):
+        grad[0] += gx
+        grad[1] += gy
+        grad[2] += 0.5 * sx * (c * gx + s * gy)
+        grad[3] += 0.5 * sy * (c * gy - s * gx)
+        grad[4] += (px - x) * gy - (py - y) * gx
+    return 0.5 * twice_area, grad
+
+
+def world_frame_iou_loss_grad(p, g) -> np.ndarray:
+    """`iou_loss_grad` on world-frame footprints: the same graph and tie rules."""
+    iou = iou_3d(p, g).iou
+    if iou <= 0.0 or iou >= 1.0:
+        raise DegenerateOverlap(f"IoU {iou} has no usable gradient")
+    (_, _, pz, pl, pw, ph, _), (_, _, gz, gl, gw, gh, _) = p, g
+    tol = _TIE_EPS * max(pl, pw, ph, gl, gw, gh)
+
+    p_top, p_bottom = pz + ph / 2.0, pz - ph / 2.0
+    g_top, g_bottom = gz + gh / 2.0, gz - gh / 2.0
+    if abs(p_top - g_top) <= tol or abs(p_bottom - g_bottom) <= tol:
+        raise NonSmoothPoint("top or bottom faces are flush")
+    top_is_p, bottom_is_p = p_top < g_top, p_bottom > g_bottom
+    z_overlap = min(p_top, g_top) - max(p_bottom, g_bottom)
+
+    P, G = bev_footprint(p), bev_footprint(g)
+    area, (da_x, da_y, da_l, da_w, da_yaw) = _world_frame_overlap_grad(p, g, P, G, tol)
+    inter = area * z_overlap
+    union = pl * pw * ph + gl * gw * gh - inter
+    # loss = 1 - inter / union with union = vol_p + vol_g - inter
+    d_inter = -(union + inter) / (union * union)
+    d_vol = inter / (union * union)
+    d_area, d_zo = d_inter * z_overlap, d_inter * area
+    return np.array([
+        d_area * da_x,
+        d_area * da_y,
+        d_zo * (top_is_p - bottom_is_p),
+        d_area * da_l + d_vol * pw * ph,
+        d_area * da_w + d_vol * pl * ph,
+        d_zo * 0.5 * (top_is_p + bottom_is_p) + d_vol * pl * pw,
+        d_area * da_yaw,
+    ])
 
 
 # ---- the frame clip without its fast exit -------------------------------------

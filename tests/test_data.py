@@ -437,19 +437,27 @@ class TestSynth:
             (lambda doc: doc["features"].update(s1=[1.0]), 'features["s1"]'),
             (lambda doc: doc["features"]["s1"].pop("visual"), 'features["s1"].visual'),
             (lambda doc: doc["features"]["s1"].update(text="x"), 'features["s1"].text'),
-            (lambda doc: doc["features"]["s1"].update(text=["1.5", "2"]), 'features["s1"].text'),
-            (lambda doc: doc["features"]["s1"].update(text=[True, False]), 'features["s1"].text'),
-            (lambda doc: doc["features"]["s1"].update(text=[[1.0], [2.0]]), 'features["s1"].text'),
-            (lambda doc: doc["features"]["s1"].update(text=[[1.0], 2.0]), 'features["s1"].text'),
+            (lambda doc: doc["features"]["s1"].update(text=["1.5", "2"]), 'features["s1"].text[0]'),
+            (lambda doc: doc["features"]["s1"].update(text=[True, False]), 'features["s1"].text[0]'),
+            (lambda doc: doc["features"]["s1"].update(text=[7.0, True, 0.25]),
+             'features["s1"].text[1]'),
+            (lambda doc: doc["features"]["s1"].update(visual=[5.0, False]),
+             'features["s1"].visual[1]'),
+            (lambda doc: doc["features"]["s1"].update(text=[7, 8, True]), 'features["s1"].text[2]'),
+            (lambda doc: doc["features"]["s1"].update(text=[[1.0], [2.0]]), 'features["s1"].text[0]'),
+            (lambda doc: doc["features"]["s1"].update(text=[[1.0], 2.0]), 'features["s1"].text[0]'),
             (lambda doc: doc["features"]["s1"].update(visual=[1.0, float("nan")]),
-             'features["s1"].visual'),
+             'features["s1"].visual[1]'),
             (lambda doc: doc["features"]["s1"].update(text=[float("inf"), 0.0, 0.0]),
-             'features["s1"].text'),
+             'features["s1"].text[0]'),
+            (lambda doc: doc["features"]["s1"].update(text=[1.0, 10**400, 0.0]),
+             'features["s1"].text[1]'),
             (lambda doc: doc["features"]["s1"].update(visual=[1.0]), 'features["s1"].visual'),
         ],
         ids=["no-features", "features-not-object", "entry-not-object", "missing-key",
-             "string", "string-elements", "bool-elements", "2-d", "ragged", "nan", "inf",
-             "other-width"],
+             "string", "string-elements", "bool-elements", "true-among-floats",
+             "false-among-floats", "true-among-ints", "2-d", "ragged", "nan", "inf",
+             "int-beyond-float-range", "other-width"],
     )
     def test_malformed_features_file_names_the_field(self, tmp_path, mutate, field):
         doc = {
@@ -467,6 +475,31 @@ class TestSynth:
         with pytest.raises(ParseError) as exc:
             load_features(path)
         assert exc.value.field == field.format(path=path)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"schema_version": 1, "schema_version": 1, "features": {}}', "{path}.schema_version"),
+            ('{"schema_version": 1, "features": {}, "features": {}}', "{path}.features"),
+            ('{"schema_version": 1, "features": {"s0": {S0}, "s0": {S0}}}', 'features["s0"]'),
+            ('{"schema_version": 1, "features": {"s0": {S0}, "s1": {S0}, "s0": {S1}}}',
+             'features["s0"]'),
+            ('{"schema_version": 1, "features": {"s0": {"visual": [0.0], "visual": [1.0], '
+             '"text": [2.0]}}}', 'features["s0"].visual'),
+            ('{"schema_version": 1, "features": {"s0": {S0}, "s1": {"visual": [0.0], '
+             '"text": [1.0], "text": [2.0]}}}', 'features["s1"].text'),
+        ],
+        ids=["schema-version", "features", "sample-id", "sample-id-apart", "visual", "text"],
+    )
+    def test_a_repeated_key_names_its_object(self, tmp_path, text, field):
+        # json.loads alone keeps a repeated key's last value: such a file must not load
+        path = tmp_path / "features.json"
+        path.write_text(text.replace("{S0}", '{"visual": [0.0], "text": [1.0]}')
+                        .replace("{S1}", '{"visual": [2.0], "text": [3.0]}'))
+        with pytest.raises(ParseError) as exc:
+            load_features(path)
+        assert exc.value.field == field.format(path=path)
+        assert str(exc.value).endswith("is given more than once")
 
     def test_features_file_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "features.json"

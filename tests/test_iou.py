@@ -21,7 +21,7 @@ from minidet3d.iou import (
 from oracles import batch_iou_loss, fd_iou_loss_grad, grad_outcome, grads_agree, iou_loss
 from oracles import reference_iou_3d, reference_monte_carlo_iou, volume
 from oracles import polygon_clip, reference_frame_iou_3d, reference_polygon_clip, world_frame_iou
-from oracles import reference_bev_footprint
+from oracles import reference_bev_footprint, world_frame_iou_loss_grad
 
 UNIT_SQUARE = [(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)]
 
@@ -376,6 +376,86 @@ class TestAnalyticIoULossGrad:
         assert np.allclose(turned * [-1, -1, 1, 1, 1, 1, 1], got, rtol=1e-9, atol=1e-12)
 
 
+def stage2_like_pair(rng, n):
+    """A prediction jittered about a ground truth, as in stage-2 training; at
+    even n the ground truth's yaw is near +-pi, so the jittered yaw can wrap."""
+    yaw = rng.uniform(-math.pi, math.pi) if n % 2 else math.pi - rng.uniform(-0.3, 0.3)
+    g = Box7(*rng.uniform(-20, 20, 2), rng.uniform(-1, 1), *rng.uniform(0.3, 5, 3), yaw)
+    jitter = rng.normal(0, 1, 7) * np.array([0.3, 0.3, 0.2, 0.2 * g.l, 0.2 * g.w, 0.2 * g.h, 0.4])
+    params = g.params() + jitter
+    params[3:6] = np.abs(params[3:6]) + 0.05
+    return Box7(*params), g
+
+
+def grad_or_skip(p, g):
+    """iou_loss_grad's gradient, or the class of the exception it raises."""
+    try:
+        return iou_loss_grad(p, g)
+    except (DegenerateOverlap, NonSmoothPoint) as e:
+        return type(e)
+
+
+def assert_close_or_same_skip(got, expected, rel, context):
+    """Both skipped alike, or gradients within `rel` of the largest component."""
+    if isinstance(expected, type) or isinstance(got, type):
+        assert got is expected, context
+    else:
+        assert np.abs(got - expected).max() <= rel * np.abs(expected).max(), context
+
+
+def rigid_move(box, turn, tx, ty):
+    """`box` turned by `turn` about the z axis, then moved by (tx, ty)."""
+    c, s = math.cos(turn), math.sin(turn)
+    return Box7(c * box.x - s * box.y + tx, s * box.x + c * box.y + ty, box.z, box.l, box.w,
+                box.h, box.yaw + turn)
+
+
+class TestGradInTheClipBoxFrame:
+    """The gradient works in g's frame, so a pair far from the origin loses to
+    rounding only what placing it there loses, and near the origin it is the
+    world-frame gradient it replaced."""
+
+    def test_matches_the_world_frame_reference_near_the_origin(self):
+        rng = np.random.default_rng(2718)
+        accepted = 0
+        for n in range(600):
+            p, g = stage2_like_pair(rng, n)
+            try:
+                expected = world_frame_iou_loss_grad(p, g)
+            except (DegenerateOverlap, NonSmoothPoint) as e:
+                expected = type(e)
+            assert_close_or_same_skip(grad_or_skip(p, g), expected, 1e-12, (n, p, g))
+            accepted += not isinstance(expected, type)
+        assert accepted >= 550
+
+    @pytest.mark.parametrize("offset", [1e3, 5e3, 5e4], ids=["1 km", "5 km", "50 km"])
+    def test_pairs_moved_away_match_the_pairs_at_the_origin(self, offset):
+        rng = np.random.default_rng(2718)
+        accepted = 0
+        for n in range(600):
+            p, g = stage2_like_pair(rng, n)
+            angle = 0.7 + n
+            ox, oy = offset * math.cos(angle), offset * math.sin(angle)
+            far_p, far_g = (b._replace(x=b.x + ox, y=b.y + oy) for b in (p, g))
+            base = grad_or_skip(p, g)
+            assert_close_or_same_skip(grad_or_skip(far_p, far_g), base, 1e-9, (n, p, g))
+            accepted += not isinstance(base, type)
+        assert accepted >= 550
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), turn=st.floats(-math.pi, math.pi),
+           tx=st.floats(-5e4, 5e4), ty=st.floats(-5e4, 5e4))
+    def test_a_rigidly_moved_pair_turns_its_xy_gradient(self, seed, turn, tx, ty):
+        # generalizes test_yaw_wrap_pair's turned pair to any turn and offset
+        p, g = stage2_like_pair(np.random.default_rng(seed), seed)
+        base = grad_or_skip(p, g)
+        moved = grad_or_skip(rigid_move(p, turn, tx, ty), rigid_move(g, turn, tx, ty))
+        if not isinstance(base, type):
+            c, s = math.cos(turn), math.sin(turn)
+            base = np.array([c * base[0] - s * base[1], s * base[0] + c * base[1], *base[2:]])
+        assert_close_or_same_skip(moved, base, 1e-9, (p, g))
+
+
 class TestMonteCarlo:
     def test_identical_exact_one(self):
         box = Box7(0, 0, 0, 2, 1, 1, 0.7)
@@ -710,8 +790,7 @@ def row_with_flush_face(g: Box7, draw) -> tuple:
 
 
 class TestGradFromCachedPartsMatchesBoxes:
-    """`iou_loss_grad` on rows with the footprints and IoU handed in, as the
-    trainer calls it, returns the bits `iou_loss_grad` returns on the Box7s
+    """`iou_loss_grad` on rows with the IoU handed in, as the trainer calls it, returns the bits `iou_loss_grad` returns on the Box7s
     built from the same raw rows, or raises the same exception class."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -729,10 +808,9 @@ class TestGradFromCachedPartsMatchesBoxes:
         else:
             raw = raw_row_near(g, kind, data.draw)
         row, grow = (*raw[:6], wrap_angle(raw[6])), tuple(g)
-        fp, fg = bev_footprint(row), bev_footprint(grow)
         iou = iou_3d(row, grow).iou
         expected = grad_outcome(Box7(*raw), g)
-        assert grad_outcome(row, grow, fp, fg, iou) == expected, (raw, g)
+        assert grad_outcome(row, grow, iou) == expected, (raw, g)
         assert grad_outcome(row, grow) == expected, (raw, g)
         if kind in ("identical", "apart", "vertically-apart"):
             assert expected is DegenerateOverlap and iou in (0.0, 1.0)
@@ -745,6 +823,5 @@ class TestGradFromCachedPartsMatchesBoxes:
     def test_collinear_pairs(self, seed, kind, gap):
         a, b, _ = collinear_pair(np.random.default_rng(seed), kind, gap)
         ra, rb = tuple(a), tuple(b)
-        fa, fb = bev_footprint(ra), bev_footprint(rb)
-        got = grad_outcome(ra, rb, fa, fb, iou_3d(ra, rb).iou)
+        got = grad_outcome(ra, rb, iou_3d(ra, rb).iou)
         assert got == grad_outcome(a, b), (a, b)

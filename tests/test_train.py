@@ -423,7 +423,7 @@ class TestOneClipPerPair:
     logged loss, the degeneracy check and the gradient) and each validation
     pair at most once per epoch, in both stages; the gradient clips nothing.
     Every stage-2 pair reaches iou_loss_grad, whose answer on the trainer's
-    rows, footprints and IoU is the one it gives on the Box7s."""
+    rows and IoU is the one it gives on the Box7s."""
 
     def test_no_pair_is_clipped_twice_per_forward(self, monkeypatch):
         train, val = small_dataset(64, seed=35), small_dataset(24, seed=36)

@@ -15,7 +15,9 @@ the transition at 33, learning rates 2e-3/5e-5, batch 32) for model seeds
 The 16 runs go to two spawned worker processes, with BLAS pinned to one
 thread before numpy loads; they take about 5 minutes on 2 cores. The output
 file holds, per seed and arm, the stage-1 checkpoint mIoU (epoch 33), the
-final mIoU (epoch 51) and the wall time; per arm, the median, min and max
+final mIoU (epoch 51), the stage-2 total of `skipped_iou_grads` (epochs
+34-51; recorded to show whether a change moved a tie decision, not gated)
+and the wall time; per arm, the median, min and max
 over seeds; the paired relative gain of two-stage over MSE-only per seed,
 with its sign count and median, next to the paper's 12.8%; and the
 provenance with a SHA-256 of `src/minidet3d/*.py`.
@@ -85,6 +87,8 @@ def _run(seed: int, arm: str) -> dict:
         "arm": arm,
         "stage1_checkpoint_miou": history[schedule.transition_epoch - 1].val_miou,
         "final_miou": history[-1].val_miou,
+        "stage2_skipped_iou_grads": sum(s.skipped_iou_grads
+                                        for s in history[schedule.transition_epoch:]),
         "wall_s": round(time.perf_counter() - start, 2),
     }
 
@@ -195,7 +199,8 @@ def main(argv=None) -> int:
             r = future.result()
             runs.append(r)
             print(f"seed {r['seed']} {r['arm']:<9} stage-1 {r['stage1_checkpoint_miou']:.4f} "
-                  f"final {r['final_miou']:.4f} ({r['wall_s']:.0f} s)", flush=True)
+                  f"final {r['final_miou']:.4f} skipped {r['stage2_skipped_iou_grads']} "
+                  f"({r['wall_s']:.0f} s)", flush=True)
 
     result = {
         "config": {"train": "synth 2000, seed 101", "val": "synth 200, seed 202", "mix": MIX,
