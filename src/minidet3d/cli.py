@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, MiniDetError, check_json_value, check_keys
+from .errors import ConfigError, MiniDetError, check_json_value, check_keys, unique_keys
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
@@ -199,7 +199,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    given = data_mod.read_json(args.config, "config")
+    given = data_mod.read_json(args.config, "config", unique_keys)
     config = _merge_config(_TRAIN_DEFAULTS, given, "config")
     if not config["data"]:
         raise _config_error("config.data", "must point to a dataset directory")
@@ -283,7 +283,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = data_mod.read_json(args.report, "report")
+    report = data_mod.read_json(args.report, "report", unique_keys)
     check_report(report)
     if args.csv:
         print(report_csv(report), end="")

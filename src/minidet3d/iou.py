@@ -15,12 +15,14 @@ would: boxes apart vertically, and footprints whose circumscribed circles
 are apart by a relative margin.
 
 The IoU-loss gradient is analytic. It takes the two rows and the IoU, works
-in g's frame as `iou_3d` does, and rebuilds the footprint intersection from
-its vertices (corners inside the other box plus edge crossings, as in Zhou
-et al., arXiv:1908.03851), whose shoelace area it differentiates in one
-reverse pass. The loss is piecewise smooth: at a topology tie, where the
-vertex set changes, no gradient is returned. A seeded Monte-Carlo
-estimator provides an independent cross-check of the exact IoU.
+in g's frame as `iou_3d` does, and builds the footprint intersection with
+the same four clip passes, each vertex tagged with its source (a corner of
+either box, or an edge crossing, as in Zhou et al., arXiv:1908.03851); the
+clip yields the vertices in order, so nothing is sorted, and one reverse
+pass differentiates their shoelace area. The loss is piecewise smooth: at
+a topology tie, where the vertex set changes, no gradient is returned. A
+seeded Monte-Carlo estimator provides an independent cross-check of the
+exact IoU.
 """
 
 from __future__ import annotations
@@ -161,80 +163,83 @@ def iou_3d(p: Box7, g: Box7) -> IoUResult:
 _TIE_EPS = 1e-9
 
 
+# Inward unit normal of g's side j, which runs from corner j-1 to corner j of
+# the rectangle; rectangle_clip's passes meet sides 1, 2, 3 and 0 in turn.
+_SIDE_NORMALS = ((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0))
+
+
 def _footprint_overlap_grad(p: tuple, g: tuple, tol: float) -> tuple[float, list[float]]:
     """Footprint-intersection area and its gradient w.r.t. (x, y, l, w, yaw) of
-    row p. In g's frame, the intersection's vertices are p's corners strictly
-    inside G (the rectangle |x| <= l/2, |y| <= w/2), G's corners strictly
-    inside P, and the transversal crossings of their sides. Sorted by angle
-    about their mean, they give the shoelace area, which the reverse pass
-    differentiates; its (x, y) part is turned back by g's yaw."""
+    row p. In g's frame, p's footprint P is clipped against G, the rectangle
+    |x| <= l/2, |y| <= w/2, by `rectangle_clip`'s four passes (the same
+    quarter turns and crossing formula), each vertex tagged with the edge
+    that ends at it, so that it is known as p's corner k, p's edge i (corner
+    i-1 to i) crossing g's side j, or a corner of g. The clip leaves the
+    intersection in CCW order, with no sort, and the reverse pass walks it as
+    it stands: the shoelace area to its vertices, each crossing through its p
+    edge and g side to p's corners, and those to the row; the (x, y) part is
+    turned back by g's yaw."""
     rel = _relative_row(p, g)
     x, y, c, s = rel[0], rel[1], math.cos(rel[6]), math.sin(rel[6])
     hl, hw, phl, phw = g[3] / 2.0, g[4] / 2.0, p[3] / 2.0, p[4] / 2.0
-    P, G = bev_footprint(rel), [(sx * hl, sy * hw) for sx, sy in _FOOTPRINT_SIGNS]
-    p_len, g_len = (p[3], p[4], p[3], p[4]), (g[3], g[4], g[3], g[4])
-    # dist_p[k][j]: signed distance of p's corner k to g's side j, side j running
-    # from corner j-1 to j; dist_g alike, g's corner (u, v) taken into p's frame.
-    dist_p = [(hw + v, hl - u, hw - v, hl + u) for u, v in P]
-    dist_g = [(phw + v, phl - u, phw - v, phl + u) for u, v in
-              ((c * (a - x) + s * (b - y), c * (b - y) - s * (a - x)) for a, b in G)]
-    # A vertex is (x, y, source): source is p's corner index, None for a
-    # corner of g, or (i, j, t, sa, sb) for p's edge i crossing g's edge j at
-    # fraction t, where sa, sb are the distances of p's edge ends to g's edge.
-    verts = []
-    for corners, dists, own in ((P, dist_p, True), (G, dist_g, False)):
-        for k, row in enumerate(dists):
-            inner = min(row)
-            if abs(inner) <= tol:
-                raise NonSmoothPoint(f"a corner lies on the other box's edge (distance {inner:.3e})")
-            if inner > 0.0:
-                verts.append((*corners[k], k if own else None))
-    for i in range(4):
-        for j in range(4):
-            sa, sb = dist_p[i - 1][j], dist_p[i][j]
-            sc, sd = dist_g[j - 1][i], dist_g[j][i]
-            if ((sa > tol and sb > tol) or (sa < -tol and sb < -tol)
-                    or (sc > tol and sd > tol) or (sc < -tol and sd < -tol)
-                    or sa == sb or sc == sd):
-                continue
-            t, u = sa / (sa - sb), sc / (sc - sd)
-            along_p, along_g = t * p_len[i], u * g_len[j]
-            if tol < along_p < p_len[i] - tol and tol < along_g < g_len[j] - tol:
-                (ax, ay), (bx, by) = P[i - 1], P[i]
-                verts.append((ax + t * (bx - ax), ay + t * (by - ay), (i, j, t, sa, sb)))
-            elif -tol <= along_p <= p_len[i] + tol and -tol <= along_g <= g_len[j] + tol:
-                raise NonSmoothPoint("an edge crossing lies at an edge end")
+    P = bev_footprint(rel)
+    # A corner's signed distance to the other box's boundary, g's corner taken
+    # into p's frame. An edge crossing at an edge end puts that end, a corner,
+    # on the other box's edge, so this one test finds both kinds of tie.
+    for u, v in P:
+        inner = min(hl - abs(u), hw - abs(v))
+        if abs(inner) <= tol:
+            raise NonSmoothPoint(f"a corner lies on the other box's edge (distance {inner:.3e})")
+    for sx, sy in _FOOTPRINT_SIGNS:
+        a, b = sx * hl - x, sy * hw - y
+        inner = min(phl - abs(c * a + s * b), phw - abs(c * b - s * a))
+        if abs(inner) <= tol:
+            raise NonSmoothPoint(f"a corner lies on the other box's edge (distance {inner:.3e})")
 
-    n = len(verts)
-    cx = sum(v[0] for v in verts) / n
-    cy = sum(v[1] for v in verts) / n
-    verts.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+    # A vertex is (x, y, edge), edge naming the polygon edge that ends at it:
+    # p's edge i as i, g's side j as 4 + j. The edges into and out of a vertex
+    # say what it is: two of p's edges meet at p's corner, an edge of each box
+    # at a crossing, and two of g's sides at g's corner.
+    poly = [(u, v, k) for k, (u, v) in enumerate(P)]
+    for j, limit in ((1, hl), (2, hw), (3, hl), (0, hw)):
+        clipped = []
+        sx, sy, _ = poly[-1]
+        s_in = sx <= limit
+        for ex, ey, edge in poly:
+            e_in = ex <= limit
+            if e_in != s_in:
+                clipped.append((sy + (limit - sx) / (ex - sx) * (ey - sy), -limit,
+                                edge if s_in else 4 + j))
+            if e_in:
+                clipped.append((ey, -ex, edge))
+            sx, sy, s_in = ex, ey, e_in
+        poly = clipped
 
     twice_area = 0.0
     d_corner = [[0.0, 0.0] for _ in range(4)]
-    for k in range(n):
-        x0, y0, _ = verts[k - 1]
-        x1, y1, src = verts[k]
-        x2, y2, _ = verts[(k + 1) % n]
+    (x0, y0, _), (x1, y1, e1) = poly[-2], poly[-1]
+    for x2, y2, e2 in poly:
         twice_area += x0 * y1 - x1 * y0
-        if src is None:
-            continue
-        gx, gy = 0.5 * (y2 - y0), 0.5 * (x0 - x2)
-        if isinstance(src, int):
-            d_corner[src][0] += gx
-            d_corner[src][1] += gy
-            continue
-        # Crossing X = A + t (B - A), t = sa / (sa - sb), sa and sb affine in A, B.
-        i, j, t, sa, sb = src
-        (ax, ay), (bx, by) = P[i - 1], P[i]
-        # inward unit normal of g's side j: the gradient of sa and sb in A and B
-        nx, ny = ((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0))[j]
-        k_n = (gx * (bx - ax) + gy * (by - ay)) / (sa - sb) ** 2
-        da, db = d_corner[i - 1], d_corner[i]
-        da[0] += (1.0 - t) * gx - k_n * sb * nx
-        da[1] += (1.0 - t) * gy - k_n * sb * ny
-        db[0] += t * gx + k_n * sa * nx
-        db[1] += t * gy + k_n * sa * ny
+        if e1 < 4 and e2 < 4:
+            d_corner[e1][0] += 0.5 * (y2 - y0)
+            d_corner[e1][1] += 0.5 * (x0 - x2)
+        elif e1 < 4 or e2 < 4:
+            # Crossing X = A + t (B - A), t = sa / (sa - sb), where sa and sb,
+            # the distances of A and B to g's side j, are affine in A and B.
+            i, j = (e1, e2 - 4) if e1 < 4 else (e2, e1 - 4)
+            gx, gy = 0.5 * (y2 - y0), 0.5 * (x0 - x2)
+            (ax, ay), (bx, by) = P[i - 1], P[i]
+            nx, ny = _SIDE_NORMALS[j]
+            half = hl if j % 2 else hw
+            sa, sb = half + nx * ax + ny * ay, half + nx * bx + ny * by
+            t = sa / (sa - sb)
+            k_n = (gx * (bx - ax) + gy * (by - ay)) / (sa - sb) ** 2
+            da, db = d_corner[i - 1], d_corner[i]
+            da[0] += (1.0 - t) * gx - k_n * sb * nx
+            da[1] += (1.0 - t) * gy - k_n * sb * ny
+            db[0] += t * gx + k_n * sa * nx
+            db[1] += t * gy + k_n * sa * ny
+        x0, y0, x1, y1, e1 = x1, y1, x2, y2, e2
 
     grad = [0.0] * 5
     for (gx, gy), (px, py), (sx, sy) in zip(d_corner, P, _FOOTPRINT_SIGNS):

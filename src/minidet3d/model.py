@@ -77,7 +77,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch, StaleActivation, check_json_value, check_keys
+from .errors import (CheckpointError, ShapeMismatch, StaleActivation, check_json_value, check_keys,
+                     unique_keys)
 from .lora import LoRAAdapter, adapter_grads, adapter_init, merge_adapter
 
 MLP_HIDDEN = (512, 256, 128)
@@ -484,7 +485,7 @@ def load_checkpoint(path: str | Path) -> FusionModel:
     if 9 + hlen > len(blob):
         raise bad("header length", f"{hlen} bytes, but only {len(blob) - 9} follow")
     try:
-        cfg = json.loads(blob[9 : 9 + hlen].decode("utf-8"))
+        cfg = json.loads(blob[9 : 9 + hlen].decode("utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
         raise bad("header", f"invalid JSON: {e}") from None
     config = _header_config(cfg, bad)

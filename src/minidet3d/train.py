@@ -14,9 +14,10 @@ such changes to the training arithmetic.
 Losses come from `mse_semantic_loss`, the mean IoU loss and `combined_loss`.
 The semantic MSE gradient flows analytically through the frozen projection
 head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, handed
-the pair's rows and IoU only: each pair is clipped once per batch, by
-`iou_3d`, the gradient works in the ground truth's frame and clips nothing,
-and the trainer makes no footprints.
+the pair's rows and IoU only: `iou_3d` clips each pair once per batch for
+its value, the gradient clips the pair again in the ground truth's frame
+with vertices tagged by source, so it needs no sort, and the trainer makes
+no footprints.
 Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
 contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how

@@ -339,7 +339,9 @@ def _world_frame_overlap_grad(p, g, P, G, tol):
 
 
 def world_frame_iou_loss_grad(p, g) -> np.ndarray:
-    """`iou_loss_grad` on world-frame footprints: the same graph and tie rules."""
+    """`iou_loss_grad` on world-frame footprints, its vertices found by testing
+    every corner and edge pair and sorted by angle instead of clipped: the
+    same graph, and a test for each of the three kinds of tie."""
     iou = iou_3d(p, g).iou
     if iou <= 0.0 or iou >= 1.0:
         raise DegenerateOverlap(f"IoU {iou} has no usable gradient")

@@ -373,6 +373,20 @@ class TestTrainCommand:
             else:
                 assert (float(lam1), float(lam2), float(lr)) == (0.2, 0.8, 1e-4)
 
+    @pytest.mark.parametrize("text, path", [
+        ('"seed": 1, "seed": 2', "config.seed"),
+        ('"model": {"d_v": 32, "d_v": 16}', "config.model.d_v"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, text, path):
+        # json.loads alone keeps the last value and would train with it
+        data = make_dataset(tmp_path, "data", 10, 11)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"data": {json.dumps(str(data))}, {text}}}')
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: is given more than once\n"
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 10, 11)
         cfg = train_config(tmp_path, data, typo_key=5)
@@ -562,6 +576,13 @@ def _header_edit(edit):
     return apply
 
 
+def _repeat_header_seed(blob):
+    """The checkpoint with `"seed": 1` put before its header's own seed."""
+    hlen = int.from_bytes(blob[5:9], "little")
+    header = b'{"seed": 1, ' + blob[10 : 9 + hlen]
+    return blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + hlen :]
+
+
 MALFORMED_CHECKPOINTS = {
     "four_bytes": (lambda blob: b"MD3D", "version"),
     "no_header_length": (lambda blob: b"MD3D\x01", "header length"),
@@ -575,6 +596,7 @@ MALFORMED_CHECKPOINTS = {
     ),
     "unknown_header_key": (_header_edit(lambda c: c.update(extra=1)), "header"),
     "missing_header_key": (_header_edit(lambda c: c.pop("seed")), "header.seed"),
+    "repeated_header_key": (_repeat_header_seed, "header.seed"),
     "mistyped_header_value": (_header_edit(lambda c: c.update(d_v="x")), "header.d_v"),
     "header_number_too_large_for_a_float": (
         _header_edit(lambda c: c.update(lora_alpha=10**400)), "header.lora_alpha"
@@ -752,6 +774,20 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field.format(path=path)}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key, text, field", [
+        ("miou_samples", '0.5, "miou_samples": 0.75', "report.miou_samples"),
+        ("counts", '{"tp": 1, "tn": 0, "fp": 0, "fn": 0, "tp": 2}', "report.counts.tp"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_report_key_names_the_field(self, tmp_path, capsys, key, text, field):
+        # json.loads alone keeps the last value and would print it
+        doc = {k: v for k, v in self.VALID.items() if k != key}
+        path = tmp_path / "report.json"
+        path.write_text(f'{json.dumps(doc)[:-1]}, "{key}": {text}}}')
+        assert run_cli("report", path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field}: is given more than once\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("text", ["{", "[" * 100_000, b"\xff\xfe"])

@@ -10,6 +10,7 @@ from minidet3d.geom import Box7, Pose, quat_from_yaw, transform_box
 from minidet3d.geom import wrap_angle
 from minidet3d.iou import (
     _MC_CHUNK,
+    _TIE_EPS,
     IoUResult,
     bev_footprint,
     iou_3d,
@@ -410,6 +411,53 @@ def rigid_move(box, turn, tx, ty):
                 box.h, box.yaw + turn)
 
 
+# Near-tie pairs. g is axis-aligned at the origin, its top-right corner at
+# (2, 1). p is turned by NEAR_YAW, so that its corner 2 (-l/2, w/2) is its
+# uppermost and its edge from corner 1 to corner 2 has the outward normal
+# NEAR_NORMAL, up and to the right. Distances are in tie tolerances.
+NEAR_G = Box7(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0)
+NEAR_YAW, NEAR_L, NEAR_W = -0.6, 1.6, 1.2
+NEAR_TOL = _TIE_EPS * NEAR_G.l  # g's length is the largest size of either box
+NEAR_NORMAL = (-math.sin(NEAR_YAW), math.cos(NEAR_YAW))
+
+
+def near_p_with_corner_2_at(x, y):
+    c, s = math.cos(NEAR_YAW), math.sin(NEAR_YAW)
+    ox, oy = -NEAR_L / 2, NEAR_W / 2
+    return Box7(x - (c * ox - s * oy), y - (s * ox + c * oy), 0.1, NEAR_L, NEAR_W, 1.0, NEAR_YAW)
+
+
+def near_p_with_edge_middle_at(x, y):
+    """p whose edge from corner 1 to corner 2 has its middle at (x, y)."""
+    nx, ny = NEAR_NORMAL
+    return Box7(x - nx * NEAR_W / 2, y - ny * NEAR_W / 2, 0.1, NEAR_L, NEAR_W, 1.0, NEAR_YAW)
+
+
+def near_tie_cases():
+    """(p, g, is a tie) at and beside each of the three kinds of tie."""
+    nx, ny = NEAR_NORMAL
+    c, s = math.cos(NEAR_YAW), math.sin(NEAR_YAW)
+    cases = []
+    for d in (0.0, 0.5, -0.5, 2.0, -2.0):  # + outside the other box, - inside
+        cases.append(pytest.param(near_p_with_corner_2_at(0.5, 1.0 + d * NEAR_TOL), NEAR_G,
+                                  abs(d) <= 1.0, id=f"p-corner-{d:+}"))
+        cases.append(pytest.param(near_p_with_edge_middle_at(2.0 - d * NEAR_TOL * nx,
+                                                             1.0 - d * NEAR_TOL * ny),
+                                  NEAR_G, abs(d) <= 1.0, id=f"g-corner-{d:+}"))
+    # p's edge crosses g's top side tol/2 from g's corner; then at (0.5, 1),
+    # tol/2 from its own corner 2, which lies along (-cos, -sin) from there
+    cases.append(pytest.param(near_p_with_edge_middle_at(2.0 - NEAR_TOL / 2, 1.0), NEAR_G, True,
+                              id="crossing-at-g-corner"))
+    cases.append(pytest.param(near_p_with_corner_2_at(0.5 - c * NEAR_TOL / 2,
+                                                      1.0 - s * NEAR_TOL / 2),
+                              NEAR_G, True, id="crossing-at-p-corner"))
+    cases.append(pytest.param(Box7(0.3, -0.2, 0.1, 1.0, 0.6, 0.8, 0.4), NEAR_G, False,
+                              id="p-inside-g"))
+    cases.append(pytest.param(Box7(0.1, 0.1, 0.05, 5.0, 3.4, 1.2, -0.2), NEAR_G, False,
+                              id="g-inside-p"))
+    return cases
+
+
 class TestGradInTheClipBoxFrame:
     """The gradient works in g's frame, so a pair far from the origin loses to
     rounding only what placing it there loses, and near the origin it is the
@@ -427,6 +475,17 @@ class TestGradInTheClipBoxFrame:
             assert_close_or_same_skip(grad_or_skip(p, g), expected, 1e-12, (n, p, g))
             accepted += not isinstance(expected, type)
         assert accepted >= 550
+
+    @pytest.mark.parametrize("p, g, tie", near_tie_cases())
+    def test_matches_the_world_frame_reference_at_near_ties(self, p, g, tie):
+        # the near-origin comparison on pairs a tie tolerance or two from a
+        # corner on an edge, an edge crossing at an edge end, or containment
+        try:
+            expected = world_frame_iou_loss_grad(p, g)
+        except (DegenerateOverlap, NonSmoothPoint) as e:
+            expected = type(e)
+        assert (expected is NonSmoothPoint) if tie else not isinstance(expected, type)
+        assert_close_or_same_skip(grad_or_skip(p, g), expected, 1e-12, (p, g))
 
     @pytest.mark.parametrize("offset", [1e3, 5e3, 5e4], ids=["1 km", "5 km", "50 km"])
     def test_pairs_moved_away_match_the_pairs_at_the_origin(self, offset):

@@ -421,7 +421,8 @@ class TestValidationOnRowsEqualsBoxes:
 class TestOneClipPerPair:
     """Each training pair is clipped at most once per batch (its IoU serves the
     logged loss, the degeneracy check and the gradient) and each validation
-    pair at most once per epoch, in both stages; the gradient clips nothing.
+    pair at most once per epoch, in both stages; the gradient runs its own
+    tagged passes, not `rectangle_clip`.
     Every stage-2 pair reaches iou_loss_grad, whose answer on the trainer's
     rows and IoU is the one it gives on the Box7s."""
 

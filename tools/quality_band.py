@@ -16,8 +16,10 @@ The 16 runs go to two spawned worker processes, with BLAS pinned to one
 thread before numpy loads; they take about 5 minutes on 2 cores. The output
 file holds, per seed and arm, the stage-1 checkpoint mIoU (epoch 33), the
 final mIoU (epoch 51), the stage-2 total of `skipped_iou_grads` (epochs
-34-51; recorded to show whether a change moved a tie decision, not gated)
-and the wall time; per arm, the median, min and max
+34-51) and its split into IoU 0, IoU 1 and non-smooth (counted by wrapping
+`minidet3d.train.iou_loss_grad` in the worker; both recorded to show
+whether a change moved a tie decision, not gated) and the wall time; per
+arm, the median, min and max
 over seeds; the paired relative gain of two-stage over MSE-only per seed,
 with its sign count and median, next to the paper's 12.8%; and the
 provenance with a SHA-256 of `src/minidet3d/*.py`.
@@ -73,22 +75,42 @@ def _samples():
 
 
 def _run(seed: int, arm: str) -> dict:
+    from minidet3d import train as train_mod
+    from minidet3d.errors import DegenerateOverlap, NonSmoothPoint
     from minidet3d.losses import LossSchedule
     from minidet3d.model import FusionModel, ModelConfig
-    from minidet3d.train import run_training
+
+    grad, skips = train_mod.iou_loss_grad, {"iou_0": 0, "iou_1": 0, "nonsmooth": 0}
+
+    def counted_grad(p, g, iou):  # the trainer hands the gradient each pair's IoU
+        try:
+            return grad(p, g, iou)
+        except DegenerateOverlap:
+            skips["iou_0" if iou <= 0.0 else "iou_1"] += 1
+            raise
+        except NonSmoothPoint:
+            skips["nonsmooth"] += 1
+            raise
 
     train, val = _samples()
     schedule = LossSchedule(**SCHEDULE, stage2_weights=ARMS[arm])
     start = time.perf_counter()
-    history = run_training(FusionModel(ModelConfig(seed=seed)), train, schedule,
-                           seed=5 + seed, val_samples=val)
+    train_mod.iou_loss_grad = counted_grad
+    try:
+        history = train_mod.run_training(FusionModel(ModelConfig(seed=seed)), train, schedule,
+                                         seed=5 + seed, val_samples=val)
+    finally:
+        train_mod.iou_loss_grad = grad
+    skipped = sum(s.skipped_iou_grads for s in history[schedule.transition_epoch:])
+    if sum(skips.values()) != skipped:  # stage 1 takes no IoU gradient
+        raise RuntimeError(f"seed {seed} {arm}: skips {skips} do not add up to {skipped}")
     return {
         "seed": seed,
         "arm": arm,
         "stage1_checkpoint_miou": history[schedule.transition_epoch - 1].val_miou,
         "final_miou": history[-1].val_miou,
-        "stage2_skipped_iou_grads": sum(s.skipped_iou_grads
-                                        for s in history[schedule.transition_epoch:]),
+        "stage2_skipped_iou_grads": skipped,
+        "stage2_skips": skips,
         "wall_s": round(time.perf_counter() - start, 2),
     }
 
@@ -200,7 +222,7 @@ def main(argv=None) -> int:
             runs.append(r)
             print(f"seed {r['seed']} {r['arm']:<9} stage-1 {r['stage1_checkpoint_miou']:.4f} "
                   f"final {r['final_miou']:.4f} skipped {r['stage2_skipped_iou_grads']} "
-                  f"({r['wall_s']:.0f} s)", flush=True)
+                  f"{r['stage2_skips']} ({r['wall_s']:.0f} s)", flush=True)
 
     result = {
         "config": {"train": "synth 2000, seed 101", "val": "synth 200, seed 202", "mix": MIX,
