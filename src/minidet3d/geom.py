@@ -12,7 +12,9 @@ Conventions used throughout the package:
   `Pose._of_floats`, which checks only that the translation is finite.
 - Corner order is fixed: bottom face counter-clockwise viewed from above,
   starting at local (+l/2, -w/2), then the top face in the same x-y order.
-  This makes corner-set comparisons element-wise.
+  This makes corner-set comparisons element-wise. `bev_footprint` gives the
+  four (x, y) of that order, which the IoU clips and `box_corners` lifts to
+  the bottom and top faces, so the two agree bit for bit.
 - Camera frames are x-right, y-down, z-forward. The projection of a point
   with positive depth is (u, v) = (fx*x/z + cx, fy*y/z + cy). Points behind
   the camera or outside [0, width) x [0, height) are tagged invisible. A
@@ -32,21 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GimbalRisk
-
-# Unit corner offsets in the box frame: bottom face CCW from above, then top.
-_CORNER_SIGNS = np.array(
-    [
-        [+1, -1, -1],
-        [+1, +1, -1],
-        [-1, +1, -1],
-        [-1, -1, -1],
-        [+1, -1, +1],
-        [+1, +1, +1],
-        [-1, +1, +1],
-        [-1, -1, +1],
-    ],
-    dtype=np.float64,
-)
 
 
 def wrap_angle(theta: float) -> float:
@@ -258,13 +245,26 @@ class Pose:
         return math.atan2(float(m[1, 0]), float(m[0, 0]))
 
 
+# Corner k of bev_footprint sits at (sx * l/2, sy * w/2) in the box frame.
+_FOOTPRINT_SIGNS = ((1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def bev_footprint(box) -> list[tuple[float, float]]:
+    """Bird's-eye-view footprint of a box (a Box7 or its row): 4 CCW (x, y) vertices."""
+    x, y, _, l, w, _, yaw = box
+    c, s = math.cos(yaw), math.sin(yaw)
+    hl, hw = l / 2.0, w / 2.0
+    # Corner (sx hl, sy hw) is (x + c sx hl - s sy hw, ...); sign flips are exact.
+    chl, shl, chw, shw = c * hl, s * hl, c * hw, s * hw
+    xf, xb, yf, yb = x + chl, x - chl, y + shl, y - shl
+    return [(xf + shw, yf - chw), (xf - shw, yf + chw), (xb - shw, yb + chw), (xb + shw, yb - chw)]
+
+
 def box_corners(box: Box7) -> np.ndarray:
-    """The 8 corners of a box, (8, 3), in the documented canonical order."""
-    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
-    local = _CORNER_SIGNS * half
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return local @ Rz.T + box.center
+    """The 8 corners of a box, (8, 3), in the documented canonical order: the
+    footprint at the bottom face, then at the top."""
+    foot, bottom, top = bev_footprint(box), box.z - box.h / 2.0, box.z + box.h / 2.0
+    return np.array([(x, y, bottom) for x, y in foot] + [(x, y, top) for x, y in foot])
 
 
 _TILT_TOLERANCE = 1e-6  # rad

@@ -4,15 +4,15 @@ Boxes carry yaw only, so a 3D intersection decomposes into the intersection
 of the two bird's-eye-view footprints (convex quadrilaterals) times the
 overlap of the two vertical extents. IoU values come from one function,
 `iou_3d`, on two Box7s or plain rows (x, y, z, l, w, h, yaw), a Box7 being
-one. It turns one footprint into the other box's frame, where that box is
-an axis-aligned rectangle about the origin, clips it there (Sutherland-
-Hodgman, one comparison per vertex and side) and takes the shoelace area.
-The clip sees coordinates the size of the boxes, so the IoU keeps its
-digits far from the origin, and its crossings are taken only between ends
-on opposite sides of a side, so boxes placed end to end or side by side
-need no special rule. Two exits skip the clip and return exactly what it
-would: boxes apart vertically, and footprints whose circumscribed circles
-are apart by a relative margin.
+one. It turns one footprint (`geom.bev_footprint`) into the other box's
+frame, where that box is an axis-aligned rectangle about the origin, clips
+it there (Sutherland-Hodgman, one comparison per vertex and side) and takes
+the shoelace area. The clip sees coordinates the size of the boxes, so the
+IoU keeps its digits far from the origin, and its crossings are taken only
+between ends on opposite sides of a side, so boxes placed end to end or side
+by side need no special rule. Two exits skip the clip and return exactly
+what it would: boxes apart vertically, and footprints whose circumscribed
+circles are apart by a relative margin.
 
 The IoU-loss gradient is analytic. It takes the two rows and the IoU, works
 in g's frame as `iou_3d` does, and builds the footprint intersection with
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateOverlap, NonSmoothPoint
-from .geom import Box7, box_corners
+from .geom import _FOOTPRINT_SIGNS, Box7, bev_footprint, box_corners
 
 # A convex polygon is an ordered CCW list of (x, y) vertices; [] is empty.
 ConvexPolygon2D = list[tuple[float, float]]
@@ -83,21 +83,6 @@ def polygon_area(poly: ConvexPolygon2D) -> float:
         acc += x0 * y1 - x1 * y0
         x0, y0 = x1, y1
     return abs(acc) / 2.0
-
-
-# Corner k of bev_footprint sits at (sx * l/2, sy * w/2) in the box frame.
-_FOOTPRINT_SIGNS = ((1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
-
-
-def bev_footprint(box) -> ConvexPolygon2D:
-    """Bird's-eye-view footprint of a box (a Box7 or its row): 4 CCW (x, y) vertices."""
-    x, y, _, l, w, _, yaw = box
-    c, s = math.cos(yaw), math.sin(yaw)
-    hl, hw = l / 2.0, w / 2.0
-    # Corner (sx hl, sy hw) is (x + c sx hl - s sy hw, ...); sign flips are exact.
-    chl, shl, chw, shw = c * hl, s * hl, c * hw, s * hw
-    xf, xb, yf, yb = x + chl, x - chl, y + shl, y - shl
-    return [(xf + shw, yf - chw), (xf - shw, yf + chw), (xb - shw, yb + chw), (xb + shw, yb - chw)]
 
 
 class IoUResult(NamedTuple):
@@ -168,7 +153,7 @@ _TIE_EPS = 1e-9
 _SIDE_NORMALS = ((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0))
 
 
-def _footprint_overlap_grad(p: tuple, g: tuple, tol: float) -> tuple[float, list[float]]:
+def _footprint_overlap_grad(p: tuple, g: tuple, tol: float, iou: float) -> tuple[float, list]:
     """Footprint-intersection area and its gradient w.r.t. (x, y, l, w, yaw) of
     row p. In g's frame, p's footprint P is clipped against G, the rectangle
     |x| <= l/2, |y| <= w/2, by `rectangle_clip`'s four passes (the same
@@ -178,7 +163,8 @@ def _footprint_overlap_grad(p: tuple, g: tuple, tol: float) -> tuple[float, list
     intersection in CCW order, with no sort, and the reverse pass walks it as
     it stands: the shoelace area to its vertices, each crossing through its p
     edge and g side to p's corners, and those to the row; the (x, y) part is
-    turned back by g's yaw."""
+    turned back by g's yaw. A pass that leaves fewer than three vertices
+    leaves no area: DegenerateOverlap, naming the given `iou`."""
     rel = _relative_row(p, g)
     x, y, c, s = rel[0], rel[1], math.cos(rel[6]), math.sin(rel[6])
     hl, hw, phl, phw = g[3] / 2.0, g[4] / 2.0, p[3] / 2.0, p[4] / 2.0
@@ -213,6 +199,8 @@ def _footprint_overlap_grad(p: tuple, g: tuple, tol: float) -> tuple[float, list
             if e_in:
                 clipped.append((ey, -ex, edge))
             sx, sy, s_in = ex, ey, e_in
+        if len(clipped) < 3:
+            raise DegenerateOverlap(f"IoU {iou} was given, but the footprints do not overlap")
         poly = clipped
 
     twice_area = 0.0
@@ -278,7 +266,7 @@ def iou_loss_grad(p, g, iou=None) -> np.ndarray:
     top_is_p, bottom_is_p = p_top < g_top, p_bottom > g_bottom
     z_overlap = min(p_top, g_top) - max(p_bottom, g_bottom)
 
-    area, (da_x, da_y, da_l, da_w, da_yaw) = _footprint_overlap_grad(p, g, tol)
+    area, (da_x, da_y, da_l, da_w, da_yaw) = _footprint_overlap_grad(p, g, tol, iou)
     inter = area * z_overlap
     union = pl * pw * ph + gl * gw * gh - inter
     # loss = 1 - inter / union with union = vol_p + vol_g - inter

@@ -42,14 +42,16 @@ class LoRAAdapter:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
         self.B = np.asarray(self.B, dtype=np.float64)
+        if self.r < 1:
+            raise ValueError(f"rank must be >= 1, got {self.r}")
         if (self.A.ndim != self.B.ndim or self.A.shape[:-2] != self.B.shape[:-2]
                 or self.A.shape[-2:-1] != (self.r,) or self.B.shape[-1:] != (self.r,)):
             raise ShapeMismatch(f"factor shapes {self.A.shape}, {self.B.shape} are not a rank-"
                                 f"{self.r} pair (..., r, d_in), (..., d_out, r)")
         if self.r > min(self.d_in, self.d_out):
             raise ShapeMismatch(f"rank {self.r} exceeds min({self.d_in}, {self.d_out})")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
-            raise ValueError("adapter factors must be finite")
+        if not all(np.isfinite(v).all() for v in (self.A, self.B, self.alpha)):
+            raise ValueError("adapter factors and alpha must be finite")
 
     @property
     def d_in(self) -> int:
@@ -65,11 +67,7 @@ class LoRAAdapter:
 
 
 def adapter_init(d_in: int, d_out: int, r: int, alpha: float, seed: int) -> LoRAAdapter:
-    """Fresh adapter: A ~ N(0, 0.02) from the seed, B = 0."""
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    if r > min(d_in, d_out):
-        raise ShapeMismatch(f"rank {r} exceeds min({d_in}, {d_out})")
+    """Fresh adapter: A ~ N(0, 0.02) from the seed, B = 0; LoRAAdapter checks r."""
     rng = np.random.default_rng(seed)
     return LoRAAdapter(
         A=rng.normal(0.0, _INIT_STD, size=(r, d_in)),

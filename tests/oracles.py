@@ -18,16 +18,17 @@ from minidet3d.data import (
 )
 from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint, ShapeMismatch
 from minidet3d.geom import (
+    _FOOTPRINT_SIGNS,
     Box7,
     CameraIntrinsics,
     ProjectedCorner,
+    bev_footprint,
     box_corners,
     quat_multiply,
     quat_to_matrix,
     transform_box,
 )
-from minidet3d.iou import IoUResult, MonteCarloIoU, bev_footprint, iou_3d, iou_loss_grad
-from minidet3d.iou import _FOOTPRINT_SIGNS, _TIE_EPS, polygon_area
+from minidet3d.iou import _TIE_EPS, IoUResult, MonteCarloIoU, iou_3d, iou_loss_grad, polygon_area
 from minidet3d.lora import LoRAAdapter
 from minidet3d.metrics import ConfusionCounts
 

@@ -11,6 +11,7 @@ from minidet3d.geom import (
     Box7,
     CameraIntrinsics,
     Pose,
+    bev_footprint,
     box_corners,
     project_corners,
     quat_from_yaw,
@@ -167,6 +168,21 @@ class TestCorners:
             assert np.allclose(corners.mean(axis=0), box.center, atol=1e-9)
             delta = corners[4:].mean(axis=0) - corners[:4].mean(axis=0)
             assert np.allclose(delta, [0, 0, box.h], atol=1e-9)
+
+    def test_faces_are_the_iou_footprint_bit_for_bit(self):
+        # Ingest's camera corners and the IoU's footprint come from one corner
+        # formula, so each face is bev_footprint's (x, y) exactly.
+        rng = np.random.default_rng(29)
+        boxes = [Box7(*rng.uniform(-20, 20, 3), *rng.uniform(0.1, 5, 3), rng.uniform(-4, 4))
+                 for _ in range(300)]
+        boxes += [b._replace(x=b.x + 5e4 * math.cos(b.yaw), y=b.y + 5e4 * math.sin(b.yaw))
+                  for b in boxes[:100]]
+        boxes += [b._replace(yaw=math.pi) for b in boxes[:100]]
+        for box in boxes:
+            corners = box_corners(box).tolist()
+            footprint = [list(xy) for xy in bev_footprint(box)]
+            assert [c[:2] for c in corners[:4]] == [c[:2] for c in corners[4:]] == footprint, box
+            assert [c[2] for c in corners] == [box.z - box.h / 2] * 4 + [box.z + box.h / 2] * 4
 
 
 class TestPose:

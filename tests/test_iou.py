@@ -245,6 +245,12 @@ class TestIoULossGrad:
         with pytest.raises(DegenerateOverlap):
             iou_loss_grad(Box7(0, 0, 0, 1, 1, 1, 0), Box7(50, 0, 0, 1, 1, 1, 0))
 
+    def test_given_iou_with_footprints_apart_is_degenerate(self):
+        # The IoU is the caller's; the clip empties, and the error names it.
+        p, g = Box7(10, 0, 0.2, 1, 1, 1.3, 0.3), Box7(0, 0, 0, 1, 1, 1, 0)
+        with pytest.raises(DegenerateOverlap, match=r"^IoU 0\.5 was given"):
+            iou_loss_grad(p, g, 0.5)
+
     def test_offset_x_slope_sign_by_direct_evaluation(self):
         # moving the prediction further from the target must increase the loss
         g = Box7(0, 0, 0, 1, 1, 1, 0)

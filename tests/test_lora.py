@@ -29,6 +29,21 @@ class TestAdapterInit:
         with pytest.raises(ShapeMismatch, match=r"^rank 17 exceeds min\(16, 32\)$"):
             adapter_init(16, 32, r=17, alpha=1.0, seed=0)
 
+    def test_rank_zero_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            adapter_init(16, 32, r=0, alpha=1.0, seed=0)
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            LoRAAdapter(np.zeros((0, 4)), np.zeros((4, 0)), 0, 1.0)
+        with pytest.raises(ValueError):
+            adapter_init(16, 32, r=-1, alpha=1.0, seed=0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LoRAAdapter(np.ones((1, 4)), np.ones((4, 1)), 1, alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            adapter_init(4, 4, r=1, alpha=alpha, seed=0)
+
     def test_deterministic(self):
         a1 = adapter_init(8, 8, r=2, alpha=1.0, seed=42)
         a2 = adapter_init(8, 8, r=2, alpha=1.0, seed=42)

@@ -4,7 +4,7 @@
 
 Run from the repository root; `src/` of the same checkout is imported and
 nothing is installed. A change that leaves the arithmetic alone must print
-the same seven lines as its parent commit. BLAS is pinned to one thread
+the same eight lines as its parent commit. BLAS is pinned to one thread
 before numpy loads. It takes a few seconds on one core and writes only
 to a temporary directory.
 
@@ -29,6 +29,10 @@ to a temporary directory.
   `eval` writes `report.json`) of the stage-2 run's model on its 64
   validation samples at threshold 0.25. Unlike criterion 9's report, it has
   hits (TP 29, FP = FN = 35), so it pins every rate formula.
+- `ingest_visibility`: criterion 9's `--workers 1` ingest output without
+  its pixels: each record's sample id, each annotation's `retained` flag
+  and each camera's per-corner `visible` flags. A change that moves the
+  projected pixels only by rounding moves `ingest` and leaves this line.
 
 Each line is a label and the first 16 hex digits of the artifact's SHA-256.
 The exit code is 1 if a command fails, the two ingests differ, or the
@@ -97,6 +101,21 @@ def criterion_9(tmp: Path) -> dict[str, Path]:
             "report": (report / "report.json",), "ingest": ingests[:1]}
 
 
+def visibility(ingest_out: Path, tmp: Path) -> Path:
+    """A file of the ingest output's sample ids and visibility flags, one
+    record a line, with no pixel in it."""
+    lines = []
+    for line in ingest_out.read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        flags = [[a["retained"], {cam: [c[2] for c in corners]
+                                  for cam, corners in a["projections"].items()}]
+                 for a in rec["annotations"]]
+        lines.append(json.dumps([rec["sample_id"], flags], sort_keys=True))
+    out = tmp / "ingest_visibility.jsonl"
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
 def synth_widths(tmp: Path) -> tuple[Path, Path]:
     out = tmp / "widths"
     cli("synth", "--count", 64, "--seed", 33, "--out", out,
@@ -130,6 +149,7 @@ def main() -> int:
         artifacts["stage2_checkpoint"] = (checkpoint,)
         artifacts["synth_widths"] = widths
         artifacts["stage2_report"] = (report,)
+        artifacts["ingest_visibility"] = (visibility(*artifacts["ingest"], tmp),)
         for label, paths in artifacts.items():
             print(f"{label:<18} {digest(*paths)}")
     return 0
