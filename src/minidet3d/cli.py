@@ -1,9 +1,10 @@
 """Command-line surface: iou, ingest, synth, train, eval, report.
 
-Every command is deterministic under a fixed seed and fixed inputs, writes
-its resolved configuration next to its outputs, and sends diagnostics to
-stderr. Exit code 0 means the command completed with zero errors; argparse
-failures exit 2.
+Every command is deterministic under a fixed seed and fixed inputs and sends
+diagnostics to stderr. `ingest`, `synth` and `eval` write their parsed flags
+next to their outputs as the resolved configuration; `train` writes its
+config merged with the defaults, which `train --config` accepts again. Exit
+code 0 means the command completed with zero errors; argparse failures exit 2.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ def _build(make, where: str, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}{e}") from None
+
+
+def _parsed_flags(args, **parsed) -> dict:
+    """A command's resolved config: its parsed flags without argparse's `func`,
+    with each value the command parsed further (`parsed`) in its flag's place."""
+    return {**{k: v for k, v in vars(args).items() if k != "func"}, **parsed}
 
 
 def _write_resolved_config(config: dict, path: Path) -> None:
@@ -147,10 +154,7 @@ def cmd_ingest(args) -> int:
             dropped += sum(1 for a in sample.annotations if not a.retained)
             f.write(json.dumps(data_mod.processed_to_json(sample)) + "\n")
 
-    _write_resolved_config(
-        {"command": "ingest", "scenes": args.scenes, "out": args.out, "workers": args.workers},
-        out.with_suffix(out.suffix + ".config.json"),
-    )
+    _write_resolved_config(_parsed_flags(args), out.with_suffix(out.suffix + ".config.json"))
     print(f"accepted={len(records)} rejected={len(diagnostics)} dropped_invisible={dropped}")
     return 1 if diagnostics else 0
 
@@ -172,8 +176,6 @@ def cmd_synth(args) -> int:
             mix[name] = float(weight)
         except ValueError:
             raise ConfigError(f"--mix: bad entry {part!r}, expected name=number") from None
-        if not np.isfinite(mix[name]):
-            raise ConfigError(f"--mix: entry {part!r} is not finite")
     config = data_mod.SynthConfig(d_v=args.d_v, d_t=args.d_t, noise_std=args.noise)
     # the flags are checked above, so any ValueError left is the mix's
     records, features = _build(data_mod.synth_scenes, "--mix: ", args.count, mix, args.seed, config)
@@ -182,18 +184,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data_mod.emit(records, out / "scenes.json")
     data_mod.save_features(features, out / "features.json")
-    _write_resolved_config(
-        {
-            "command": "synth",
-            "count": args.count,
-            "seed": args.seed,
-            "mix": mix,
-            "noise": args.noise,
-            "d_v": args.d_v,
-            "d_t": args.d_t,
-        },
-        out / "resolved_config.json",
-    )
+    _write_resolved_config(_parsed_flags(args, mix=mix), out / "resolved_config.json")
     print(f"wrote {len(records)} scenes to {out}")
     return 0
 
@@ -232,16 +223,9 @@ def cmd_train(args) -> int:
     print(f"trainable_fraction={model.trainable_fraction()!r}")
     print(f"train_samples={len(train_samples)} val_samples={len(val_samples)}")
 
-    rows = [LOG_HEADER]
-    history = run_training(
-        model,
-        train_samples,
-        schedule,
-        seed=config["seed"],
-        batch_size=config["batch_size"],
-        val_samples=val_samples or None,
-        epoch_callback=lambda s: rows.append(format_log_row(s)),
-    )
+    history = run_training(model, train_samples, schedule, seed=config["seed"],
+                           batch_size=config["batch_size"], val_samples=val_samples or None)
+    rows = [LOG_HEADER, *map(format_log_row, history)]
     (out / "train_log.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     save_checkpoint(model, out / "checkpoint.bin")
     print(f"final_loss={history[-1].combined_loss!r}")
@@ -266,16 +250,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_json(report) + "\n", encoding="utf-8")
     (out / "report.csv").write_text(report_csv(report), encoding="utf-8")
-    _write_resolved_config(
-        {
-            "command": "eval",
-            "checkpoint": args.checkpoint,
-            "data": args.data,
-            "threshold": args.threshold,
-            "gt_as_pred": args.gt_as_pred,
-        },
-        out / "resolved_config.json",
-    )
+    _write_resolved_config(_parsed_flags(args), out / "resolved_config.json")
     print(f"miou_samples={report['miou_samples']!r}")
     print(f"miou_categories={report['miou_categories']!r}")
     print(f"recall={report['recall']!r}")

@@ -25,7 +25,9 @@ many were skipped. A batch whose model output, loss or gradients go
 non-finite, or whose predicted sizes underflow to zero, raises
 DivergenceError naming the epoch and batch before the optimizer step; the
 same output check guards the per-epoch validation pass and evaluation, and
-names the first sample whose output failed it.
+names the first sample whose output failed it. Numpy's floating-point errors
+in a forward are recorded instead of printed, so an overflow that a ReLU
+turned into a finite output raises too.
 """
 
 from __future__ import annotations
@@ -167,24 +169,33 @@ def format_log_row(s: EpochStats) -> str:
     return ",".join("" if v is None else repr(v) for v in astuple(s))
 
 
-def _checked_box_params(raw: np.ndarray, samples, where: str = "", rows=None) -> np.ndarray:
-    """Box parameters of a raw (B, 7) batch whose row b is the prediction for
-    `samples[rows[b]]` (`samples[b]` without `rows`); DivergenceError if the
-    output is non-finite or a size underflowed to zero, before any IoU is
-    taken. Only a failing batch is searched for the first row at fault, and
-    the message names its sample (and, for a size, the raw channel)."""
+def _checked_box_params(model, F: np.ndarray, samples, where: str = "", rows=None):
+    """(raw, box parameters) of the model's forward on a (B, d_v + d_t) batch
+    whose row b is `samples[rows[b]]` (`samples[b]` without `rows`).
+
+    DivergenceError, before any IoU is taken, if the output is non-finite or a
+    size underflowed to zero; only a failing batch is searched for the first
+    row at fault, and the message names its sample (and, for a size, the raw
+    channel). Numpy's floating-point errors in the forward are recorded, not
+    printed: one whose output stayed finite (a ReLU zeroes a -inf) raises
+    DivergenceError naming numpy's report."""
     def sample(b) -> str:
         return f"sample {samples[b if rows is None else rows[b]].sample_id!r}"
 
+    errors = []
+    with np.errstate(all="call", under="ignore", call=lambda kind, _flag: errors.append(kind)):
+        raw = model.forward_batch(F)
     if not np.isfinite(raw).all():
         b = np.flatnonzero(~np.isfinite(raw).all(axis=1))[0]
         raise DivergenceError(f"non-finite model output{where} ({sample(b)})")
+    if errors:
+        raise DivergenceError(f"{errors[0]} in the model's forward{where}")
     params = box_params_from_raw(raw)
     if not (params[:, 3:6] > 0.0).all():
         b, c = np.argwhere(params[:, 3:6] <= 0.0)[0]  # row-major: the first row at fault
         raise DivergenceError(f"a predicted box size is not positive{where} "
                               f"({sample(b)}, raw {'lwh'[c]} {raw[b, 3 + c]:.6g})")
-    return params
+    return raw, params
 
 
 def _rows(params: np.ndarray) -> list[tuple]:
@@ -195,8 +206,8 @@ def _rows(params: np.ndarray) -> list[tuple]:
 def _sample_ious(model, samples: list[TrainSample], predictions=None) -> list[float]:
     """IoU of each sample's prediction (by default the model's) with its ground truth."""
     if predictions is None:
-        raws = model.forward_batch(np.stack([s.fused for s in samples]))
-        predictions = _rows(_checked_box_params(raws, samples))
+        fused = np.stack([s.fused for s in samples])
+        predictions = _rows(_checked_box_params(model, fused, samples)[1])
     return [iou_3d(pred, s.gt_box).iou for pred, s in zip(predictions, samples)]
 
 
@@ -240,15 +251,12 @@ def run_training(
         order = rng.permutation(len(train_samples))
         mse_sum = 0.0
         iou_sum = 0.0
-        seen = 0
         skipped = 0
         for batch, start in enumerate(range(0, len(order), batch_size)):
             idx = order[start : start + batch_size]
             B = len(idx)
-            F = fused_all[idx]
-            raw = model.forward_batch(F)
             where = f" at epoch {epoch}, batch {batch}"
-            params_pred = _checked_box_params(raw, train_samples, where, idx)
+            raw, params_pred = _checked_box_params(model, fused_all[idx], train_samples, where, idx)
             f_pred = model.semantic_features(params_pred)
             f_gt = model.semantic_features(gt_params[idx])
             diffs = f_pred - f_gt
@@ -276,10 +284,9 @@ def run_training(
 
             mse_sum += mse_batch * B
             iou_sum += iou_batch * B
-            seen += B
 
-        mse_epoch = mse_sum / seen
-        iou_epoch = iou_sum / seen
+        mse_epoch = mse_sum / len(order)
+        iou_epoch = iou_sum / len(order)
         combined = combined_loss(mse_epoch, iou_epoch, lam1, lam2)
         if not math.isfinite(combined):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {combined}")

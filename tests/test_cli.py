@@ -324,7 +324,6 @@ def test_preprocessing_failure_in_train_and_eval_names_its_record(
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings: an open gap
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_overflowing_feature_names_its_sample(tmp_path, capsys, command):
     # -1e308 is finite, so the features file loads; the first layer overflows
@@ -343,6 +342,27 @@ def test_overflowing_feature_names_its_sample(tmp_path, capsys, command):
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: non-finite model output[^\n]* \(sample '{sample_id}'\)[^\n]*\n", err)
+
+
+def test_resolved_config_is_the_parsed_flags(tmp_path, capsys):
+    data, processed, report = tmp_path / "data", tmp_path / "p.jsonl", tmp_path / "e"
+    runs = [
+        (("synth", "--count", 6, "--seed", 2, "--out", data, "--mix", "adult=1,car=3"),
+         data / "resolved_config.json",
+         {"command": "synth", "count": 6, "seed": 2, "out": str(data),
+          "mix": {"adult": 1.0, "car": 3.0}, "noise": 0.0, "d_v": 32, "d_t": 32}),
+        (("ingest", data / "scenes.json", "--out", processed),
+         tmp_path / "p.jsonl.config.json",
+         {"command": "ingest", "scenes": str(data / "scenes.json"), "out": str(processed),
+          "workers": 1}),
+        (("eval", "--data", data, "--out", report, "--gt-as-pred"),
+         report / "resolved_config.json",
+         {"command": "eval", "checkpoint": None, "data": str(data), "threshold": 0.25,
+          "out": str(report), "gt_as_pred": True}),
+    ]
+    for argv, written, flags in runs:
+        assert run_cli(*argv) == 0
+        assert json.loads(written.read_text()) == flags
 
 
 class TestTrainCommand:
@@ -503,6 +523,14 @@ class TestTrainCommand:
             f"error: {feats}: 2 feature ids match no scene record, first ['ghost-1', 'ghost-2']\n"
         )
 
+    def test_resolved_config_reruns_the_same_training(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, "data", 40, 9)
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        assert run_cli("train", "--config", train_config(tmp_path, data), "--out", first) == 0
+        assert run_cli("train", "--config", first / "resolved_config.json", "--out", second) == 0
+        for name in ("checkpoint.bin", "train_log.csv", "resolved_config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_defaults_written_to_resolved_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path, "data", 4, 15)
         cfg = tmp_path / "config.json"
@@ -601,6 +629,9 @@ MALFORMED_CHECKPOINTS = {
     "header_number_too_large_for_a_float": (
         _header_edit(lambda c: c.update(lora_alpha=10**400)), "header.lora_alpha"
     ),
+    "header_config_model_config_refuses": (
+        _header_edit(lambda c: c.update(n_heads=3)), "header: d_model"
+    ),
     "truncated_weights": (lambda blob: blob[:-4], "weights"),
     "trailing_bytes": (lambda blob: blob + bytes(8), "weights"),
 }
@@ -658,6 +689,11 @@ class TestEvalCommand:
             "eval", "--checkpoint", tmp_path / "nope.bin", "--data", data, "--out", tmp_path / "e"
         )
         assert code == 1
+
+    def test_checkpoint_required_without_gt_as_pred(self, tmp_path, capsys):
+        assert run_cli("eval", "--data", tmp_path / "nope", "--out", tmp_path / "e") == 1
+        assert capsys.readouterr().err == "error: --checkpoint required unless --gt-as-pred\n"
+        assert not (tmp_path / "e").exists()
 
     def test_missing_data_nonzero(self, tmp_path, capsys):
         assert run_cli("eval", "--data", tmp_path / "nope", "--out", tmp_path / "e",
@@ -842,6 +878,7 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     ({"schedule": {"transition_epoch": 0}}, "config.schedule.transition_epoch"),
     ({"schedule": {"stage2_weights": [1]}}, "config.schedule.stage2_weights"),
     ({"batch_size": 0}, "config.batch_size"),
+    ({"data": None}, "config.data: must point to a dataset directory"),
 ])
 def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, override, path):
     data = make_dataset(tmp_path, "data", 4, 11)

@@ -206,6 +206,33 @@ class TestIngest:
             "records[1].annotations[0].box: Box7 sizes must give a positive, finite volume, "
             f"got l={size}, w={size}, h={size}")]
 
+    @pytest.mark.parametrize("path, value, field, message", [
+        (("ego_to_global", "translation"), [1.0, 2.0], "ego_to_global.translation",
+         "must be a 3-list"),
+        (("lidar_to_ego", "rotation"), [1.0, 0.0, 0.0], "lidar_to_ego.rotation",
+         "must be a 4-list [w,x,y,z]"),
+        (("sample_id",), "", "sample_id", "must be a non-empty string"),
+        (("cameras", 0, "name"), "top", "cameras[0].name", "unknown camera 'top'"),
+        (("annotations", 0, "box"), [0.0] * 6, "annotations[0].box",
+         "must be a 7-list [x,y,z,l,w,h,yaw]"),
+    ], ids=["translation", "rotation", "sample_id", "camera", "box"])
+    def test_malformed_record_field_names_it(self, tmp_path, path, value, field, message):
+        records, _ = synth_scenes(1, {"car": 1.0}, seed=9)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_value(json.loads(_emitted(tmp_path, records).read_text()),
+                                             ("records", 0) + path, value)))
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == []
+        assert [(d.field, str(d)) for d in diagnostics] == [
+            (f"records[0].{field}", f"records[0].{field}: {message}")]
+
+    def test_records_that_is_not_a_list_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "records": 5}))
+        with pytest.raises(ParseError) as exc:
+            ingest_lenient(bad)
+        assert str(exc.value) == f"{bad}.records: must be a list"
+
     @pytest.mark.parametrize("key", ["cameras", "annotations"])
     @pytest.mark.parametrize("value", [5, None, 1.5])
     def test_record_list_that_is_not_a_list_names_its_field(self, tmp_path, key, value):
@@ -361,6 +388,26 @@ class TestFilterVisible:
         u, v, visible = ann["projections"]["front"][0]
         assert isinstance(u, float) and isinstance(visible, bool)
         json.dumps(payload)  # serializable
+
+
+class TestConstructorsRefuse:
+    def test_synth_without_records_or_categories(self):
+        with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
+            synth_scenes(0, {"car": 1.0}, seed=0)
+        with pytest.raises(ValueError, match="^category_mix must name at least one category$"):
+            synth_scenes(5, {}, 0)
+
+    def test_empty_category(self):
+        with pytest.raises(ValueError, match="^category must be non-empty$"):
+            Annotation("", Box7(0, 0, 0, 1, 1, 1, 0))
+
+    def test_unknown_camera_name(self):
+        with pytest.raises(ValueError, match="^unknown camera name 'top'$"):
+            dataclasses.replace(front_camera(), name="top")
+
+    def test_repeated_camera_name(self):
+        with pytest.raises(ValueError, match=r"^duplicate camera names: \['front', 'front'\]$"):
+            make_record(cameras=(front_camera(), front_camera(width=800)))
 
 
 class TestSynth:

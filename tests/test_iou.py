@@ -522,6 +522,11 @@ class TestGradInTheClipBoxFrame:
 
 
 class TestMonteCarlo:
+    def test_refuses_zero_samples(self):
+        box = Box7(0, 0, 0, 1, 1, 1, 0)
+        with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
+            monte_carlo_iou(box, box, 0, 0)
+
     def test_identical_exact_one(self):
         box = Box7(0, 0, 0, 2, 1, 1, 0.7)
         mc = monte_carlo_iou(box, box, 10_000, seed=0)

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from minidet3d.errors import EmptyBatch
 from minidet3d.geom import Box7
 from minidet3d.iou import iou_3d
-from minidet3d.metrics import match_predictions, miou_samples, report_csv, report_dict
+from minidet3d.metrics import (
+    ConfusionCounts,
+    match_predictions,
+    miou_samples,
+    report_csv,
+    report_dict,
+)
 
 from oracles import match_optimal_bruteforce, reference_match_predictions, reference_report
 
@@ -189,6 +195,10 @@ class TestScalarMetrics:
                 report = report_dict(hits_and_misses(hits, misses), 0.25)
                 for key in ("accuracy", "precision", "recall", "f1"):
                     assert 0 <= report[key] <= 1
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="^confusion counts must be non-negative$"):
+            ConfusionCounts(-1, 0, 0, 0)
 
 
 class TestMiou:

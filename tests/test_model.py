@@ -399,6 +399,8 @@ class TestAccounting:
             assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
     def test_config_validation(self):
+        with pytest.raises(ValueError, match="^n_layers: must be >= 1, got 0$"):
+            ModelConfig(n_layers=0)
         with pytest.raises(ValueError, match="^d_model: 30 is not divisible by n_heads 4$"):
             ModelConfig(d_model=30, n_heads=4)
         with pytest.raises(ValueError, match="^lora_rank: 128 exceeds d_model 64$"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -243,6 +244,37 @@ class TestRunTraining:
                 run()
             assert str(caught.value) == message
 
+    def test_overflow_with_a_finite_output_is_divergence(self):
+        # attention off, one visual channel copied into every token channel:
+        # -1e308 overflows the first FFN to -inf, its ReLU zeroes that, the
+        # first head layer overflows and ReLU zeroes it again, so the output
+        # is finite and only numpy's error state saw the overflow
+        samples = small_dataset(16, seed=9)
+        samples[5] = dataclasses.replace(samples[5], fused=samples[5].fused.copy())
+        samples[5].fused[0] = -1e308
+        model = FusionModel(ModelConfig(seed=4))
+        p = model.params
+        for name in p:
+            if name.endswith(".base"):
+                p[name][...] = 0.0
+        p["proj_v.W"][...] = 0.0
+        p["proj_v.W"][:, 0] = 1.0
+        for i in range(model.config.n_layers):
+            p[f"layers.{i}.ffn.W1"][...] = 1.0
+        p["head.0.W"][...] = 1.0
+        with np.errstate(over="ignore"):
+            assert np.isfinite(model.forward_batch(np.stack([s.fused for s in samples]))).all()
+        runs = [
+            (lambda: run_training(model, samples, LossSchedule(transition_epoch=1, total_epochs=2),
+                                  seed=0, batch_size=16), " at epoch 1, batch 0"),
+            (lambda: validation_miou(model, samples), ""),
+            (lambda: evaluate_model(model, samples, 0.25), ""),
+        ]
+        for run, where in runs:
+            with pytest.raises(DivergenceError) as caught:
+                run()
+            assert str(caught.value) == f"overflow in the model's forward{where}"
+
     def test_stage2_run_is_bit_reproducible(self, tmp_path):
         train, val = small_dataset(256, seed=101), small_dataset(64, seed=202)
         sched = LossSchedule(transition_epoch=8, total_epochs=14, stage1_lr=2e-3, stage2_lr=5e-5)
@@ -292,6 +324,35 @@ class TestRunTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyBatch):
             run_training(FusionModel(ModelConfig()), [], LossSchedule(), seed=0)
+        with pytest.raises(EmptyBatch):
+            validation_miou(FusionModel(ModelConfig()), [])
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ConfigError, match=r"^batch_size must be >= 1, got 0$"):
+            run_training(FusionModel(ModelConfig()), small_dataset(4, seed=9), LossSchedule(),
+                         seed=0, batch_size=0)
+
+    def test_non_finite_gradient_is_divergence(self, monkeypatch):
+        model = FusionModel(ModelConfig(seed=4))
+        monkeypatch.setattr(model, "backward_batch", lambda upstream: np.full_like(model.grad, np.inf))
+        with pytest.raises(DivergenceError, match=r"^non-finite gradient at epoch 1, batch 0$"):
+            run_training(model, small_dataset(8, seed=9), LossSchedule(), seed=0)
+        assert np.isfinite(model.arena).all()
+
+    def test_epoch_loss_that_overflows_is_divergence(self, monkeypatch):
+        # each batch's loss is finite; their sample-weighted sum is not
+        monkeypatch.setattr(minidet3d.train, "mse_semantic_loss", lambda f_pred, f_gt: 1e308)
+        with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch 1: inf$"):
+            run_training(FusionModel(ModelConfig(seed=4)), small_dataset(8, seed=9),
+                         LossSchedule(), seed=0, batch_size=4)
+
+    def test_epoch_callback_gets_each_epochs_stats(self):
+        # perfbench times epochs through this hook; `train` reads the returned history
+        seen = []
+        history = run_training(FusionModel(ModelConfig(seed=5)), small_dataset(8, seed=10),
+                               LossSchedule(transition_epoch=1, total_epochs=2), seed=0,
+                               epoch_callback=seen.append)
+        assert seen == history and len(history) == 2
 
     def test_log_row_format(self):
         samples = small_dataset(16, seed=10)
@@ -335,6 +396,13 @@ class TestEvaluate:
         miou = validation_miou(model, samples)
         report = evaluate_model(model, samples, 0.25)
         assert miou == pytest.approx(report["miou_samples"])
+
+    def test_empty_or_modelless_evaluation_rejected(self):
+        samples = small_dataset(3, seed=14)
+        with pytest.raises(EmptyBatch):
+            evaluate_model(FusionModel(ModelConfig()), [], 0.25)
+        with pytest.raises(ConfigError, match="^evaluate_model needs a model or explicit predictions$"):
+            evaluate_model(None, samples, 0.25)
 
     def test_mismatched_predictions_rejected(self):
         samples = small_dataset(3, seed=14)
