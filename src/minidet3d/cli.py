@@ -179,6 +179,10 @@ def cmd_synth(args) -> int:
     config = data_mod.SynthConfig(d_v=args.d_v, d_t=args.d_t, noise_std=args.noise)
     # the flags are checked above, so any ValueError left is the mix's
     records, features = _build(data_mod.synth_scenes, "--mix: ", args.count, mix, args.seed, config)
+    bad = next((f.sample_id for f in features if not np.isfinite(f.visual).all()), None)
+    if bad is not None:  # a finite --noise can still draw a value no float holds
+        raise ConfigError(f"--noise {args.noise} drives a visual feature of sample {bad!r} "
+                          "beyond float range")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,8 @@ one-line JSON, which `python -m json.tool` pretty-prints):
 Every object holds just the keys shown (errors.check_keys), and an error
 about the top level starts with the file's path. Every box value,
 translation, rotation and fx/fy/cx/cy is a finite JSON number, and
-width/height are JSON integers (errors.check_json_value).
+width/height are JSON integers (errors.check_json_value). A rejected
+record's diagnostic is a new ParseError, never raised, that holds no frame.
 Quaternions are [w,x,y,z] and must be unit within 1e-9; lengths are meters,
 angles radians. Annotation boxes live in the global frame and are brought
 into the LiDAR frame by inverting the ego and LiDAR calibration poses.
@@ -289,8 +290,8 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
     width and height). Camera blocks and `cameras` tuples are built per
     record: interning them too cost more on a file whose rigs do not repeat
     than it saved on a shared rig (ROADMAP, measured and not worth doing).
-    The diagnostics hold no traceback frames, so the parsed document is freed
-    when this function returns, rejected records or not.
+    Each diagnostic is a new ParseError that was never raised, so it holds no
+    frame and the parsed document is freed when this function returns.
     """
     body = _read_body(path, "scene file", "records")
     if not isinstance(body, list):
@@ -305,20 +306,8 @@ def ingest_lenient(path: str | Path) -> tuple[list[SceneRecord], list[ParseError
                                  f"duplicate sample_id {rec.sample_id!r}, first at records[{j}]")
             records.append(rec)
         except ParseError as e:
-            diagnostics.append(_frameless(e))
+            diagnostics.append(ParseError(e.field, e.message))
     return records, diagnostics
-
-
-def _frameless(error: Exception) -> Exception:
-    """`error`, with no traceback left on it or on the errors it was raised
-    from. A stored traceback would hold the frame of ingest_lenient, whose
-    diagnostics list holds the error: a reference cycle that keeps the parsed
-    document and the caller's frame alive until a full garbage collection."""
-    e = error
-    while e is not None:
-        e.__traceback__ = None
-        e = e.__cause__ or e.__context__
-    return error
 
 
 def _pose_to_json(p: Pose) -> dict:
@@ -606,8 +595,8 @@ def synth_scenes(
 def save_features(features: list[FeaturePair], path: str | Path) -> None:
     """Write a features file: json.dumps of the document, with the JSON text of
     each distinct text vector (same dtype, shape and bytes) made once. A
-    sample_id that is not a string raises TypeError, and one given twice
-    ValueError, before anything is written."""
+    sample_id that is not a string raises TypeError, and one given twice or
+    with a NaN or infinite value ValueError, before anything is written."""
     texts, entries = {}, {}
     for f in features:
         if not isinstance(f.sample_id, str):  # its JSON text would be no object key
@@ -615,10 +604,13 @@ def save_features(features: list[FeaturePair], path: str | Path) -> None:
         if f.sample_id in entries:
             raise ValueError(f"repeated sample_id {f.sample_id!r} in the features")
         key = (f.text.dtype.str, f.text.shape, f.text.tobytes())
-        if (text := texts.get(key)) is None:
-            text = texts[key] = json.dumps(f.text.tolist())
-        entries[f.sample_id] = (f'{json.dumps(f.sample_id)}: '
-                                f'{{"visual": {json.dumps(f.visual.tolist())}, "text": {text}}}')
+        try:  # load_features refuses NaN and Infinity: write neither
+            if (text := texts.get(key)) is None:
+                text = texts[key] = json.dumps(f.text.tolist(), allow_nan=False)
+            visual = json.dumps(f.visual.tolist(), allow_nan=False)
+        except ValueError:
+            raise ValueError(f"sample {f.sample_id!r}: features must be finite numbers") from None
+        entries[f.sample_id] = f'{json.dumps(f.sample_id)}: {{"visual": {visual}, "text": {text}}}'
     body = ", ".join(entries.values())
     Path(path).write_text(f'{{"schema_version": {SCHEMA_VERSION}, "features": {{{body}}}}}',
                           encoding="utf-8")

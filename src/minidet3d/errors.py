@@ -2,7 +2,8 @@
 the two rules for JSON inputs.
 
 Bad user input raises `ParseError` (a scene, features or report file, with
-the field path), `ConfigError` (a train config or flag) or `CheckpointError`.
+the field path), `ConfigError` (a train config or flag) or `CheckpointError`;
+a caught `ParseError` can be stored as a new one, never raised, with no frame.
 Code catches `DivergenceError`, `DegenerateOverlap` and `NonSmoothPoint` by
 type. `EmptyBatch`, `ShapeMismatch`, `StaleActivation` and `GimbalRisk` guard
 a call's preconditions; a plain range check on an argument is a `ValueError`.
@@ -26,12 +27,12 @@ class ParseError(MiniDetError):
     or an input file could not be read as JSON.
 
     `field` names the offending location, e.g. "records[3].ego_to_global.rotation",
-    "report.categories[0].iou", or the file's path.
+    "report.categories[0].iou", or the file's path; `message` says what is wrong.
     """
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
+        self.field, self.message = field, message
 
 
 class ConfigError(MiniDetError):

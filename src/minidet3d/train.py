@@ -26,8 +26,10 @@ non-finite, or whose predicted sizes underflow to zero, raises
 DivergenceError naming the epoch and batch before the optimizer step; the
 same output check guards the per-epoch validation pass and evaluation, and
 names the first sample whose output failed it. Numpy's floating-point errors
-in a forward are recorded instead of printed, so an overflow that a ReLU
-turned into a finite output raises too.
+are recorded instead of printed, in every forward and in a batch's whole step
+through the optimizer: one that no check above reported (a ReLU turned an
+overflow into a finite output, or AdamW's second moment overflowed) raises
+DivergenceError too, after the step for a training batch.
 """
 
 from __future__ import annotations
@@ -169,9 +171,15 @@ def format_log_row(s: EpochStats) -> str:
     return ",".join("" if v is None else repr(v) for v in astuple(s))
 
 
-def _checked_box_params(model, F: np.ndarray, samples, where: str = "", rows=None):
+def _recording(errors: list):
+    """A numpy error state that appends each floating-point error's kind
+    ("overflow", "invalid value", ...) to `errors` instead of printing it."""
+    return np.errstate(all="call", under="ignore", call=lambda kind, _flag: errors.append(kind))
+
+
+def _checked_box_params(model, F: np.ndarray, samples, where: str = ""):
     """(raw, box parameters) of the model's forward on a (B, d_v + d_t) batch
-    whose row b is `samples[rows[b]]` (`samples[b]` without `rows`).
+    whose row b is `samples[b]`.
 
     DivergenceError, before any IoU is taken, if the output is non-finite or a
     size underflowed to zero; only a failing batch is searched for the first
@@ -179,22 +187,20 @@ def _checked_box_params(model, F: np.ndarray, samples, where: str = "", rows=Non
     channel). Numpy's floating-point errors in the forward are recorded, not
     printed: one whose output stayed finite (a ReLU zeroes a -inf) raises
     DivergenceError naming numpy's report."""
-    def sample(b) -> str:
-        return f"sample {samples[b if rows is None else rows[b]].sample_id!r}"
-
     errors = []
-    with np.errstate(all="call", under="ignore", call=lambda kind, _flag: errors.append(kind)):
+    with _recording(errors):
         raw = model.forward_batch(F)
     if not np.isfinite(raw).all():
         b = np.flatnonzero(~np.isfinite(raw).all(axis=1))[0]
-        raise DivergenceError(f"non-finite model output{where} ({sample(b)})")
+        raise DivergenceError(f"non-finite model output{where} (sample {samples[b].sample_id!r})")
     if errors:
         raise DivergenceError(f"{errors[0]} in the model's forward{where}")
     params = box_params_from_raw(raw)
     if not (params[:, 3:6] > 0.0).all():
         b, c = np.argwhere(params[:, 3:6] <= 0.0)[0]  # row-major: the first row at fault
         raise DivergenceError(f"a predicted box size is not positive{where} "
-                              f"({sample(b)}, raw {'lwh'[c]} {raw[b, 3 + c]:.6g})")
+                              f"(sample {samples[b].sample_id!r}, "
+                              f"raw {'lwh'[c]} {raw[b, 3 + c]:.6g})")
     return raw, params
 
 
@@ -254,33 +260,38 @@ def run_training(
         skipped = 0
         for batch, start in enumerate(range(0, len(order), batch_size)):
             idx = order[start : start + batch_size]
+            batch_samples = [train_samples[i] for i in idx]
             B = len(idx)
-            where = f" at epoch {epoch}, batch {batch}"
-            raw, params_pred = _checked_box_params(model, fused_all[idx], train_samples, where, idx)
-            f_pred = model.semantic_features(params_pred)
-            f_gt = model.semantic_features(gt_params[idx])
-            diffs = f_pred - f_gt
-            mse_batch = mse_semantic_loss(f_pred, f_gt)
-            if not math.isfinite(mse_batch):
-                _diverged(epoch, batch, f"non-finite loss {mse_batch}")
+            errors = []
+            with _recording(errors):  # from the forward through the optimizer step
+                raw, params_pred = _checked_box_params(model, fused_all[idx], batch_samples,
+                                                       f" at epoch {epoch}, batch {batch}")
+                f_pred = model.semantic_features(params_pred)
+                f_gt = model.semantic_features(gt_params[idx])
+                diffs = f_pred - f_gt
+                mse_batch = mse_semantic_loss(f_pred, f_gt)
+                if not math.isfinite(mse_batch):
+                    _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
-            pairs = [(p, train_samples[i].gt_box) for p, i in zip(_rows(params_pred), idx)]
-            ious = [iou_3d(p, g).iou for p, g in pairs]
-            iou_batch = sum(1.0 - iou for iou in ious) / B
-            upstream_params = (2.0 * lam1 / B) * model.semantic_input_grad(diffs)
-            if lam2 > 0.0:
-                iou_grads = np.zeros((B, 7))
-                for b, (p, g) in enumerate(pairs):
-                    try:
-                        iou_grads[b] = iou_loss_grad(p, g, ious[b])
-                    except (DegenerateOverlap, NonSmoothPoint):
-                        skipped += 1
-                upstream_params += (lam2 / B) * iou_grads
-            upstream_raw = box_params_grad_chain(raw, upstream_params)
-            grad = model.backward_batch(upstream_raw)
-            if not np.isfinite(grad).all():
-                _diverged(epoch, batch, "non-finite gradient")
-            opt.step(model.arena, grad, lr)
+                pairs = [(p, s.gt_box) for p, s in zip(_rows(params_pred), batch_samples)]
+                ious = [iou_3d(p, g).iou for p, g in pairs]
+                iou_batch = sum(1.0 - iou for iou in ious) / B
+                upstream_params = (2.0 * lam1 / B) * model.semantic_input_grad(diffs)
+                if lam2 > 0.0:
+                    iou_grads = np.zeros((B, 7))
+                    for b, (p, g) in enumerate(pairs):
+                        try:
+                            iou_grads[b] = iou_loss_grad(p, g, ious[b])
+                        except (DegenerateOverlap, NonSmoothPoint):
+                            skipped += 1
+                    upstream_params += (lam2 / B) * iou_grads
+                upstream_raw = box_params_grad_chain(raw, upstream_params)
+                grad = model.backward_batch(upstream_raw)
+                if not np.isfinite(grad).all():
+                    _diverged(epoch, batch, "non-finite gradient")
+                opt.step(model.arena, grad, lr)
+            if errors:
+                _diverged(epoch, batch, f"{errors[0]} in the training step")
 
             mse_sum += mse_batch * B
             iou_sum += iou_batch * B

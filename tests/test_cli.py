@@ -344,6 +344,17 @@ def test_overflowing_feature_names_its_sample(tmp_path, capsys, command):
     assert re.fullmatch(rf"error: non-finite model output[^\n]* \(sample '{sample_id}'\)[^\n]*\n", err)
 
 
+def test_loss_overflow_in_train_is_one_error_line(tmp_path, capsys):
+    # the loss overflows before any check sees a non-finite value; numpy's
+    # report is recorded, not printed, so only the error line reaches stderr
+    data = make_dataset(tmp_path, "data", 40, 3)
+    config = train_config(tmp_path, data, batch_size=4,
+                          schedule={"stage1_lr": 1e12, "stage2_lr": 1e12})
+    capsys.readouterr()
+    assert run_cli("train", "--config", config, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == "error: non-finite loss inf at epoch 1, batch 1\n"
+
+
 def test_resolved_config_is_the_parsed_flags(tmp_path, capsys):
     data, processed, report = tmp_path / "data", tmp_path / "p.jsonl", tmp_path / "e"
     runs = [
@@ -909,6 +920,7 @@ def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, overri
     (("--count", 0), "--count"),
     (("--d-v", 3), "--d-v"),
     (("--mix", "adult=1e308,car=1e308"), "--mix: category weights sum to inf, not a finite"),
+    (("--seed", 1, "--noise", 1e308), "--noise 1e+308 drives a visual feature of sample"),
 ])
 def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, flag):
     assert run_cli("synth", "--count", 4, "--out", tmp_path / "data", *flags) == 1

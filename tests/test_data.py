@@ -993,6 +993,17 @@ class TestWritersEqualJsonDumps:
             save_features([FeaturePair("a", vec, vec), FeaturePair(7, vec, vec)], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("key", ["visual", "text"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_save_features_refuses_a_value_that_is_not_finite(self, tmp_path, key, value):
+        # load_features refuses NaN and Infinity, so no file may hold them
+        vec = np.array([1.0, 2.0])
+        bad = dataclasses.replace(FeaturePair("b", vec, vec), **{key: np.array([1.0, value])})
+        path = tmp_path / "features.json"
+        with pytest.raises(ValueError, match="^sample 'b': features must be finite numbers$"):
+            save_features([FeaturePair("a", vec, vec), bad, FeaturePair("c", vec, vec)], path)
+        assert not path.exists()
+
 
 class TestRigInterning:
     """Records of one scene file that repeat a rig share its poses and

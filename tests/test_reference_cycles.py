@@ -39,7 +39,8 @@ def _pipeline(tmp_path):
 
     accepted, diagnostics = ingest_lenient(scenes)
     assert [d.field for d in diagnostics] == ["records[5].annotations[0].box"]
-    assert diagnostics[0].__cause__ is not None
+    stored = diagnostics[0]  # a new error, never raised: it holds no frame
+    assert (stored.__traceback__, stored.__cause__, stored.__context__) == (None, None, None)
     processed = [process_record(r) for r in accepted]
     samples = build_training_samples(accepted, load_features(feats))
     train, val = samples[:40], samples[40:]

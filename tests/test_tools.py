@@ -66,10 +66,13 @@ def test_summary_has_per_arm_spreads_and_paired_gains(quality_band):
     assert gain["paper"] == quality_band.PAPER_GAIN
 
 
-def _gate(quality_band, edit):
-    parent = {**quality_band.summarize(_runs(TWO_STAGE, MSE_ONLY)),
+def _gate(quality_band, edit, change_runs=None):
+    runs = _runs(TWO_STAGE, MSE_ONLY)
+    parent = {**quality_band.summarize(runs), "runs": runs,
               "provenance": {"src_sha256": "parent"}}
     change = copy.deepcopy(parent)
+    if change_runs is not None:
+        change = {**quality_band.summarize(change_runs), "runs": change_runs}
     edit(change)
     return quality_band.gate(parent, change)
 
@@ -81,6 +84,19 @@ def test_gate_passes_at_the_parents_band_edges(quality_band):
     assert result["parent_src_sha256"] == "parent"
     assert [c["band"] for c in result["checks"].values() if "band" in c] == [[0.5, 0.75],
                                                                              [0.25, 0.5]]
+    zero = {"per_seed": {"0": 0.0, "1": 0.0, "2": 0.0}, "largest": 0.0}
+    assert result["final_miou_moves"] == {"two-stage": zero, "mse-only": zero}
+
+
+def test_gate_records_each_seeds_move_against_the_parent(quality_band):
+    # the median stays 0.5, so the gate passes whatever the seeds did
+    result = _gate(quality_band, lambda change: None,
+                   change_runs=_runs((0.5, 0.875, 0.25), (0.3125, 0.5, 0.5)))
+    assert result["passed"]
+    assert result["final_miou_moves"] == {
+        "two-stage": {"per_seed": {"0": 0.0, "1": 0.125, "2": -0.25}, "largest": -0.25},
+        "mse-only": {"per_seed": {"0": 0.0625, "1": 0.0, "2": 0.0}, "largest": 0.0625},
+    }
 
 
 @pytest.mark.parametrize("arm, median", [("two-stage", math.nextafter(0.5, 0.0)),

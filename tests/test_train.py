@@ -191,7 +191,6 @@ class TestRunTraining:
         )
         assert changed == len(before)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         samples = small_dataset(16, seed=9)
         model = FusionModel(ModelConfig(seed=4))
@@ -199,7 +198,6 @@ class TestRunTraining:
         with pytest.raises(DivergenceError):
             run_training(model, samples, bad, seed=0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lr", [1e3, 1e6, 1e12])
     def test_divergence_caught_at_its_batch(self, lr):
         # the batch that first goes bad raises before the optimizer writes
@@ -212,7 +210,6 @@ class TestRunTraining:
         for name, p in model.params.items():
             assert np.isfinite(p).all(), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lr", [30, 100, 1e3, 1e4])
     def test_divergence_caught_at_validation(self, lr):
         # a finite step can leave the val predictions with underflowed sizes
@@ -336,6 +333,15 @@ class TestRunTraining:
         model = FusionModel(ModelConfig(seed=4))
         monkeypatch.setattr(model, "backward_batch", lambda upstream: np.full_like(model.grad, np.inf))
         with pytest.raises(DivergenceError, match=r"^non-finite gradient at epoch 1, batch 0$"):
+            run_training(model, small_dataset(8, seed=9), LossSchedule(), seed=0)
+        assert np.isfinite(model.arena).all()
+
+    def test_gradient_that_overflows_adamw_is_divergence(self, monkeypatch):
+        # 1e160 is finite, but its square overflows AdamW's second moment to inf
+        model = FusionModel(ModelConfig(seed=4))
+        monkeypatch.setattr(model, "backward_batch", lambda upstream: np.full_like(model.grad, 1e160))
+        with pytest.raises(DivergenceError,
+                           match=r"^overflow in the training step at epoch 1, batch 0$"):
             run_training(model, small_dataset(8, seed=9), LossSchedule(), seed=0)
         assert np.isfinite(model.arena).all()
 

@@ -28,7 +28,9 @@ A change that alters the training arithmetic cannot keep results bit-identical,
 so it is gated on this band instead. With `--parent FILE` (the output of this
 script at the parent commit) the file also records the gate: each arm's median
 final mIoU lies within the parent's [min, max] over seeds, and the median
-paired gain is above 0. The exit code is 1 when the gate fails.
+paired gain is above 0. The exit code is 1 when the gate fails. Next to the
+gate it records, per arm, each seed's final-mIoU change against the parent
+and the largest of them (not gated).
 """
 
 import os
@@ -189,8 +191,11 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def gate(parent: dict, change: dict) -> dict:
-    """Each arm's median final mIoU inside the parent's [min, max]; median gain > 0."""
-    checks = {}
+    """Each arm's median final mIoU inside the parent's [min, max]; median gain > 0.
+
+    Per arm, each seed's final mIoU minus the parent's and the move of largest
+    size (signed) are recorded next to it, not gated."""
+    checks, moves = {}, {}
     for arm in ARMS:
         band = parent["arms"][arm]["final_miou"]
         median = change["arms"][arm]["final_miou"]["median"]
@@ -198,9 +203,14 @@ def gate(parent: dict, change: dict) -> dict:
             "value": median, "band": [band["min"], band["max"]],
             "ok": band["min"] <= median <= band["max"],
         }
+        before = {r["seed"]: r["final_miou"] for r in parent["runs"] if r["arm"] == arm}
+        per_seed = {str(r["seed"]): r["final_miou"] - before[r["seed"]]
+                    for r in change["runs"] if r["arm"] == arm}
+        moves[arm] = {"per_seed": per_seed, "largest": max(per_seed.values(), key=abs)}
     median_gain = change["paired_gain"]["median"]
     checks["median paired gain above 0"] = {"value": median_gain, "ok": median_gain > 0}
     return {"passed": all(c["ok"] for c in checks.values()), "checks": checks,
+            "final_miou_moves": moves,
             "parent_src_sha256": parent["provenance"]["src_sha256"]}
 
 
@@ -241,6 +251,9 @@ def main(argv=None) -> int:
     print(f"paired gain of two-stage over MSE-only: median {100 * gain['median']:+.2f}% "
           f"({gain['wins']}/{gain['seeds']} seeds positive); paper {100 * PAPER_GAIN:.1f}%")
     if parent is not None:
+        moves = result["gate"]["final_miou_moves"]
+        print("largest final-mIoU move against the parent: "
+              + ", ".join(f"{arm} {m['largest']:+.6f}" for arm, m in moves.items()))
         print(f"gate: {'PASS' if result['gate']['passed'] else 'FAIL'}")
         return 0 if result["gate"]["passed"] else 1
     return 0
