@@ -213,11 +213,16 @@ def cmd_train(args) -> int:
         raise ConfigError(f"config.model: training needs {need / 2**30:.1f} GiB, "
                           f"more than this machine's {have / 2**30:.1f} GiB of memory")
     samples = _load_dataset(config["data"], model_config, "config.model.")
+    if not samples:
+        raise _config_error("config.data", f"no sample to train on in {config['data']}")
     if config["val_data"]:
         train_samples = samples
         val_samples = _load_dataset(config["val_data"], model_config, "config.model.")
     else:
         train_samples, val_samples = split_by_hash(samples, config["val_fraction"])
+    if not train_samples:
+        raise _config_error("config.val_fraction", f"{config['val_fraction']} leaves no training "
+                            f"sample: all {len(samples)} of {config['data']} fall in validation")
 
     model = FusionModel(model_config)
 
@@ -239,6 +244,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _build(check_iou_threshold, "--threshold: ", args.threshold)
     if args.gt_as_pred:
+        if args.checkpoint:
+            raise ConfigError("--gt-as-pred evaluates ground truth and takes no --checkpoint")
         model = None
         samples = _load_dataset(args.data)
         predictions = [s.gt_box for s in samples]

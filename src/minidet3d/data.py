@@ -48,6 +48,8 @@ category, so a learnable mapping from features to boxes exists by
 construction. Encoder constants are derived from a fixed internal seed so
 that datasets generated with different user seeds share one feature space;
 the matrix is drawn once per width, each text embedding once per call.
+Every synthetic record shares one rig, a nuScenes-like ring of six cameras;
+a camera's rotation is its mount's yaw quaternion times `_CAMERA_AXES`.
 """
 
 from __future__ import annotations
@@ -74,13 +76,16 @@ from .geom import (
     _quat_normalize,
     box_corners,
     project_corners,
-    quat_from_matrix,
     quat_from_yaw,
+    quat_multiply,
     transform_box,
 )
 
 SCHEMA_VERSION = 1
 CAMERA_NAMES = ("front", "front-right", "front-left", "back", "back-left", "back-right")
+# The camera axes (x right, y down, z forward) of a camera that looks along
+# ego +x: the rotation whose columns are ego -y, -z and +x.
+_CAMERA_AXES = (-0.5, 0.5, -0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -491,23 +496,16 @@ def encode_visual(box_params_lidar: np.ndarray, d_v: int) -> np.ndarray:
 
 
 def _ring_cameras() -> tuple[CameraBlock, ...]:
-    # Camera axes: x right, y down, z forward; mounted on the ego ring.
-    base = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    """The six cameras of the synthetic ring: each turns `_CAMERA_AXES` by its
+    mount's yaw and sits 1.5 m out along that yaw, 1.6 m above the ego origin."""
     intr = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=800.0, cy=450.0, width=1600, height=900)
-    mounts = {
-        "front": 0.0,
-        "front-left": math.radians(55.0),
-        "front-right": math.radians(-55.0),
-        "back-left": math.radians(110.0),
-        "back-right": math.radians(-110.0),
-        "back": math.pi,
-    }
+    # each camera's mount yaw in degrees left of ego +x, in CAMERA_NAMES order
+    mounts = {"front": 0.0, "front-right": -55.0, "front-left": 55.0,
+              "back": 180.0, "back-left": 110.0, "back-right": -110.0}
     cams = []
-    for name in CAMERA_NAMES:
-        yaw = mounts[name]
-        c, s = math.cos(yaw), math.sin(yaw)
-        Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        q = quat_from_matrix(Rz @ base)
+    for name, degrees in mounts.items():
+        yaw = math.radians(degrees)
+        q = quat_multiply(quat_from_yaw(yaw), _CAMERA_AXES)
         t = (1.5 * math.cos(yaw), 1.5 * math.sin(yaw), 1.6)
         cams.append(CameraBlock(name, intr, Pose(t, q)))
     return tuple(cams)

@@ -131,38 +131,6 @@ def quat_to_matrix(q) -> np.ndarray:
     )
 
 
-def quat_from_matrix(R: np.ndarray) -> tuple[float, float, float, float]:
-    """Convert a 3x3 rotation matrix to quaternion (w, x, y, z)."""
-    R = np.asarray(R, dtype=np.float64)
-    trace = R[0, 0] + R[1, 1] + R[2, 2]
-    if trace > 0:
-        s = 0.5 / math.sqrt(trace + 1.0)
-        w = 0.25 / s
-        x = (R[2, 1] - R[1, 2]) * s
-        y = (R[0, 2] - R[2, 0]) * s
-        z = (R[1, 0] - R[0, 1]) * s
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2])
-        w = (R[2, 1] - R[1, 2]) / s
-        x = 0.25 * s
-        y = (R[0, 1] + R[1, 0]) / s
-        z = (R[0, 2] + R[2, 0]) / s
-    elif R[1, 1] > R[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2])
-        w = (R[0, 2] - R[2, 0]) / s
-        x = (R[0, 1] + R[1, 0]) / s
-        y = 0.25 * s
-        z = (R[1, 2] + R[2, 1]) / s
-    else:
-        s = 2.0 * math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1])
-        w = (R[1, 0] - R[0, 1]) / s
-        x = (R[0, 2] + R[2, 0]) / s
-        y = (R[1, 2] + R[2, 1]) / s
-        z = 0.25 * s
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    return (w / norm, x / norm, y / norm, z / norm)
-
-
 def quat_from_yaw(yaw: float) -> tuple[float, float, float, float]:
     half = 0.5 * float(yaw)
     return (math.cos(half), 0.0, 0.0, math.sin(half))

@@ -77,8 +77,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CheckpointError, ShapeMismatch, StaleActivation, check_json_value, check_keys,
-                     unique_keys)
+from .errors import (CheckpointError, EmptyBatch, ShapeMismatch, StaleActivation, check_json_value,
+                     check_keys, unique_keys)
 from .lora import LoRAAdapter, adapter_grads, adapter_init, merge_adapter
 
 MLP_HIDDEN = (512, 256, 128)
@@ -293,13 +293,15 @@ class FusionModel:
         """Run a (B, d_v + d_t) batch of fused features to raw (B, 7) outputs.
 
         The returned array is fresh; the workspace that holds the activations
-        is the cache, overwritten by the next forward."""
+        is the cache, overwritten by the next forward (B = 0 raises EmptyBatch)."""
         cfg = self.config
         F = np.asarray(F, dtype=np.float64)
         if F.ndim != 2 or F.shape[1] != cfg.d_v + cfg.d_t:
             raise ShapeMismatch(
                 f"expected (B, {cfg.d_v + cfg.d_t}) fused features, got {F.shape}"
             )
+        if not F.shape[0]:
+            raise EmptyBatch("forward_batch requires at least one row")
         p = self.params
         B, T, d = F.shape[0], 2, cfg.d_model
         self._cache = None  # its buffers are about to be overwritten

@@ -100,11 +100,12 @@ def split_by_hash(samples: list[TrainSample], val_fraction: float = DEFAULT_VAL_
 
 
 ADAMW_CHUNK = 16384  # elements per pass; one chunk of the five vectors stays in L2
+ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS = 0.9, 0.999, 1e-8  # the standard defaults
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam with the standard defaults, over one flat
-    parameter vector (the model's arena), updated in place.
+    """Decoupled-weight-decay Adam at the `ADAMW_*` betas and eps, over one
+    flat parameter vector (the model's arena), updated in place.
 
     `step` takes the folded form of the update (Loshchilov & Hutter,
     arXiv:1711.05101, as most libraries write it): the decay scales `p` by
@@ -116,9 +117,8 @@ class AdamW:
     chunk in place, with one preallocated scratch vector.
     """
 
-    def __init__(self, params: np.ndarray, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
-        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+    def __init__(self, params: np.ndarray, weight_decay: float = 0.01):
+        self.weight_decay = weight_decay
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._s = np.empty(min(ADAMW_CHUNK, params.size))
@@ -126,7 +126,7 @@ class AdamW:
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float):
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
         keep = 1.0 - lr * self.weight_decay
         step_size = lr / (1.0 - b1**self.t)
         inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - b2**self.t)

@@ -182,16 +182,13 @@ def test_criterion_6_pipeline_roundtrip():
         assert worst <= 1e-9, f"worst round-trip error {worst:.3e}"
 
         # behind-camera fixture is dropped by the positive-depth rule
-        from minidet3d.data import Annotation, CameraBlock, SceneRecord
-        from minidet3d.geom import CameraIntrinsics, Pose, quat_from_matrix
+        from minidet3d.data import _CAMERA_AXES, Annotation, CameraBlock, SceneRecord
+        from minidet3d.geom import CameraIntrinsics, Pose
 
         cam = CameraBlock(
             name="front",
             intrinsics=CameraIntrinsics(fx=1000, fy=1000, cx=800, cy=450, width=1600, height=900),
-            sensor_to_ego=Pose(
-                (0, 0, 0),
-                quat_from_matrix(np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])),
-            ),
+            sensor_to_ego=Pose((0, 0, 0), _CAMERA_AXES),
         )
         behind = SceneRecord(
             sample_id="behind",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minidet3d.cli import main
-from minidet3d.data import Annotation, emit, ingest_lenient, synth_scenes
+from minidet3d.data import Annotation, emit, ingest_lenient, save_features, synth_scenes
 from minidet3d.geom import Box7, quat_from_yaw
 from minidet3d.losses import LossSchedule
 from minidet3d.model import FusionModel, ModelConfig, param_bytes, save_checkpoint, train_bytes
@@ -147,16 +147,13 @@ class TestIngestCommand:
         assert "accepted=0 rejected=0 dropped_invisible=0" in capsys.readouterr().out
 
     def test_behind_camera_box_dropped(self, tmp_path, capsys):
-        from minidet3d.data import CameraBlock, SceneRecord
-        from minidet3d.geom import CameraIntrinsics, Pose, quat_from_matrix
+        from minidet3d.data import _CAMERA_AXES, CameraBlock, SceneRecord
+        from minidet3d.geom import CameraIntrinsics, Pose
 
         cam = CameraBlock(
             name="front",
             intrinsics=CameraIntrinsics(fx=1000, fy=1000, cx=800, cy=450, width=1600, height=900),
-            sensor_to_ego=Pose(
-                (0, 0, 0),
-                quat_from_matrix(np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])),
-            ),
+            sensor_to_ego=Pose((0, 0, 0), _CAMERA_AXES),
         )
         rec = SceneRecord(
             sample_id="behind-0",
@@ -706,6 +703,16 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "error: --checkpoint required unless --gt-as-pred\n"
         assert not (tmp_path / "e").exists()
 
+    def test_gt_as_pred_refuses_a_checkpoint(self, tmp_path, capsys):
+        # the oracle reads no checkpoint, so naming one is a mistake, not a no-op
+        data = make_dataset(tmp_path, "data", 5, 17)
+        capsys.readouterr()
+        assert run_cli("eval", "--gt-as-pred", "--checkpoint", tmp_path / "nope.bin",
+                       "--data", data, "--out", tmp_path / "e") == 1
+        assert capsys.readouterr().err == (
+            "error: --gt-as-pred evaluates ground truth and takes no --checkpoint\n")
+        assert not (tmp_path / "e").exists()
+
     def test_missing_data_nonzero(self, tmp_path, capsys):
         assert run_cli("eval", "--data", tmp_path / "nope", "--out", tmp_path / "e",
                        "--gt-as-pred") == 1
@@ -890,9 +897,19 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     ({"schedule": {"stage2_weights": [1]}}, "config.schedule.stage2_weights"),
     ({"batch_size": 0}, "config.batch_size"),
     ({"data": None}, "config.data: must point to a dataset directory"),
+    ({"val_fraction": 0.9}, "config.val_fraction: 0.9 leaves no training sample: all 4 of"),
+    ({"data": "empty"}, "config.data: no sample to train on in"),
+    ({"data": "empty", "val_data": "data"}, "config.data: no sample to train on in"),
 ])
 def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, override, path):
     data = make_dataset(tmp_path, "data", 4, 11)
+    empty = tmp_path / "empty"  # a dataset directory that holds no record
+    empty.mkdir()
+    emit([], empty / "scenes.json")
+    save_features([], empty / "features.json")
+    # "data" and "empty" in a case above name the two dataset directories made here
+    override = {key: str(tmp_path / v) if key.endswith("data") and v else v
+                for key, v in override.items()}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"data": str(data), **override}))
     capsys.readouterr()

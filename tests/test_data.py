@@ -13,8 +13,10 @@ from minidet3d.data import (
     FeaturePair,
     SceneRecord,
     SynthConfig,
+    _CAMERA_AXES,
     _ENCODER_SEED,
     _encoder_matrix,
+    _ring_cameras,
     category_embedding,
     emit,
     encode_visual,
@@ -35,8 +37,8 @@ from minidet3d.geom import (
     CameraIntrinsics,
     Pose,
     project_corners,
-    quat_from_matrix,
     quat_from_yaw,
+    quat_to_matrix,
 )
 from oracles import (
     ReferencePose,
@@ -48,18 +50,13 @@ from oracles import (
     volume,
 )
 
-# camera axes (x right, y down, z forward) of a camera looking along ego +x
-FRONT_CAM_ROTATION = quat_from_matrix(
-    np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-)
-
 
 def front_camera(width=1600, height=900):
     return CameraBlock(
         name="front",
         intrinsics=CameraIntrinsics(fx=1000.0, fy=1000.0, cx=800.0, cy=450.0,
                                     width=width, height=height),
-        sensor_to_ego=Pose((0.0, 0.0, 0.0), FRONT_CAM_ROTATION),
+        sensor_to_ego=Pose((0.0, 0.0, 0.0), _CAMERA_AXES),
     )
 
 
@@ -466,6 +463,22 @@ class TestSynth:
                 # retention implies a visible corner somewhere
                 assert any(c.visible for corners in ann.projections.values() for c in corners)
         assert retained >= 95
+
+    def test_ring_cameras_look_out_level_along_their_mounts(self):
+        # a nuScenes-like ring: each camera looks out along its mount's yaw,
+        # image rows running down, 1.5 m from the ego origin at 1.6 m height
+        mounts = {"front": 0, "front-right": -55, "front-left": 55,
+                  "back": 180, "back-left": 110, "back-right": -110}
+        cams = _ring_cameras()
+        assert tuple(cam.name for cam in cams) == CAMERA_NAMES == tuple(mounts)
+        for cam in cams:
+            yaw = math.radians(mounts[cam.name])
+            c, s = math.cos(yaw), math.sin(yaw)
+            pose = cam.sensor_to_ego
+            R = quat_to_matrix(pose.rotation)
+            for got, want in ((R[:, 2], (c, s, 0.0)), (R[:, 1], (0.0, 0.0, -1.0)),
+                              (pose.translation, (1.5 * c, 1.5 * s, 1.6))):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=cam.name)
 
     def test_features_file_roundtrip(self, tmp_path):
         _, features = synth_scenes(8, self.MIX, seed=11)
@@ -892,7 +905,7 @@ def _zero_rig_records():
     signed = []
     for zero in (0.0, -0.0):
         cam = CameraBlock("front", CameraIntrinsics(1000.0, 1000.0, zero, 450.0, 1600, 900),
-                          Pose((zero, 0.0, 1.5), FRONT_CAM_ROTATION))
+                          Pose((zero, 0.0, 1.5), _CAMERA_AXES))
         signed.append(make_record((Annotation("car", Box7(5, 1, 0, 4, 2, 2, 0.3)),),
                                   cameras=(cam,)))
     return [signed[0], dataclasses.replace(signed[1], sample_id="fixture-1"), signed[0]]
@@ -903,7 +916,7 @@ def _fresh_records(count):
     frees after use, so a later record's objects can take a freed id."""
     for i in range(count):
         cam = CameraBlock("front", CameraIntrinsics(1000.0 + i, 1000.0, 800.0, 450.0, 1600, 900),
-                          Pose((0.1 * i, 0.0, 1.5), FRONT_CAM_ROTATION))
+                          Pose((0.1 * i, 0.0, 1.5), _CAMERA_AXES))
         yield SceneRecord(f"fresh-{i}", Pose((float(i), 0.0, 0.0)), Pose((0.9, 0.0, 1.8 + i)),
                           (cam,), (Annotation("car", Box7(5, 1, 0, 4, 2, 2, 0.3)),))
 

@@ -14,7 +14,6 @@ from minidet3d.geom import (
     bev_footprint,
     box_corners,
     project_corners,
-    quat_from_matrix,
     quat_from_yaw,
     quat_to_matrix,
     transform_box,
@@ -188,19 +187,6 @@ class TestCorners:
             footprint = [list(xy) for xy in bev_footprint(box)]
             assert [c[:2] for c in corners[:4]] == [c[:2] for c in corners[4:]] == footprint, box
             assert [c[2] for c in corners] == [box.z - box.h / 2] * 4 + [box.z + box.h / 2] * 4
-
-
-@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
-def test_half_turn_quaternion_round_trip(axis):
-    # trace -1 and the largest diagonal entry on x or y: quat_from_matrix's
-    # second and third branches
-    c, s = math.cos(math.pi), math.sin(math.pi)
-    R = np.eye(3)
-    i, j = [k for k in range(3) if k != axis]
-    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
-    q = quat_from_matrix(R)
-    assert abs(q[1 + axis]) == pytest.approx(1.0)
-    np.testing.assert_allclose(quat_to_matrix(q), R, rtol=0, atol=1e-15)
 
 
 class TestPose:

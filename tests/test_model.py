@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minidet3d.errors import CheckpointError, ShapeMismatch, StaleActivation
+from minidet3d.errors import CheckpointError, EmptyBatch, ShapeMismatch, StaleActivation
 from minidet3d.geom import Box7
 from minidet3d import model as model_mod
 from minidet3d.model import (
@@ -79,6 +79,19 @@ class TestForward:
         model = FusionModel(SMALL)
         with pytest.raises(ShapeMismatch):
             model.forward_batch(np.zeros(15)[None])
+
+    def test_empty_batch_refused_before_and_after_a_forward(self):
+        # a fresh model has no workspace yet; after a forward, the refused
+        # batch leaves that forward's activations for its backward
+        model = FusionModel(SMALL)
+        with pytest.raises(EmptyBatch):
+            model.forward_batch(np.zeros((0, 16)))
+        F, up = np.random.default_rng(6).normal(size=(3, 16)), np.ones((3, 7))
+        model.forward_batch(F)
+        expected = model.backward_batch(up).copy()
+        with pytest.raises(EmptyBatch):
+            model.forward_batch(np.zeros((0, 16)))
+        assert np.array_equal(model.backward_batch(up), expected)
 
     def test_input_perturbation_bounded_by_jacobian_norm(self):
         # product of layer operator norms upper-bounds the Jacobian norm, so
