@@ -110,7 +110,8 @@ def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = "
                 raise ConfigError(
                     f"{owner}{key}: {want}, but the {name} features in {feats} are {got} wide"
                 )
-    return build_training_samples(records, features)
+    return build_training_samples(records, features,
+                                  scenes_file=str(scenes), features_file=str(feats))
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -218,6 +219,9 @@ def cmd_train(args) -> int:
     if config["val_data"]:
         train_samples = samples
         val_samples = _load_dataset(config["val_data"], model_config, "config.model.")
+        if not val_samples:
+            raise _config_error("config.val_data",
+                                f"no sample to validate on in {config['val_data']}")
     else:
         train_samples, val_samples = split_by_hash(samples, config["val_fraction"])
     if not train_samples:

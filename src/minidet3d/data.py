@@ -50,10 +50,14 @@ that datasets generated with different user seeds share one feature space;
 the matrix is drawn once per width, each text embedding once per call.
 Every synthetic record shares one rig, a nuScenes-like ring of six cameras;
 a camera's rotation is its mount's yaw quaternion times `_CAMERA_AXES`.
+Each record's draws come from one `Generator.random(11)` call (category,
+three size jitters, radius, bearing, z, yaw, ego x, y and yaw), through the
+Generator's own uniform and choice formulas; the noise draw follows it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -522,6 +526,14 @@ def synth_scenes(
     Boxes are sampled in the LiDAR frame, pushed out to the global frame for
     the scene record, and encoded into features from their LiDAR-frame
     parameters. With noise_std = 0 the features determine the box exactly.
+
+    Each record takes its eleven values from one `rng.random(11)` call, in
+    the order category, size jitters (l, w, h), radius, bearing, z, yaw, ego
+    x, ego y, ego yaw. A uniform in [lo, hi) is `lo + (hi - lo) * u`, as
+    `Generator.uniform` computes it, and the category is the first whose
+    cumulative weight (`weights.cumsum()` over its last entry) exceeds u, as
+    `Generator.choice` picks with `p`; a record's noise is drawn after its
+    block. The stream and every value equal those of the per-field calls.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -547,29 +559,24 @@ def synth_scenes(
     lidar_to_ego = Pose((0.9, 0.0, 1.8))
     texts = {n: category_embedding(n, config.d_t) for n in names}
 
+    cdf = weights.cumsum()  # Generator.choice's rule for p
+    cdf = (cdf / cdf[-1]).tolist()
+    jitter, reach, turn = 2 * _SIZE_JITTER, _RANGE_RADIUS[1] - _RANGE_RADIUS[0], 2 * math.pi
+
     records, features = [], []
     for i in range(count):
-        category = names[int(rng.choice(len(names), p=weights))]
+        u = rng.random(11).tolist()
+        category = names[bisect.bisect_right(cdf, u[0])]
         nominal = _CATEGORY_SIZES.get(category, _DEFAULT_SIZE)
-        jitter = 1.0 + rng.uniform(-_SIZE_JITTER, _SIZE_JITTER, size=3)
-        l, w, h = (max(0.1, n * j) for n, j in zip(nominal, jitter))
+        l, w, h = (max(0.1, n * (1.0 + (-_SIZE_JITTER + jitter * j)))
+                   for n, j in zip(nominal, u[1:4]))
 
-        radius = rng.uniform(*_RANGE_RADIUS)
-        bearing = rng.uniform(-math.pi, math.pi)
-        box_lidar = Box7(
-            x=radius * math.cos(bearing),
-            y=radius * math.sin(bearing),
-            z=float(rng.uniform(-0.5, 0.5)),
-            l=l,
-            w=w,
-            h=h,
-            yaw=float(rng.uniform(-math.pi, math.pi)),
-        )
+        radius, bearing = _RANGE_RADIUS[0] + reach * u[4], -math.pi + turn * u[5]
+        box_lidar = Box7(x=radius * math.cos(bearing), y=radius * math.sin(bearing),
+                         z=-0.5 + u[6], l=l, w=w, h=h, yaw=-math.pi + turn * u[7])
 
-        ego_to_global = Pose(
-            (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)), 0.0),
-            quat_from_yaw(float(rng.uniform(-math.pi, math.pi))),
-        )
+        ego_to_global = Pose((-500 + 1000 * u[8], -500 + 1000 * u[9], 0.0),
+                             quat_from_yaw(-math.pi + turn * u[10]))
         lidar_to_global = ego_to_global.compose(lidar_to_ego)
         box_global = transform_box(box_lidar, lidar_to_global)
 

@@ -60,18 +60,22 @@ class TrainSample:
 
 
 def build_training_samples(
-    records: list[SceneRecord], features: dict[str, FeaturePair]
+    records: list[SceneRecord], features: dict[str, FeaturePair], *,
+    scenes_file: str = "", features_file: str = "",
 ) -> list[TrainSample]:
-    """Pair each record's single annotation (in the LiDAR frame) with its features."""
+    """Pair each record's single annotation (in the LiDAR frame) with its
+    features. A record's error starts with `scenes_file` and a missing
+    feature entry's with `features_file`, when they are given."""
+    in_scenes, in_features = (f"{name}: " if name else "" for name in (scenes_file, features_file))
     samples = []
     for rec in records:
         if len(rec.annotations) != 1:
             raise ConfigError(
-                f"record {rec.sample_id!r} has {len(rec.annotations)} annotations; "
+                f"{in_scenes}record {rec.sample_id!r} has {len(rec.annotations)} annotations; "
                 "training expects exactly one box per sample"
             )
         if rec.sample_id not in features:
-            raise ConfigError(f"no features for sample {rec.sample_id!r}")
+            raise ConfigError(f"{in_features}no features for sample {rec.sample_id!r}")
         ann = for_record(to_lidar_frame, rec)[0]
         pair = features[rec.sample_id]
         samples.append(

@@ -8,22 +8,33 @@ from pathlib import Path
 import numpy as np
 
 from minidet3d.data import (
+    _CATEGORY_SIZES,
+    _DEFAULT_SIZE,
     _PARAM_SCALE,
     _PARAM_SHIFT,
+    _RANGE_RADIUS,
+    _SIZE_JITTER,
     SCHEMA_VERSION,
     Annotation,
+    FeaturePair,
     ProcessedAnnotation,
     ProcessedSample,
     SceneRecord,
+    SynthConfig,
+    _ring_cameras,
+    category_embedding,
+    encode_visual,
 )
 from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint, ShapeMismatch
 from minidet3d.geom import (
     _FOOTPRINT_SIGNS,
     Box7,
     CameraIntrinsics,
+    Pose,
     ProjectedCorner,
     bev_footprint,
     box_corners,
+    quat_from_yaw,
     quat_multiply,
     quat_to_matrix,
     transform_box,
@@ -636,6 +647,45 @@ def reference_process_record(rec: SceneRecord) -> ProcessedSample:
                 retained = True
         processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
     return ProcessedSample(rec.sample_id, tuple(processed))
+
+
+def reference_synth_scenes(count: int, category_mix: dict[str, float], seed: int,
+                           config: SynthConfig = SynthConfig()):
+    """`synth_scenes` as it stood with one Generator call per field: `choice`
+    for the category, `uniform` for the three size jitters and for each other
+    value. Takes a valid mix only; the package's checks are not repeated."""
+    names = sorted(category_mix)
+    weights = np.array([category_mix[n] for n in names], dtype=np.float64)
+    weights = weights / weights.sum()
+    rng = np.random.default_rng(seed)
+    cameras = _ring_cameras()
+    lidar_to_ego = Pose((0.9, 0.0, 1.8))
+    texts = {n: category_embedding(n, config.d_t) for n in names}
+
+    records, features = [], []
+    for i in range(count):
+        category = names[int(rng.choice(len(names), p=weights))]
+        nominal = _CATEGORY_SIZES.get(category, _DEFAULT_SIZE)
+        jitter = 1.0 + rng.uniform(-_SIZE_JITTER, _SIZE_JITTER, size=3)
+        l, w, h = (max(0.1, n * j) for n, j in zip(nominal, jitter))
+        radius = rng.uniform(*_RANGE_RADIUS)
+        bearing = rng.uniform(-math.pi, math.pi)
+        box_lidar = Box7(radius * math.cos(bearing), radius * math.sin(bearing),
+                         float(rng.uniform(-0.5, 0.5)), l, w, h,
+                         float(rng.uniform(-math.pi, math.pi)))
+        ego_to_global = Pose(
+            (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)), 0.0),
+            quat_from_yaw(float(rng.uniform(-math.pi, math.pi))),
+        )
+        box_global = transform_box(box_lidar, ego_to_global.compose(lidar_to_ego))
+        sample_id = f"synth-{seed}-{i:06d}"
+        records.append(SceneRecord(sample_id, ego_to_global, lidar_to_ego, cameras,
+                                   (Annotation(category, box_global),)))
+        visual = encode_visual(box_lidar.params(), config.d_v)
+        if config.noise_std > 0:
+            visual = visual + rng.normal(0.0, config.noise_std, size=visual.shape)
+        features.append(FeaturePair(sample_id, visual, texts[category].copy()))
+    return records, features
 
 
 # ---- the IoU value path before it took plain rows ------------------------------

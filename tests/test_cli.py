@@ -322,6 +322,36 @@ def test_preprocessing_failure_in_train_and_eval_names_its_record(
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("defect", ["features", "annotations"])
+def test_unpairable_record_names_its_file(tmp_path, capsys, command, defect):
+    data = make_dataset(tmp_path, "data", 4, 17)
+    scenes_doc = json.loads((data / "scenes.json").read_text())
+    record = scenes_doc["records"][1]
+    sid = record["sample_id"]
+    if defect == "features":
+        doc = json.loads((data / "features.json").read_text())
+        del doc["features"][sid]
+        (data / "features.json").write_text(json.dumps(doc))
+        want = f"error: {data / 'features.json'}: no features for sample {sid!r}\n"
+    else:
+        record["annotations"] *= 2
+        (data / "scenes.json").write_text(json.dumps(scenes_doc))
+        want = (f"error: {data / 'scenes.json'}: record {sid!r} has 2 annotations; "
+                "training expects exactly one box per sample\n")
+    out = tmp_path / "out"
+    args = {
+        "train": ("train", "--config", train_config(tmp_path, data), "--out", out),
+        "eval": ("eval", "--data", data, "--out", out, "--gt-as-pred"),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == want
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_overflowing_feature_names_its_sample(tmp_path, capsys, command):
     # -1e308 is finite, so the features file loads; the first layer overflows
     data = make_dataset(tmp_path, "data", 40, 3)
@@ -900,6 +930,7 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     ({"val_fraction": 0.9}, "config.val_fraction: 0.9 leaves no training sample: all 4 of"),
     ({"data": "empty"}, "config.data: no sample to train on in"),
     ({"data": "empty", "val_data": "data"}, "config.data: no sample to train on in"),
+    ({"val_data": "empty"}, "config.val_data: no sample to validate on in"),
 ])
 def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, override, path):
     data = make_dataset(tmp_path, "data", 4, 11)

@@ -47,6 +47,7 @@ from oracles import (
     reference_emit,
     reference_process_record,
     reference_project_corners,
+    reference_synth_scenes,
     volume,
 )
 
@@ -463,6 +464,30 @@ class TestSynth:
                 # retention implies a visible corner somewhere
                 assert any(c.visible for corners in ann.projections.values() for c in corners)
         assert retained >= 95
+
+    @pytest.mark.parametrize("config", [
+        SynthConfig(),
+        SynthConfig(d_v=16, d_t=8, noise_std=0.05),
+        SynthConfig(d_v=7, d_t=3, noise_std=3.0),
+    ], ids=["default", "noise-0.05", "noise-3"])
+    @pytest.mark.parametrize("mix", [
+        {"adult": 0.5, "car": 0.5},
+        {"adult": 0.0, "car": 1.0, "truck": 0.0, "bicycle": 2.0},  # zero weights first and last
+        {"car": 1e-9, "adult": 1.0, "bicycle": 1.0},
+        {"trafficcone": 1.0},
+        {"adult": 3, "car": 7, "truck": 11, "bicycle": 5, "pram": 2},  # unnormalized, unsized
+    ], ids=["even", "zero-weights", "tiny-weight", "one-category", "unnormalized"])
+    def test_one_draw_per_record_equals_the_per_field_calls(self, mix, config):
+        # one Generator.random(11) block per record must give the values and
+        # stream of one choice and one uniform call per field
+        for seed in (0, 5):
+            records, features = synth_scenes(100, mix, seed, config)
+            ref_records, ref_features = reference_synth_scenes(100, mix, seed, config)
+            assert records == ref_records
+            for f, ref in zip(features, ref_features, strict=True):
+                assert f.sample_id == ref.sample_id
+                assert f.visual.tobytes() == ref.visual.tobytes()
+                assert f.text.tobytes() == ref.text.tobytes()
 
     def test_ring_cameras_look_out_level_along_their_mounts(self):
         # a nuScenes-like ring: each camera looks out along its mount's yaw,
