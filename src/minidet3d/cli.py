@@ -1,11 +1,11 @@
 """Command-line surface: iou, ingest, synth, train, eval, report.
 
 Every command is deterministic under a fixed seed and fixed inputs and sends
-diagnostics to stderr. `ingest`, `synth` and `eval` write their parsed flags
-next to their outputs as the resolved configuration; `train` writes its
-config merged with the defaults, which `train --config` accepts again. Exit
-code 0 means the command completed with zero errors; argparse failures exit 2.
-"""
+diagnostics to stderr; exit code 0 means zero errors, argparse failures exit 2.
+`ingest`, `synth` and `eval` write their parsed flags next to their outputs
+as the resolved config; `train` writes its config merged with the defaults,
+which `train --config` accepts again. One loader reads every dataset
+directory; one with no sample is an error naming its flag or config path."""
 
 from __future__ import annotations
 
@@ -85,10 +85,10 @@ def _write_resolved_config(config: dict, path: Path) -> None:
     path.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = ""):
-    """Samples of a dataset directory. Every feature id must belong to a scene
-    record. With a model config, the feature widths must equal its d_v/d_t;
-    `owner` names where that config came from."""
+def _load_dataset(dirpath: str, key: str, model: ModelConfig | None = None, owner: str = ""):
+    """Samples of the directory that `key` (a config path or flag) names; none is
+    a ConfigError under `key`. Every feature id must belong to a scene record. A
+    model config, which `owner` names, must have the feature widths as d_v/d_t."""
     d = Path(dirpath)
     scenes = d / "scenes.json"
     feats = d / "features.json"
@@ -104,14 +104,17 @@ def _load_dataset(dirpath: str, model: ModelConfig | None = None, owner: str = "
         )
     if model is not None and features:
         first = next(iter(features.values()))
-        for key, name in (("d_v", "visual"), ("d_t", "text")):
-            want, got = getattr(model, key), len(getattr(first, name))
+        for dim, name in (("d_v", "visual"), ("d_t", "text")):
+            want, got = getattr(model, dim), len(getattr(first, name))
             if got != want:
                 raise ConfigError(
-                    f"{owner}{key}: {want}, but the {name} features in {feats} are {got} wide"
+                    f"{owner}{dim}: {want}, but the {name} features in {feats} are {got} wide"
                 )
-    return build_training_samples(records, features,
-                                  scenes_file=str(scenes), features_file=str(feats))
+    samples = build_training_samples(records, features,
+                                     scenes_file=str(scenes), features_file=str(feats))
+    if not samples:
+        raise ConfigError(f"{key}: no sample in {dirpath}")
+    return samples
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -213,15 +216,11 @@ def cmd_train(args) -> int:
     if need > have:
         raise ConfigError(f"config.model: training needs {need / 2**30:.1f} GiB, "
                           f"more than this machine's {have / 2**30:.1f} GiB of memory")
-    samples = _load_dataset(config["data"], model_config, "config.model.")
-    if not samples:
-        raise _config_error("config.data", f"no sample to train on in {config['data']}")
+    samples = _load_dataset(config["data"], "config.data", model_config, "config.model.")
     if config["val_data"]:
         train_samples = samples
-        val_samples = _load_dataset(config["val_data"], model_config, "config.model.")
-        if not val_samples:
-            raise _config_error("config.val_data",
-                                f"no sample to validate on in {config['val_data']}")
+        val_samples = _load_dataset(config["val_data"], "config.val_data",
+                                    model_config, "config.model.")
     else:
         train_samples, val_samples = split_by_hash(samples, config["val_fraction"])
     if not train_samples:
@@ -237,7 +236,7 @@ def cmd_train(args) -> int:
     print(f"train_samples={len(train_samples)} val_samples={len(val_samples)}")
 
     history = run_training(model, train_samples, schedule, seed=config["seed"],
-                           batch_size=config["batch_size"], val_samples=val_samples or None)
+                           batch_size=config["batch_size"], val_samples=val_samples)
     rows = [LOG_HEADER, *map(format_log_row, history)]
     (out / "train_log.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     save_checkpoint(model, out / "checkpoint.bin")
@@ -251,13 +250,14 @@ def cmd_eval(args) -> int:
         if args.checkpoint:
             raise ConfigError("--gt-as-pred evaluates ground truth and takes no --checkpoint")
         model = None
-        samples = _load_dataset(args.data)
+        samples = _load_dataset(args.data, "--data")
         predictions = [s.gt_box for s in samples]
     else:
         if not args.checkpoint:
             raise ConfigError("--checkpoint required unless --gt-as-pred")
         model = load_checkpoint(args.checkpoint)
-        samples = _load_dataset(args.data, model.config, f"checkpoint {args.checkpoint}: ")
+        samples = _load_dataset(args.data, "--data", model.config,
+                                f"checkpoint {args.checkpoint}: ")
         predictions = None
     report = evaluate_model(model, samples, args.threshold, predictions=predictions)
 

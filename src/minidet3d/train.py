@@ -41,7 +41,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import FeaturePair, SceneRecord, for_record, to_lidar_frame
-from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
+from .errors import (ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, MiniDetError,
+                     NonSmoothPoint)
 from .geom import Box7, wrap_angle
 from .iou import iou_3d, iou_loss_grad
 from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
@@ -76,7 +77,10 @@ def build_training_samples(
             )
         if rec.sample_id not in features:
             raise ConfigError(f"{in_features}no features for sample {rec.sample_id!r}")
-        ann = for_record(to_lidar_frame, rec)[0]
+        try:
+            ann = for_record(to_lidar_frame, rec)[0]
+        except MiniDetError as e:
+            raise MiniDetError(f"{in_scenes}{e}") from None
         pair = features[rec.sample_id]
         samples.append(
             TrainSample(
@@ -105,10 +109,11 @@ def split_by_hash(samples: list[TrainSample], val_fraction: float = DEFAULT_VAL_
 
 ADAMW_CHUNK = 16384  # elements per pass; one chunk of the five vectors stays in L2
 ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS = 0.9, 0.999, 1e-8  # the standard defaults
+ADAMW_WEIGHT_DECAY = 0.01
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam at the `ADAMW_*` betas and eps, over one
+    """Decoupled-weight-decay Adam at the `ADAMW_*` betas, eps and decay, over one
     flat parameter vector (the model's arena), updated in place.
 
     `step` takes the folded form of the update (Loshchilov & Hutter,
@@ -121,8 +126,7 @@ class AdamW:
     chunk in place, with one preallocated scratch vector.
     """
 
-    def __init__(self, params: np.ndarray, weight_decay: float = 0.01):
-        self.weight_decay = weight_decay
+    def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._s = np.empty(min(ADAMW_CHUNK, params.size))
@@ -131,7 +135,7 @@ class AdamW:
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float):
         self.t += 1
         b1, b2, eps = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS
-        keep = 1.0 - lr * self.weight_decay
+        keep = 1.0 - lr * ADAMW_WEIGHT_DECAY
         step_size = lr / (1.0 - b1**self.t)
         inv_sqrt_bc2 = 1.0 / math.sqrt(1.0 - b2**self.t)
         for lo in range(0, params.size, ADAMW_CHUNK):

@@ -1,11 +1,17 @@
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minidet3d.cli import main
 from minidet3d.data import Annotation, emit, ingest_lenient, save_features, synth_scenes
@@ -31,6 +37,15 @@ def run_cli(*args):
 def make_dataset(tmp_path, name, count, seed, mix=MIX):
     out = tmp_path / name
     assert run_cli("synth", "--count", count, "--seed", seed, "--out", out, "--mix", mix) == 0
+    return out
+
+
+def make_empty_dataset(tmp_path):
+    """A dataset directory that holds no record."""
+    out = tmp_path / "empty"
+    out.mkdir()
+    emit([], out / "scenes.json")
+    save_features([], out / "features.json")
     return out
 
 
@@ -303,22 +318,26 @@ def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("pose", ["ego_to_global", "lidar_to_ego"])
 @BAD_EGOS
 def test_preprocessing_failure_in_train_and_eval_names_its_record(
-        tmp_path, capsys, command, ego, message):
+        tmp_path, capsys, command, pose, ego, message):
     data = make_dataset(tmp_path, "data", 6, 13)
     doc = json.loads((data / "scenes.json").read_text())
-    doc["records"][2]["ego_to_global"] = ego
+    doc["records"][2][pose] = ego
     (data / "scenes.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
     args = {
-        "train": ("train", "--config", train_config(tmp_path, data), "--out", tmp_path / "run"),
-        "eval": ("eval", "--data", data, "--out", tmp_path / "e", "--gt-as-pred"),
+        "train": ("train", "--config", train_config(tmp_path, data), "--out", out),
+        "eval": ("eval", "--data", data, "--out", out, "--gt-as-pred"),
     }[command]
     capsys.readouterr()
     assert run_cli(*args) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: record {doc['records'][2]['sample_id']!r}: {message}\n"
+    sid = doc["records"][2]["sample_id"]
+    assert captured.err == f"error: {data / 'scenes.json'}: record {sid!r}: {message}\n"
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -747,6 +766,18 @@ class TestEvalCommand:
         assert run_cli("eval", "--data", tmp_path / "nope", "--out", tmp_path / "e",
                        "--gt-as-pred") == 1
 
+    @pytest.mark.parametrize("mode", ["--gt-as-pred", "--checkpoint"])
+    def test_dataset_with_no_sample_names_data(self, tmp_path, capsys, mode):
+        empty = make_empty_dataset(tmp_path)
+        save_checkpoint(FusionModel(ModelConfig()), tmp_path / "model.bin")
+        flags = ["--gt-as-pred"] if mode == "--gt-as-pred" else [mode, tmp_path / "model.bin"]
+        capsys.readouterr()
+        assert run_cli("eval", "--data", empty, "--out", tmp_path / "e", *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --data: no sample in {empty}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "nan"])
     def test_threshold_outside_unit_interval_one_error_line(self, tmp_path, capsys, threshold):
         data = make_dataset(tmp_path, "data", 5, 20)
@@ -799,6 +830,40 @@ class TestReportCommand:
         path.write_text(json.dumps(self.VALID))
         assert run_cli("report", path) == 0
         assert "car" in capsys.readouterr().out
+
+    def test_both_renderings_byte_for_byte(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            **self.VALID, "counts": {"tp": 3, "tn": 0, "fp": 1, "fn": 1},
+            "accuracy": 0.6, "precision": 0.75, "recall": 0.75, "f1": 0.75,
+            "miou_samples": 0.6927083333333333, "miou_categories": 0.5729166666666666,
+            "categories": [{"category": "car", "iou": 0.8125, "count": 3},
+                           {"category": "adult", "iou": 0.3333333333333333, "count": 1}],
+        }))
+        assert run_cli("report", path) == 0
+        assert capsys.readouterr().out == (
+            "category                iou  count\n"
+            "car                  0.8125  3\n"
+            "adult                0.3333  1\n"
+            "mIoU (categories)    0.5729\n"
+            "mIoU (samples)       0.6927\n"
+            "accuracy             0.6000\n"
+            "precision            0.7500\n"
+            "recall               0.7500\n"
+            "f1                   0.7500\n"
+        )
+        assert run_cli("report", path, "--csv") == 0
+        assert capsys.readouterr().out == (
+            "category,iou,count\n"
+            "car,0.812500,3\n"
+            "adult,0.333333,1\n"
+            "mIoU_categories,0.572917,\n"
+            "mIoU_samples,0.692708,\n"
+            "accuracy,0.600000,\n"
+            "precision,0.750000,\n"
+            "recall,0.750000,\n"
+            "f1,0.750000,\n"
+        )
 
     @pytest.mark.parametrize("category", ["car", "a-category-name-longer-than-the-labels"])
     def test_table_values_start_in_one_column(self, tmp_path, capsys, category):
@@ -928,16 +993,13 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, target, defect):
     ({"batch_size": 0}, "config.batch_size"),
     ({"data": None}, "config.data: must point to a dataset directory"),
     ({"val_fraction": 0.9}, "config.val_fraction: 0.9 leaves no training sample: all 4 of"),
-    ({"data": "empty"}, "config.data: no sample to train on in"),
-    ({"data": "empty", "val_data": "data"}, "config.data: no sample to train on in"),
-    ({"val_data": "empty"}, "config.val_data: no sample to validate on in"),
+    ({"data": "empty"}, "config.data: no sample in"),
+    ({"data": "empty", "val_data": "data"}, "config.data: no sample in"),
+    ({"val_data": "empty"}, "config.val_data: no sample in"),
 ])
 def test_bad_config_value_names_its_path_before_writing(tmp_path, capsys, override, path):
     data = make_dataset(tmp_path, "data", 4, 11)
-    empty = tmp_path / "empty"  # a dataset directory that holds no record
-    empty.mkdir()
-    emit([], empty / "scenes.json")
-    save_features([], empty / "features.json")
+    make_empty_dataset(tmp_path)
     # "data" and "empty" in a case above name the two dataset directories made here
     override = {key: str(tmp_path / v) if key.endswith("data") and v else v
                 for key, v in override.items()}
@@ -976,3 +1038,93 @@ def test_bad_synth_flag_names_the_flag_before_writing(tmp_path, capsys, flags, f
     assert err.count("\n") == 1 and err.count("error:") == 1 and "Traceback" not in err
     assert re.match(rf"error: {re.escape(flag)}\b", err), err
     assert not (tmp_path / "data").exists()
+
+
+def _apply_defect(defect, scenes, features, draw):
+    """Break a valid dataset's two documents in place; the name of a file to
+    delete, or None."""
+    records, entries = scenes["records"], features["features"]
+    rec = draw(st.sampled_from(records))
+    if defect == "no records":
+        records.clear()
+        if draw(st.booleans()):  # else every feature id matches no record
+            entries.clear()
+    elif defect == "feature entry removed":
+        del entries[rec["sample_id"]]
+    elif defect == "extra feature entry":
+        sid = draw(st.text(min_size=1, max_size=12).filter(lambda t: t not in entries))
+        entries[sid] = entries[rec["sample_id"]]
+    elif defect == "second annotation":
+        rec["annotations"] += draw(st.lists(st.sampled_from(rec["annotations"]), min_size=1,
+                                            max_size=2))
+    elif defect == "tilted pose":
+        half, axis = draw(st.floats(0.005, 0.5)), draw(st.sampled_from([1, 2]))
+        rotation = [math.cos(half), 0.0, 0.0, 0.0]
+        rotation[axis] = math.sin(half)
+        rec[draw(st.sampled_from(["ego_to_global", "lidar_to_ego"]))]["rotation"] = rotation
+    elif defect == "two widths":
+        entry = entries[rec["sample_id"]][draw(st.sampled_from(["visual", "text"]))]
+        if draw(st.booleans()):
+            entry.pop()
+        else:
+            entry.append(draw(st.floats(-1.0, 1.0)))
+    else:
+        return draw(st.sampled_from(["scenes.json", "features.json"]))
+    return None
+
+
+class TestBadDatasetDirectory:
+    """A small valid synth directory with one defect ends, through `train`
+    (as `data` or `val_data`), `eval --gt-as-pred` and `eval --checkpoint`, as
+    one `error:` line that names the flag or config path, the directory, one of
+    its two files, or a field path rooted at the features file's `features`
+    key, and writes no `--out`."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("datasets")
+        data = base / "data"
+        assert run_cli("synth", "--count", 4, "--seed", 23, "--out", data) == 0
+        save_checkpoint(FusionModel(ModelConfig()), base / "model.bin")
+        return base, data
+
+    @pytest.mark.parametrize("command", ["train", "eval --gt-as-pred", "eval --checkpoint"])
+    @pytest.mark.parametrize("defect", ["no records", "feature entry removed",
+                                        "extra feature entry", "second annotation",
+                                        "tilted pose", "two widths", "file missing"])
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_one_error_line_names_the_dataset(self, valid, command, defect, data):
+        base, good = valid
+        bad = Path(tempfile.mkdtemp(dir=base))
+        docs = {name: json.loads((good / name).read_text())
+                for name in ("scenes.json", "features.json")}
+        missing = _apply_defect(defect, docs["scenes.json"], docs["features.json"], data.draw)
+        for name, doc in docs.items():
+            if name != missing:
+                (bad / name).write_text(json.dumps(doc))
+        out = bad / "out"
+        if command == "train":
+            slot = data.draw(st.sampled_from(["data", "val_data"]))
+            key = f"config.{slot}"
+            config = bad / "config.json"
+            config.write_text(json.dumps({"data": str(good), slot: str(bad)}))
+            argv = ("train", "--config", config, "--out", out)
+        else:
+            key = "--data"
+            mode = ["--gt-as-pred"] if command == "eval --gt-as-pred" else [
+                "--checkpoint", base / "model.bin"]
+            argv = ("eval", "--data", bad, "--out", out, *mode)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run_cli(*argv)
+        err = stderr.getvalue()
+        assert code == 1, err
+        assert caught == []
+        assert err.count("\n") == 1 and err.count("error:") == 1 and "Traceback" not in err
+        names = "|".join(map(re.escape, (key, str(bad), "features[")))
+        assert re.match(rf"error: ({names})", err), err
+        assert stdout.getvalue() == ""
+        assert not out.exists()

@@ -41,20 +41,22 @@ def small_dataset(count, seed):
 
 
 class TestAdamW:
-    def test_converges_on_quadratic(self):
-        # minimize ||x - target||^2 (weight decay pulls slightly toward zero)
+    def test_converges_on_quadratic(self, monkeypatch):
+        # minimize ||x - target||^2, with no weight decay pulling toward zero
+        monkeypatch.setattr(minidet3d.train, "ADAMW_WEIGHT_DECAY", 0.0)
         target = np.array([1.0, -2.0, 3.0])
         params = np.zeros(3)
-        opt = AdamW(params, weight_decay=0.0)
+        opt = AdamW(params)
         for _ in range(2000):
             opt.step(params, 2.0 * (params - target), lr=0.01)
         assert np.allclose(params, target, atol=1e-4)
 
-    def test_weight_decay_shrinks_stationary_point(self):
+    def test_weight_decay_shrinks_stationary_point(self, monkeypatch):
         # zero gradients: only the decoupled decay acts, scaling by
         # (1 - lr*wd) each step
+        monkeypatch.setattr(minidet3d.train, "ADAMW_WEIGHT_DECAY", 0.1)
         params = np.array([10.0])
-        opt = AdamW(params, weight_decay=0.1)
+        opt = AdamW(params)
         for _ in range(500):
             opt.step(params, np.zeros(1), lr=0.05)
         assert params[0] == pytest.approx(10.0 * (1 - 0.05 * 0.1) ** 500, rel=1e-9)
