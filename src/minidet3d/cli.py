@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, MiniDetError, check_json_value, check_keys, unique_keys
+from .errors import ConfigError, MiniDetError, ParseError, check_json_value, check_keys, unique_keys
 from .geom import Box7
 from .iou import iou_3d, monte_carlo_iou
 from .losses import LossSchedule
@@ -85,17 +85,24 @@ def _write_resolved_config(config: dict, path: Path) -> None:
     path.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
 
 
+def _read(reader, path: Path):
+    """reader(path), whose ParseError about a record or an entry gets the path in front."""
+    try:
+        return reader(path)
+    except ParseError as e:
+        if e.field.startswith(str(path)):
+            raise
+        raise ParseError(f"{path}: {e.field}", e.message) from None
+
+
 def _load_dataset(dirpath: str, key: str, model: ModelConfig | None = None, owner: str = ""):
     """Samples of the directory that `key` (a config path or flag) names; none is
     a ConfigError under `key`. Every feature id must belong to a scene record. A
     model config, which `owner` names, must have the feature widths as d_v/d_t."""
-    d = Path(dirpath)
-    scenes = d / "scenes.json"
-    feats = d / "features.json"
+    scenes, feats = Path(dirpath) / "scenes.json", Path(dirpath) / "features.json"
     if not scenes.is_file() or not feats.is_file():
         raise ConfigError(f"{dirpath}: expected scenes.json and features.json")
-    records = data_mod.ingest(scenes)
-    features = data_mod.load_features(feats)
+    records, features = _read(data_mod.ingest, scenes), _read(data_mod.load_features, feats)
     known = {rec.sample_id for rec in records}
     extra = [sid for sid in features if sid not in known]
     if extra:

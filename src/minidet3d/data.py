@@ -53,6 +53,7 @@ a camera's rotation is its mount's yaw quaternion times `_CAMERA_AXES`.
 Each record's draws come from one `Generator.random(11)` call (category,
 three size jitters, radius, bearing, z, yaw, ego x, y and yaw), through the
 Generator's own uniform and choice formulas; the noise draw follows it.
+Transforms and encodings then run as one gemv per record, stacked in numpy.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,6 +85,7 @@ from .geom import (
     quat_from_yaw,
     quat_multiply,
     transform_box,
+    transform_boxes,
 )
 
 SCHEMA_VERSION = 1
@@ -370,6 +373,15 @@ def to_lidar_frame(rec: SceneRecord) -> list[Annotation]:
     return [Annotation(a.category, transform_box(a.box, onto_lidar)) for a in rec.annotations]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails where its record is reached
+def lidar_frame_boxes(records: list[SceneRecord]):
+    """Yield to_lidar_frame(rec)[0].box for each record, or raise what it raises, with
+    each rotation product done once for all: global_to_lidar_pose chains pose stacks."""
+    stacks = SimpleNamespace(lidar_to_ego=Pose._stack([r.lidar_to_ego for r in records]),
+                             ego_to_global=Pose._stack([r.ego_to_global for r in records]))
+    return transform_boxes([r.annotations[0].box for r in records], global_to_lidar_pose(stacks))
+
+
 def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> ProcessedSample:
     """Project LiDAR-frame boxes into every camera and tag corner visibility.
 
@@ -381,6 +393,13 @@ def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> Processed
         corners_ego = rec.lidar_to_ego.apply(box_corners(ann.box))
         projections = {cam.name: project_corners(cam.sensor_to_ego.inverse().apply(corners_ego),
                                                  cam.intrinsics) for cam in rec.cameras}
+        pixels = [c[0] + c[1] for proj in projections.values() for c in proj if c[0] is not None]
+        if not math.isfinite(sum(pixels)):  # one sum; each value only if it fails
+            for name, proj in projections.items():
+                for k, (u, v, _) in enumerate(proj):
+                    if u is not None and not (math.isfinite(u) and math.isfinite(v)):
+                        raise ValueError(f"camera {name!r}: corner {k} projects to the "
+                                         f"non-finite pixel ({u}, {v})")
         retained = any(c.visible for proj in projections.values() for c in proj)
         processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
     return ProcessedSample(rec.sample_id, tuple(processed))
@@ -466,10 +485,6 @@ class SynthConfig:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
-def _normalize_params(params: np.ndarray) -> np.ndarray:
-    return (np.asarray(params, dtype=np.float64) - _PARAM_SHIFT) / _PARAM_SCALE
-
-
 @functools.cache
 def _encoder_matrix(d_v: int) -> np.ndarray:
     """The fixed (d_v - 7, 7) tanh-mixing matrix: one read-only array per width."""
@@ -486,17 +501,17 @@ def category_embedding(category: str, d_t: int) -> np.ndarray:
 
 
 def encode_visual(box_params_lidar: np.ndarray, d_v: int) -> np.ndarray:
-    """Fixed smooth encoding of LiDAR-frame box parameters.
+    """Fixed smooth encoding of LiDAR-frame box parameters, a (7,) row or (N, 7).
 
     The first 7 channels are the normalized parameters themselves (so the map
     is invertible by construction); the rest are a fixed tanh mixing for
-    texture. Requires d_v >= 7.
+    texture, one gemv per row: a row has the same bits alone or stacked. Requires d_v >= 7.
     """
     if d_v < 7:
         raise ValueError(f"d_v must be >= 7 to keep the encoding invertible, got {d_v}")
-    p = _normalize_params(box_params_lidar)
-    mix = np.tanh(_encoder_matrix(d_v) @ p)
-    return np.concatenate([p, mix])
+    p = (np.asarray(box_params_lidar, dtype=np.float64) - _PARAM_SHIFT) / _PARAM_SCALE
+    mix = np.tanh(np.matmul(_encoder_matrix(d_v), p[..., None])[..., 0])
+    return np.concatenate([p, mix], axis=-1)
 
 
 def _ring_cameras() -> tuple[CameraBlock, ...]:
@@ -533,7 +548,7 @@ def synth_scenes(
     `Generator.uniform` computes it, and the category is the first whose
     cumulative weight (`weights.cumsum()` over its last entry) exceeds u, as
     `Generator.choice` picks with `p`; a record's noise is drawn after its
-    block. The stream and every value equal those of the per-field calls.
+    block. The stream, every value, box and feature equal a per-field, per-record loop's.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -563,37 +578,30 @@ def synth_scenes(
     cdf = (cdf / cdf[-1]).tolist()
     jitter, reach, turn = 2 * _SIZE_JITTER, _RANGE_RADIUS[1] - _RANGE_RADIUS[0], 2 * math.pi
 
-    records, features = [], []
-    for i in range(count):
+    categories, boxes, egos, noise = [], [], [], []
+    for _ in range(count):
         u = rng.random(11).tolist()
-        category = names[bisect.bisect_right(cdf, u[0])]
+        categories.append(category := names[bisect.bisect_right(cdf, u[0])])
         nominal = _CATEGORY_SIZES.get(category, _DEFAULT_SIZE)
         l, w, h = (max(0.1, n * (1.0 + (-_SIZE_JITTER + jitter * j)))
                    for n, j in zip(nominal, u[1:4]))
 
         radius, bearing = _RANGE_RADIUS[0] + reach * u[4], -math.pi + turn * u[5]
-        box_lidar = Box7(x=radius * math.cos(bearing), y=radius * math.sin(bearing),
-                         z=-0.5 + u[6], l=l, w=w, h=h, yaw=-math.pi + turn * u[7])
-
-        ego_to_global = Pose((-500 + 1000 * u[8], -500 + 1000 * u[9], 0.0),
-                             quat_from_yaw(-math.pi + turn * u[10]))
-        lidar_to_global = ego_to_global.compose(lidar_to_ego)
-        box_global = transform_box(box_lidar, lidar_to_global)
-
-        sample_id = f"synth-{seed}-{i:06d}"
-        records.append(
-            SceneRecord(
-                sample_id=sample_id,
-                ego_to_global=ego_to_global,
-                lidar_to_ego=lidar_to_ego,
-                cameras=cameras,
-                annotations=(Annotation(category, box_global),),
-            )
-        )
-        visual = encode_visual(box_lidar.params(), config.d_v)
+        boxes.append(Box7(x=radius * math.cos(bearing), y=radius * math.sin(bearing),
+                          z=-0.5 + u[6], l=l, w=w, h=h, yaw=-math.pi + turn * u[7]))
+        egos.append(Pose((-500 + 1000 * u[8], -500 + 1000 * u[9], 0.0),
+                         quat_from_yaw(-math.pi + turn * u[10])))
         if config.noise_std > 0:
-            visual = visual + rng.normal(0.0, config.noise_std, size=visual.shape)
-        features.append(FeaturePair(sample_id, visual, texts[category].copy()))
+            noise.append(rng.normal(0.0, config.noise_std, size=config.d_v))
+
+    on_global = transform_boxes(boxes, Pose._stack(egos).compose(Pose._stack([lidar_to_ego])))
+    visual = encode_visual(np.array(boxes), config.d_v)
+    if noise:
+        visual = visual + np.array(noise)
+    ids = [f"synth-{seed}-{i:06d}" for i in range(count)]
+    records = [SceneRecord(sid, ego, lidar_to_ego, cameras, (Annotation(category, box),))
+               for sid, category, ego, box in zip(ids, categories, egos, on_global)]
+    features = [FeaturePair(sid, v, texts[c].copy()) for sid, c, v in zip(ids, categories, visual)]
     return records, features
 
 

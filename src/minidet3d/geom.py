@@ -6,8 +6,8 @@ Conventions used throughout the package:
   angle about the vertical (+z) axis, with yaw normalized into (-pi, pi].
   Length runs along the box's local x axis at yaw 0.
 - Rigid transforms are stored as translation + unit quaternion (w, x, y, z).
-  A pose builds its rotation matrix (read-only) and its inverse once, on
-  first use, and keeps both out of its value (==, hash, repr, pickle). The
+  A pose builds its rotation matrix (read-only), translation array and inverse
+  once, on first use, and keeps them out of its value (==, hash, repr, pickle). The
   scene parser, `inverse` and `compose` build poses of checked values with
   `Pose._of_floats`, which checks only that the translation is finite.
 - Corner order is fixed: bottom face counter-clockwise viewed from above,
@@ -119,16 +119,14 @@ def quat_multiply(a, b) -> tuple[float, float, float, float]:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Convert quaternion (w, x, y, z) to a 3x3 rotation matrix."""
+    """Convert quaternion (w, x, y, z) to a 3x3 rotation matrix; four (N,) arrays to (N, 3, 3)."""
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * y * y - 2 * z * z, 2 * x * y - 2 * w * z, 2 * x * z + 2 * w * y],
-            [2 * x * y + 2 * w * z, 1 - 2 * x * x - 2 * z * z, 2 * y * z - 2 * w * x],
-            [2 * x * z - 2 * w * y, 2 * y * z + 2 * w * x, 1 - 2 * x * x - 2 * y * y],
-        ],
-        dtype=np.float64,
-    )
+    m = (1 - 2 * y * y - 2 * z * z, 2 * x * y - 2 * w * z, 2 * x * z + 2 * w * y,
+         2 * x * y + 2 * w * z, 1 - 2 * x * x - 2 * z * z, 2 * y * z - 2 * w * x,
+         2 * x * z - 2 * w * y, 2 * y * z + 2 * w * x, 1 - 2 * x * x - 2 * y * y)
+    if isinstance(w, np.ndarray):
+        return np.stack(m, axis=-1).reshape(-1, 3, 3)
+    return np.array(m, dtype=np.float64).reshape(3, 3)
 
 
 def quat_from_yaw(yaw: float) -> tuple[float, float, float, float]:
@@ -141,7 +139,9 @@ class Pose:
     """Rigid transform: rotate by `rotation` (unit quaternion w,x,y,z), then translate.
 
     Stored as plain float tuples so poses are hashable values that compare
-    and serialize exactly.
+    and serialize exactly. `Pose._stack(poses)` is N poses in one, unchecked: (N, 1, 3)
+    translation, four (N,) rotation arrays. Its apply, compose and inverse take one gemv
+    per pose, each pose's own bits (a 2-D GEMM's differ); tilt_angle/heading take one.
     """
 
     translation: tuple[float, float, float]
@@ -159,14 +159,24 @@ class Pose:
         vars(self).update(translation=t, rotation=_quat_normalize(q))
 
     @classmethod
-    def _of_floats(cls, t: tuple, q: tuple) -> "Pose":
-        """Pose(t, q) for float tuples that pass its checks, `q` one that
-        _quat_normalize keeps; only `t` is checked again, as it can overflow."""
-        if not math.isfinite(sum(t)) and not all(map(math.isfinite, t)):
+    def _of_floats(cls, t, q: tuple, m: np.ndarray | None = None) -> "Pose":
+        """Pose(t, q) for a float tuple or (3,) array `t`, checked again as it can overflow,
+        and a checked `q` that _quat_normalize keeps; `m` is its matrix. A stack's t is kept."""
+        if isinstance(t, np.ndarray) and t.ndim == 1:
+            t = tuple(t.tolist())
+        if type(t) is tuple and not math.isfinite(sum(t)) and not all(map(math.isfinite, t)):
             raise ValueError("pose components must be finite")
         pose = object.__new__(cls)
         vars(pose).update(translation=t, rotation=q)
+        if m is not None:
+            m.flags.writeable = False
+            vars(pose)["_matrix"] = m
         return pose
+
+    @classmethod
+    def _stack(cls, poses: list["Pose"]) -> "Pose":
+        return cls._of_floats(np.array([p.translation for p in poses]).reshape(-1, 1, 3),
+                              tuple(np.array([p.rotation for p in poses]).reshape(-1, 4).T))
 
     def __getstate__(self):
         # The fields only: a pickle never carries the cached matrix or inverse.
@@ -179,17 +189,21 @@ class Pose:
         m.flags.writeable = False
         return m
 
+    @cached_property
+    def _t(self) -> np.ndarray:
+        return np.asarray(self.translation)
+
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (N, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self._matrix.T + np.asarray(self.translation)
+        return pts @ self._matrix.swapaxes(-1, -2) + self._t
 
     def compose(self, other: "Pose") -> "Pose":
         """Transform that applies `other` first, then self."""
-        t = self.apply(np.asarray(other.translation))
+        t = self.apply(other._t)
         w, x, y, z = quat_multiply(self.rotation, other.rotation)
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
-        return Pose._of_floats(tuple(t.tolist()), (w / norm, x / norm, y / norm, z / norm))
+        norm = (np.sqrt if isinstance(w, np.ndarray) else math.sqrt)(w * w + x * x + y * y + z * z)
+        return Pose._of_floats(t, (w / norm, x / norm, y / norm, z / norm))
 
     def inverse(self) -> "Pose":
         """The inverse transform, built with its matrix on first use and kept."""
@@ -197,10 +211,8 @@ class Pose:
             w, x, y, z = self.rotation
             conj = (w, -x, -y, -z)  # unit within 1e-12, so _quat_normalize keeps it
             m = quat_to_matrix(conj)
-            m.flags.writeable = False
-            t_inv = -(np.asarray(self.translation) @ m.T)
-            inv = vars(self)["_inverse"] = Pose._of_floats(tuple(t_inv.tolist()), conj)
-            vars(inv)["_matrix"] = m
+            t_inv = -(self._t @ m.swapaxes(-1, -2))
+            vars(self)["_inverse"] = Pose._of_floats(t_inv, conj, m)
         return vars(self)["_inverse"]
 
     def tilt_angle(self) -> float:
@@ -238,6 +250,14 @@ def box_corners(box: Box7) -> np.ndarray:
 _TILT_TOLERANCE = 1e-6  # rad
 
 
+def _placed(box: Box7, pose: Pose, center: list) -> Box7:
+    """transform_box(box, pose), whose center `pose` moves to `center`."""
+    if (tilt := pose.tilt_angle()) > _TILT_TOLERANCE:
+        raise GimbalRisk(f"pose tilts the vertical axis by {tilt:.3e} rad; "
+                         "boxes here carry yaw only")
+    return Box7(*center, box.l, box.w, box.h, wrap_angle(box.yaw + pose.heading()))
+
+
 def transform_box(box: Box7, pose: Pose) -> Box7:
     """Map a box through a rigid transform, keeping the yaw-only parameterization.
 
@@ -245,13 +265,17 @@ def transform_box(box: Box7, pose: Pose) -> Box7:
     if the pose tips the vertical axis by more than 1e-6 rad, because a
     tilted box has no faithful yaw-only representation.
     """
-    if pose.tilt_angle() > _TILT_TOLERANCE:
-        raise GimbalRisk(
-            f"pose tilts the vertical axis by {pose.tilt_angle():.3e} rad; "
-            "boxes here carry yaw only"
-        )
-    x, y, z = pose.apply(box.center).tolist()
-    return Box7(x, y, z, box.l, box.w, box.h, wrap_angle(box.yaw + pose.heading()))
+    return _placed(box, pose, pose.apply(box.center).tolist())
+
+
+def transform_boxes(boxes: list[Box7], poses: Pose):
+    """Yield transform_box(boxes[i], pose i) for a stack of poses, every center moved
+    in one call; box i raises, once reached, what transform_box or Pose raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = poses.apply(np.array(boxes).reshape(-1, 1, 7)[..., :3])[:, 0].tolist()
+    rotations = zip(*(c.tolist() for c in poses.rotation))
+    for box, t, q, m, c in zip(boxes, poses.translation[:, 0], rotations, poses._matrix, centers):
+        yield _placed(box, Pose._of_floats(t, q, m), c)
 
 
 @dataclass(frozen=True)

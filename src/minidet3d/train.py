@@ -40,7 +40,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import FeaturePair, SceneRecord, for_record, to_lidar_frame
+from .data import FeaturePair, SceneRecord, for_record, lidar_frame_boxes
 from .errors import (ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, MiniDetError,
                      NonSmoothPoint)
 from .geom import Box7, wrap_angle
@@ -64,10 +64,11 @@ def build_training_samples(
     records: list[SceneRecord], features: dict[str, FeaturePair], *,
     scenes_file: str = "", features_file: str = "",
 ) -> list[TrainSample]:
-    """Pair each record's single annotation (in the LiDAR frame) with its
-    features. A record's error starts with `scenes_file` and a missing
-    feature entry's with `features_file`, when they are given."""
+    """Pair each record's single annotation (in the LiDAR frame, all moved in one stacked pass)
+    with its features. The first record at fault raises as in a loop; its error starts with
+    `scenes_file`, and a missing feature entry's with `features_file`, when they are given."""
     in_scenes, in_features = (f"{name}: " if name else "" for name in (scenes_file, features_file))
+    boxes = lidar_frame_boxes([rec for rec in records if len(rec.annotations) == 1])
     samples = []
     for rec in records:
         if len(rec.annotations) != 1:
@@ -78,7 +79,7 @@ def build_training_samples(
         if rec.sample_id not in features:
             raise ConfigError(f"{in_features}no features for sample {rec.sample_id!r}")
         try:
-            ann = for_record(to_lidar_frame, rec)[0]
+            box = for_record(lambda _: next(boxes), rec)  # this record's box: it passed both checks
         except MiniDetError as e:
             raise MiniDetError(f"{in_scenes}{e}") from None
         pair = features[rec.sample_id]
@@ -86,8 +87,8 @@ def build_training_samples(
             TrainSample(
                 sample_id=rec.sample_id,
                 fused=np.concatenate([pair.visual, pair.text]),
-                gt_box=ann.box,
-                category=ann.category,
+                gt_box=box,
+                category=rec.annotations[0].category,
             )
         )
     return samples

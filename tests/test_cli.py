@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from minidet3d.cli import main
 from minidet3d.data import Annotation, emit, ingest_lenient, save_features, synth_scenes
-from minidet3d.geom import Box7, quat_from_yaw
+from minidet3d.geom import Box7, Pose, quat_from_yaw
 from minidet3d.losses import LossSchedule
 from minidet3d.model import FusionModel, ModelConfig, param_bytes, save_checkpoint, train_bytes
 
@@ -229,6 +229,32 @@ class TestIngestCommand:
         assert captured.err == f"error: record {records[21].sample_id!r}: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_non_finite_pixel_names_its_record_and_camera(self, tmp_path, capfd, workers):
+        records, _ = synth_scenes(3, {"car": 1.0}, seed=4)
+        far = dataclasses.replace(records[1], ego_to_global=Pose((0.0, 0.0, 0.0)), annotations=(
+            Annotation("car", Box7(1.5e308, 1.5e308, 0.0, 1.0, 1.0, 1.0, 0.0)),))
+        scenes, out = tmp_path / "scenes.json", tmp_path / "out.jsonl"
+        emit([records[0], far, records[2]], scenes)
+        assert ingest_lenient(scenes)[1] == []  # the record itself is valid
+        capfd.readouterr()
+        assert run_cli("ingest", scenes, "--out", out, "--workers", workers) == 1
+        captured = capfd.readouterr()
+        assert captured.err == (f"error: record {far.sample_id!r}: camera 'front': corner 0 "
+                                "projects to the non-finite pixel (-inf, 450.0)\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_finite_pixels_whose_sum_overflows_are_written(self, tmp_path, capsys):
+        records, _ = synth_scenes(1, {"car": 1.0}, seed=4)
+        far = dataclasses.replace(records[0], ego_to_global=Pose((0.0, 0.0, 0.0)), annotations=(
+            Annotation("car", Box7(3.0, -1e305, 0.0, 1.0, 1.0, 1.0, 0.0)),))
+        scenes, out = tmp_path / "scenes.json", tmp_path / "out.jsonl"
+        emit([far], scenes)
+        assert run_cli("ingest", scenes, "--out", out) == 0
+        (line,) = out.read_text().splitlines()
+        front = json.loads(line, parse_constant=pytest.fail)["annotations"][0]["projections"]["front"]
+        assert max(u for u, _, _ in front) == 1e308  # eight such pixels sum to inf
+
     def test_repeated_sample_id_rejects_the_later_record(self, tmp_path, capsys):
         records, _ = synth_scenes(3, {"car": 1.0}, seed=1)
         scenes = tmp_path / "scenes.json"
@@ -313,7 +339,8 @@ def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command
     capsys.readouterr()
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
-    prefix = "rejected" if command == "ingest" else "error"
+    # ingest rejects the record; train and eval name the file it is in
+    prefix = "rejected" if command == "ingest" else f"error: {data / 'scenes.json'}"
     assert err == f"{prefix}: {field}: must be a finite number, got an integer of 401 digits\n"
 
 
@@ -1076,9 +1103,8 @@ def _apply_defect(defect, scenes, features, draw):
 class TestBadDatasetDirectory:
     """A small valid synth directory with one defect ends, through `train`
     (as `data` or `val_data`), `eval --gt-as-pred` and `eval --checkpoint`, as
-    one `error:` line that names the flag or config path, the directory, one of
-    its two files, or a field path rooted at the features file's `features`
-    key, and writes no `--out`."""
+    one `error:` line that starts with the flag or config path, the directory
+    or one of its two files, and writes no `--out`."""
 
     @pytest.fixture(scope="class")
     def valid(self, tmp_path_factory):
@@ -1124,7 +1150,33 @@ class TestBadDatasetDirectory:
         assert code == 1, err
         assert caught == []
         assert err.count("\n") == 1 and err.count("error:") == 1 and "Traceback" not in err
-        names = "|".join(map(re.escape, (key, str(bad), "features[")))
+        names = "|".join(map(re.escape, (key, str(bad))))
         assert re.match(rf"error: ({names})", err), err
         assert stdout.getvalue() == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("slot, name, field, message", [
+        ("val_data", "scenes.json", "records[0].annotations[0].box[0]", 'must be a number, got "x"'),
+        ("data", "scenes.json", "records[2].sample_id", "must be a non-empty string"),
+        ("val_data", "features.json", "features[\"synth-23-000001\"].text",
+         "must be a list of numbers"),
+    ])
+    def test_bad_entry_names_its_file(self, valid, tmp_path, capsys, slot, name, field, message):
+        base, good = valid
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        docs = {n: json.loads((good / n).read_text()) for n in ("scenes.json", "features.json")}
+        if name == "features.json":
+            docs[name]["features"]["synth-23-000001"]["text"] = 1.0
+        elif field.endswith("sample_id"):
+            docs[name]["records"][2]["sample_id"] = ""
+        else:
+            docs[name]["records"][0]["annotations"][0]["box"][0] = "x"
+        for n, doc in docs.items():
+            (bad / n).write_text(json.dumps(doc))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(good), slot: str(bad)}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", config, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {bad / name}: {field}: {message}\n"
+        assert not (tmp_path / "out").exists()

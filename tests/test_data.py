@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from minidet3d.data import (
     emit,
     encode_visual,
     filter_visible,
+    for_record,
     global_to_lidar_pose,
     ingest,
     ingest_lenient,
@@ -31,7 +33,7 @@ from minidet3d.data import (
     synth_scenes,
     to_lidar_frame,
 )
-from minidet3d.errors import GimbalRisk, ParseError, check_json_value
+from minidet3d.errors import GimbalRisk, MiniDetError, ParseError, check_json_value
 from minidet3d.geom import (
     Box7,
     CameraIntrinsics,
@@ -40,6 +42,7 @@ from minidet3d.geom import (
     quat_from_yaw,
     quat_to_matrix,
 )
+from minidet3d.train import build_training_samples
 from oracles import (
     ReferencePose,
     decode_visual,
@@ -702,6 +705,68 @@ def _processed_line(process, rec):
         return json.dumps(processed_to_json(process(rec)))
     except GimbalRisk as e:
         return f"GimbalRisk: {e}"
+
+
+def _one_box_records(count, rng):
+    """_raw_records with each record's first box only; one ego in fifty tilts."""
+    return [_record((sid, ego, lidar, cameras, boxes[:1]), Pose)
+            for sid, ego, lidar, cameras, boxes in _raw_records(count, rng)]
+
+
+class TestStackedSamplePath:
+    """build_training_samples moves all boxes to the LiDAR frame in one
+    stacked pass, yet gives the bits of to_lidar_frame record by record and
+    raises at the first record at fault what the per-record loop raises."""
+
+    @staticmethod
+    def features(records):
+        return {r.sample_id: FeaturePair(r.sample_id, np.zeros(7), np.zeros(2)) for r in records}
+
+    @staticmethod
+    def per_record_error(rec):
+        with pytest.raises(MiniDetError) as info:
+            for_record(to_lidar_frame, rec)
+        return str(info.value)
+
+    def test_boxes_equal_per_record_transform_to_the_bit(self):
+        records = _one_box_records(600, np.random.default_rng(35))
+        untilted = [r for r in records if r.ego_to_global.tilt_angle() <= 1e-6]
+        assert 0 < len(untilted) < len(records)
+        samples = build_training_samples(untilted, self.features(records))
+        expected = [to_lidar_frame(r)[0].box for r in untilted]
+        assert [repr(tuple(s.gt_box)) for s in samples] == [repr(tuple(b)) for b in expected]
+
+    def test_first_tilted_record_is_named(self):
+        records = _one_box_records(600, np.random.default_rng(35))
+        first = next(r for r in records if r.ego_to_global.tilt_angle() > 1e-6)
+        message = self.per_record_error(first)
+        assert re.fullmatch(rf"record {first.sample_id!r}: pose tilts the vertical axis by "
+                            r"\S+ rad; boxes here carry yaw only", message)
+        with pytest.raises(MiniDetError) as info:
+            build_training_samples(records, self.features(records), scenes_file="s.json")
+        assert str(info.value) == f"s.json: {message}"
+
+    @pytest.mark.parametrize("fault", ["two annotations", "no features", "overflow"])
+    def test_a_fault_before_the_first_tilted_record_is_named_instead(self, fault):
+        records = _one_box_records(600, np.random.default_rng(35))
+        features = self.features(records)
+        i = next(i for i, r in enumerate(records) if r.ego_to_global.tilt_angle() > 1e-6)
+        rec = records[i - 1]
+        if fault == "two annotations":
+            records[i - 1] = dataclasses.replace(rec, annotations=rec.annotations * 2)
+            message = (f"record {rec.sample_id!r} has 2 annotations; "
+                       "training expects exactly one box per sample")
+        elif fault == "no features":
+            del features[rec.sample_id]
+            message = f"no features for sample {rec.sample_id!r}"
+        else:
+            records[i - 1] = dataclasses.replace(rec, ego_to_global=Pose(
+                (1.7e308, 1.7e308, 0.0), quat_from_yaw(math.pi / 4)))
+            message = self.per_record_error(records[i - 1])
+            assert message.endswith(": pose components must be finite")
+        with pytest.raises(MiniDetError) as info:
+            build_training_samples(records, features)
+        assert str(info.value) == message
 
 
 class TestIngestMatchesReference:

@@ -31,7 +31,7 @@ def parse_line(field, message):
     return f"{field}: {message}"
 
 
-def header_line(field, message):
+def path_line(field, message):
     return f"{{path}}: {field}: {message}"
 
 
@@ -63,13 +63,13 @@ KINDS = {
     "scene file": Kind("scenes", lambda d: d, "{path}", ("schema_version", "records")),
     "features file": Kind("features", lambda d: d, "{path}", ("schema_version", "features")),
     "features entry": Kind("features", lambda d: d["features"][SID], f"features[{json.dumps(SID)}]",
-                           ("visual", "text")),
+                           ("visual", "text"), path_line),
     "config": Kind("config", lambda d: d, "config", ()),
     "config model": Kind("config", lambda d: d["model"], "config.model", ()),
     "config schedule": Kind("config", lambda d: d["schedule"], "config.schedule", ()),
     "checkpoint header": Kind("checkpoint", lambda d: d, "header",
                               (*(f.name for f in dataclasses.fields(ModelConfig)),
-                               "lora_targets", "mlp_hidden"), header_line),
+                               "lora_targets", "mlp_hidden"), path_line),
     "report": Kind("report", lambda d: d, "report",
                    ("categories", "miou_categories", "miou_samples",
                     "accuracy", "precision", "recall", "f1")),

@@ -416,3 +416,24 @@ class TestProjection:
             CameraIntrinsics(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=0, height=10)
+
+
+def test_stacked_numpy_calls_give_each_row_its_own_bits():
+    """The numpy identities that stacked synthesis and sample building rely
+    on: a stack of single points through (3, 3) or (N, 3, 3) matrices, one
+    matrix through a stack of columns, and tanh over many rows give each row
+    the bits it gets alone. A 2-D (N, 3) @ (3, 3) is one GEMM, which does not."""
+    rng = np.random.default_rng(35)
+    bits = np.ndarray.tobytes
+    for n in (1, 2, 7, 384):
+        v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        r, rs = rng.normal(size=(3, 3)), rng.normal(size=(n, 3, 3))
+        assert bits(np.matmul(v[:, None, :], r.swapaxes(-1, -2))[:, 0]) == bits(
+            np.array([p @ r.T for p in v]))
+        assert bits(np.matmul(v[:, None, :], rs.swapaxes(-1, -2))[:, 0]) == bits(
+            np.array([p @ m.T for p, m in zip(v, rs)]))
+        mix, params = rng.normal(size=(25, 7)), rng.normal(size=(n, 7))
+        assert bits(np.matmul(mix, params[..., None])[..., 0]) == bits(
+            np.array([mix @ p for p in params]))
+        x = rng.normal(size=(n, 25)) * 3.0
+        assert bits(np.tanh(x)) == bits(np.array([np.tanh(row) for row in x]))
