@@ -8,7 +8,7 @@ scene ingestion with camera visibility filtering, and detection metrics.
 from .geom import Box7, CameraIntrinsics, Pose, box_corners, project_corners, transform_box
 from .iou import IoUResult, iou_3d, iou_loss_grad, monte_carlo_iou
 from .lora import LoRAAdapter, adapter_init, merge_adapter
-from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
+from .losses import LossSchedule, schedule_weights
 from .model import FusionModel, ModelConfig
 
 __version__ = "0.1.0"
@@ -28,8 +28,6 @@ __all__ = [
     "adapter_init",
     "merge_adapter",
     "LossSchedule",
-    "mse_semantic_loss",
-    "combined_loss",
     "schedule_weights",
     "FusionModel",
     "ModelConfig",

@@ -151,9 +151,11 @@ def cmd_ingest(args) -> int:
         print(f"rejected: {diag}", file=sys.stderr)
 
     step = functools.partial(data_mod.for_record, data_mod.process_record)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            processed = list(pool.map(step, records, chunksize=16))
+    chunk = 16  # records per task; a fork start forks every worker up front, so start none idle
+    workers = min(args.workers, len(os.sched_getaffinity(0)), (len(records) + chunk - 1) // chunk)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            processed = list(pool.map(step, records, chunksize=chunk))
     else:
         processed = [step(r) for r in records]
 

@@ -1,43 +1,17 @@
-"""Semantic MSE loss, the combined objective, and the two-stage weight schedule.
+"""The two-stage weight schedule of the semantic MSE and IoU loss terms.
 
 Stage 1 trains on the semantic feature MSE alone (weights 1.0 / 0.0); after
 the transition epoch the weighting flips to 0.2 / 0.8 and the learning rate
 drops an order of magnitude, so geometry (the IoU term) dominates late
 training while the semantic term keeps its anchor role.
 
-The trainer's batch MSE and epoch objective are these two functions.
+The semantic MSE itself is `FusionModel.semantic_loss`, beside the frozen
+head it is measured through; the trainer weights the two terms inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import EmptyBatch, ShapeMismatch
-
-
-def mse_semantic_loss(pred, gt) -> float:
-    """Mean over the batch of squared feature distances ||f_pred - f_gt||^2.
-
-    `pred` and `gt` are (B, D) batches; the squared norm sums over the D
-    feature dimensions and the mean runs over the B rows.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if len(pred) != len(gt):
-        raise ShapeMismatch(f"{len(pred)} predictions vs {len(gt)} ground truths")
-    if not len(pred):
-        raise EmptyBatch("mse_semantic_loss requires at least one pair")
-    if pred.ndim != 2 or pred.shape != gt.shape:
-        raise ShapeMismatch(f"expected two equal (B, D) batches, got {pred.shape} vs {gt.shape}")
-    d = pred - gt
-    return float((d * d).sum(axis=1).mean())
-
-
-def combined_loss(mse: float, iou_loss: float, lambda1: float, lambda2: float) -> float:
-    """Weighted sum lambda1 * mse + lambda2 * iou_loss."""
-    return lambda1 * mse + lambda2 * iou_loss
 
 
 @dataclass(frozen=True)

@@ -63,14 +63,16 @@ identical (config, seed, input) triples produce bit-identical outputs.
 Size channels of the raw output go through softplus when a geometric box is
 built, since boxes require strictly positive sizes; yaw is wrapped into
 (-pi, pi] at the same point. The trainer calls `box_params_from_raw` (the
-one raw-to-box-parameter map), `box_params_grad_chain` and the semantic head
-from here.
+one raw-to-box-parameter map), `box_params_grad_chain` and `semantic_loss`,
+the stage-1 loss and its gradient through the frozen semantic head, from
+here.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -426,9 +428,18 @@ class FusionModel:
         """Frozen linear embedding of box parameters into the 128-dim space."""
         return np.asarray(params7, dtype=np.float64) @ self.params["semantic.W"].T
 
-    def semantic_input_grad(self, feature_grad: np.ndarray) -> np.ndarray:
-        """Pull a semantic-space gradient back to box-parameter space."""
-        return np.asarray(feature_grad, dtype=np.float64) @ self.params["semantic.W"]
+    def semantic_loss(self, pred, gt, weight: float) -> tuple[float, np.ndarray]:
+        """(loss, gradient of `weight` * loss w.r.t. `pred`) of two equal (B, 7) batches of
+        box parameters: the mean over the rows of ||f(pred) - f(gt)||^2, f the frozen
+        semantic head, whose gradient is pulled back through the head."""
+        pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+        if pred.shape[1:] != (7,) or pred.shape != gt.shape:
+            raise ShapeMismatch(f"expected equal (B, 7) batches, got {pred.shape} vs {gt.shape}")
+        if not len(pred):
+            raise EmptyBatch("semantic_loss requires at least one pair")
+        d = self.semantic_features(pred) - self.semantic_features(gt)
+        loss = float((d * d).sum(axis=1).mean())
+        return loss, (2.0 * weight / len(d)) * (d @ self.params["semantic.W"])
 
 
 def save_checkpoint(model: FusionModel, path: str | Path) -> None:
@@ -465,36 +476,44 @@ def _header_config(cfg, bad) -> ModelConfig:
         raise bad("header", str(e)) from None
 
 
+def _read_at_most(f, n: int) -> bytearray:
+    """The next `n` bytes of `f` (fewer at its end), in 64 KiB reads: `n` is never allocated."""
+    out = bytearray()
+    while len(out) < n and (part := f.read(min(n - len(out), 1 << 16))):
+        out += part
+    return out
+
+
 def load_checkpoint(path: str | Path) -> FusionModel:
-    """Read a `save_checkpoint` file into a new model, filling its parameter
-    arrays in place. Each length is checked before its slice is read, the
-    weight byte count before the model is built, and a malformed file raises
-    CheckpointError naming the file and the bad part."""
-    blob = Path(path).read_bytes()
+    """Read a `save_checkpoint` file into a new model: in order, each part once the ones before
+    passed (magic, version, header length, header, then at most one byte past the weights the
+    header needs), so a malformed file raises CheckpointError naming the file and the bad part."""
 
     def bad(part: str, message: str) -> CheckpointError:
         return CheckpointError(f"{path}: {part}: {message}")
 
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise bad("magic", f"not a model checkpoint (no {_CHECKPOINT_MAGIC!r})")
-    if len(blob) < 5:
-        raise bad("version", "missing: the file ends after the magic")
-    if blob[4] != _CHECKPOINT_VERSION:
-        raise bad("version", f"unsupported checkpoint version {blob[4]}")
-    if len(blob) < 9:
-        raise bad("header length", f"file ends at byte {len(blob)}, inside the 4-byte length")
-    (hlen,) = struct.unpack("<I", blob[5:9])
-    if 9 + hlen > len(blob):
-        raise bad("header length", f"{hlen} bytes, but only {len(blob) - 9} follow")
-    try:
-        cfg = json.loads(blob[9 : 9 + hlen].decode("utf-8"), object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
-        raise bad("header", f"invalid JSON: {e}") from None
-    config = _header_config(cfg, bad)
-    weights = blob[9 + hlen :]
-    needed = param_bytes(config)
-    if len(weights) != needed:
-        raise bad("weights", f"{len(weights)} bytes, but the header's shapes need {needed}")
+    with open(path, "rb") as f:
+        if f.read(4) != _CHECKPOINT_MAGIC:
+            raise bad("magic", f"not a model checkpoint (no {_CHECKPOINT_MAGIC!r})")
+        if not (version := f.read(1)):
+            raise bad("version", "missing: the file ends after the magic")
+        if version[0] != _CHECKPOINT_VERSION:
+            raise bad("version", f"unsupported checkpoint version {version[0]}")
+        if len(length := f.read(4)) < 4:
+            raise bad("header length",
+                      f"file ends at byte {5 + len(length)}, inside the 4-byte length")
+        (hlen,) = struct.unpack("<I", length)
+        if len(header := _read_at_most(f, hlen)) < hlen:
+            raise bad("header length", f"{hlen} bytes, but only {len(header)} follow")
+        try:
+            cfg = json.loads(header.decode("utf-8"), object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as e:  # ValueError: JSON or UTF-8 decoding
+            raise bad("header", f"invalid JSON: {e}") from None
+        config = _header_config(cfg, bad)
+        needed = param_bytes(config)
+        if len(weights := _read_at_most(f, needed + 1)) != needed:
+            have = max(len(weights), os.fstat(f.fileno()).st_size - 9 - hlen)  # 0 for a pipe
+            raise bad("weights", f"{have} bytes, but the header's shapes need {needed}")
     model = FusionModel(config)
     offset = 0
     for name in sorted(model.params):

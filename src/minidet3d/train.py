@@ -11,13 +11,13 @@ decay scaling, the bias corrections as scalars), which rounds differently
 from the textbook per-tensor update; `tools/quality_band.py` is the gate for
 such changes to the training arithmetic.
 
-Losses come from `mse_semantic_loss`, the mean IoU loss and `combined_loss`.
-The semantic MSE gradient flows analytically through the frozen projection
-head; the IoU-loss gradient per sample is the exact `iou_loss_grad`, handed
-the pair's rows and IoU only: `iou_3d` clips each pair once per batch for
-its value, the gradient clips the pair again in the ground truth's frame
-with vertices tagged by source, so it needs no sort, and the trainer makes
-no footprints.
+Each batch's semantic MSE and its gradient through the frozen projection
+head come from one call, `FusionModel.semantic_loss`; the epoch objective is
+lambda1 * MSE + lambda2 * mean IoU loss. The IoU-loss gradient per sample is
+the exact `iou_loss_grad`, handed the pair's rows and IoU only: `iou_3d`
+clips each pair once per batch for its value, the gradient clips the pair
+again in the ground truth's frame with vertices tagged by source, so it
+needs no sort, and the trainer makes no footprints.
 Samples whose IoU is exactly 0 or 1, or that sit at a clipping-topology tie,
 contribute their loss value but no IoU gradient for that step (the retained
 MSE term keeps pulling them toward overlap); the per-epoch log counts how
@@ -45,7 +45,7 @@ from .errors import (ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch
                      NonSmoothPoint)
 from .geom import Box7, wrap_angle
 from .iou import iou_3d, iou_loss_grad
-from .losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
+from .losses import LossSchedule, schedule_weights
 from .metrics import check_iou_threshold, miou_samples, report_dict
 # perfbench's tracer wraps train.match_predictions: keep it importable.
 from .metrics import match_predictions  # noqa: F401
@@ -264,9 +264,7 @@ def run_training(
     for epoch in range(1, schedule.total_epochs + 1):
         lam1, lam2, lr = schedule_weights(schedule, epoch)
         order = rng.permutation(len(train_samples))
-        mse_sum = 0.0
-        iou_sum = 0.0
-        skipped = 0
+        mse_sum, iou_sum, skipped = 0.0, 0.0, 0
         for batch, start in enumerate(range(0, len(order), batch_size)):
             idx = order[start : start + batch_size]
             batch_samples = [train_samples[i] for i in idx]
@@ -275,17 +273,13 @@ def run_training(
             with _recording(errors):  # from the forward through the optimizer step
                 raw, params_pred = _checked_box_params(model, fused_all[idx], batch_samples,
                                                        f" at epoch {epoch}, batch {batch}")
-                f_pred = model.semantic_features(params_pred)
-                f_gt = model.semantic_features(gt_params[idx])
-                diffs = f_pred - f_gt
-                mse_batch = mse_semantic_loss(f_pred, f_gt)
+                mse_batch, upstream_params = model.semantic_loss(params_pred, gt_params[idx], lam1)
                 if not math.isfinite(mse_batch):
                     _diverged(epoch, batch, f"non-finite loss {mse_batch}")
 
                 pairs = [(p, s.gt_box) for p, s in zip(_rows(params_pred), batch_samples)]
                 ious = [iou_3d(p, g).iou for p, g in pairs]
                 iou_batch = sum(1.0 - iou for iou in ious) / B
-                upstream_params = (2.0 * lam1 / B) * model.semantic_input_grad(diffs)
                 if lam2 > 0.0:
                     iou_grads = np.zeros((B, 7))
                     for b, (p, g) in enumerate(pairs):
@@ -294,8 +288,7 @@ def run_training(
                         except (DegenerateOverlap, NonSmoothPoint):
                             skipped += 1
                     upstream_params += (lam2 / B) * iou_grads
-                upstream_raw = box_params_grad_chain(raw, upstream_params)
-                grad = model.backward_batch(upstream_raw)
+                grad = model.backward_batch(box_params_grad_chain(raw, upstream_params))
                 if not np.isfinite(grad).all():
                     _diverged(epoch, batch, "non-finite gradient")
                 opt.step(model.arena, grad, lr)
@@ -307,7 +300,7 @@ def run_training(
 
         mse_epoch = mse_sum / len(order)
         iou_epoch = iou_sum / len(order)
-        combined = combined_loss(mse_epoch, iou_epoch, lam1, lam2)
+        combined = lam1 * mse_epoch + lam2 * iou_epoch
         if not math.isfinite(combined):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {combined}")
         try:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minidet3d.cli as cli_mod
 from minidet3d.cli import main
 from minidet3d.data import Annotation, emit, ingest_lenient, save_features, synth_scenes
 from minidet3d.geom import Box7, Pose, quat_from_yaw
@@ -265,6 +266,54 @@ class TestIngestCommand:
         assert captured.err == (f"rejected: records[2].sample_id: duplicate sample_id "
                                 f"{records[0].sample_id!r}, first at records[0]\n")
         assert "accepted=2 rejected=1" in captured.out
+
+    @staticmethod
+    def in_process_pool(monkeypatch, cores):
+        """Stand `cli.ProcessPoolExecutor` in with a pool that maps in this
+        process, on a machine of `cores` cores; returns each pool's max_workers."""
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        return opened
+
+    @pytest.mark.parametrize("cores, pool", [(64, 3), (2, 2), (1, None)])
+    def test_pool_never_outnumbers_the_chunks_or_the_cores(self, tmp_path, capsys, monkeypatch,
+                                                           cores, pool):
+        data = make_dataset(tmp_path, "data", 48, 8)
+        serial, pooled = tmp_path / "w1.jsonl", tmp_path / "w1000.jsonl"
+        assert run_cli("ingest", data / "scenes.json", "--out", serial) == 0
+        opened = self.in_process_pool(monkeypatch, cores)
+        assert run_cli("ingest", data / "scenes.json", "--out", pooled, "--workers", 1000) == 0
+        assert opened == ([] if pool is None else [pool])  # 48 records are three chunks of 16
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_no_pool_without_an_accepted_record(self, tmp_path, capsys, monkeypatch):
+        records, _ = synth_scenes(2, {"car": 1.0}, seed=4)
+        scenes = tmp_path / "scenes.json"
+        emit(records, scenes)
+        doc = json.loads(scenes.read_text())
+        for rec in doc["records"]:
+            rec["sample_id"] = 5
+        scenes.write_text(json.dumps(doc))
+        opened = self.in_process_pool(monkeypatch, 64)
+        out = tmp_path / "out.jsonl"
+        assert run_cli("ingest", scenes, "--out", out, "--workers", 1000) == 1
+        assert "accepted=0 rejected=2" in capsys.readouterr().out
+        assert opened == [] and out.read_bytes() == b""
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):

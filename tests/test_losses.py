@@ -1,61 +1,72 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from minidet3d.errors import EmptyBatch, ShapeMismatch
-from minidet3d.losses import LossSchedule, combined_loss, mse_semantic_loss, schedule_weights
+from minidet3d.losses import LossSchedule, schedule_weights
+from minidet3d.model import FusionModel, ModelConfig
 
 
-class TestMseSemanticLoss:
-    def test_identical_features(self):
-        f = [np.ones(128), np.zeros(128)]
-        assert mse_semantic_loss(f, [x.copy() for x in f]) == 0.0
+class TestSemanticLoss:
+    """`FusionModel.semantic_loss`: the stage-1 loss of box-parameter rows and its gradient."""
 
-    def test_unit_basis_difference(self):
-        gt = np.zeros(128)
-        pred = np.zeros(128)
-        pred[17] = 1.0
-        assert mse_semantic_loss([pred], [gt]) == 1.0
+    B, WEIGHT = 5, 0.2
 
-    def test_mean_over_batch_only(self):
-        # squared norms 1.0 and 3.0 average to 2.0
-        gt = [np.zeros(4), np.zeros(4)]
-        pred = [np.array([1.0, 0, 0, 0]), np.array([1.0, 1.0, 1.0, 0])]
-        assert mse_semantic_loss(pred, gt) == pytest.approx(2.0)
+    @pytest.fixture(scope="class")
+    def model(self):
+        return FusionModel(ModelConfig(seed=3))
 
-    def test_sums_over_feature_dims(self):
-        gt = [np.zeros(4)]
-        pred = [np.array([2.0, 0, 0, 0])]
-        assert mse_semantic_loss(pred, gt) == 4.0
+    def rows(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(self.B, 7)), rng.normal(size=(self.B, 7))
 
-    def test_symmetry_and_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        pred = [rng.normal(size=16) for _ in range(5)]
-        gt = [rng.normal(size=16) for _ in range(5)]
-        forward = mse_semantic_loss(pred, gt)
-        assert mse_semantic_loss(gt, pred) == pytest.approx(forward)
+    def test_value_is_the_mean_squared_feature_distance(self, model):
+        pred, gt = self.rows(0)
+        W = model.params["semantic.W"]
+        oracle = np.mean([np.sum(((p - g) @ W.T) ** 2) for p, g in zip(pred, gt)])
+        loss, _ = model.semantic_loss(pred, gt, self.WEIGHT)
+        assert loss == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_gradient_matches_central_differences_of_the_weighted_loss(self, model):
+        pred, gt = self.rows(1)
+        _, grad = model.semantic_loss(pred, gt, self.WEIGHT)
+        h, fd = 1e-4, np.empty_like(pred)
+        for index in np.ndindex(pred.shape):
+            plus, minus = pred.copy(), pred.copy()
+            plus[index] += h
+            minus[index] -= h
+            fd[index] = self.WEIGHT * (model.semantic_loss(plus, gt, 1.0)[0]
+                                       - model.semantic_loss(minus, gt, 1.0)[0]) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-7, atol=0.0)
+
+    def test_zero_exactly_at_the_truth_and_positive_elsewhere(self, model):
+        assert np.linalg.matrix_rank(model.params["semantic.W"]) == 7
+        pred, gt = self.rows(2)
+        loss, grad = model.semantic_loss(gt.copy(), gt, self.WEIGHT)
+        assert loss == 0.0 and not grad.any()
+        assert model.semantic_loss(pred, gt, self.WEIGHT)[0] > 0.0
+        one_off = gt.copy()
+        one_off[3, 6] += 1e-3
+        assert model.semantic_loss(one_off, gt, self.WEIGHT)[0] > 0.0
+
+    def test_row_permutation_leaves_the_loss_and_permutes_the_gradient(self, model):
+        pred, gt = self.rows(3)
         perm = [3, 1, 4, 0, 2]
-        assert mse_semantic_loss([pred[i] for i in perm], [gt[i] for i in perm]) == pytest.approx(
-            forward
-        )
+        loss, grad = model.semantic_loss(pred, gt, self.WEIGHT)
+        loss_p, grad_p = model.semantic_loss(pred[perm], gt[perm], self.WEIGHT)
+        assert loss_p == pytest.approx(loss, rel=1e-15)
+        np.testing.assert_allclose(grad_p, grad[perm], rtol=1e-15)
 
-    def test_nonnegative_zero_iff_equal(self):
-        rng = np.random.default_rng(1)
-        pred = [rng.normal(size=8) for _ in range(4)]
-        gt = [rng.normal(size=8) for _ in range(4)]
-        assert mse_semantic_loss(pred, gt) > 0
-        assert mse_semantic_loss(pred, pred) == 0.0
+    def test_shapes_checked(self, model):
+        with pytest.raises(ShapeMismatch, match=r"^expected equal \(B, 7\) batches, got "
+                                                r"\(1, 7\) vs \(2, 7\)$"):
+            model.semantic_loss(np.zeros((1, 7)), np.zeros((2, 7)), 1.0)
+        for shape in ((3, 6), (7,), (2, 7, 1)):
+            with pytest.raises(ShapeMismatch):
+                model.semantic_loss(np.zeros(shape), np.zeros(shape), 1.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatch, match="^1 predictions vs 2 ground truths$"):
-            mse_semantic_loss([np.zeros(4)], [np.zeros(4), np.zeros(4)])
-        with pytest.raises(ShapeMismatch, match=r"^expected two equal \(B, D\) batches, got "
-                                                r"\(1, 4\) vs \(1, 5\)$"):
-            mse_semantic_loss([np.zeros(4)], [np.zeros(5)])
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
-            mse_semantic_loss([], [])
+    def test_empty_batch(self, model):
+        with pytest.raises(EmptyBatch, match="^semantic_loss requires at least one pair$"):
+            model.semantic_loss(np.zeros((0, 7)), np.zeros((0, 7)), 1.0)
 
 
 class TestSchedule:
@@ -90,30 +101,3 @@ class TestSchedule:
             LossSchedule(stage1_lr=0.0)
         with pytest.raises(ValueError, match=r"^stage1_weights: must be two non-negative"):
             LossSchedule(stage1_weights=(-1.0, 0.0))
-
-
-class TestCombinedLoss:
-    def test_stage1_weighting(self):
-        assert combined_loss(5.0, 0.4, 1.0, 0.0) == 5.0
-
-    def test_stage2_weighting(self):
-        assert combined_loss(5.0, 0.4, 0.2, 0.8) == pytest.approx(1.32)
-
-    def test_zero(self):
-        assert combined_loss(0.0, 0.0, 1.0, 0.8) == 0.0
-
-    def test_stage1_independent_of_iou(self):
-        assert combined_loss(3.0, 0.1, 1.0, 0.0) == combined_loss(3.0, 0.9, 1.0, 0.0)
-
-    @given(
-        st.floats(0, 100),
-        st.floats(0, 1),
-        st.floats(0, 100),
-        st.floats(0, 1),
-        st.floats(0, 10),
-        st.floats(0, 10),
-    )
-    def test_monotone_in_each_loss(self, mse, iou, dm, di, l1, l2):
-        base = combined_loss(mse, iou, l1, l2)
-        assert combined_loss(mse + dm, iou, l1, l2) >= base
-        assert combined_loss(mse, min(iou + di, 1.0), l1, l2) >= base

@@ -16,6 +16,7 @@ from minidet3d.model import (
     box_params_from_raw,
     box_params_grad_chain,
     load_checkpoint,
+    param_bytes,
     save_checkpoint,
 )
 from minidet3d.train import AdamW
@@ -332,13 +333,10 @@ class TestSemanticHead:
         )
 
     def test_identical_boxes_give_zero_mse(self):
-        from minidet3d.losses import mse_semantic_loss
-
         model = FusionModel(SMALL)
-        params = np.array([1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3])
-        f_pred = model.semantic_features(params)
-        f_gt = model.semantic_features(params.copy())
-        assert mse_semantic_loss([f_pred], [f_gt]) == 0.0
+        params = np.array([[1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3]])
+        loss, grad = model.semantic_loss(params, params.copy(), 1.0)
+        assert loss == 0.0 and np.array_equal(grad, np.zeros((1, 7)))
 
     def test_dimension_is_128(self):
         model = FusionModel(SMALL)
@@ -569,6 +567,44 @@ class TestCheckpoint:
         monkeypatch.setattr(FusionModel, "__init__", build)
         with pytest.raises(CheckpointError, match="weights"):
             load_checkpoint(path)
+
+    def test_a_large_file_without_the_magic_is_refused_unread(self, tmp_path):
+        path = tmp_path / "large.bin"
+        with open(path, "wb") as f:
+            f.write(b"NOPE")
+            f.truncate(64 << 20)  # sparse: 64 MiB that take no disk
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=r": magic: not a model checkpoint"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_trailing_byte_is_refused_with_the_files_weight_count(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(SMALL), path)
+        with open(path, "ab") as f:
+            f.write(b"\0")
+        needed = param_bytes(SMALL)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: weights: {needed + 1} bytes, but the header's "
+                                  f"shapes need {needed}")
+
+    def test_a_header_length_past_the_end_is_not_allocated(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"MD3D\x01" + (2**32 - 1).to_bytes(4, "little") + b"{}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: header length: {2**32 - 1} bytes, but only 2 follow"
+        assert peak < 1 << 20
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"

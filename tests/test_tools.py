@@ -14,9 +14,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the labels in the order the README lists the artifacts
-BIT_IDENTITY_LABELS = ["checkpoint", "train_log", "report", "ingest", "stage2_checkpoint",
-                       "synth_widths", "stage2_report", "ingest_visibility"]
+# the BLAS kernel's line, then the hashes' labels in the order the README lists the artifacts
+BIT_IDENTITY_LABELS = ["blas_core", "checkpoint", "train_log", "report", "ingest",
+                       "stage2_checkpoint", "synth_widths", "stage2_report", "ingest_visibility"]
 
 
 def test_bit_identity_prints_eight_labelled_hashes():
@@ -27,7 +27,8 @@ def test_bit_identity_prints_eight_labelled_hashes():
     lines = done.stdout.splitlines()
     # the values depend on the BLAS build; the format does not
     assert [line.split()[0] for line in lines] == BIT_IDENTITY_LABELS
-    for line in lines:
+    assert re.fullmatch(r"blas_core +\S+", lines[0]), lines[0]
+    for line in lines[1:]:
         assert re.fullmatch(r"[a-z0-9_]+ +[0-9a-f]{16}", line), line
 
 

@@ -161,6 +161,7 @@ class TestRunTraining:
         for stats in history:
             lam1, lam2, lr = schedule_weights(sched, stats.epoch)
             assert (stats.lambda1, stats.lambda2, stats.lr) == (lam1, lam2, lr)
+            assert stats.combined_loss == lam1 * stats.mse_loss + lam2 * stats.iou_loss
 
     def test_frozen_base_weights_never_change(self):
         samples = small_dataset(32, seed=7)
@@ -349,7 +350,8 @@ class TestRunTraining:
 
     def test_epoch_loss_that_overflows_is_divergence(self, monkeypatch):
         # each batch's loss is finite; their sample-weighted sum is not
-        monkeypatch.setattr(minidet3d.train, "mse_semantic_loss", lambda f_pred, f_gt: 1e308)
+        monkeypatch.setattr(FusionModel, "semantic_loss",
+                            lambda self, pred, gt, weight: (1e308, np.zeros((len(pred), 7))))
         with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch 1: inf$"):
             run_training(FusionModel(ModelConfig(seed=4)), small_dataset(8, seed=9),
                          LossSchedule(), seed=0, batch_size=4)
@@ -379,6 +381,71 @@ class TestRunTraining:
             assert float(fields[1]) == stats.lambda1
             assert float(fields[3]) == stats.lr
             assert float(fields[7]) == stats.val_miou
+
+
+class TestTrainingStepGradient:
+    """The gradient one training batch hands `backward_batch` is that of the
+    objective lambda1 * L_sem + lambda2 * mean(1 - IoU) in the raw output,
+    checked by central differences on every row whose IoU gradient the trainer
+    kept: a wrong 2/B, a misplaced lambda or a wrong softplus chain fails it."""
+
+    def test_backward_gets_the_objectives_gradient_in_the_raw_output(self, monkeypatch):
+        train = small_dataset(64, seed=35)
+        model = FusionModel(ModelConfig(seed=5))
+        # stage 1 until most predictions overlap their ground truth, not recorded
+        pretrain = LossSchedule(transition_epoch=20, total_epochs=21, stage1_lr=2e-3, stage2_lr=5e-5)
+        run_training(model, train, pretrain, seed=5)
+
+        calls = {"forward": [], "backward": [], "kept": []}
+        forward, backward = model.forward_batch, model.backward_batch
+
+        def recorded_forward(F):
+            raw = forward(F)
+            calls["forward"].append((F.copy(), raw.copy()))
+            return raw
+
+        def recorded_backward(upstream):
+            calls["backward"].append(upstream.copy())
+            return backward(upstream)
+
+        def recorded_grad(*args):
+            calls["kept"].append(False)
+            grad = iou_loss_grad(*args)
+            calls["kept"][-1] = True
+            return grad
+
+        monkeypatch.setattr(model, "forward_batch", recorded_forward)
+        monkeypatch.setattr(model, "backward_batch", recorded_backward)
+        monkeypatch.setattr(minidet3d.train, "iou_loss_grad", recorded_grad)
+        lam1, lam2 = 0.2, 0.8  # both terms live from the first batch
+        sched = LossSchedule(transition_epoch=1, total_epochs=2, stage1_weights=(lam1, lam2),
+                             stage1_lr=5e-5, stage2_lr=5e-5)
+        run_training(model, train, sched, seed=6, batch_size=12)
+        monkeypatch.undo()
+
+        (F, raw), upstream = calls["forward"][0], calls["backward"][0]
+        B = len(F)
+        kept = np.array(calls["kept"][:B])
+        by_fused = {s.fused.tobytes(): s for s in train}
+        gt_boxes = [by_fused[row.tobytes()].gt_box for row in F]
+        gt = np.stack([g.params() for g in gt_boxes])
+        W = model.params["semantic.W"]
+
+        def objective(raw):
+            p = box_params_from_raw(raw)
+            sem = np.mean([np.sum(((pb - gb) @ W.T) ** 2) for pb, gb in zip(p, gt)])
+            iou = np.mean([1.0 - iou_3d(Box7(*pb), g).iou for pb, g in zip(p.tolist(), gt_boxes)])
+            return lam1 * sem + lam2 * iou
+
+        h, fd = 1e-6, np.empty_like(raw)
+        for index in np.ndindex(raw.shape):
+            plus, minus = raw.copy(), raw.copy()
+            plus[index] += h
+            minus[index] -= h
+            fd[index] = (objective(plus) - objective(minus)) / (2 * h)
+
+        assert B == 12 and kept.sum() >= B // 2
+        np.testing.assert_allclose(upstream[kept], fd[kept], rtol=1e-6, atol=1e-9)
 
 
 class TestEvaluate:

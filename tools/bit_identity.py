@@ -4,7 +4,7 @@
 
 Run from the repository root; `src/` of the same checkout is imported and
 nothing is installed. A change that leaves the arithmetic alone must print
-the same eight lines as its parent commit. BLAS is pinned to one thread
+the same eight hash lines as its parent commit. BLAS is pinned to one thread
 before numpy loads. It takes a few seconds on one core and writes only
 to a temporary directory.
 
@@ -34,7 +34,10 @@ to a temporary directory.
   and each camera's per-corner `visible` flags. A change that moves the
   projected pixels only by rounding moves `ingest` and leaves this line.
 
-Each line is a label and the first 16 hex digits of the artifact's SHA-256.
+The first line, `blas_core`, names the OpenBLAS kernel that numpy dispatched
+(`None` if it cannot be asked): the hashes hold for one numpy build and one
+kernel, so compare two commits on the same machine. Each other line is a
+label and the first 16 hex digits of the artifact's SHA-256.
 The exit code is 1 if a command fails, the two ingests differ, or the
 re-emitted scene file differs from the synth's.
 """
@@ -45,12 +48,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -62,6 +68,20 @@ from minidet3d.model import FusionModel, ModelConfig, save_checkpoint  # noqa: E
 from minidet3d.train import build_training_samples, evaluate_model, run_training  # noqa: E402
 
 MIX = {"adult": 0.5, "car": 0.5}
+
+
+def blas_core() -> str | None:
+    """The name of the OpenBLAS core that numpy dispatched, asked of the
+    OpenBLAS library under `numpy.libs`; None if no such library answers."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(dll, name):
+                corename = getattr(dll, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def digest(*paths: Path) -> str:
@@ -141,6 +161,7 @@ def stage2_run(tmp: Path) -> tuple[Path, Path]:
 
 
 def main() -> int:
+    print(f"{'blas_core':<18} {blas_core()}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         artifacts = criterion_9(tmp)
