@@ -14,8 +14,8 @@ A and B may carry the same leading stack axes, one pair per matrix of a
 (..., d_out, d_in) stack of bases. `merge_adapter` forms every W' of a stack
 in one call (optionally into a preallocated buffer), the same bits as one
 call per matrix, and the fusion model runs its attention as plain GEMMs on
-the merged weights: the input gradient of x @ W'.T is dy @ W'.
-`adapter_grads` is the one implementation of the factor gradients.
+the merged weights: the input gradient of x @ W'.T is dy @ W'. Its backward
+writes the factor gradients, alpha * (dy @ B).T @ x and alpha * dy.T @ (x @ A.T).
 """
 
 from __future__ import annotations
@@ -75,27 +75,6 @@ def adapter_init(d_in: int, d_out: int, r: int, alpha: float, seed: int) -> LoRA
         r=r,
         alpha=float(alpha),
     )
-
-
-def adapter_grads(a: LoRAAdapter, x: np.ndarray, dy: np.ndarray, out=(None, None)):
-    """(dA, dB) of sum(dy * (x @ merge_adapter(w, a).T)) for one factor pair
-    (not a stack), summed over the leading axes of x and dy:
-    alpha * (dy @ B).T @ x and alpha * dy.T @ (x @ A.T).
-
-    They do not depend on W. `out` is a pair of arrays (or Nones) to write
-    them into. The input gradient, dy @ merge_adapter(w, a), is one GEMM on
-    the merged weight and is left to the caller.
-    """
-    x, dy = np.asarray(x, dtype=np.float64), np.asarray(dy, dtype=np.float64)
-    if a.A.ndim != 2 or x.shape[-1] != a.d_in or dy.shape != x.shape[:-1] + (a.d_out,):
-        raise ShapeMismatch(f"input {x.shape} and gradient {dy.shape} do not fit one "
-                            f"({a.d_out}, {a.d_in}) adapter")
-    xf, dyf = x.reshape(-1, a.d_in), dy.reshape(-1, a.d_out)
-    dA = np.matmul((dyf @ a.B).T, xf, out=out[0])
-    dA *= a.alpha
-    dB = np.matmul(dyf.T, xf @ a.A.T, out=out[1])
-    dB *= a.alpha
-    return dA, dB
 
 
 def merge_adapter(w: np.ndarray, a: LoRAAdapter, out: np.ndarray | None = None) -> np.ndarray:

@@ -11,6 +11,7 @@ head it is measured through; the trainer weights the two terms inline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -30,13 +31,17 @@ class LossSchedule:
             pair = tuple(getattr(self, name))
             if len(pair) != 2 or pair[0] < 0 or pair[1] < 0:
                 raise ValueError(f"{name}: must be two non-negative values, got {pair}")
+            if not all(map(math.isfinite, pair)):
+                raise ValueError(f"{name}: must be finite, got {pair}")
             object.__setattr__(self, name, pair)
         if not 1 <= self.transition_epoch < self.total_epochs:
             raise ValueError(f"transition_epoch: {self.transition_epoch} must lie in [1, "
                              f"total_epochs {self.total_epochs})")
         for name in ("stage1_lr", "stage2_lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+            if (lr := getattr(self, name)) <= 0:
+                raise ValueError(f"{name}: must be positive, got {lr}")
+            if not math.isfinite(lr):
+                raise ValueError(f"{name}: must be finite, got {lr}")
 
 
 def schedule_weights(s: LossSchedule, epoch: int) -> tuple[float, float, float]:

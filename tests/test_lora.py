@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minidet3d.errors import ShapeMismatch
-from minidet3d.lora import LoRAAdapter, adapter_grads, adapter_init, merge_adapter
+from minidet3d.lora import LoRAAdapter, adapter_init, merge_adapter
 from oracles import apply_adapted
 
 
@@ -124,67 +124,6 @@ class TestBatchedMap:
         w, a = random_adapter(rng)
         with pytest.raises(ShapeMismatch):
             apply_adapted(w, a, np.zeros((4, 9)))
-        with pytest.raises(ShapeMismatch):
-            adapter_grads(a, np.zeros((4, 9)), np.zeros((4, 9)))
-        with pytest.raises(ShapeMismatch):
-            adapter_grads(a, np.zeros((4, 12)), np.zeros((4, 12)))
-        with pytest.raises(ShapeMismatch):
-            adapter_grads(a, np.zeros((4, 12)), np.zeros((3, 9)))
-
-
-class TestAdapterGrads:
-    def test_matches_central_differences(self):
-        # the loss sum(dy * y) is linear in each of x, A and B separately, so
-        # central differences carry no truncation error; the input gradient
-        # is one GEMM on the merged weight
-        rng = np.random.default_rng(22)
-        w, a = random_adapter(rng)
-        x = rng.normal(size=(4, 2, 12))
-        dy = rng.normal(size=(4, 2, 9))
-        dA, dB = adapter_grads(a, x, dy)
-        dx = dy @ merge_adapter(w, a)
-        assert dx.shape == x.shape and dA.shape == a.A.shape and dB.shape == a.B.shape
-
-        def loss():
-            return float((dy * apply_adapted(w, a, x)).sum())
-
-        h = 1e-4
-        for arr, grad in ((x, dx), (a.A, dA), (a.B, dB)):
-            flat, gflat = arr.reshape(-1), grad.reshape(-1)
-            for i in rng.choice(flat.size, size=10, replace=False):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = loss()
-                flat[i] = orig - h
-                fm = loss()
-                flat[i] = orig
-                assert (fp - fm) / (2 * h) == pytest.approx(gflat[i], rel=1e-7, abs=1e-9)
-
-    def test_matches_dense_merged_weight_gradient(self):
-        rng = np.random.default_rng(23)
-        w, a = random_adapter(rng)
-        x = rng.normal(size=(6, 12))
-        dy = rng.normal(size=(6, 9))
-        dA, dB = adapter_grads(a, x, dy)
-        dW = dy.T @ x  # gradient w.r.t. the merged weight W + alpha*B@A
-        dx = dy @ merge_adapter(w, a)
-        assert np.allclose(dx, dy @ w + a.alpha * ((dy @ a.B) @ a.A), atol=1e-12)
-        assert np.allclose(dA, a.alpha * a.B.T @ dW, atol=1e-12)
-        assert np.allclose(dB, a.alpha * dW @ a.A.T, atol=1e-12)
-
-    def test_out_equals_the_allocating_call(self):
-        rng = np.random.default_rng(24)
-        w, a = random_adapter(rng)
-        x, dy = rng.normal(size=(64, 12)), rng.normal(size=(64, 9))
-        out = (np.full(a.A.shape, np.nan), np.full(a.B.shape, np.nan))
-        dA, dB = adapter_grads(a, x, dy, out=out)
-        assert dA is out[0] and dB is out[1]
-        fresh = adapter_grads(a, x, dy)
-        assert dA.tobytes() == fresh[0].tobytes() and dB.tobytes() == fresh[1].tobytes()
-        # a column block of a wider gradient, as the model passes q/k/v's
-        wide = np.concatenate([rng.normal(size=(64, 4)), dy, rng.normal(size=(64, 3))], axis=1)
-        block = adapter_grads(a, x, wide[:, 4:13])
-        assert block[0].tobytes() == dA.tobytes() and block[1].tobytes() == dB.tobytes()
 
 
 class TestMergeAdapter:

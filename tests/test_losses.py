@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,11 @@ class TestSchedule:
             LossSchedule(stage1_lr=0.0)
         with pytest.raises(ValueError, match=r"^stage1_weights: must be two non-negative"):
             LossSchedule(stage1_weights=(-1.0, 0.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("stage1_lr", float("nan")), ("stage2_lr", float("inf")),
+        ("stage1_weights", (float("nan"), 0.0)), ("stage2_weights", (0.2, float("inf")))])
+    def test_non_finite_values_are_refused_naming_the_field(self, field, value):
+        # accepted, training would fail epochs later with a DivergenceError that blames the model
+        with pytest.raises(ValueError, match=f"^{field}: must be finite, got {re.escape(str(value))}$"):
+            LossSchedule(**{field: value})

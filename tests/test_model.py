@@ -417,6 +417,11 @@ class TestAccounting:
         with pytest.raises(ValueError, match="^lora_rank: 128 exceeds d_model 64$"):
             ModelConfig(lora_rank=128, d_model=64)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lora_alpha_is_refused_naming_the_field(self, alpha):
+        with pytest.raises(ValueError, match=f"^lora_alpha: must be finite, got {alpha}$"):
+            ModelConfig(lora_alpha=alpha)
+
 
 class TestArena:
     def test_trainable_parameters_tile_the_arena(self):

@@ -73,7 +73,8 @@ def _gate(quality_band, edit, change_runs=None):
               "provenance": {"src_sha256": "parent"}}
     change = copy.deepcopy(parent)
     if change_runs is not None:
-        change = {**quality_band.summarize(change_runs), "runs": change_runs}
+        change = {**quality_band.summarize(change_runs), "runs": change_runs,
+                  "provenance": parent["provenance"]}
     edit(change)
     return quality_band.gate(parent, change)
 
@@ -87,6 +88,9 @@ def test_gate_passes_at_the_parents_band_edges(quality_band):
                                                                              [0.25, 0.5]]
     zero = {"per_seed": {"0": 0.0, "1": 0.0, "2": 0.0}, "largest": 0.0}
     assert result["final_miou_moves"] == {"two-stage": zero, "mse-only": zero}
+    # a parent band from before the core was recorded has no `blas_core` key
+    assert result["blas_cores"] == {"parent": None, "change": None}
+    assert result["moves_include_kernel"]
 
 
 def test_gate_records_each_seeds_move_against_the_parent(quality_band):
@@ -98,6 +102,20 @@ def test_gate_records_each_seeds_move_against_the_parent(quality_band):
         "two-stage": {"per_seed": {"0": 0.0, "1": 0.125, "2": -0.25}, "largest": -0.25},
         "mse-only": {"per_seed": {"0": 0.0625, "1": 0.0, "2": 0.0}, "largest": 0.0625},
     }
+
+
+@pytest.mark.parametrize("parent_core, change_core, include", [
+    ("SkylakeX", "SkylakeX", False), ("SkylakeX", "Haswell", True), (None, "SkylakeX", True)])
+def test_gate_records_both_blas_cores(quality_band, parent_core, change_core, include):
+    runs = _runs(TWO_STAGE, MSE_ONLY)
+    parent = {**quality_band.summarize(runs), "runs": runs,
+              "provenance": {"src_sha256": "parent", "blas_core": parent_core}}
+    change = copy.deepcopy(parent)
+    change["provenance"]["blas_core"] = change_core
+    result = quality_band.gate(parent, change)
+    assert result["passed"]  # the cores are recorded, not gated
+    assert result["blas_cores"] == {"parent": parent_core, "change": change_core}
+    assert result["moves_include_kernel"] is include
 
 
 @pytest.mark.parametrize("arm, median", [("two-stage", math.nextafter(0.5, 0.0)),

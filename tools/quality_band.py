@@ -6,8 +6,8 @@
 Run from the repository root; `src/` of the same checkout is imported and
 nothing is installed. It trains the configuration of acceptance criterion 8
 (synth 2000 train / 200 val scenes with data seeds 101/202, 51 epochs with
-the transition at 33, learning rates 2e-3/5e-5, batch 32) for model seeds
-0-7, with batch-order seed 5+s, in two arms:
+the transition at 33, learning rates 2e-3/5e-5, the trainer's default batch
+of 32) for model seeds 0-7, with batch-order seed 5+s, in two arms:
 
 - `two-stage`: the acceptance schedule (stage-2 weights 0.2/0.8);
 - `mse-only`: the same schedule with stage-2 weights 1/0.
@@ -22,7 +22,8 @@ whether a change moved a tie decision, not gated) and the wall time; per
 arm, the median, min and max
 over seeds; the paired relative gain of two-stage over MSE-only per seed,
 with its sign count and median, next to the paper's 12.8%; and the
-provenance with a SHA-256 of `src/minidet3d/*.py`.
+provenance with a SHA-256 of `src/minidet3d/*.py` and the OpenBLAS core
+that numpy dispatched (`blas_core`, from `tools/bit_identity.py`).
 
 A change that alters the training arithmetic cannot keep results bit-identical,
 so it is gated on this band instead. With `--parent FILE` (the output of this
@@ -30,7 +31,9 @@ script at the parent commit) the file also records the gate: each arm's median
 final mIoU lies within the parent's [min, max] over seeds, and the median
 paired gain is above 0. The exit code is 1 when the gate fails. Next to the
 gate it records, per arm, each seed's final-mIoU change against the parent
-and the largest of them (not gated).
+and the largest of them, and both runs' BLAS cores (not gated). A rounding
+change of the kernel moves seeds too, so when the cores differ, or the parent
+recorded none, the script says that the per-seed moves include the kernel's.
 """
 
 import os
@@ -54,6 +57,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "tools"))
 
 MIX = {"adult": 0.4, "car": 0.4, "trafficcone": 0.2}
 SCHEDULE = {"transition_epoch": 33, "total_epochs": 51, "stage1_lr": 2e-3, "stage2_lr": 5e-5}
@@ -127,6 +131,7 @@ def _git(*args) -> str | None:
 
 def _provenance() -> dict:
     import numpy
+    from bit_identity import blas_core
 
     try:
         blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -149,6 +154,7 @@ def _provenance() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas": blas,
+        "blas_core": blas_core(),
         "thread_env": {v: os.environ.get(v) for v in
                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "workers": WORKERS,
@@ -194,7 +200,8 @@ def gate(parent: dict, change: dict) -> dict:
     """Each arm's median final mIoU inside the parent's [min, max]; median gain > 0.
 
     Per arm, each seed's final mIoU minus the parent's and the move of largest
-    size (signed) are recorded next to it, not gated."""
+    size (signed) are recorded next to it, not gated, with both runs' BLAS
+    cores; `moves_include_kernel` says whether those moves may be the kernel's."""
     checks, moves = {}, {}
     for arm in ARMS:
         band = parent["arms"][arm]["final_miou"]
@@ -209,8 +216,11 @@ def gate(parent: dict, change: dict) -> dict:
         moves[arm] = {"per_seed": per_seed, "largest": max(per_seed.values(), key=abs)}
     median_gain = change["paired_gain"]["median"]
     checks["median paired gain above 0"] = {"value": median_gain, "ok": median_gain > 0}
+    cores = {side: run["provenance"].get("blas_core")
+             for side, run in (("parent", parent), ("change", change))}
     return {"passed": all(c["ok"] for c in checks.values()), "checks": checks,
-            "final_miou_moves": moves,
+            "final_miou_moves": moves, "blas_cores": cores,
+            "moves_include_kernel": cores["parent"] is None or cores["parent"] != cores["change"],
             "parent_src_sha256": parent["provenance"]["src_sha256"]}
 
 
@@ -219,6 +229,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--parent", help="this script's output at the parent, to gate against")
     args = parser.parse_args(argv)
+    from minidet3d.train import DEFAULT_BATCH_SIZE
     parent = json.loads(Path(args.parent).read_text(encoding="utf-8")) if args.parent else None
 
     jobs = [(seed, arm) for seed in SEEDS for arm in ARMS]
@@ -236,7 +247,8 @@ def main(argv=None) -> int:
 
     result = {
         "config": {"train": "synth 2000, seed 101", "val": "synth 200, seed 202", "mix": MIX,
-                   "schedule": SCHEDULE, "batch_size": 32, "model_seeds": list(SEEDS),
+                   "schedule": SCHEDULE, "batch_size": DEFAULT_BATCH_SIZE,
+                   "model_seeds": list(SEEDS),
                    "batch_seed": "5 + model seed", "arms": ARMS},
         "runs": runs,
         **summarize(runs),
@@ -254,6 +266,10 @@ def main(argv=None) -> int:
         moves = result["gate"]["final_miou_moves"]
         print("largest final-mIoU move against the parent: "
               + ", ".join(f"{arm} {m['largest']:+.6f}" for arm, m in moves.items()))
+        if result["gate"]["moves_include_kernel"]:
+            cores = result["gate"]["blas_cores"]
+            print(f"BLAS core: parent {cores['parent']}, change {cores['change']}; "
+                  "the per-seed moves include the kernel's")
         print(f"gate: {'PASS' if result['gate']['passed'] else 'FAIL'}")
         return 0 if result["gate"]["passed"] else 1
     return 0
