@@ -5,7 +5,8 @@ diagnostics to stderr; exit code 0 means zero errors, argparse failures exit 2.
 `ingest`, `synth` and `eval` write their parsed flags next to their outputs
 as the resolved config; `train` writes its config merged with the defaults,
 which `train --config` accepts again. One loader reads every dataset
-directory; one with no sample is an error naming its flag or config path."""
+directory, pairs its two files and starts each error about a file with its
+path; one with no sample is an error naming its flag or config path."""
 
 from __future__ import annotations
 
@@ -85,30 +86,38 @@ def _write_resolved_config(config: dict, path: Path) -> None:
     path.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def _read(reader, path: Path):
-    """reader(path), whose ParseError about a record or an entry gets the path in front."""
+def _read(path: Path, step, *args):
+    """step(*args), whose errors start with `path`: a ParseError about an entry
+    gets it in front of its field, any other MiniDetError in front of its message."""
     try:
-        return reader(path)
+        return step(*args)
     except ParseError as e:
         if e.field.startswith(str(path)):
             raise
         raise ParseError(f"{path}: {e.field}", e.message) from None
+    except MiniDetError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def _load_dataset(dirpath: str, key: str, model: ModelConfig | None = None, owner: str = ""):
     """Samples of the directory that `key` (a config path or flag) names; none is
-    a ConfigError under `key`. Every feature id must belong to a scene record. A
-    model config, which `owner` names, must have the feature widths as d_v/d_t."""
+    a ConfigError under `key`. Its two files must name the same samples, and a
+    model config, which `owner` names, must have their widths as d_v/d_t."""
     scenes, feats = Path(dirpath) / "scenes.json", Path(dirpath) / "features.json"
     if not scenes.is_file() or not feats.is_file():
         raise ConfigError(f"{dirpath}: expected scenes.json and features.json")
-    records, features = _read(data_mod.ingest, scenes), _read(data_mod.load_features, feats)
-    known = {rec.sample_id for rec in records}
+    records, rejected = data_mod.ingest_lenient(scenes)
+    if rejected:
+        raise ParseError(f"{scenes}: {rejected[0].field}", rejected[0].message)
+    features = _read(feats, data_mod.load_features, feats)
+    known = dict.fromkeys(rec.sample_id for rec in records)  # a set in the records' order
     extra = [sid for sid in features if sid not in known]
     if extra:
         raise ConfigError(
             f"{feats}: {len(extra)} feature ids match no scene record, first {extra[:3]}"
         )
+    if missing := [sid for sid in known if sid not in features]:
+        raise ConfigError(f"{feats}: no features for sample {missing[0]!r}")
     if model is not None and features:
         first = next(iter(features.values()))
         for dim, name in (("d_v", "visual"), ("d_t", "text")):
@@ -117,8 +126,7 @@ def _load_dataset(dirpath: str, key: str, model: ModelConfig | None = None, owne
                 raise ConfigError(
                     f"{owner}{dim}: {want}, but the {name} features in {feats} are {got} wide"
                 )
-    samples = build_training_samples(records, features,
-                                     scenes_file=str(scenes), features_file=str(feats))
+    samples = _read(scenes, build_training_samples, records, features)
     if not samples:
         raise ConfigError(f"{key}: no sample in {dirpath}")
     return samples

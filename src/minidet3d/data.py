@@ -87,6 +87,7 @@ from .geom import (
     transform_box,
     transform_boxes,
 )
+from .model import ModelConfig
 
 SCHEMA_VERSION = 1
 CAMERA_NAMES = ("front", "front-right", "front-left", "back", "back-left", "back-right")
@@ -250,16 +251,6 @@ def _parse_record(obj, where: str, rig: dict) -> SceneRecord:
     return SceneRecord(sample_id, ego, lidar, tuple(cameras), tuple(annotations))
 
 
-def ingest(path: str | Path) -> list[SceneRecord]:
-    """Parse and validate a scene file; raises on the first malformed record."""
-    records, diagnostics = ingest_lenient(path)
-    if diagnostics:
-        # popped, not indexed: its traceback holds this frame, so a list that
-        # still held it would be a reference cycle
-        raise diagnostics.pop(0)
-    return records
-
-
 def read_json(path: str | Path, what: str, pairs_hook=None) -> dict:
     """The JSON object in the file at `path`, which `what` names in errors.
 
@@ -334,7 +325,7 @@ def _cameras_to_json(cameras: tuple[CameraBlock, ...]) -> list:
 
 def emit(records, path: str | Path) -> None:
     """Serialize records to the scene file format as compact one-line JSON
-    (`python -m json.tool` pretty-prints it); ingest(emit(r)) == r.
+    (`python -m json.tool` pretty-prints it); ingest_lenient(emit(r)) == (r, []).
 
     The bytes are those of json.dumps of the document, built from the JSON
     text of each distinct pose and `cameras` tuple, made once per call. The
@@ -472,8 +463,8 @@ class FeaturePair:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    d_v: int = 32
-    d_t: int = 32
+    d_v: int = ModelConfig.d_v  # a default dataset trains a default model
+    d_t: int = ModelConfig.d_t
     noise_std: float = 0.0
 
     def __post_init__(self):

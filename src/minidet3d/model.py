@@ -74,7 +74,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,17 +170,25 @@ def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
     return trainable, frozen
 
 
+def _param_counts(config: ModelConfig) -> tuple[int, int]:
+    """(trainable, frozen) parameter counts: a one-layer shape table's `layers.0`
+    entries times n_layers, plus the rest, so no table of n_layers is built."""
+    return tuple(sum(math.prod(s) * (config.n_layers if name.startswith("layers.") else 1)
+                     for name, s in group.items())
+                 for group in _param_shapes(replace(config, n_layers=1)))
+
+
 def param_bytes(config: ModelConfig) -> int:
     """Bytes of every parameter as float64, computed from the shape table
     without building a model: a checkpoint's weight size."""
-    return 8 * sum(math.prod(s) for group in _param_shapes(config) for s in group.values())
+    return 8 * sum(_param_counts(config))
 
 
 def train_bytes(config: ModelConfig) -> int:
     """Bytes that training holds whatever the batch: the parameters, the
     gradient and AdamW's two moments (each the arena's size), and the merged
     q/k/v/o weights (the bases' size). Activations are not counted."""
-    arena = sum(math.prod(s) for s in _param_shapes(config)[0].values())
+    arena = _param_counts(config)[0]
     bases = config.n_layers * len(ATTENTION_TARGETS) * config.d_model**2
     return param_bytes(config) + 8 * (3 * arena + bases)
 

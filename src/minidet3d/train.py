@@ -41,8 +41,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import FeaturePair, SceneRecord, for_record, lidar_frame_boxes
-from .errors import (ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, MiniDetError,
-                     NonSmoothPoint)
+from .errors import ConfigError, DegenerateOverlap, DivergenceError, EmptyBatch, NonSmoothPoint
 from .geom import Box7, wrap_angle
 from .iou import iou_3d, iou_loss_grad
 from .losses import LossSchedule, schedule_weights
@@ -60,28 +59,21 @@ class TrainSample:
     category: str
 
 
-def build_training_samples(
-    records: list[SceneRecord], features: dict[str, FeaturePair], *,
-    scenes_file: str = "", features_file: str = "",
-) -> list[TrainSample]:
-    """Pair each record's single annotation (in the LiDAR frame, all moved in one stacked pass)
-    with its features. The first record at fault raises as in a loop; its error starts with
-    `scenes_file`, and a missing feature entry's with `features_file`, when they are given."""
-    in_scenes, in_features = (f"{name}: " if name else "" for name in (scenes_file, features_file))
+def build_training_samples(records: list[SceneRecord],
+                           features: dict[str, FeaturePair]) -> list[TrainSample]:
+    """Pair each record's single annotation (in the LiDAR frame, all moved in one stacked
+    pass) with its features. The first record at fault raises as in a loop."""
     boxes = lidar_frame_boxes([rec for rec in records if len(rec.annotations) == 1])
     samples = []
     for rec in records:
         if len(rec.annotations) != 1:
             raise ConfigError(
-                f"{in_scenes}record {rec.sample_id!r} has {len(rec.annotations)} annotations; "
+                f"record {rec.sample_id!r} has {len(rec.annotations)} annotations; "
                 "training expects exactly one box per sample"
             )
         if rec.sample_id not in features:
-            raise ConfigError(f"{in_features}no features for sample {rec.sample_id!r}")
-        try:
-            box = for_record(lambda _: next(boxes), rec)  # this record's box: it passed both checks
-        except MiniDetError as e:
-            raise MiniDetError(f"{in_scenes}{e}") from None
+            raise ConfigError(f"no features for sample {rec.sample_id!r}")
+        box = for_record(lambda _: next(boxes), rec)  # this record's box: it passed both checks
         pair = features[rec.sample_id]
         samples.append(
             TrainSample(

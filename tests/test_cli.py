@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,12 +23,13 @@ from minidet3d.model import FusionModel, ModelConfig, param_bytes, save_checkpoi
 
 MIX = "adult=0.5,car=0.5"
 
+TILTED_EGO = {"translation": [5.0, 1.0, 0.0],
+              "rotation": [math.cos(0.01), math.sin(0.01), 0.0, 0.0]}
 # ego poses that preprocessing rejects, with the message it gives
 BAD_EGOS = pytest.mark.parametrize("ego, message", [
     ({"translation": [1.7e308, 1.7e308, 0.0], "rotation": list(quat_from_yaw(math.pi / 4))},
      "pose components must be finite"),
-    ({"translation": [5.0, 1.0, 0.0], "rotation": [math.cos(0.01), math.sin(0.01), 0.0, 0.0]},
-     "pose tilts the vertical axis by 2.000e-02 rad; boxes here carry yaw only"),
+    (TILTED_EGO, "pose tilts the vertical axis by 2.000e-02 rad; boxes here carry yaw only"),
 ], ids=["overflow", "tilt"])
 
 
@@ -447,6 +449,29 @@ def test_unpairable_record_names_its_file(tmp_path, capsys, command, defect):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
+def test_missing_feature_entry_is_named_before_a_record_fault(tmp_path, capsys, command):
+    # the two files are paired before any record is built, so record 0's tilt waits
+    data = make_dataset(tmp_path, "data", 4, 17)
+    scenes_doc = json.loads((data / "scenes.json").read_text())
+    scenes_doc["records"][0]["ego_to_global"] = TILTED_EGO
+    (data / "scenes.json").write_text(json.dumps(scenes_doc))
+    features_doc = json.loads((data / "features.json").read_text())
+    sid = scenes_doc["records"][2]["sample_id"]
+    del features_doc["features"][sid]
+    (data / "features.json").write_text(json.dumps(features_doc))
+    out = tmp_path / "out"
+    args = {
+        "train": ("train", "--config", train_config(tmp_path, data), "--out", out),
+        "eval": ("eval", "--data", data, "--out", out, "--gt-as-pred"),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'features.json'}: no features for sample {sid!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_overflowing_feature_names_its_sample(tmp_path, capsys, command):
     # -1e308 is finite, so the features file loads; the first layer overflows
     data = make_dataset(tmp_path, "data", 40, 3)
@@ -605,6 +630,22 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config.model: training needs 196634.1 GiB, more than")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_huge_layer_count_refused_before_anything_is_built(self, tmp_path, capsys):
+        # refused from the count alone, before the data is read or anything is built
+        cfg = train_config(tmp_path, tmp_path / "absent", model={"n_layers": 2**31})
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli("train", "--config", cfg, "--out", tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1 and peak < 4 << 20
+        assert re.fullmatch(r"error: config\.model: training needs \d+\.\d GiB, more than this "
+                            r"machine's \d+\.\d GiB of memory\n", err), err
         assert not (tmp_path / "run").exists()
 
     def test_memory_check_counts_gradient_optimizer_and_merged_weights(
@@ -784,6 +825,26 @@ class TestEvalCommand:
         assert err.startswith(f"error: {path}: {part}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_huge_layer_count_in_a_header_is_refused_at_its_weights(self, tmp_path, capsys):
+        path = tmp_path / "model.bin"
+        save_checkpoint(FusionModel(ModelConfig()), path)
+        blob = _header_edit(lambda c: c.update(n_layers=2**31))(path.read_bytes())
+        path.write_bytes(blob[: 9 + int.from_bytes(blob[5:9], "little")])  # no weights
+        assert path.stat().st_size == 201
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli("eval", "--checkpoint", path, "--data", tmp_path / "absent",
+                           "--out", tmp_path / "e")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = param_bytes(ModelConfig(n_layers=2**31))
+        assert code == 1 and peak < 4 << 20
+        assert capsys.readouterr().err == (
+            f"error: {path}: weights: 0 bytes, but the header's shapes need {need}\n")
+        assert not (tmp_path / "e").exists()
+
     def test_feature_width_mismatch_rejected(self, tmp_path, capsys):
         data = make_narrow_dataset(tmp_path)
         path = tmp_path / "model.bin"
@@ -873,6 +934,86 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --threshold") and err.count("\n") == 1
         assert not (tmp_path / "e").exists()
+
+
+# the header fields that hold a JSON integer
+HEADER_INTEGERS = sorted(k for k, v in dataclasses.asdict(ModelConfig()).items() if type(v) is int)
+# JSON values by their Python type
+JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(-3, 40),
+               float: st.floats(-1e3, 1e3), str: st.text(max_size=3),
+               list: st.lists(st.integers(0, 9), max_size=2),
+               dict: st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=1)}
+
+
+def _mutated_checkpoint(blob: bytes, draw) -> bytes:
+    """A valid checkpoint with its header or bytes broken in one of the ways drawn."""
+    hlen = int.from_bytes(blob[5:9], "little")
+    header, weights = json.loads(blob[9 : 9 + hlen]), blob[9 + hlen :]
+    kind = draw(st.sampled_from(["drop", "retype", "non-finite", "extra", "truncate", "utf-8"]))
+    if kind == "truncate":  # as often inside the magic, version, length or header as after
+        return blob[: draw(st.integers(0, 8 + hlen) | st.integers(0, len(blob) - 1))]
+    if kind == "utf-8":  # 0xff starts no UTF-8 sequence
+        at = draw(st.integers(9, 8 + hlen))
+        return blob[:at] + b"\xff" + blob[at + 1 :]
+    key = draw(st.sampled_from(sorted(header)))
+    if kind == "drop":
+        del header[key]
+    elif kind == "retype":
+        other = draw(st.sampled_from([t for t in JSON_VALUES if t is not type(header[key])]))
+        header[key] = draw(JSON_VALUES[other])
+    elif kind == "non-finite":
+        header[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        new_key = draw(st.text(max_size=6).filter(lambda k: k not in header))
+        header[new_key] = draw(st.one_of(*JSON_VALUES.values()))
+    text = json.dumps(header).encode()
+    return blob[:5] + len(text).to_bytes(4, "little") + text + weights
+
+
+class TestMutatedCheckpoint:
+    """`eval --checkpoint` of a valid checkpoint with one part broken either
+    runs, or ends as one `error:` line that starts with the checkpoint's path
+    and writes no `--out`: never a traceback, a warning or a failed allocation."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("checkpoints")
+        data = base / "data"
+        assert run_cli("synth", "--count", 4, "--seed", 23, "--out", data,
+                       "--d-v", 8, "--d-t", 8) == 0
+        config = ModelConfig(d_v=8, d_t=8, d_model=16, n_layers=1, n_heads=2, lora_rank=2)
+        save_checkpoint(FusionModel(config), base / "model.bin")
+        return base, data, (base / "model.bin").read_bytes()
+
+    @staticmethod
+    def check(valid, mutate):
+        """`eval --checkpoint` of the valid checkpoint's bytes as `mutate` leaves them."""
+        base, dataset, blob = valid
+        run = Path(tempfile.mkdtemp(dir=base))
+        path, out = run / "model.bin", run / "out"
+        path.write_bytes(mutate(blob))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run_cli("eval", "--checkpoint", path, "--data", dataset, "--out", out)
+        err = stderr.getvalue()
+        assert caught == []
+        assert code in (0, 1), err
+        if code == 1:
+            assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+            assert stdout.getvalue() == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", HEADER_INTEGERS)
+    @pytest.mark.parametrize("value", [2**31, 10**400], ids=["2**31", "10**400"])
+    def test_huge_integer_field(self, valid, key, value):
+        self.check(valid, _header_edit(lambda c: c.update({key: value})))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_with_one_error_line_naming_the_checkpoint(self, valid, data):
+        self.check(valid, lambda blob: _mutated_checkpoint(blob, data.draw))
 
 
 class TestReportCommand:

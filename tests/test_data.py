@@ -24,7 +24,6 @@ from minidet3d.data import (
     filter_visible,
     for_record,
     global_to_lidar_pose,
-    ingest,
     ingest_lenient,
     load_features,
     process_record,
@@ -115,14 +114,14 @@ class TestIngest:
         records, _ = synth_scenes(25, {"adult": 0.5, "car": 0.5}, seed=3)
         path = tmp_path / "scenes.json"
         emit(records, path)
-        assert ingest(path) == records
+        assert ingest_lenient(path) == (records, [])
 
     def test_empty_annotations_valid(self, tmp_path):
         rec = make_record(annotations=())
         path = tmp_path / "scenes.json"
         emit([rec], path)
-        (loaded,) = ingest(path)
-        assert loaded.annotations == ()
+        (loaded,), diagnostics = ingest_lenient(path)
+        assert diagnostics == [] and loaded.annotations == ()
 
     def test_non_unit_quaternion_names_field(self, tmp_path):
         rec = make_record(annotations=(Annotation("car", Box7(1, 0, 0, 4, 2, 2, 0)),))
@@ -130,11 +129,11 @@ class TestIngest:
         doc["records"][0]["ego_to_global"]["rotation"] = [0.9, 0.1, 0.0, 0.0]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ParseError) as err:
-            ingest(bad)
-        assert "records[0].ego_to_global.rotation" in str(err.value)
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == []
+        assert diagnostics[0].field == "records[0].ego_to_global.rotation"
 
-    @pytest.mark.parametrize("load, body", [(ingest, {"records": []}),
+    @pytest.mark.parametrize("load, body", [(ingest_lenient, {"records": []}),
                                             (load_features, {"features": {}})],
                              ids=["scenes", "features"])
     @pytest.mark.parametrize("version, shown", [(99, "99"), ("1", '"1"'), (None, "null"),
@@ -154,8 +153,9 @@ class TestIngest:
         doc["records"][0]["extra_field"] = 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="extra_field"):
-            ingest(bad)
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == []
+        assert str(diagnostics[0]) == "records[0]: unknown keys ['extra_field']"
 
     def test_lenient_mode_is_total(self, tmp_path):
         records, _ = synth_scenes(4, {"car": 1.0}, seed=9)
@@ -175,8 +175,9 @@ class TestIngest:
         doc["records"][0]["cameras"].append(doc["records"][0]["cameras"][0])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="duplicate camera"):
-            ingest(bad)
+        accepted, diagnostics = ingest_lenient(bad)
+        assert accepted == []
+        assert str(diagnostics[0]) == "records[0].cameras[1].name: duplicate camera 'front'"
 
     @pytest.mark.parametrize("path, value, field, message", BAD_NUMBERS,
                              ids=[f"{field}={type(value).__name__}"
@@ -743,8 +744,8 @@ class TestStackedSamplePath:
         assert re.fullmatch(rf"record {first.sample_id!r}: pose tilts the vertical axis by "
                             r"\S+ rad; boxes here carry yaw only", message)
         with pytest.raises(MiniDetError) as info:
-            build_training_samples(records, self.features(records), scenes_file="s.json")
-        assert str(info.value) == f"s.json: {message}"
+            build_training_samples(records, self.features(records))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("fault", ["two annotations", "no features", "overflow"])
     def test_a_fault_before_the_first_tilted_record_is_named_instead(self, fault):
@@ -873,8 +874,8 @@ class TestIngestMatchesReference:
         records = self._extreme_records()
         path = tmp_path / "scenes.json"
         emit(records, path)
-        loaded = ingest(path)
-        assert loaded == records
+        loaded, diagnostics = ingest_lenient(path)
+        assert diagnostics == [] and loaded == records
         assert repr(loaded) == repr(records)  # -0.0 and 0.0 compare equal; reprs do not
 
     def test_emit_writes_the_reference_document_on_one_line(self, tmp_path):
@@ -939,7 +940,8 @@ class TestPoseInterning:
         path = tmp_path / "zeros.json"
         path.write_text(json.dumps(doc))
 
-        first, second = ingest(path)
+        (first, second), diagnostics = ingest_lenient(path)
+        assert diagnostics == []
         assert math.copysign(1.0, getattr(first.lidar_to_ego, key)[index]) == 1.0
         assert math.copysign(1.0, getattr(second.lidar_to_ego, key)[index]) == -1.0
         assert first.lidar_to_ego is not second.lidar_to_ego
@@ -949,7 +951,7 @@ class TestPoseInterning:
                 reference_process_record, _as_reference(loaded))
         emit([first, second], tmp_path / "again.json")
         assert json.loads((tmp_path / "again.json").read_text()) == doc
-        assert repr(ingest(tmp_path / "again.json")) == repr([first, second])
+        assert repr(ingest_lenient(tmp_path / "again.json")) == repr(([first, second], []))
 
     def test_repeated_sample_id_rejects_the_later_record(self, tmp_path):
         records, _ = synth_scenes(4, {"car": 1.0}, seed=9)
@@ -1026,7 +1028,8 @@ class TestWritersEqualJsonDumps:
     def test_emit(self, tmp_path, synth, case):
         records = synth[0]
         if case == "ingested":
-            records = ingest(_emitted(tmp_path, records))
+            records, diagnostics = ingest_lenient(_emitted(tmp_path, records))
+            assert diagnostics == []
             assert len({id(r.cameras) for r in records}) == len(records)
             assert len({id(r.lidar_to_ego) for r in records}) == 1
         elif case == "two-rigs":
@@ -1045,7 +1048,9 @@ class TestWritersEqualJsonDumps:
     def test_emit_of_ingested_records_reproduces_the_synth_file(self, tmp_path, synth):
         records, _ = synth
         path = _emitted(tmp_path, records)
-        emit(ingest(path), tmp_path / "again.json")
+        loaded, diagnostics = ingest_lenient(path)
+        assert diagnostics == []
+        emit(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("case", ["synth", "loaded", "two-widths", "signed-zeros", "empty"])
@@ -1114,8 +1119,8 @@ class TestRigInterning:
 
     def test_records_of_one_rig_share_its_poses_and_intrinsics(self, tmp_path):
         records, _ = synth_scenes(30, SYNTH_MIX, seed=15)
-        loaded = ingest(_emitted(tmp_path, records))
-        assert loaded == records
+        loaded, diagnostics = ingest_lenient(_emitted(tmp_path, records))
+        assert (loaded, diagnostics) == (records, [])
         assert len({id(c.intrinsics) for r in loaded for c in r.cameras}) == 1
         for j, cam in enumerate(loaded[0].cameras):
             assert all(r.cameras[j].sensor_to_ego is cam.sensor_to_ego for r in loaded)
@@ -1123,7 +1128,8 @@ class TestRigInterning:
     def test_negative_zero_cx_after_zero_keeps_its_sign(self, tmp_path):
         records = _zero_rig_records()[:2]
         path = _emitted(tmp_path, records)
-        first, second = ingest(path)
+        (first, second), diagnostics = ingest_lenient(path)
+        assert diagnostics == []
         signs = [math.copysign(1.0, r.cameras[0].intrinsics.cx) for r in (first, second)]
         assert signs == [1.0, -1.0]
         assert math.copysign(1.0, second.cameras[0].sensor_to_ego.translation[0]) == -1.0

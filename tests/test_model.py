@@ -18,6 +18,7 @@ from minidet3d.model import (
     load_checkpoint,
     param_bytes,
     save_checkpoint,
+    train_bytes,
 )
 from minidet3d.train import AdamW
 from oracles import named_grads, reference_backward, reference_forward
@@ -408,6 +409,24 @@ class TestAccounting:
         check(loaded)
         for a, b in zip(model.adapters(), loaded.adapters()):
             assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+    def test_param_bytes_counts_the_built_model(self, n_layers):
+        cfg = dataclasses.replace(SMALL, n_layers=n_layers)
+        assert param_bytes(cfg) == 8 * FusionModel(cfg).total_param_count()
+
+    def test_layer_count_is_multiplied_not_tabled(self):
+        # a config or checkpoint header may say n_layers 2**31: the counts that
+        # refuse it must not grow with the layer count
+        tracemalloc.start()
+        try:
+            need = param_bytes(ModelConfig(n_layers=10_000))
+            train_bytes(ModelConfig(n_layers=10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need == 3_293_788_216
+        assert peak < 1 << 20
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="^n_layers: must be >= 1, got 0$"):

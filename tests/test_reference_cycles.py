@@ -13,14 +13,12 @@ import types
 from minidet3d import cli
 from minidet3d.data import (
     emit,
-    ingest,
     ingest_lenient,
     load_features,
     process_record,
     save_features,
     synth_scenes,
 )
-from minidet3d.errors import ParseError
 from minidet3d.losses import LossSchedule
 from minidet3d.metrics import match_predictions
 from minidet3d.model import FusionModel, ModelConfig
@@ -54,12 +52,8 @@ def _pipeline(tmp_path):
     assert 0.0 <= report["miou_samples"] <= 1.0
 
     assert cli.main(["ingest", str(scenes), "--out", str(tmp_path / "out.jsonl")]) == 1
-    try:
-        ingest(scenes)
-    except ParseError as e:
-        assert e.field == "records[5].annotations[0].box"
-    else:
-        raise AssertionError("ingest accepted a rejected record")
+    assert cli.main(["eval", "--gt-as-pred", "--data", str(tmp_path),
+                     "--out", str(tmp_path / "eval")]) == 1  # the loader refuses the record
 
 
 def test_pipeline_leaves_no_frames_or_package_objects_in_cyclic_garbage(tmp_path, capsys):
@@ -80,4 +74,8 @@ def test_pipeline_leaves_no_frames_or_package_objects_in_cyclic_garbage(tmp_path
         if enabled:
             gc.enable()
     assert found == []
-    assert "rejected: records[5].annotations[0].box" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("rejected: records[5].annotations[0].box: ") for line in err)
+    (error,) = [line for line in err if line.startswith("error: ")]
+    assert error.startswith(f"error: {tmp_path / 'scenes.json'}: records[5].annotations[0].box: "
+                            "Box7 sizes must be positive, got l=-1.0, ")

@@ -2,11 +2,13 @@
 
 import copy
 import importlib.util
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -140,3 +142,40 @@ def test_gate_fails_at_a_median_gain_of_zero(quality_band):
     assert not result["passed"]
     failed = [name for name, check in result["checks"].items() if not check["ok"]]
     assert failed == ["median paired gain above 0"]
+
+
+def test_provenance_is_taken_before_the_workers_start(quality_band, tmp_path):
+    # a worker imports src/ when it starts, so the recorded hash must be of that src/
+    calls = []
+
+    class InProcessPool:
+        def __init__(self, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            calls.append("submit")
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    def run(seed, arm):
+        final = (TWO_STAGE if arm == "two-stage" else MSE_ONLY)[seed % 3]
+        return {"seed": seed, "arm": arm, "stage1_checkpoint_miou": 0.25, "final_miou": final,
+                "stage2_skipped_iou_grads": 0, "stage2_skips": {}, "wall_s": 0.0}
+
+    def provenance():
+        calls.append("provenance")
+        return {"src_sha256": "change"}
+
+    with mock.patch.multiple(quality_band, ProcessPoolExecutor=InProcessPool, _run=run,
+                             _provenance=provenance):
+        assert quality_band.main(["--out", str(tmp_path / "band.json")]) == 0
+    assert calls == ["provenance"] + ["submit"] * len(quality_band.SEEDS) * len(quality_band.ARMS)
+    band = json.loads((tmp_path / "band.json").read_text())
+    assert band["provenance"] == {"src_sha256": "change"}

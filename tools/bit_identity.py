@@ -13,9 +13,10 @@ to a temporary directory.
   with seed 4, batch 16, epochs 2/4 at lr 1e-3/1e-4, `eval` of that
   checkpoint on the same data, and `ingest` of the scene file. The ingest
   runs with `--workers 1` and `--workers 4`, and the two outputs must be
-  equal bytes. The records that `ingest` parses from the scene file, which
-  share the rig's interned poses and intrinsics, are then emitted again,
-  and the new file must equal the synth's `scenes.json` byte for byte.
+  equal bytes. The records that `data.ingest_lenient` parses from the scene
+  file, which share the rig's interned poses and intrinsics, are then
+  emitted again; no record may be rejected, and the new file must equal the
+  synth's `scenes.json` byte for byte.
 - `stage2_checkpoint`: the run of `test_stage2_run_is_bit_reproducible`.
   256 training records at data seed 101 and 64 validation records at 202
   (adult/car 0.5 each), `ModelConfig(seed=5)`, epochs 8/14 at lr
@@ -38,8 +39,8 @@ The first line, `blas_core`, names the OpenBLAS kernel that numpy dispatched
 (`None` if it cannot be asked): the hashes hold for one numpy build and one
 kernel, so compare two commits on the same machine. Each other line is a
 label and the first 16 hex digits of the artifact's SHA-256.
-The exit code is 1 if a command fails, the two ingests differ, or the
-re-emitted scene file differs from the synth's.
+The exit code is 1 if a command fails, the two ingests differ, a record of
+the synth's scene file is rejected, or the re-emitted file differs from it.
 """
 
 import os
@@ -61,7 +62,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minidet3d.cli import main as cli_main  # noqa: E402
-from minidet3d.data import emit, ingest, synth_scenes  # noqa: E402
+from minidet3d.data import emit, ingest_lenient, synth_scenes  # noqa: E402
 from minidet3d.losses import LossSchedule  # noqa: E402
 from minidet3d.metrics import report_json  # noqa: E402
 from minidet3d.model import FusionModel, ModelConfig, save_checkpoint  # noqa: E402
@@ -114,7 +115,10 @@ def criterion_9(tmp: Path) -> dict[str, Path]:
         cli("ingest", data / "scenes.json", "--out", out, "--workers", workers)
     if ingests[0].read_bytes() != ingests[1].read_bytes():
         raise SystemExit("ingest --workers 1 and --workers 4 wrote different bytes")
-    emit(ingest(data / "scenes.json"), tmp / "reemitted.json")
+    records, rejected = ingest_lenient(data / "scenes.json")
+    if rejected:
+        raise SystemExit(f"the synth's scenes.json has a rejected record: {rejected[0]}")
+    emit(records, tmp / "reemitted.json")
     if (tmp / "reemitted.json").read_bytes() != (data / "scenes.json").read_bytes():
         raise SystemExit("the ingested records emitted again differ from the synth's scenes.json")
     return {"checkpoint": (run / "checkpoint.bin",), "train_log": (run / "train_log.csv",),

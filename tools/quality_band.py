@@ -22,8 +22,9 @@ whether a change moved a tie decision, not gated) and the wall time; per
 arm, the median, min and max
 over seeds; the paired relative gain of two-stage over MSE-only per seed,
 with its sign count and median, next to the paper's 12.8%; and the
-provenance with a SHA-256 of `src/minidet3d/*.py` and the OpenBLAS core
-that numpy dispatched (`blas_core`, from `tools/bit_identity.py`).
+provenance, taken before the workers start, with a SHA-256 of
+`src/minidet3d/*.py` and the OpenBLAS core that numpy dispatched
+(`blas_core`, from `tools/bit_identity.py`).
 
 A change that alters the training arithmetic cannot keep results bit-identical,
 so it is gated on this band instead. With `--parent FILE` (the output of this
@@ -233,6 +234,7 @@ def main(argv=None) -> int:
     parent = json.loads(Path(args.parent).read_text(encoding="utf-8")) if args.parent else None
 
     jobs = [(seed, arm) for seed in SEEDS for arm in ARMS]
+    provenance = _provenance()  # each worker imports src/ as it starts: hash what it imports
     start = time.perf_counter()
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=WORKERS, mp_context=spawn) as pool:
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
         "runs": runs,
         **summarize(runs),
         "elapsed_s": round(time.perf_counter() - start, 1),
-        "provenance": _provenance(),
+        "provenance": provenance,
     }
     if parent is not None:
         result["gate"] = gate(parent, result)
