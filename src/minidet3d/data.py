@@ -373,14 +373,11 @@ def lidar_frame_boxes(records: list[SceneRecord]):
     return transform_boxes([r.annotations[0].box for r in records], global_to_lidar_pose(stacks))
 
 
-def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> ProcessedSample:
-    """Project LiDAR-frame boxes into every camera and tag corner visibility.
-
-    Geometry is never modified; each annotation is retained iff at least one
-    corner is visible in at least one camera.
-    """
+def process_record(rec: SceneRecord) -> ProcessedSample:
+    """Full per-record pipeline: global -> LiDAR -> projection/visibility. Geometry is
+    never modified; an annotation is retained iff a corner is visible in some camera."""
     processed = []
-    for ann in annotations:
+    for ann in to_lidar_frame(rec):
         corners_ego = rec.lidar_to_ego.apply(box_corners(ann.box))
         projections = {cam.name: project_corners(cam.sensor_to_ego.inverse().apply(corners_ego),
                                                  cam.intrinsics) for cam in rec.cameras}
@@ -394,11 +391,6 @@ def filter_visible(annotations: list[Annotation], rec: SceneRecord) -> Processed
         retained = any(c.visible for proj in projections.values() for c in proj)
         processed.append(ProcessedAnnotation(ann.category, ann.box, projections, retained))
     return ProcessedSample(rec.sample_id, tuple(processed))
-
-
-def process_record(rec: SceneRecord) -> ProcessedSample:
-    """Full per-record pipeline: global -> LiDAR -> projection/visibility."""
-    return filter_visible(to_lidar_frame(rec), rec)
 
 
 @np.errstate(over="ignore")  # a pose that overflows fails its finiteness check

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 - A box is parameterized by its center (x, y, z), size (l, w, h) and a yaw
   angle about the vertical (+z) axis, with yaw normalized into (-pi, pi].
-  Length runs along the box's local x axis at yaw 0.
+  Length runs along the box's local x axis at yaw 0. Its volume is positive
+  and at most half the float maximum, so two volumes sum to a finite union.
 - Rigid transforms are stored as translation + unit quaternion (w, x, y, z).
   A pose builds its rotation matrix (read-only), translation array and inverse
   once, on first use, and keeps them out of its value (==, hash, repr, pickle). The
@@ -27,6 +28,7 @@ Everything here is pure functions over frozen values; all geometry is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,10 +62,10 @@ class Box7(_Box7Fields):
 
     A box is its row, the 7-tuple (x, y, z, l, w, h, yaw) of finite floats.
     Sizes must be strictly positive and their product, the volume, positive
-    and finite, so that an IoU with a Box7 has a positive, finite union; yaw
-    is normalized into (-pi, pi] by the constructor, which `_make`,
-    `_replace` and unpickling go through, so two parameterizations of the
-    same box compare equal.
+    and at most half the float maximum, so that an IoU of two Box7s has a
+    positive, finite union; yaw is normalized into (-pi, pi] by the
+    constructor, which `_make`, `_replace` and unpickling go through, so two
+    parameterizations of the same box compare equal.
     """
 
     __slots__ = ()
@@ -77,9 +79,12 @@ class Box7(_Box7Fields):
         x, y, z, l, w, h, yaw = row
         if l <= 0 or w <= 0 or h <= 0:
             raise ValueError(f"Box7 sizes must be positive, got l={l}, w={w}, h={h}")
-        if not 0.0 < l * w * h < math.inf:
+        if not 0.0 < (volume := l * w * h) < math.inf:
             raise ValueError(
                 f"Box7 sizes must give a positive, finite volume, got l={l}, w={w}, h={h}")
+        if volume > sys.float_info.max / 2:  # else two volumes may sum past the maximum
+            raise ValueError(f"Box7 sizes must give a volume of at most {sys.float_info.max / 2} "
+                             f"(half the float maximum), got l={l}, w={w}, h={h}")
         return tuple.__new__(cls, (x, y, z, l, w, h, wrap_angle(yaw)))
 
     @classmethod
@@ -255,7 +260,7 @@ def _placed(box: Box7, pose: Pose, center: list) -> Box7:
     if (tilt := pose.tilt_angle()) > _TILT_TOLERANCE:
         raise GimbalRisk(f"pose tilts the vertical axis by {tilt:.3e} rad; "
                          "boxes here carry yaw only")
-    return Box7(*center, box.l, box.w, box.h, wrap_angle(box.yaw + pose.heading()))
+    return Box7(*center, box.l, box.w, box.h, box.yaw + pose.heading())  # Box7 wraps
 
 
 def transform_box(box: Box7, pose: Pose) -> Box7:

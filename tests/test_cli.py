@@ -142,6 +142,15 @@ class TestIouCommand:
         assert captured.err == (f"error: box {box}: Box7 sizes must give a positive, finite "
                                 f"volume, got l={size}, w={size}, h={size}\n")
 
+    def test_boxes_whose_volumes_sum_past_the_float_maximum_are_refused(self, capsys):
+        # each volume, 9.73e307, is finite; their union would not be
+        big = [4.6e102] * 3
+        assert run_cli("iou", 0, 0, 0, *big, 0, 1e99, 0, 0, *big, 0) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: box a: Box7 sizes must give a volume of at most ")
+
 
 class TestSynthCommand:
     def test_writes_dataset(self, tmp_path, capsys):
@@ -1370,3 +1379,156 @@ class TestBadDatasetDirectory:
         assert run_cli("train", "--config", config, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: {bad / name}: {field}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+# ---- fuzzed input files --------------------------------------------------------
+
+
+class _Raw(str):
+    """JSON text that `_json_text` writes as it stands."""
+
+
+def _json_text(value) -> str:
+    """json.dumps(value), NaN and Infinity included, with each _Raw written as it stands."""
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    return json.dumps(value)
+
+
+# the schedule's epoch counts train as long as they say: a huge one is a request, not a fault
+_EPOCH_KEYS = ("transition_epoch", "total_epochs")
+_ANY_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-10, 10),
+                      st.text(max_size=6), st.just([]), st.just({}))
+_BAD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 2**31, 2**63, -2**63, 10**400, -1]
+
+
+def _mutated_json(doc, draw) -> bytes:
+    """The bytes of `doc` with one drawn defect: at a node reached by a random
+    walk, a key dropped or added, a value retyped, non-finite, huge, negative or
+    deeply nested, a key or list entry given twice; or the text truncated, or
+    not UTF-8."""
+    doc = json.loads(json.dumps(doc))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        parent, key = node, draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                 else range(len(node))))
+        node = parent[key]
+    defect = draw(st.sampled_from(["drop", "add", "retype", "number", "nest", "repeat",
+                                   "truncate", "not UTF-8"]))
+    value = None
+    if defect == "drop" and parent is not None:
+        del parent[key]
+    elif defect == "add" and isinstance(node, dict):
+        node[draw(st.text(max_size=6))] = draw(_ANY_JSON)
+    elif defect == "repeat" and isinstance(node, dict) and node:
+        k = draw(st.sampled_from(list(node)))
+        value = _Raw(_json_text(node)[:-1] + f", {json.dumps(k)}: {_json_text(node[k])}}}")
+    elif defect == "repeat" and isinstance(node, list) and node:
+        node.append(json.loads(json.dumps(draw(st.sampled_from(node)))))
+    elif defect == "number" and key not in _EPOCH_KEYS:
+        value = draw(st.sampled_from(_BAD_NUMBERS))
+    elif defect == "nest":
+        depth = draw(st.sampled_from([2, 60, 100_000]))
+        value = _Raw("[" * depth + "]" * depth)
+    elif defect in ("drop", "add", "retype", "number", "repeat"):
+        value = draw(_ANY_JSON)
+    if value is not None:
+        if parent is None:
+            doc = value
+        else:
+            parent[key] = value
+    blob = _json_text(doc).encode()
+    if defect == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if defect == "not UTF-8":
+        at = draw(st.integers(0, len(blob)))
+        return blob[:at] + b"\xff" + blob[at:]
+    return blob
+
+
+def _no_nan(text: str):
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text!r}"))
+
+
+class TestFuzzedInputFiles:
+    """`ingest`, `eval --gt-as-pred`, `eval --checkpoint`, `train` and `report
+    [--csv]` on one valid scene, features, train-config or report file with
+    one defect either run, or end as one `error:` line that names a file, a
+    field, a flag, a record or the epoch and batch at fault; `ingest` gives
+    one `rejected: records[<i>]` line per record it refuses instead. Never a
+    traceback or a warning, and every config written is JSON without NaN."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fuzz")
+        data = base / "data"
+        assert run_cli("synth", "--count", 4, "--seed", 23, "--out", data,
+                       "--d-v", 8, "--d-t", 8) == 0
+        model = {"d_v": 8, "d_t": 8, "d_model": 8, "n_layers": 1, "n_heads": 2, "lora_rank": 2}
+        save_checkpoint(FusionModel(ModelConfig(**model)), base / "model.bin")
+        assert run_cli("eval", "--data", data, "--out", base / "eval", "--gt-as-pred") == 0
+        docs = {name: json.loads((data / name).read_text())
+                for name in ("scenes.json", "features.json")}
+        docs["config.json"] = {"seed": 3, "data": str(data), "batch_size": 2, "model": model,
+                               "schedule": {"transition_epoch": 1, "total_epochs": 2}}
+        docs["report.json"] = json.loads((base / "eval" / "report.json").read_text())
+        return base, docs
+
+    COMMANDS = {"scenes.json": ["ingest", "eval --gt-as-pred", "eval --checkpoint", "train"],
+                "features.json": ["eval --gt-as-pred", "eval --checkpoint", "train"],
+                "config.json": ["train"], "report.json": ["report", "report --csv"]}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_with_one_line_naming_what_is_at_fault(self, valid, data):
+        base, docs = valid
+        name = data.draw(st.sampled_from(sorted(docs)))
+        command = data.draw(st.sampled_from(self.COMMANDS[name]))
+        run = Path(tempfile.mkdtemp(dir=base))
+        (run / "data").mkdir()
+        for n, doc in docs.items():
+            target = run / "data" / n if n in ("scenes.json", "features.json") else run / n
+            if n == "config.json":
+                doc = {**doc, "data": str(run / "data")}
+            target.write_bytes(_mutated_json(doc, data.draw) if n == name else
+                               json.dumps(doc).encode())
+        out = run / "out"
+        argv = {"ingest": ("ingest", run / "data" / "scenes.json", "--out", out),
+                "eval --gt-as-pred": ("eval", "--data", run / "data", "--out", out,
+                                      "--gt-as-pred"),
+                "eval --checkpoint": ("eval", "--data", run / "data", "--out", out,
+                                      "--checkpoint", base / "model.bin"),
+                "train": ("train", "--config", run / "config.json", "--out", out),
+                "report": ("report", run / "report.json"),
+                "report --csv": ("report", run / "report.json", "--csv")}[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run_cli(*argv)
+        err = stderr.getvalue()
+        assert caught == []
+        assert code in (0, 1), err
+        lines = err.splitlines()
+        # ingest names each record it refuses first; its summary goes to stdout
+        rejected = [line for line in lines if re.match(r"rejected: records\[\d+\]", line)]
+        assert lines[:len(rejected)] == rejected, err
+        lines = lines[len(rejected):]
+        if code == 0:
+            assert lines == rejected == [], err
+        elif lines or not rejected:
+            assert len(lines) == 1, err
+            named = "|".join(map(re.escape, (str(run), "config", "report", "--", "checkpoint ",
+                                                  "record ")))
+            # a config.data that names no dataset directory is named as it is given
+            assert re.match(rf"error: ({named}|non-finite|overflow|a predicted box|"
+                            r".*: expected scenes.json and features.json$)", lines[0]), err
+        for written in [*out.parent.glob("out*.config.json"), *out.glob("resolved_config.json")]:
+            _no_nan(written.read_text())
+        if command == "ingest" and out.exists():
+            for line in out.read_text().splitlines():
+                _no_nan(line)

@@ -21,7 +21,6 @@ from minidet3d.data import (
     category_embedding,
     emit,
     encode_visual,
-    filter_visible,
     for_record,
     global_to_lidar_pose,
     ingest_lenient,
@@ -350,7 +349,7 @@ class TestFilterVisible:
     def test_box_ahead_fully_visible(self):
         box = Box7(10, 0, 0, 1, 1, 1, 0)
         rec = make_record(annotations=(Annotation("car", box),))
-        sample = filter_visible(to_lidar_frame(rec), rec)
+        sample = process_record(rec)
         (ann,) = sample.annotations
         assert ann.retained
         assert sum(c.visible for c in ann.projections["front"]) == 8
@@ -358,7 +357,7 @@ class TestFilterVisible:
     def test_box_behind_camera_dropped(self):
         box = Box7(-10, 0, 0, 1, 1, 1, 0)
         rec = make_record(annotations=(Annotation("car", box),))
-        sample = filter_visible(to_lidar_frame(rec), rec)
+        sample = process_record(rec)
         (ann,) = sample.annotations
         assert not ann.retained
         assert all(not c.visible for c in ann.projections["front"])
@@ -367,7 +366,7 @@ class TestFilterVisible:
         # lateral offset near the 8 m field edge at 10 m depth
         box = Box7(10, 7.8, 0, 1, 1, 1, 0)
         rec = make_record(annotations=(Annotation("car", box),))
-        sample = filter_visible(to_lidar_frame(rec), rec)
+        sample = process_record(rec)
         (ann,) = sample.annotations
         visible = sum(c.visible for c in ann.projections["front"])
         assert ann.retained
@@ -377,7 +376,7 @@ class TestFilterVisible:
         box = Box7(10, 0, 0, 1, 1, 1, 0.4)
         rec = make_record(annotations=(Annotation("car", box),))
         anns = to_lidar_frame(rec)
-        sample = filter_visible(anns, rec)
+        sample = process_record(rec)
         assert sample.annotations[0].box == anns[0].box
 
     def test_processed_json_shape(self):

@@ -67,6 +67,19 @@ class TestBox7:
         assert wrap_angle(-math.pi) == math.pi
         assert wrap_angle(math.nextafter(math.pi, 4.0)) == math.pi  # not -pi
 
+    # transform_box leaves the wrap of a placed box's yaw to Box7, which relies on this
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(math.nextafter(math.pi, 4.0))
+    @example(math.nextafter(math.pi, 0.0))
+    @example(math.nextafter(-math.pi, -4.0))
+    @example(math.nextafter(-math.pi, 0.0))
+    @example(0.0)
+    @example(-0.0)
+    def test_wrap_angle_is_idempotent_bit_for_bit(self, theta):
+        assert wrap_angle(wrap_angle(theta)).hex() == wrap_angle(theta).hex()
+
 
 def bits(row) -> list[str]:
     return [float(v).hex() for v in row]
@@ -115,6 +128,19 @@ class TestBox7IsItsRow:
                       lambda: box._replace(**{field: value})):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build()
+
+    def test_volume_above_half_the_float_maximum_is_rejected(self):
+        # 4.6e102 ** 3 is finite, but two such volumes sum past the float maximum
+        size = 4.6e102
+        message = ("Box7 sizes must give a volume of at most 8.988465674311579e+307 (half the "
+                   f"float maximum), got l={size}, w={size}, h={size}")
+        box = Box7(1, 2, 3, 4, 5, 6, 0.5)
+        row = (*box[:3], size, size, size, box.yaw)
+        for build in (lambda: Box7(*row), lambda: Box7._make(row),
+                      lambda: box._replace(l=size, w=size, h=size)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+        assert Box7(*row[:3], 4.4e102, 4.4e102, 4.4e102, 0.0).l == 4.4e102  # 8.5e307: kept
 
 
     @pytest.mark.parametrize("size", [1e-110, 1e110])
@@ -357,6 +383,14 @@ class TestTransformBox:
             back = transform_box(transform_box(box, pose), pose.inverse())
             assert np.allclose(back.params(), box.params(), atol=1e-9)
             assert volume(transform_box(box, pose)) == pytest.approx(volume(box), abs=1e-12)
+
+    def test_yaw_past_pi_is_wrapped_once_by_box7(self):
+        box = Box7(1.5, -2.0, 0.5, 4.0, 2.0, 1.5, 2.9)
+        pose = Pose((3.0, -1.0, 0.25), quat_from_yaw(2.5))
+        assert box.yaw + pose.heading() > math.pi
+        expected = Box7(*pose.apply(box.center).tolist(), box.l, box.w, box.h,
+                        wrap_angle(box.yaw + pose.heading()))
+        assert bits(transform_box(box, pose)) == bits(expected)
 
     def test_tilting_pose_raises(self):
         tilt = Pose((0, 0, 0), (math.cos(0.05), math.sin(0.05), 0.0, 0.0))  # 0.1 rad roll

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from minidet3d.errors import DegenerateOverlap, EmptyBatch, NonSmoothPoint
 from minidet3d.geom import Box7, Pose, quat_from_yaw, transform_box
@@ -199,6 +199,23 @@ class TestIoU3D:
                 assert res.iou * res.union_volume == pytest.approx(
                     res.intersection_volume, abs=1e-12
                 )
+
+    # sizes up to the cube root of the float maximum: some volumes pass the bound
+    BIG_ROWS = st.tuples(*[st.floats(-1e102, 1e102)] * 3, *[st.floats(1e-3, 5.64e102)] * 3,
+                         st.floats(-4, 4))
+
+    @settings(derandomize=True, deadline=None)
+    @given(BIG_ROWS, BIG_ROWS)
+    @example((0, 0, 0, *[5.64e102] * 3, 0), (1e99, 0, 0, *[5.64e102] * 3, 0))  # each volume kept
+    @example((0, 0, 0, *[4.4e102] * 3, 0), (1e99, 0, 0, *[4.4e102] * 3, 0))
+    def test_two_boxes_have_a_positive_finite_union(self, a, b):
+        try:
+            a, b = Box7(*a), Box7(*b)
+        except ValueError:
+            reject()
+        res = iou_3d(a, b)
+        assert 0.0 < res.union_volume < math.inf
+        assert 0.0 <= res.iou <= 1.0
 
 
 class TestIoULoss:

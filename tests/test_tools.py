@@ -12,6 +12,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +20,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # the BLAS kernel's line, then the hashes' labels in the order the README lists the artifacts
 BIT_IDENTITY_LABELS = ["blas_core", "checkpoint", "train_log", "report", "ingest",
                        "stage2_checkpoint", "synth_widths", "stage2_report", "ingest_visibility"]
+
+# The eight values under each (numpy version, dispatched kernel) they were taken with. A change
+# that moves a hash on purpose updates its entry and lists the old and new values in CHANGES.md.
+BIT_IDENTITY_HASHES = {
+    ("2.4.6", "SkylakeX"): {
+        "checkpoint": "042a2783f700fbb6", "train_log": "cd310ca112881901",
+        "report": "565d0c245ed82bf7", "ingest": "fed9dbb70559fe95",
+        "stage2_checkpoint": "c8685bcd99944008", "synth_widths": "d158f5e58922b19c",
+        "stage2_report": "7e530e9a519c2b22", "ingest_visibility": "2541e1f51714f989",
+    },
+}
 
 
 def test_bit_identity_prints_eight_labelled_hashes():
@@ -32,6 +44,11 @@ def test_bit_identity_prints_eight_labelled_hashes():
     assert re.fullmatch(r"blas_core +\S+", lines[0]), lines[0]
     for line in lines[1:]:
         assert re.fullmatch(r"[a-z0-9_]+ +[0-9a-f]{16}", line), line
+    # the values depend on the numpy build and BLAS kernel: checked where they are known
+    hashes = dict(line.split() for line in lines[1:])
+    expected = BIT_IDENTITY_HASHES.get((np.__version__, lines[0].split()[1]))
+    if expected is not None:
+        assert hashes == expected
 
 
 @pytest.fixture(scope="module")
