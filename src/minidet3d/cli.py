@@ -105,7 +105,7 @@ def _load_dataset(dirpath: str, key: str, model: ModelConfig | None = None, owne
     model config, which `owner` names, must have their widths as d_v/d_t."""
     scenes, feats = Path(dirpath) / "scenes.json", Path(dirpath) / "features.json"
     if not scenes.is_file() or not feats.is_file():
-        raise ConfigError(f"{dirpath}: expected scenes.json and features.json")
+        raise ConfigError(f"{key}: {dirpath}: expected scenes.json and features.json")
     records, rejected = data_mod.ingest_lenient(scenes)
     if rejected:
         raise ParseError(f"{scenes}: {rejected[0].field}", rejected[0].message)

@@ -13,20 +13,21 @@ the MLP head. They live in one contiguous float64 vector, `arena`, laid out
 in `trainable_parameters()` order; each of their `params` entries is a
 reshaped view into it, so the optimizer runs over the arena as one vector.
 The factors are also one stacked `LoRAAdapter` (A: (n_layers, 4, r, d), B:
-(n_layers, 4, d, r)) on views of the arena, and the frozen q/k/v/o bases
-one (n_layers, 4, d, d) array whose views are their `params` entries.
-`params` entries are therefore updated in place (the optimizer,
-`load_checkpoint`) and never rebound. Each forward merges all the q, k, v, o
-weights W + alpha*B@A from the parameters as they stand with one
+(n_layers, 4, d, r)) on views of the arena, which `adapters()` returns. The
+frozen weights are a second vector cut from the same shape table, bases
+first: its head is `_base`, the (n_layers, 4, d, d) q/k/v/o stack. Every
+`params` entry is a view of one of the two vectors, updated in place (the
+optimizer, `load_checkpoint`) and never rebound. Each forward merges all the
+q, k, v, o weights W + alpha*B@A from the parameters as they stand with one
 `lora.merge_adapter` call into one buffer allocated at construction, so no
 write to the arena can leave a stale merge behind. Q, K and V then come
 from one GEMM on the stacked (3d, d) weight and O from one more; the
 backward takes each layer's input gradient through the same merged weights
 and writes each projection's factor gradients itself. One function,
-`_param_shapes`, gives every shape; the constructor lays out the arena from
-it, and `param_bytes` counts from it the bytes that `load_checkpoint` checks
-a file's size against, and `train_bytes` those that `train` checks the
-machine's memory against, before either builds a model. The transformer
+`_param_shapes`, gives every shape; the constructor lays out both vectors
+from it, and `param_bytes` counts from it the bytes that `load_checkpoint`
+checks a file's size against, and `train_bytes` those that `train` checks
+the machine's memory against, before either builds a model. The transformer
 base weights are frozen at their seeded initialization, as is the semantic
 projection head (a linear map W from box parameters to a 128-dim feature
 space). Its stage-1 loss is therefore no feature-space loss but a weighted
@@ -146,7 +147,9 @@ def box_params_grad_chain(raw: np.ndarray, grad_params: np.ndarray) -> np.ndarra
 
 def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
     """(trainable, frozen) parameter shapes by name, the one shape table. The
-    trainable dict's order is the arena layout and `trainable_parameters()`'s."""
+    trainable dict's order is the arena layout and `trainable_parameters()`'s,
+    the frozen dict's the frozen vector's: the q/k/v/o bases first, layer by
+    layer, so that they are one (n_layers, 4, d, d) block at its head."""
     d, dv, dt = config.d_model, config.d_v, config.d_t
     r, layers = config.lora_rank, range(config.n_layers)
     trainable = {"proj_v.W": (d, dv), "proj_v.b": (d,), "proj_t.W": (d, dt), "proj_t.b": (d,)}
@@ -158,16 +161,22 @@ def _param_shapes(config: ModelConfig) -> tuple[dict, dict]:
     for j, name in enumerate(("0", "1", "2", "out")):
         trainable[f"head.{name}.W"] = (widths[j + 1], widths[j])
         trainable[f"head.{name}.b"] = (widths[j + 1],)
-    frozen = {}
+    frozen = {f"layers.{i}.attn.{t}.base": (d, d) for i in layers for t in ATTENTION_TARGETS}
     for i in layers:
-        for t in ATTENTION_TARGETS:
-            frozen[f"layers.{i}.attn.{t}.base"] = (d, d)
         frozen[f"layers.{i}.ffn.W1"] = (2 * d, d)
         frozen[f"layers.{i}.ffn.b1"] = (2 * d,)
         frozen[f"layers.{i}.ffn.W2"] = (d, 2 * d)
         frozen[f"layers.{i}.ffn.b2"] = (d,)
     frozen["semantic.W"] = (SEMANTIC_DIM, 7)
     return trainable, frozen
+
+
+def _vector(shapes: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed float64 vector holding every shape of `shapes`, and its named views, cut in order."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = np.zeros(sum(sizes))
+    return flat, {name: v.reshape(shape) for (name, shape), v
+                  in zip(shapes.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
 
 
 def _param_counts(config: ModelConfig) -> tuple[int, int]:
@@ -199,33 +208,25 @@ class FusionModel:
     def __init__(self, config: ModelConfig):
         self.config = config
         d, dv, dt = config.d_model, config.d_v, config.d_t
-        d_ff = 2 * d
         self.d_head = d // config.n_heads
 
         trainable, frozen = _param_shapes(config)
-        sizes = [math.prod(shape) for shape in trainable.values()]
-        cuts = np.cumsum(sizes)[:-1]
-        self.arena, self.grad = np.zeros(sum(sizes)), np.zeros(sum(sizes))
-
-        def views(flat: np.ndarray) -> dict[str, np.ndarray]:
-            return {name: v.reshape(shape)
-                    for (name, shape), v in zip(trainable.items(), np.split(flat, cuts))}
+        self.arena, p = _vector(trainable)
+        self.grad, self._grads = _vector(trainable)
+        self._frozen, frozen_views = _vector(frozen)
+        self.params = p = p | frozen_views
+        self._trainable = tuple(trainable)
 
         # the arena's adapter factors, after the input projections, as (A, B)
         # stacks over (layer, target): assigning .shape makes a view or raises
         L, n = config.n_layers, len(ATTENTION_TARGETS)
         r, alpha = config.lora_rank, config.lora_alpha
-        block = self.arena[cuts[3] : cuts[3] + L * n * 2 * r * d].reshape(L, n, 2 * r * d)
+        start = d * (dv + dt + 2)
+        block = self.arena[start : start + L * n * 2 * r * d].reshape(L, n, 2 * r * d)
         A, B = block[..., : r * d], block[..., r * d :]
         A.shape, B.shape = (L, n, r, d), (L, n, d, r)
         self._adapter_stack = LoRAAdapter(A, B, r, alpha)
-        self._base = np.empty((L, n, d, d))  # the q/k/v/o bases, stacked alike; viewed below
-
-        p = views(self.arena)
-        p.update((name, np.zeros(shape)) for name, shape in frozen.items() if "attn" not in name)
-        self.params = p
-        self._grads = views(self.grad)
-        self._trainable = tuple(trainable)
+        self._base = self._frozen[: L * n * d * d].reshape(L, n, d, d)  # the q/k/v/o bases
 
         rng = np.random.default_rng(config.seed)
 
@@ -236,13 +237,11 @@ class FusionModel:
         draw("proj_t.W", 1.0 / math.sqrt(dt))
         for i in range(L):
             for j, t in enumerate(ATTENTION_TARGETS):
-                key = f"layers.{i}.attn.{t}"
-                p[f"{key}.base"] = self._base[i, j]
-                draw(f"{key}.base", 1.0 / math.sqrt(d))
+                draw(f"layers.{i}.attn.{t}.base", 1.0 / math.sqrt(d))
                 seed = int(rng.integers(0, 2**31))
                 A[i, j] = adapter_init(d, d, r, alpha, seed).A  # B stays 0
             draw(f"layers.{i}.ffn.W1", math.sqrt(2.0 / d))
-            draw(f"layers.{i}.ffn.W2", 1.0 / math.sqrt(d_ff))
+            draw(f"layers.{i}.ffn.W2", 1.0 / math.sqrt(2 * d))
         widths = (d,) + MLP_HIDDEN
         for j in range(3):
             draw(f"head.{j}.W", math.sqrt(2.0 / widths[j]))
@@ -259,11 +258,10 @@ class FusionModel:
         return {name: self.params[name] for name in self._trainable}
 
     def adapters(self) -> list[LoRAAdapter]:
-        """Per-projection adapters, built on each call; their A and B are the `params` arrays."""
-        cfg, p = self.config, self.params
-        return [LoRAAdapter(p[f"layers.{i}.attn.{t}.A"], p[f"layers.{i}.attn.{t}.B"],
-                            cfg.lora_rank, cfg.lora_alpha)
-                for i in range(cfg.n_layers) for t in ATTENTION_TARGETS]
+        """The one factor stack the forward merges from, A (n_layers, 4, r, d) and
+        B (n_layers, 4, d, r) over (layer, q/k/v/o): views of the arena, whose
+        [i, j] slices are the `params` factors of layer i's j-th target."""
+        return [self._adapter_stack]
 
     def total_param_count(self) -> int:
         return sum(v.size for v in self.params.values())

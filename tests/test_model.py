@@ -35,6 +35,16 @@ def randomized_model(cfg=SMALL, seed=7, scale=0.05):
     return m
 
 
+def same_memory(a, b):
+    """Whether two arrays are the same view: one address, shape and strides."""
+    return (a.ctypes.data, a.shape, a.strides) == (b.ctypes.data, b.shape, b.strides)
+
+
+def saved_and_loaded(model, tmp_path):
+    save_checkpoint(model, tmp_path / "model.bin")
+    return load_checkpoint(tmp_path / "model.bin")
+
+
 def max_relative_gap(a, b):
     """Largest |a - b| relative to the largest |b|."""
     return np.abs(a - b).max() / np.abs(b).max()
@@ -384,31 +394,32 @@ class TestAccounting:
         assert 0 < model.trainable_fraction() < 1
 
     def test_adapter_count_formula(self):
-        model = FusionModel(SMALL)
-        d, r = SMALL.d_model, SMALL.lora_rank
-        for a in model.adapters():
-            assert a.param_count == 2 * d * r
+        # one stack over (layer, target) of rank-r factor pairs for d x d bases
+        (stack,) = FusionModel(SMALL).adapters()
+        L, n, d, r = SMALL.n_layers, len(ATTENTION_TARGETS), SMALL.d_model, SMALL.lora_rank
+        assert stack.A.shape == (L, n, r, d) and stack.B.shape == (L, n, d, r)
+        assert stack.param_count == L * n * 2 * d * r
 
     def test_adapters_are_the_param_arrays(self, tmp_path):
-        # training updates `params` in place, so the adapters the forward pass
-        # runs through must be bound to those arrays, also after a reload
+        # training updates `params` in place, so the stack the forward merges
+        # from must be those arrays' memory, also after a reload
         def check(model):
-            adapters = model.adapters()
-            assert len(adapters) == SMALL.n_layers * len(ATTENTION_TARGETS)
-            names = [
-                f"layers.{i}.attn.{t}" for i in range(SMALL.n_layers) for t in ATTENTION_TARGETS
-            ]
-            for name, a in zip(names, adapters):
-                assert a.A is model.params[f"{name}.A"] and a.B is model.params[f"{name}.B"]
+            (stack,) = model.adapters()
+            assert model.adapters()[0] is stack  # built once, not per call
+            for i in range(SMALL.n_layers):
+                for j, t in enumerate(ATTENTION_TARGETS):
+                    for name, factor in (("A", stack.A[i, j]), ("B", stack.B[i, j])):
+                        assert same_memory(factor, model.params[f"layers.{i}.attn.{t}.{name}"])
+            return stack
 
         model = randomized_model()
-        check(model)
-        path = tmp_path / "model.bin"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        check(loaded)
-        for a, b in zip(model.adapters(), loaded.adapters()):
-            assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
+        stack = check(model)
+        loaded = saved_and_loaded(model, tmp_path)
+        after = check(loaded)
+        assert after.A.tobytes() == stack.A.tobytes() and after.B.tobytes() == stack.B.tobytes()
+        A, B = after.A.copy(), after.B.copy()
+        AdamW(loaded.arena).step(loaded.arena, np.ones_like(loaded.arena), lr=1e-3)
+        assert (after.A != A).all() and (after.B != B).all()
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
     def test_param_bytes_counts_the_built_model(self, n_layers):
@@ -473,6 +484,38 @@ class TestArena:
             assert np.array_equal(p, before[name]) == (name not in trainable), name
         for a, (A, B) in zip(loaded.adapters(), adapters_before):
             assert not np.array_equal(a.A, A) and not np.array_equal(a.B, B)
+
+    @pytest.mark.parametrize("reloaded", [False, True])
+    def test_frozen_parameters_tile_one_vector(self, tmp_path, reloaded):
+        model = randomized_model()
+        if reloaded:
+            model = saved_and_loaded(model, tmp_path)
+        frozen, table = model._frozen, model_mod._param_shapes(SMALL)[1]
+        assert frozen.ndim == 1 and frozen.flags.c_contiguous
+        assert model.params.keys() == model.trainable_parameters().keys() | table.keys()
+        offset = 0
+        for name, shape in table.items():
+            p = model.params[name]
+            assert p.shape == shape and p.flags.c_contiguous, name
+            assert p.ctypes.data == frozen.ctypes.data + 8 * offset, name
+            assert not np.shares_memory(p, model.arena), name
+            assert not np.shares_memory(p, model.grad), name
+            offset += p.size
+        assert offset == frozen.size
+
+    @pytest.mark.parametrize("reloaded", [False, True])
+    def test_bases_are_the_head_of_the_frozen_vector(self, tmp_path, reloaded):
+        model = randomized_model()
+        if reloaded:
+            model = saved_and_loaded(model, tmp_path)
+        model.forward_batch(np.random.default_rng(17).normal(size=(3, 16)))
+        L, n, d = SMALL.n_layers, len(ATTENTION_TARGETS), SMALL.d_model
+        assert same_memory(model._base, model._frozen[: L * n * d * d].reshape(L, n, d, d))
+        for i in range(L):
+            for j, t in enumerate(ATTENTION_TARGETS):
+                assert same_memory(model._base[i, j], model.params[f"layers.{i}.attn.{t}.base"])
+        for vector in (model._frozen, model.arena, model.grad):
+            assert not np.shares_memory(model._merged, vector)
 
     def test_gradient_views_tile_the_gradient_arena(self):
         model = FusionModel(SMALL)
